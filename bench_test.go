@@ -364,20 +364,19 @@ func TestMergeKernelSteadyStateAllocs(t *testing.T) {
 // count; the private baseline re-evaluates the fragment per query. CI runs
 // the full 1/64/1024 sweep via cmd/dcbench -fig fanout (BENCH_fanout.json).
 func BenchmarkFanoutSlides(b *testing.B) {
-	modes := []struct {
-		label string
-		mode  bench.FanoutSlideMode
+	arms := []struct {
+		label    string
+		baseline bool
 	}{
-		{"shared", bench.FanoutFullShared},
-		{"frags-only", bench.FanoutFragmentsOnly},
-		{"private", bench.FanoutPrivate},
+		{"shared", false},
+		{"private", true},
 	}
 	for _, nq := range []int{1, 16} {
-		for _, m := range modes {
+		for _, m := range arms {
 			b.Run(fmt.Sprintf("queries=%d/%s", nq, m.label), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := bench.MeasureFanoutSlides(nq, 4096, 512, 24, m.mode); err != nil {
+					if _, err := bench.MeasureFanoutSlides(nq, 4096, 512, 24, m.baseline); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -127,31 +127,6 @@ type Options struct {
 	// sequential evaluation. Results are identical at any setting; see
 	// docs/ARCHITECTURE.md and the README "Tuning" section.
 	Parallelism int
-	// PrivateFragments opts this query out of the shared-plan catalog:
-	// its per-slide window fragments are evaluated privately even when
-	// other standing queries on the stream compute the identical fragment.
-	// The default (sharing on) evaluates each canonical fragment once per
-	// slide and fans the partial into every subscriber's private merge;
-	// results are bit-identical either way. See Query.Explain.
-	PrivateFragments bool
-	// PrivateMergeTails opts this query out of merge-tail sharing while
-	// leaving fragment sharing on: the query always runs its own concat +
-	// grouped re-group over the window even when other subscribers compute
-	// an identical merge head (same fragment, window length and
-	// group/aggregate shape — HAVING and projection constants excluded).
-	// The default (sharing on) computes each canonical head once per slide
-	// and every subscriber applies only its residual tail. Implied by
-	// PrivateFragments; results are bit-identical either way.
-	PrivateMergeTails bool
-	// PrivateJoinPlan opts a stream-stream join query out of adaptive join
-	// planning: the join matrix then evaluates in written order with the
-	// right side building a fresh hash table per cell, instead of picking
-	// the build side per cell greedily from exact post-filter cardinalities,
-	// interning per-basic-window build tables, and zeroing cells with an
-	// empty side. The benchmark baseline for the greedy planner; results
-	// are bit-identical either way. See Query.Explain and the README
-	// "Tuning" section.
-	PrivateJoinPlan bool
 }
 
 // Result is one window result.
@@ -412,30 +387,30 @@ type Query struct {
 func (db *DB) Register(query string, opts Options) (*Query, error) {
 	q := &Query{db: db}
 	cq, err := db.eng.Register(query, engine.Options{
-		Mode:              opts.Mode,
-		AutoThreshold:     opts.AutoThreshold,
-		Chunks:            opts.Chunks,
-		AdaptiveChunks:    opts.AdaptiveChunks,
-		Parallelism:       opts.Parallelism,
-		PrivateFragments:  opts.PrivateFragments,
-		PrivateMergeTails: opts.PrivateMergeTails,
-		PrivateJoinPlan:   opts.PrivateJoinPlan,
-		OnResult: func(r *engine.Result) {
-			q.deliver(&Result{
-				Window:           r.Window,
-				Table:            r.Table,
-				Latency:          time.Duration(r.StepNS),
-				MainLatency:      time.Duration(r.Stats.MainNS),
-				PartitionLatency: time.Duration(r.Stats.PartitionNS),
-				MergeLatency:     time.Duration(r.Stats.MergeNS),
-			})
-		},
+		Mode:           opts.Mode,
+		AutoThreshold:  opts.AutoThreshold,
+		Chunks:         opts.Chunks,
+		AdaptiveChunks: opts.AdaptiveChunks,
+		Parallelism:    opts.Parallelism,
+		OnResult:       func(r *engine.Result) { q.deliver(newResult(r)) },
 	})
 	if err != nil {
 		return nil, err
 	}
 	q.cq = cq
 	return q, nil
+}
+
+// newResult converts an engine result to the public form.
+func newResult(r *engine.Result) *Result {
+	return &Result{
+		Window:           r.Window,
+		Table:            r.Table,
+		Latency:          time.Duration(r.Stats.TotalNS),
+		MainLatency:      time.Duration(r.Stats.MainNS),
+		PartitionLatency: time.Duration(r.Stats.PartitionNS),
+		MergeLatency:     time.Duration(r.Stats.MergeNS),
+	}
 }
 
 // deliver routes one result to the active sink — handler, subscription, or
@@ -560,8 +535,8 @@ func (q *Query) Fingerprint() string { return q.cq.Fingerprint() }
 type QueryStats struct {
 	// Windows is the number of window results emitted.
 	Windows int
-	// Fragment, Shared, Scatter, Partition, Stitch, Merge and Total mirror
-	// the engine's StageBreakdown: fragment work the query evaluated
+	// Fragment, Shared, Scatter, Partition, Stitch, Merge and Total are the
+	// engine's cumulative stage clock: fragment work the query evaluated
 	// itself, time spent adopting shared work (fragment partials and merge
 	// heads) computed by other queries, the parallel hash-scatter feeding
 	// the shards, the partitioned grouped re-group, the tree stitch that
@@ -573,16 +548,15 @@ type QueryStats struct {
 	AdoptedSlides, LedSlides int64
 	// AdoptedTails and LedTails count window merges whose shared merge
 	// head was adopted from the tail catalog versus computed and published
-	// by this query (see Options.PrivateMergeTails).
+	// by this query.
 	AdoptedTails, LedTails int64
-	// BatchedSlides counts slides drained through the intra-query parallel
-	// StepBatch path.
+	// BatchedSlides counts slides drained more than one per firing (the
+	// intra-query parallel cadence: Parallelism > 1 with a backlog).
 	BatchedSlides int64
 	// Join is the join-matrix update share of Fragment (stream-stream join
 	// queries only): adaptive planning, build tables, cell evaluation.
 	// BuildsReused counts matrix cells served by an interned per-basic-
-	// window build table instead of building one — zero with
-	// Options.PrivateJoinPlan (see Query.Explain).
+	// window build table instead of building one (see Query.Explain).
 	Join         time.Duration
 	BuildsReused int64
 	// Delivered and Dropped count results handed to this query's
@@ -593,23 +567,21 @@ type QueryStats struct {
 // Stats returns a snapshot of the query's cumulative runtime counters.
 // It is safe to call concurrently with a running scheduler.
 func (q *Query) Stats() QueryStats {
-	st := q.cq.StageBreakdown()
-	adopted, led := q.cq.SharedSlides()
-	tailsAdopted, tailsLed := q.cq.SharedTails()
+	st := q.cq.Stats()
 	return QueryStats{
-		Windows:       q.cq.Windows(),
-		Fragment:      time.Duration(st.FragmentNS),
+		Windows:       st.Windows,
+		Fragment:      time.Duration(st.MainNS),
 		Shared:        time.Duration(st.SharedNS),
 		Scatter:       time.Duration(st.ScatterNS),
 		Partition:     time.Duration(st.PartitionNS),
 		Stitch:        time.Duration(st.StitchNS),
 		Merge:         time.Duration(st.MergeNS),
 		Total:         time.Duration(st.TotalNS),
-		AdoptedSlides: adopted,
-		LedSlides:     led,
-		AdoptedTails:  tailsAdopted,
-		LedTails:      tailsLed,
-		BatchedSlides: q.cq.BatchedSlides(),
+		AdoptedSlides: st.AdoptedSlides,
+		LedSlides:     st.LedSlides,
+		AdoptedTails:  st.AdoptedTails,
+		LedTails:      st.LedTails,
+		BatchedSlides: st.BatchedSlides,
 		Join:          time.Duration(st.JoinNS),
 		BuildsReused:  st.BuildsReused,
 		Delivered:     q.delivered.Load(),

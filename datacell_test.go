@@ -266,7 +266,7 @@ func TestRunErrorAndRestart(t *testing.T) {
 
 // TestConcurrentAppendAndRead exercises the public API under -race:
 // multiple appender goroutines while the scheduler runs, with readers
-// polling Windows, CostBreakdown (via the engine), Results and Err.
+// polling Windows, Stats, Results and Err.
 func TestConcurrentAppendAndRead(t *testing.T) {
 	db := newDB(t)
 	q, err := db.Register(`SELECT x1, sum(x2) FROM s [RANGE 20 SLIDE 10] GROUP BY x1`, Options{})

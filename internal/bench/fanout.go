@@ -132,11 +132,10 @@ func FanoutTable(points []FanoutPoint, tuplesPerPoint int) *Table {
 // the same per-slide fragment (filterless grouped sum at one slide size),
 // the window length alternates between two values (two merge-tail
 // cliques) and the HAVING threshold varies per query (each clique's
-// queries differ only in the residual constant). With the fragment
-// registry every slide's fragment is evaluated once and fanned out; with
-// merge-tail sharing on top, each clique's grouped re-group also runs
-// once per window end; with PrivateFragments each of the Q queries
-// re-evaluates everything.
+// queries differ only in the residual constant). With the shared-plan
+// catalog every slide's fragment is evaluated once and fanned out, and each
+// clique's grouped re-group runs once per window end; as engine
+// Options.Baseline each of the Q queries re-evaluates everything.
 const fanoutSlideQuery = `SELECT x1, sum(x2) FROM s [RANGE %d SLIDE %d] GROUP BY x1 HAVING sum(x2) > %d`
 
 // FanoutSlideQueryCounts is the standard sweep for the shared-plan
@@ -144,34 +143,15 @@ const fanoutSlideQuery = `SELECT x1, sum(x2) FROM s [RANGE %d SLIDE %d] GROUP BY
 // queries.
 var FanoutSlideQueryCounts = []int{1, 64, 1024}
 
-// FanoutSlideMode selects how much of the shared-plan catalog a drain
-// uses.
-type FanoutSlideMode int
-
-const (
-	// FanoutFullShared is the engine default: fragments and merge tails
-	// both interned.
-	FanoutFullShared FanoutSlideMode = iota
-	// FanoutFragmentsOnly shares fragments but keeps every merge tail
-	// private — the catalog as of the fragment-sharing PR, the baseline
-	// the merge-tail layer is measured against.
-	FanoutFragmentsOnly
-	// FanoutPrivate evaluates everything per query — the baseline that
-	// scales linearly in Q.
-	FanoutPrivate
-)
-
 // FanoutSlidePoint is one measured query count: wall-clock per stream
-// slide draining the same backlog fully shared (fragments + merge
-// tails), with fragment sharing only, and fully private.
+// slide draining the same backlog shared (fragments + merge tails, the
+// engine default) and private (Options.Baseline — linear in Q).
 type FanoutSlidePoint struct {
-	Queries             int     `json:"queries"`
-	Slides              int     `json:"slides"`
-	SharedNsPerSlide    float64 `json:"shared_ns_per_slide"`
-	FragmentsNsPerSlide float64 `json:"fragments_only_ns_per_slide"`
-	PrivateNsPerSlide   float64 `json:"private_ns_per_slide"`
-	Speedup             float64 `json:"private_over_shared"`
-	TailSpeedup         float64 `json:"fragments_only_over_shared"`
+	Queries           int     `json:"queries"`
+	Slides            int     `json:"slides"`
+	SharedNsPerSlide  float64 `json:"shared_ns_per_slide"`
+	PrivateNsPerSlide float64 `json:"private_ns_per_slide"`
+	Speedup           float64 `json:"private_over_shared"`
 }
 
 // MeasureFanoutSlides registers nQueries fragment-sharing queries
@@ -179,7 +159,7 @@ type FanoutSlidePoint struct {
 // fragment is identical), buffers slides stream slides, and times the
 // Pump that drains them. Returns wall-clock nanoseconds per stream
 // slide.
-func MeasureFanoutSlides(nQueries, window, slide, slides int, mode FanoutSlideMode) (float64, error) {
+func MeasureFanoutSlides(nQueries, window, slide, slides int, baseline bool) (float64, error) {
 	e := engine.New()
 	if err := e.RegisterStream("s", intSchema()); err != nil {
 		return 0, err
@@ -188,10 +168,9 @@ func MeasureFanoutSlides(nQueries, window, slide, slides int, mode FanoutSlideMo
 	for i := 0; i < nQueries; i++ {
 		q := fmt.Sprintf(fanoutSlideQuery, window*(1+i%2), slide, i)
 		opts := engine.Options{
-			Mode:              engine.Incremental,
-			PrivateFragments:  mode == FanoutPrivate,
-			PrivateMergeTails: mode == FanoutFragmentsOnly,
-			OnResult:          func(*engine.Result) { windows++ },
+			Mode:     engine.Incremental,
+			Baseline: baseline,
+			OnResult: func(*engine.Result) { windows++ },
 		}
 		if _, err := e.Register(q, opts); err != nil {
 			return 0, err
@@ -217,34 +196,27 @@ func MeasureFanoutSlides(nQueries, window, slide, slides int, mode FanoutSlideMo
 	return float64(elapsed.Nanoseconds()) / float64(slides), nil
 }
 
-// MeasureFanoutSlideSweep measures fully-shared, fragments-only and
-// private drains for every query count in FanoutSlideQueryCounts.
-// Sharing must hold the per-slide cost ~flat from 1 to 1024 queries
-// while the private baseline grows linearly; the fragments-only column
-// isolates what the merge-tail layer adds on top.
+// MeasureFanoutSlideSweep measures shared and private drains for every
+// query count in FanoutSlideQueryCounts. Sharing must hold the per-slide
+// cost ~flat from 1 to 1024 queries while the private baseline grows
+// linearly.
 func MeasureFanoutSlideSweep(window, slide, slides int) ([]FanoutSlidePoint, error) {
 	points := make([]FanoutSlidePoint, 0, len(FanoutSlideQueryCounts))
 	for _, nq := range FanoutSlideQueryCounts {
-		shared, err := MeasureFanoutSlides(nq, window, slide, slides, FanoutFullShared)
+		shared, err := MeasureFanoutSlides(nq, window, slide, slides, false)
 		if err != nil {
 			return nil, err
 		}
-		frags, err := MeasureFanoutSlides(nq, window, slide, slides, FanoutFragmentsOnly)
-		if err != nil {
-			return nil, err
-		}
-		priv, err := MeasureFanoutSlides(nq, window, slide, slides, FanoutPrivate)
+		priv, err := MeasureFanoutSlides(nq, window, slide, slides, true)
 		if err != nil {
 			return nil, err
 		}
 		points = append(points, FanoutSlidePoint{
-			Queries:             nq,
-			Slides:              slides,
-			SharedNsPerSlide:    shared,
-			FragmentsNsPerSlide: frags,
-			PrivateNsPerSlide:   priv,
-			Speedup:             priv / shared,
-			TailSpeedup:         frags / shared,
+			Queries:           nq,
+			Slides:            slides,
+			SharedNsPerSlide:  shared,
+			PrivateNsPerSlide: priv,
+			Speedup:           priv / shared,
 		})
 	}
 	return points, nil
@@ -267,17 +239,15 @@ func FanoutSlideTable(points []FanoutSlidePoint, window, slide int) *Table {
 		Figure: "FanoutSlides",
 		Title: fmt.Sprintf("per-slide wall-clock vs subscribed queries (|W|=%d, |w|=%d, shared-plan catalog vs private evaluation)",
 			window, slide),
-		Header: []string{"queries", "shared_ms_per_slide", "frags_only_ms_per_slide", "private_ms_per_slide", "private/shared", "frags_only/shared"},
-		Notes:  "(fragments and merge tails interned per stream: shared cost must stay ~flat in the query count, private grows linearly; frags_only/shared isolates the merge-tail layer)",
+		Header: []string{"queries", "shared_ms_per_slide", "private_ms_per_slide", "private/shared"},
+		Notes:  "(fragments and merge tails interned per stream: shared cost must stay ~flat in the query count, private grows linearly)",
 	}
 	for _, p := range points {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(p.Queries),
 			fmt.Sprintf("%.3f", p.SharedNsPerSlide/1e6),
-			fmt.Sprintf("%.3f", p.FragmentsNsPerSlide/1e6),
 			fmt.Sprintf("%.3f", p.PrivateNsPerSlide/1e6),
 			fmt.Sprintf("%.2f", p.Speedup),
-			fmt.Sprintf("%.2f", p.TailSpeedup),
 		})
 	}
 	return t

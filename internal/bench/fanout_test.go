@@ -24,8 +24,7 @@ func TestWriteFanoutJSON(t *testing.T) {
 	}
 	slidePoints := []FanoutSlidePoint{{
 		Queries: 1, Slides: 4,
-		SharedNsPerSlide: 1000, FragmentsNsPerSlide: 1500, PrivateNsPerSlide: 2000,
-		Speedup: 2, TailSpeedup: 1.5,
+		SharedNsPerSlide: 1000, PrivateNsPerSlide: 2000, Speedup: 2,
 	}}
 	dir := t.TempDir()
 	path, err := WriteFanoutJSON(points, slidePoints, dir)
@@ -80,8 +79,7 @@ func TestFanoutSlideSweep(t *testing.T) {
 		t.Fatalf("points: %d", len(points))
 	}
 	for _, p := range points {
-		if p.SharedNsPerSlide <= 0 || p.FragmentsNsPerSlide <= 0 ||
-			p.PrivateNsPerSlide <= 0 || p.Speedup <= 0 || p.TailSpeedup <= 0 {
+		if p.SharedNsPerSlide <= 0 || p.PrivateNsPerSlide <= 0 || p.Speedup <= 0 {
 			t.Errorf("malformed point %+v", p)
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // the join-matrix cells planned per slide — exact post-filter cardinalities
 // pick the build side per cell and the per-basic-window hash tables are
 // interned and reused across cells and slides — against the written-order
-// baseline (Options.PrivateJoinPlan) that rebuilds the right side's table
+// baseline (Options.Baseline) that rebuilds the right side's table
 // in every probing cell. The sweep crosses filter skews: skew 1 keeps both
 // sides full (the planner's win is table reuse alone), skew 1000 filters
 // one side down to ~0.1% (the seed's written order then pays a full build
@@ -40,7 +40,7 @@ const joinsX1Domain = 1000
 const joinsKeyDomain = 1024
 
 // JoinsPoint is one measured (filter skew, plan) cell. Baseline marks the
-// written-order run (PrivateJoinPlan) that anchors the speedup columns of
+// written-order run (Options.Baseline) that anchors the speedup columns of
 // its skew.
 type JoinsPoint struct {
 	Skew         int     `json:"filter_skew"`
@@ -59,7 +59,7 @@ type JoinsPoint struct {
 
 // MeasureJoins registers the Q2-shaped join with the given filter skew and
 // plan arm, buffers the whole backlog, and measures the single Pump that
-// drains it. JoinMS is the join-matrix cell-update stage (StageBreakdown);
+// drains it. JoinMS is the join-matrix cell-update stage (the JoinNS clock);
 // BuildsReused counts probing cells served by an interned table instead of
 // a fresh build.
 func MeasureJoins(skew, workers, window, slide, slides int, baseline bool) (JoinsPoint, error) {
@@ -81,9 +81,9 @@ func MeasureJoins(skew, workers, window, slide, slides int, baseline bool) (Join
 	var windows int
 	var checksum int64
 	opts := engine.Options{
-		Mode:            engine.Incremental,
-		Parallelism:     workers,
-		PrivateJoinPlan: baseline,
+		Mode:        engine.Incremental,
+		Parallelism: workers,
+		Baseline:    baseline,
 		OnResult: func(r *engine.Result) {
 			windows++
 			for _, col := range r.Table.Cols {
@@ -129,7 +129,7 @@ func MeasureJoins(skew, workers, window, slide, slides int, baseline bool) (Join
 	if steps != slides {
 		return p, fmt.Errorf("bench: drained %d steps, want %d", steps, slides)
 	}
-	st := q.StageBreakdown()
+	st := q.Stats()
 	p.Windows = windows
 	p.Tuples = total
 	p.WallMS = float64(elapsed.Nanoseconds()) / 1e6

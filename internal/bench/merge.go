@@ -55,7 +55,7 @@ type MergePoint struct {
 
 // MeasureMerge registers one grouped incremental query with the given
 // worker count and key domain, buffers the whole backlog, and measures the
-// single Pump that drains it, splitting time by stage (StageBreakdown).
+// single Pump that drains it, splitting time by stage (the query stage clock).
 func MeasureMerge(workers, keys, window, slide, slides int, baseline bool) (MergePoint, error) {
 	p := MergePoint{Keys: keys, Workers: workers, Baseline: baseline}
 	// The runtime caps shard counts at GOMAXPROCS (shards beyond schedulable
@@ -75,9 +75,9 @@ func MeasureMerge(workers, keys, window, slide, slides int, baseline bool) (Merg
 	var windows int
 	var checksum int64
 	opts := engine.Options{
-		Mode:             engine.Incremental,
-		Parallelism:      workers,
-		SerialMergeInstr: baseline,
+		Mode:        engine.Incremental,
+		Parallelism: workers,
+		Baseline:    baseline,
 		OnResult: func(r *engine.Result) {
 			windows++
 			// Typed column walks: the boxed Get path costs more than the
@@ -120,11 +120,11 @@ func MeasureMerge(workers, keys, window, slide, slides int, baseline bool) (Merg
 	if steps != slides {
 		return p, fmt.Errorf("bench: drained %d steps, want %d", steps, slides)
 	}
-	st := q.StageBreakdown()
+	st := q.Stats()
 	p.Windows = windows
 	p.Tuples = total
 	p.WallMS = float64(elapsed.Nanoseconds()) / 1e6
-	p.FragmentMS = float64(st.FragmentNS) / 1e6
+	p.FragmentMS = float64(st.MainNS) / 1e6
 	p.ScatterMS = float64(st.ScatterNS) / 1e6
 	p.PartitionMS = float64(st.PartitionNS) / 1e6
 	p.StitchMS = float64(st.StitchNS) / 1e6

@@ -15,7 +15,7 @@ import (
 // continuous query whose window splits into many independent basic
 // windows drains a buffered backlog with 1..NumCPU fragment workers. The
 // per-bw fragments of the buffered slides evaluate concurrently
-// (core.Runtime.StepBatch) while the merge stage stays serial, so wall
+// (core.Runtime.EvalFragments) while the merge stage stays serial, so wall
 // time should drop toward the serial merge floor as workers grow — with
 // bit-identical results at every worker count, which MeasureParallelSweep
 // verifies via a result checksum. cmd/dcbench renders the table

@@ -34,8 +34,8 @@
 //     immutable plan, the static environment, table inputs and (immutable,
 //     taken-under-the-log-lock) segment views, and write only a private
 //     worker environment. Fragments of distinct basic windows — including
-//     basic windows of distinct buffered slides (StepBatch) — may
-//     therefore run concurrently.
+//     basic windows of distinct buffered slides (one EvalFragments call) —
+//     may therefore run concurrently.
 //   - Options.Parallelism bounds the worker pool; workers deposit slot
 //     files into indexed positions and the transition stage stays
 //     single-threaded, so results are bit-identical at every setting.
@@ -48,8 +48,8 @@
 //   - Slot files must survive basket reclamation: values that alias log
 //     storage (bind registers, unflattened views) are cloned/materialized
 //     by runPerBW before entering a slot. The Runtime owns its slots and
-//     cells exclusively; callers serialize Step/StepBatch/PushChunk (the
-//     engine does so via its per-query step mutex).
+//     cells exclusively; callers serialize EvalFragments/Apply/PushChunk
+//     (the engine does so via its per-query step mutex).
 //
 // The Runtime itself takes no locks: it relies on its caller for step
 // serialization and on the basket's immutability rules for unlocked view
@@ -62,15 +62,18 @@
 // renumbered by first definition, semantic operands included — so two
 // queries that compute the same per-slide partial produce the same key
 // even when their window lengths and merge tails differ;
-// FragmentFingerprint hashes it for display. To let the engine evaluate
-// such a fragment once and fan it out, Step's work is also addressable in
-// two halves: EvalFragments runs only the pre-merge fragment pipeline of
-// buffered slides and returns their slot files, and StepFiles consumes
-// slot files (own or adopted from another query) through the private
-// slot rotation + merge tail. EvalFragments output is immutable and
-// holds only owned vectors, so one slot file may enter any number of
-// queries' slot rings; Step(Batch) remains the fused form with identical
-// results.
+// FragmentFingerprint hashes it for display. So that the engine can
+// evaluate such a fragment once and fan it out, the runtime's work is
+// addressable as exactly two primitives: EvalFragments runs only the
+// pre-merge fragment pipeline of buffered slides — touching no runtime
+// state — and returns their slot files, and Apply consumes slot files (own
+// or adopted from another query) through the private slot rotation, join
+// matrix and merge, optionally exchanging each window's grouped merge head
+// (TailExchange). EvalFragments output is immutable and holds only owned
+// vectors, so one slot file may enter any number of queries' slot rings.
+// Step is their composition for a single slide. Every stage adds its time
+// to one StepStats record per slide, which the engine sums (StepStats.Add)
+// into the query's cumulative clock.
 //
 // SplitForReevaluation reuses the rewriter for the re-evaluation baseline:
 // the per-basic-window fragment doubles as a per-segment-part prefix and

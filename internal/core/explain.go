@@ -21,9 +21,10 @@ func (ip *IncPlan) Explain() string {
 	if ip.HasJoin {
 		fmt.Fprintf(&sb, ", join matrix over sources %d x %d", ip.CellSources[0], ip.CellSources[1])
 	}
-	if ip.DiscardInput {
-		sb.WriteString(", input discarded after processing")
-	}
+	// The paper's "Discarding Input": retained state lives in cloned slots,
+	// so every incremental plan drops base tuples once a basic window is
+	// processed.
+	sb.WriteString(", input discarded after processing")
 	sb.WriteByte('\n')
 
 	writeStage := func(title string, instrs []plan.Instr) {

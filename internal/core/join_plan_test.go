@@ -94,13 +94,13 @@ func TestAdaptiveJoinDifferential(t *testing.T) {
 				rt   *Runtime
 			}
 			arms := []arm{
-				{"baseline-p1", NewRuntimeOpts(ip, Options{Parallelism: 1, PrivateJoinPlan: true})},
+				{"baseline-p1", NewRuntimeOpts(ip, Options{Parallelism: 1, Baseline: true})},
 				{"adaptive-p1", NewRuntimeOpts(ip, Options{Parallelism: 1})},
 				{"adaptive-p4", NewRuntimeOpts(ip, Options{Parallelism: 4})},
-				{"baseline-p4", NewRuntimeOpts(ip, Options{Parallelism: 4, PrivateJoinPlan: true})},
+				{"baseline-p4", NewRuntimeOpts(ip, Options{Parallelism: 4, Baseline: true})},
 			}
 			if arms[0].rt.joinAdaptive || !arms[1].rt.joinAdaptive {
-				t.Fatal("PrivateJoinPlan gate not applied")
+				t.Fatal("Baseline gate not applied")
 			}
 			reused := int64(0)
 			for step, sl := range genJoinSlides(rng, 60, 24, skew) {

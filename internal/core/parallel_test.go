@@ -37,11 +37,35 @@ func genBW(sl, s, rows int) []vector.View {
 	return []vector.View{splitView(x1), splitView(x2)}
 }
 
-// TestStepBatchMatchesSequential drives the same incremental plans once
+// applyBatch drives k slides through the two runtime primitives the way the
+// engine's one firing path does: every fragment first, then the serial
+// apply stage.
+func applyBatch(t *testing.T, rt *Runtime, batch [][][]vector.View, inputs []exec.Input) []StepResult {
+	t.Helper()
+	files, ns, err := rt.EvalFragments(batch, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragNS := make([]int64, len(batch))
+	for i := range fragNS {
+		fragNS[i] = ns / int64(len(batch))
+	}
+	res, err := rt.Apply(files, fragNS, inputs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != len(batch) {
+		t.Fatalf("Apply(%d slides) returned %d results", len(batch), len(res))
+	}
+	return res
+}
+
+// TestSlideBatchMatchesSequential drives the same incremental plans once
 // through per-slide Step calls on a sequential runtime and once through
-// StepBatch on a 4-worker runtime, over segment-boundary-shaped views, and
-// requires bit-identical result tables in matching order.
-func TestStepBatchMatchesSequential(t *testing.T) {
+// multi-slide EvalFragments + Apply on a 4-worker runtime, over
+// segment-boundary-shaped views, and requires bit-identical result tables
+// in matching order.
+func TestSlideBatchMatchesSequential(t *testing.T) {
 	cases := []struct {
 		query    string
 		n        int
@@ -90,14 +114,7 @@ func TestStepBatchMatchesSequential(t *testing.T) {
 						batch[i][s] = genBW(sl, s, rows)
 					}
 				}
-				res, err := par.StepBatch(batch, inputs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(res) != k {
-					t.Fatalf("StepBatch(%d) returned %d results", k, len(res))
-				}
-				for _, r := range res {
+				for _, r := range applyBatch(t, par, batch, inputs) {
 					got = append(got, tblKey(r.Table))
 				}
 			}
@@ -117,9 +134,9 @@ func TestStepBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestStepBatchLongRun pushes a deeper batch through a grouped plan to
+// TestSlideBatchLongRun pushes a deeper batch through a grouped plan to
 // exercise worker reuse across many tasks (more tasks than workers).
-func TestStepBatchLongRun(t *testing.T) {
+func TestSlideBatchLongRun(t *testing.T) {
 	prog := compile(t, `SELECT x1, count(*) FROM s [RANGE 30 SLIDE 10] GROUP BY x1`)
 	ip, err := Rewrite(prog, 3, false)
 	if err != nil {
@@ -141,11 +158,7 @@ func TestStepBatchLongRun(t *testing.T) {
 		want = append(want, tblKey(tbl))
 		batch[sl] = [][]vector.View{genBW(sl, 0, rows)}
 	}
-	res, err := par.StepBatch(batch, inputs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, r := range res {
+	for i, r := range applyBatch(t, par, batch, inputs) {
 		if k := tblKey(r.Table); k != want[i] {
 			t.Fatalf("slide %d: got %s want %s", i, k, want[i])
 		}

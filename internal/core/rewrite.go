@@ -126,11 +126,6 @@ type IncPlan struct {
 	BindRegs map[plan.Reg]bool
 	// NumRegs is the size of the (extended) register file.
 	NumRegs int
-	// DiscardInput reports that base tuples can be dropped from the basket
-	// as soon as a basic window is processed (the paper's "Discarding
-	// Input" optimization); retained state lives in cloned slots instead.
-	DiscardInput bool
-
 	classes []Class
 	srcOf   []int
 }
@@ -200,13 +195,12 @@ func Rewrite(prog *plan.Program, n int, landmark bool) (*IncPlan, error) {
 	rw := &rewriter{
 		prog: prog,
 		ip: &IncPlan{
-			Prog:         prog,
-			N:            n,
-			Landmark:     landmark,
-			PerBW:        make([][]plan.Instr, len(prog.Sources)),
-			SlotRegs:     make([][]plan.Reg, len(prog.Sources)),
-			NumRegs:      prog.NumRegs,
-			DiscardInput: true,
+			Prog:     prog,
+			N:        n,
+			Landmark: landmark,
+			PerBW:    make([][]plan.Instr, len(prog.Sources)),
+			SlotRegs: make([][]plan.Reg, len(prog.Sources)),
+			NumRegs:  prog.NumRegs,
 		},
 		classes:  make([]Class, prog.NumRegs),
 		srcOf:    make([]int, prog.NumRegs),

@@ -321,7 +321,7 @@ func TestRewriteDiscardInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ip.DiscardInput {
-		t.Error("single-stream aggregates should discard input")
+	if !strings.Contains(ip.Explain(), "input discarded after processing") {
+		t.Errorf("Explain lost the discard-input line:\n%s", ip.Explain())
 	}
 }

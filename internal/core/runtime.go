@@ -11,31 +11,32 @@ import (
 	"datacell/internal/vector"
 )
 
-// StepStats reports where one slide spent its time, refining the paper's
-// Fig 7 cost breakdown into three stages: MainNS is the fragment cost
-// (per-basic-window and per-cell fragments of the original plan),
-// PartitionNS the share of the compensation spent in genuinely sharded
-// grouped re-groups (zero for plans without grouped aggregation and for
-// blocks that ran single-shard), and MergeNS the remaining serial
-// merge/compensation work. The total merge cost of the step is
-// PartitionNS + MergeNS.
+// StepStats is the one stage clock: where a slide spent its time, refining
+// the paper's Fig 7 cost breakdown. The runtime fills it per slide, the
+// engine adds the two fields only it can know (SharedNS, TotalNS), and the
+// same record — summed with Add — is the query's cumulative clock all the
+// way to /metrics. MainNS is the fragment cost (per-basic-window and
+// per-cell fragments of the original plan); the merge cost of a step is
+// ScatterNS + PartitionNS + StitchNS + MergeNS.
 type StepStats struct {
-	MainNS      int64
+	MainNS int64
+	// ScatterNS, PartitionNS and StitchNS are the sharded grouped re-group:
+	// the parallel scatter of rows into per-worker x per-shard cells, the
+	// per-shard re-group itself, and the pairwise tree stitch that restores
+	// global first-occurrence order. All zero for plans without grouped
+	// aggregation and for blocks that ran single-shard. MergeNS is the
+	// remaining serial merge/compensation work.
+	ScatterNS   int64
 	PartitionNS int64
+	StitchNS    int64
 	MergeNS     int64
-	// ScatterNS and StitchNS refine PartitionNS-adjacent work on the
-	// sharded merge path: the parallel scatter of rows into per-worker x
-	// per-shard cells, and the pairwise tree stitch that restores global
-	// first-occurrence order. Both are zero when the block ran
-	// single-shard. The total merge cost of a step is
-	// ScatterNS + PartitionNS + StitchNS + MergeNS.
-	ScatterNS int64
-	StitchNS  int64
-	// SharedNS is the time attributed to adopting a shared fragment partial
-	// computed by another query (registry wait plus handoff). Zero on the
-	// private path and on slides this query led itself; the engine fills it
-	// in for adopted slides, where MainNS carries no fragment cost.
+	// SharedNS is the time spent adopting work another query computed — a
+	// shared fragment partial or merge head (registry wait plus handoff).
+	// Filled by the engine; zero on slides this query led itself.
 	SharedNS int64
+	// TotalNS is the wall time of the step, filled by the engine (a firing
+	// that drains k slides charges each an equal share).
+	TotalNS int64
 	// JoinNS is the join-matrix update cost of the slide — planning, build
 	// tables, cell evaluation — on both the adaptive and the written-order
 	// path, so the two are directly comparable. It is a subset of MainNS.
@@ -51,7 +52,22 @@ type StepStats struct {
 	ResultRows int
 }
 
-// StepResult is one window slide's outcome within a StepBatch: the result
+// Add accumulates o into s: clocks and counts sum, Emitted is sticky.
+func (s *StepStats) Add(o StepStats) {
+	s.MainNS += o.MainNS
+	s.ScatterNS += o.ScatterNS
+	s.PartitionNS += o.PartitionNS
+	s.StitchNS += o.StitchNS
+	s.MergeNS += o.MergeNS
+	s.SharedNS += o.SharedNS
+	s.TotalNS += o.TotalNS
+	s.JoinNS += o.JoinNS
+	s.BuildsReused += o.BuildsReused
+	s.Emitted = s.Emitted || o.Emitted
+	s.ResultRows += o.ResultRows
+}
+
+// StepResult is one window slide's outcome within an Apply: the result
 // table (nil while the first window is still filling) plus its stats.
 type StepResult struct {
 	Table *exec.Table
@@ -69,8 +85,8 @@ type MergeHead struct {
 	Aggs []*vector.Vector
 }
 
-// TailExchange threads merge-tail sharing through one slide of
-// StepFilesTail. Exactly one of Fetch/Publish is set per slide:
+// TailExchange threads merge-tail sharing through one slide of Apply.
+// Exactly one of Fetch/Publish is set per slide:
 //
 //   - Fetch (follower): called once before the slide's merge. A non-nil
 //     head is adopted — the concatenations and the grouped re-group are
@@ -95,23 +111,21 @@ type TailExchange struct {
 type Options struct {
 	// Parallelism bounds the worker goroutines used to evaluate independent
 	// plan fragments concurrently — the per-basic-window fragments of the
-	// slides queued in a StepBatch (and of multiple stream sources within
-	// one slide) and the new join-matrix cells of a slide. <= 1 executes
-	// sequentially on the calling goroutine. Slot order, merge order and
-	// therefore results are identical at any value: workers write into
-	// indexed slots and the transition + merge stages stay single-threaded.
+	// slides handed to one EvalFragments (and of multiple stream sources
+	// within one slide) and the new join-matrix cells of a slide. <= 1
+	// executes sequentially on the calling goroutine. Slot order, merge
+	// order and therefore results are identical at any value: workers write
+	// into indexed slots and the transition + merge stages stay
+	// single-threaded.
 	Parallelism int
-	// SerialMergeInstr disables the grouped-merge kernel (partitioned
-	// re-group with reusable hashtables): grouped compensation blocks then
-	// execute through the plain instruction path, one throwaway map-based
-	// grouping per firing. Results are identical; this exists as the
-	// benchmark/testing baseline for the kernel.
-	SerialMergeInstr bool
-	// PrivateJoinPlan disables adaptive join planning: matrix cells then
-	// evaluate in written order with the right side building a fresh hash
-	// table per cell. Results are identical; this exists as the
-	// benchmark/testing baseline for the greedy planner.
-	PrivateJoinPlan bool
+	// Baseline evaluates as the seed did: grouped compensation blocks run
+	// through the plain instruction path (one throwaway map-based grouping
+	// per firing) instead of the grouped-merge kernel, and join-matrix
+	// cells evaluate in written order with the right side building a fresh
+	// hash table per cell instead of being planned greedily. Results are
+	// identical; it exists because tests and internal/bench use that path
+	// as the reference.
+	Baseline bool
 }
 
 // SlotFile stores the retained datums of one basic window (or one matrix
@@ -185,14 +199,10 @@ type Runtime struct {
 	// cleared after every firing so it never pins a slide's vectors.
 	mergeEnv []exec.Datum
 
-	// Reusable task scratch so steady-state stepping allocates nothing
-	// beyond the slot files themselves.
-	taskFiles []regFile
+	// Reusable task scratch of the serial apply stage.
 	taskErrs  []error
 	cellIdx   [][2]int
 	cellFiles []regFile
-	slideBuf  [][][]vector.View
-	resBuf    []StepResult
 
 	// Adaptive join planning state (planJoin). joinAdaptive gates the
 	// greedy path; joinLPos/joinRPos are the slot positions of the join's
@@ -265,7 +275,7 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 	if rt.par < 1 {
 		rt.par = 1
 	}
-	if len(ip.GroupMerges) > 0 && !opts.SerialMergeInstr {
+	if len(ip.GroupMerges) > 0 && !opts.Baseline {
 		rt.groupMergeAt = make(map[int]*GroupMergeSpec, len(ip.GroupMerges))
 		for i := range ip.GroupMerges {
 			rt.groupMergeAt[ip.GroupMerges[i].Start] = &ip.GroupMerges[i]
@@ -294,7 +304,7 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 // firing, which would invalidate interned build tables.
 func (rt *Runtime) initJoinPlanner(opts Options) {
 	ip := rt.ip
-	if ip.Join == nil || ip.Landmark || opts.PrivateJoinPlan {
+	if ip.Join == nil || ip.Landmark || opts.Baseline {
 		return
 	}
 	ls, rs := ip.CellSources[0], ip.CellSources[1]
@@ -381,7 +391,7 @@ func (rt *Runtime) forEach(n int, fn func(task int, w *workerEnv) error) error {
 // PushChunk processes a fraction of the next basic window of source s
 // early (the paper's "Optimized Incremental Plans"): the per-bw fragment
 // runs on the chunk now, and its partial intermediates are combined into
-// the basic window's slot when Step later completes the window.
+// the basic window's slot when Apply later completes the window.
 func (rt *Runtime) PushChunk(s int, view []vector.View, inputs []exec.Input) error {
 	if rt.ip.HasJoin {
 		return fmt.Errorf("core: chunked processing is limited to single-stream plans")
@@ -395,100 +405,93 @@ func (rt *Runtime) PushChunk(s int, view []vector.View, inputs []exec.Input) err
 	return nil
 }
 
-// Step processes one window slide. newBW[s] holds the closing chunk of the
-// new basic window for each windowed stream source (entries for tables are
-// ignored) as per-column views — possibly multi-part when the basic window
-// spans basket segment boundaries; inputs supplies full table columns for
-// non-stream sources. The returned table is nil while the first window is
+// Step processes one window slide: EvalFragments then Apply for a single
+// slide. newBW[s] holds the new basic window of windowed stream source s
+// as per-column views. The returned table is nil while the first window is
 // still filling.
 func (rt *Runtime) Step(newBW [][]vector.View, inputs []exec.Input) (*exec.Table, StepStats, error) {
-	rt.slideBuf = append(rt.slideBuf[:0], newBW)
-	res, err := rt.stepSlides(rt.slideBuf, inputs, rt.resBuf[:0])
-	// Clear the reuse buffers' contents: retained views would pin segment
-	// backing arrays past reclamation, and a retained StepResult would pin
-	// the emitted table, for as long as the query sits idle.
-	rt.slideBuf[0] = nil
-	rt.resBuf = res[:0]
+	files, ns, err := rt.EvalFragments([][][]vector.View{newBW}, inputs)
 	if err != nil {
-		clear(res)
 		return nil, StepStats{}, err
 	}
-	out := res[0]
-	clear(res)
-	return out.Table, out.Stats, nil
+	res, err := rt.Apply(files, []int64{ns}, inputs, nil)
+	if err != nil {
+		return nil, StepStats{}, err
+	}
+	return res[0].Table, res[0].Stats, nil
 }
 
-// StepBatch processes k consecutive window slides whose basic-window views
-// are all available — the intra-query parallel path. The per-bw fragments
-// of all k slides (times windowed sources) are evaluated concurrently
-// across the worker pool; the transition (slot rotation, join matrix) and
-// merge stages then run serially slide by slide, so the returned results
-// are bit-identical to k sequential Step calls at any parallelism.
-// Entry i of the result corresponds to slide i (Table nil while the first
-// window is still filling).
-func (rt *Runtime) StepBatch(slides [][][]vector.View, inputs []exec.Input) ([]StepResult, error) {
-	return rt.stepSlides(slides, inputs, make([]StepResult, 0, len(slides)))
-}
-
-func (rt *Runtime) stepSlides(slides [][][]vector.View, inputs []exec.Input, out []StepResult) ([]StepResult, error) {
-	k := len(slides)
-	rt.steps += k
+// EvalFragments evaluates the per-bw fragment of every (slide, windowed
+// source) pair across the worker pool and returns the slot files without
+// touching any runtime state (slots, pending, matrix, step count): the
+// produced files are pure functions of the slide views and the static
+// stage. slides[i][s] holds slide i's basic window of source s as
+// per-column views — possibly multi-part when it spans basket segment
+// boundaries; entries for tables are ignored, inputs supplies their full
+// columns. files[i] lists slide i's slot files in windowed-source order,
+// ready for Apply on this runtime or — single-stream plans, via the
+// engine's fragment catalog — on any structurally identical one. The
+// second result is the wall-clock nanoseconds spent evaluating.
+func (rt *Runtime) EvalFragments(slides [][][]vector.View, inputs []exec.Input) ([][]SlotFile, int64, error) {
 	t0 := time.Now()
 	rt.runStatic(inputs)
-
-	// Phase 1 — evaluate the per-bw fragment of every (slide, windowed
-	// source) pair across the worker pool. Task t covers slide t/nsrc and
-	// windowed source srcIdx[t%nsrc]; results land in indexed slots so the
-	// serial assembly below observes exactly the sequential order.
+	// Task t covers slide t/nsrc and windowed source srcIdx[t%nsrc]; results
+	// land in indexed slots so Apply observes exactly the sequential order.
 	nsrc := len(rt.srcIdx)
-	ntask := k * nsrc
-	if cap(rt.taskFiles) < ntask {
-		rt.taskFiles = make([]regFile, ntask)
-	}
-	files := rt.taskFiles[:ntask]
-	err := rt.forEach(ntask, func(t int, w *workerEnv) error {
+	flat := make([]SlotFile, len(slides)*nsrc)
+	err := rt.forEach(len(flat), func(t int, w *workerEnv) error {
 		s := rt.srcIdx[t%nsrc]
 		f, err := rt.runPerBW(s, slides[t/nsrc][s], inputs, w)
-		files[t] = f
+		flat[t] = f
 		return err
 	})
 	if err != nil {
-		return out, err
+		return nil, 0, err
 	}
-	perBWNS := time.Since(t0).Nanoseconds()
+	files := make([][]SlotFile, len(slides))
+	for i := range files {
+		files[i] = flat[i*nsrc : (i+1)*nsrc]
+	}
+	return files, time.Since(t0).Nanoseconds(), nil
+}
 
-	// Phase 2 — serial per slide: chunk combination, slot rotation, join
-	// matrix update (its new cells fan out in parallel again), then merge.
-	for sl := 0; sl < k; sl++ {
-		res, err := rt.applySlide(files[sl*nsrc:(sl+1)*nsrc], inputs, perBWNS/int64(k))
-		if err != nil {
-			return out, err
+// Apply advances the runtime by k consecutive slides whose per-bw fragment
+// outputs are already evaluated — by this runtime's EvalFragments or
+// adopted from another query's. files[i] holds slide i's slot files in
+// windowed-source order, fragNS[i] the fragment cost to attribute to its
+// MainNS (zero for adopted files), tails[i] its optional merge-tail
+// exchange (tails may be nil, or hold nil entries for slides that merge
+// privately). Per slide it performs the serial tail of a step — chunk
+// combination, slot rotation, join-matrix update (its new cells fan out
+// across the worker pool), merge — so results are bit-identical at any
+// parallelism and batch size. Slides are processed in order; the engine
+// relies on that to keep the tail exchange deadlock-free (ascending window
+// ends).
+func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input, tails []*TailExchange) ([]StepResult, error) {
+	rt.steps += len(files)
+	rt.runStatic(inputs)
+	out := make([]StepResult, len(files))
+	for sl := range files {
+		var tx *TailExchange
+		if sl < len(tails) {
+			tx = tails[sl]
 		}
-		out = append(out, res)
+		out[sl].Stats.MainNS = fragNS[sl]
+		tbl, err := rt.applyOne(files[sl], inputs, tx, &out[sl].Stats)
+		if err != nil {
+			return nil, err
+		}
+		out[sl].Table = tbl
 	}
 	return out, nil
 }
 
-// applySlide advances the runtime by one slide whose per-bw fragment
-// outputs are already evaluated: newFiles holds one slot file per windowed
-// source (srcIdx order; entries are nil'd out so the caller's scratch does
-// not pin them), fragNS is the fragment cost to attribute to this slide's
-// MainNS. It performs the serial tail of a step — chunk combination, slot
-// rotation, join-matrix update, merge — and is the common substrate of the
-// private step path and the engine's shared-fragment path.
-func (rt *Runtime) applySlide(newFiles []regFile, inputs []exec.Input, fragNS int64) (StepResult, error) {
-	return rt.applySlideTail(newFiles, inputs, fragNS, nil)
-}
-
-// applySlideTail is applySlide with an optional merge-tail exchange (see
-// TailExchange). A nil tx is the private path.
-func (rt *Runtime) applySlideTail(newFiles []regFile, inputs []exec.Input, fragNS int64, tx *TailExchange) (StepResult, error) {
-	var stats StepStats
+// applyOne is one slide of Apply; it adds its stage times to stats.
+func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, error) {
 	t1 := time.Now()
 	evicted := false
 	for j, s := range rt.srcIdx {
 		file := newFiles[j]
-		newFiles[j] = nil // don't pin slot files in the scratch
 		if len(rt.pending[s]) > 0 {
 			chunks := append(rt.pending[s], file)
 			file = rt.combineChunks(s, chunks)
@@ -503,24 +506,24 @@ func (rt *Runtime) applySlideTail(newFiles []regFile, inputs []exec.Input, fragN
 	}
 	if rt.ip.HasJoin {
 		tj := time.Now()
-		if err := rt.updateCells(evicted, inputs, &stats); err != nil {
-			return StepResult{}, err
+		if err := rt.updateCells(evicted, inputs, stats); err != nil {
+			return nil, err
 		}
 		stats.JoinNS = time.Since(tj).Nanoseconds()
 	}
-	stats.MainNS = fragNS + time.Since(t1).Nanoseconds()
+	stats.MainNS += time.Since(t1).Nanoseconds()
 
 	if !rt.ready() {
 		if tx != nil && tx.Publish != nil {
 			// The window is still filling: nothing merged, nothing to adopt.
 			tx.Publish(nil, nil)
 		}
-		return StepResult{Stats: stats}, nil
+		return nil, nil
 	}
 	t2 := time.Now()
-	tbl, env, mt, err := rt.merge(inputs, tx)
+	tbl, env, err := rt.merge(inputs, tx, stats)
 	if err != nil {
-		return StepResult{}, err
+		return nil, err
 	}
 	if rt.ip.Landmark {
 		rt.compactLandmark(env)
@@ -528,88 +531,10 @@ func (rt *Runtime) applySlideTail(newFiles []regFile, inputs []exec.Input, fragN
 	// env is the reusable merge register file: clear it so it does not pin
 	// the slide's concatenations and result columns past this firing.
 	clear(env)
-	stats.ScatterNS = mt.scatter
-	stats.PartitionNS = mt.partition
-	stats.StitchNS = mt.stitch
-	stats.MergeNS = time.Since(t2).Nanoseconds() - mt.scatter - mt.partition - mt.stitch
+	stats.MergeNS = time.Since(t2).Nanoseconds() - stats.ScatterNS - stats.PartitionNS - stats.StitchNS
 	stats.Emitted = true
 	stats.ResultRows = tbl.NumRows()
-	return StepResult{Table: tbl, Stats: stats}, nil
-}
-
-// EvalFragments evaluates the per-bw fragment for k consecutive slides of
-// a single-stream plan and returns the slot files without touching any
-// runtime state (slots, pending, matrix, step count): the produced files
-// are pure functions of the slide views and the static stage. The engine's
-// fragment registry uses this to have one query compute files that many
-// queries then feed through their own StepFiles. The second result is the
-// wall-clock nanoseconds spent evaluating.
-func (rt *Runtime) EvalFragments(slides [][]vector.View, inputs []exec.Input) ([]SlotFile, int64, error) {
-	if len(rt.srcIdx) != 1 || rt.ip.HasJoin {
-		return nil, 0, fmt.Errorf("core: fragment evaluation is limited to single-stream plans")
-	}
-	t0 := time.Now()
-	rt.runStatic(inputs)
-	s := rt.srcIdx[0]
-	files := make([]SlotFile, len(slides))
-	err := rt.forEach(len(slides), func(t int, w *workerEnv) error {
-		f, err := rt.runPerBW(s, slides[t], inputs, w)
-		files[t] = f
-		return err
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return files, time.Since(t0).Nanoseconds(), nil
-}
-
-// StepFiles processes k consecutive slides of a single-stream plan whose
-// per-bw slot files are already evaluated — the adoption side of fragment
-// sharing. files[i] is slide i's slot file (from this runtime's or another
-// structurally identical runtime's EvalFragments); shared[i] marks files
-// computed by another query, whose fragment cost is excluded from MainNS
-// (the engine attributes it to SharedNS instead). evalNS is the total
-// fragment cost of the slides this query did evaluate itself, spread
-// evenly across them. The serial tail is identical to StepBatch, so
-// results are bit-identical to private evaluation.
-func (rt *Runtime) StepFiles(files []SlotFile, shared []bool, evalNS int64, inputs []exec.Input) ([]StepResult, error) {
-	return rt.StepFilesTail(files, shared, evalNS, inputs, nil)
-}
-
-// StepFilesTail is StepFiles with an optional merge-tail exchange per
-// slide (tails may be nil, or hold nil entries for slides that merge
-// privately). Slides are processed in order; the engine relies on that to
-// keep the tail exchange deadlock-free (ascending window ends).
-func (rt *Runtime) StepFilesTail(files []SlotFile, shared []bool, evalNS int64, inputs []exec.Input, tails []*TailExchange) ([]StepResult, error) {
-	if len(rt.srcIdx) != 1 || rt.ip.HasJoin {
-		return nil, fmt.Errorf("core: fragment stepping is limited to single-stream plans")
-	}
-	k := len(files)
-	rt.steps += k
-	rt.runStatic(inputs)
-	owned := 0
-	for _, sh := range shared {
-		if !sh {
-			owned++
-		}
-	}
-	out := make([]StepResult, 0, k)
-	for sl := 0; sl < k; sl++ {
-		var fragNS int64
-		if !shared[sl] && owned > 0 {
-			fragNS = evalNS / int64(owned)
-		}
-		var tx *TailExchange
-		if sl < len(tails) {
-			tx = tails[sl]
-		}
-		res, err := rt.applySlideTail(files[sl:sl+1], inputs, fragNS, tx)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, res)
-	}
-	return out, nil
+	return tbl, nil
 }
 
 func (rt *Runtime) ready() bool {
@@ -960,16 +885,6 @@ func (rt *Runtime) execPlannedJoin(i, j int, decision joinDecision, env []exec.D
 	return nil
 }
 
-// mergeTimings splits a firing's sharded-merge cost by stage: the scatter
-// of rows into per-worker x per-shard cells, the per-shard fused
-// re-group+aggregate, and the pairwise tree stitch. All zero for blocks
-// that ran single-shard (their cost is plain MergeNS).
-type mergeTimings struct {
-	scatter   int64
-	partition int64
-	stitch    int64
-}
-
 // fusedPart is one contiguous part of a grouped block's input columns,
 // aligned row-for-row: the key payload plus one AggCol per aggregate.
 type fusedPart struct {
@@ -979,8 +894,9 @@ type fusedPart struct {
 }
 
 // merge binds the concatenations, runs the merge fragment and returns the
-// window result plus the merge environment (used for landmark compaction)
-// and the per-stage timings of sharded grouped re-groups.
+// window result plus the merge environment (used for landmark compaction);
+// sharded grouped re-groups add their scatter / partition / stitch times to
+// stats.
 // Grouped-aggregation blocks execute through mergeGrouped — fused and
 // partitioned across the worker pool when the partials are large enough —
 // instead of instruction-by-instruction; results are bit-identical either
@@ -988,11 +904,10 @@ type fusedPart struct {
 // the grouped kernel reads slot partials in place and a fresh
 // concatenation is only materialized for consumers that need one (vec()
 // caches it in the register on first use).
-func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []exec.Datum, mergeTimings, error) {
+func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, []exec.Datum, error) {
 	env := rt.mergeEnv
 	clear(env) // stale entries from an errored firing must not leak in
 	rt.copyStatic(env)
-	var mt mergeTimings
 
 	// Merge-tail exchange: tailSpec is the single shareable grouped block
 	// (the engine only passes tx for plans whose MergeTailKey is non-empty,
@@ -1041,7 +956,7 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 		for _, spec := range rt.ip.Concats {
 			vecs, err := rt.gather(spec)
 			if err != nil {
-				return nil, nil, mt, err
+				return nil, nil, err
 			}
 			if rt.lazyConcat && len(vecs) > 1 {
 				view := vector.NewView(vecs[0].Type(), vecs...)
@@ -1070,9 +985,9 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 			continue // the adopted head already filled the block's outputs
 		}
 		if spec, ok := rt.groupMergeAt[idx]; ok {
-			handled, err := rt.mergeGrouped(spec, env, &mt)
+			handled, err := rt.mergeGrouped(spec, env, stats)
 			if err != nil {
-				return nil, nil, mt, err
+				return nil, nil, err
 			}
 			if handled {
 				idx += spec.Len - 1
@@ -1083,20 +998,20 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 		if in.Op == plan.OpResult {
 			tbl, err := exec.BuildResult(in, env)
 			if err != nil {
-				return nil, nil, mt, fmt.Errorf("core: merge result: %w", err)
+				return nil, nil, fmt.Errorf("core: merge result: %w", err)
 			}
 			result = tbl
 			continue
 		}
 		if err := exec.ExecInstr(in, env, inputs); err != nil {
-			return nil, nil, mt, fmt.Errorf("core: merge stage: %w", err)
+			return nil, nil, fmt.Errorf("core: merge stage: %w", err)
 		}
 	}
 	publishHead() // block ends at the final instruction
 	if result == nil {
-		return nil, nil, mt, fmt.Errorf("core: merge produced no result")
+		return nil, nil, fmt.Errorf("core: merge produced no result")
 	}
-	return result, env, mt, nil
+	return result, env, nil
 }
 
 // partitionMinRows is the concatenated-partial size below which sharding
@@ -1133,11 +1048,11 @@ func (rt *Runtime) mergeShards(rows int) int {
 //
 // P degrades to 1 (reusing the hashtable, skipping scatter and stitch)
 // when parallelism is off or the block is too small to shard profitably.
-func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, mt *mergeTimings) (handled bool, err error) {
-	if ok, err := rt.mergeFused(spec, env, mt); ok || err != nil {
+func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (handled bool, err error) {
+	if ok, err := rt.mergeFused(spec, env, stats); ok || err != nil {
 		return ok, err
 	}
-	return rt.mergeGroupedIndex(spec, env, mt)
+	return rt.mergeGroupedIndex(spec, env, stats)
 }
 
 // datumCol reports the column type and row count of a merge input that is
@@ -1163,7 +1078,7 @@ func datumParts(d exec.Datum) []*vector.Vector {
 
 // mergeFused runs the grouped block through the fused kernel when its
 // shape allows, reading the (possibly multi-part) inputs in place.
-func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, mt *mergeTimings) (bool, error) {
+func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (bool, error) {
 	if len(spec.CatKeys) != 1 {
 		return false, nil
 	}
@@ -1258,7 +1173,7 @@ func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, mt *mergeT
 			return false, err
 		}
 		t1 := time.Now()
-		mt.scatter += t1.Sub(t0).Nanoseconds()
+		stats.ScatterNS += t1.Sub(t0).Nanoseconds()
 		err = rt.forEach(p, func(s int, _ *workerEnv) error {
 			f.GroupShard(s)
 			return nil
@@ -1267,7 +1182,7 @@ func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, mt *mergeT
 			return false, err
 		}
 		t2 := time.Now()
-		mt.partition += t2.Sub(t1).Nanoseconds()
+		stats.PartitionNS += t2.Sub(t1).Nanoseconds()
 		for pairs := f.BeginStitch(); pairs > 0; pairs = f.CommitLevel() {
 			if err := rt.forEach(pairs, func(i int, _ *workerEnv) error {
 				f.StitchPair(i)
@@ -1277,7 +1192,7 @@ func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, mt *mergeT
 			}
 		}
 		defer func() {
-			mt.stitch += time.Since(t2).Nanoseconds()
+			stats.StitchNS += time.Since(t2).Nanoseconds()
 		}()
 	}
 	keyVec, aggVecs := f.Finish()
@@ -1306,14 +1221,14 @@ func (rt *Runtime) scatterWorkers(rows int) int {
 // re-group each shard through GroupWithKeys, stitch serially by ascending
 // representative. It handles every key/aggregate shape the fused kernel
 // does not.
-func (rt *Runtime) mergeGroupedIndex(spec *GroupMergeSpec, env []exec.Datum, mt *mergeTimings) (handled bool, err error) {
+func (rt *Runtime) mergeGroupedIndex(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (handled bool, err error) {
 	t0 := time.Now()
 	sharded := false
 	var scat int64
 	defer func() {
 		if handled && sharded {
-			mt.scatter += scat
-			mt.partition += time.Since(t0).Nanoseconds() - scat
+			stats.ScatterNS += scat
+			stats.PartitionNS += time.Since(t0).Nanoseconds() - scat
 		}
 	}()
 	// This kernel gathers random rows, so it needs dense columns;

@@ -27,28 +27,49 @@
 //
 // Factories take window views under the log lock and execute unlocked
 // (immutable sealed segments, append-only tail — see internal/basket), so
-// query processing never blocks ingest. With Options.Parallelism > 1 the
-// incremental path batches buffered slides — pure count windows by fixed
-// stride, pure time windows by precomputed watermark-closed boundaries —
-// and evaluates their per-basic-window fragments concurrently
-// (core.Runtime.StepBatch), with grouped merge blocks re-grouped
-// partition-parallel on the same pool; the re-evaluation path fans
-// per-segment partials of its full-window scan across the same worker
-// bound (exec.PartialProgram). All of it is intra-query parallelism on
-// top of the per-query scheduler workers, with results identical to
-// sequential execution at every setting.
+// query processing never blocks ingest.
 //
-// Across queries, each stream carries a fragmentRegistry (the shared-plan
-// catalog): eligible incremental queries whose canonical pre-merge
-// fragment matches (core.IncPlan.FragmentKey) intern one sharedFragment,
-// and each slide is evaluated once by whichever subscriber fires first
-// (core.Runtime.EvalFragments), with the published slot files adopted by
-// the rest, who run only their private merge tails (StepFiles). The
-// registry's locks nest strictly inside the engine order above: e.mu →
-// fragmentRegistry.mu → sharedFragment.mu, and a leader publishes every
-// partial it claimed before waiting on any other, so fragment sharing
-// introduces no cross-query deadlock. Deregistration releases the
-// refcount; the last subscriber's detach deletes the fragment and its
-// cache. Options.PrivateFragments opts a query out; results are
-// bit-identical either way.
+// # The one incremental firing path
+//
+// An incremental query fires through one pipeline (fireIncremental →
+// slidePlan → fireSlides in query.go), and fireSlides is the only function
+// that drives core.Runtime through slides:
+//
+//	plan slides → claim → eval → publish → adopt → apply → emit
+//
+// slidePlan always yields k >= 1 buffered slides: with Options.Parallelism
+// > 1 a backlog is taken in batches — pure count windows by fixed stride,
+// pure time windows by precomputed watermark-closed boundaries — so the
+// per-basic-window fragments of all k slides evaluate concurrently
+// (core.Runtime.EvalFragments) before the serial core.Runtime.Apply replays
+// them in order; at parallelism 1, and for landmark, mixed count/time and
+// chunked queries, k = 1. One slide, private evaluation and multi-source
+// joins are degenerate cases of the same code, not separate paths. The
+// re-evaluation path (fireReevaluation, the paper's DataCellR baseline)
+// fans per-segment partials of its full-window scan across the same worker
+// bound (exec.PartialProgram). Results are identical to sequential
+// execution at every setting.
+//
+// # The one sharing mechanism
+//
+// Across queries, each stream carries a shareRegistry (the shared-plan
+// catalog) of partialCaches — one generic leader/follower cache with two
+// instantiations. Eligible incremental queries whose canonical pre-merge
+// fragment matches (core.IncPlan.FragmentKey) intern one sharedFragment:
+// each slide's slot file is evaluated once by whichever subscriber claims
+// its log position first and adopted by the rest. Queries whose merge head
+// also matches (core.IncPlan.MergeTailKey, count windows only) intern one
+// sharedTail the same way, keyed by window end, and followers run only
+// their residual instructions. The cache's locks nest strictly inside the
+// engine order above: e.mu → shareRegistry.mu → partialCache.mu. A query
+// fixes its leadership for a firing up front and publishes every fragment
+// partial it owes before waiting on any other, and merge heads are waited
+// for in ascending window-end order, so sharing introduces no cross-query
+// deadlock (see partialCache). Deregistration releases the refcount; the
+// last subscriber's detach deletes the cache.
+//
+// Options.Baseline is the one switch off all of this: no catalog attach,
+// written-order joins, instruction-path merges — how the seed evaluated.
+// Results are bit-identical either way; it exists because tests and
+// internal/bench use that path as the reference arm.
 package engine

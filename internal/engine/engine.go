@@ -98,10 +98,10 @@ type streamInfo struct {
 	subscribers []*queryInput
 	watermark   int64
 	appended    int64
-	// frags is the stream's shared-plan catalog: canonical per-bw fragment
-	// -> the queries subscribed to it, so each fragment is evaluated once
-	// per slide no matter how many queries stand on the stream.
-	frags *fragmentRegistry
+	// shares is the stream's shared-plan catalog: canonical per-bw fragment
+	// (and merge head) -> the queries subscribed to it, so each is computed
+	// once per slide no matter how many queries stand on the stream.
+	shares *shareRegistry
 }
 
 // Lock-ordering note: e.mu (engine metadata) may be held while acquiring a
@@ -184,7 +184,7 @@ func (e *Engine) RegisterStream(name string, schema catalog.Schema) error {
 		_ = e.cat.Drop(name)
 		return err
 	}
-	e.streams[name] = &streamInfo{schema: schema, log: log, frags: newFragmentRegistry()}
+	e.streams[name] = &streamInfo{schema: schema, log: log, shares: newShareRegistry()}
 	if err := e.persistSourceLocked(name, schema, true); err != nil {
 		return fmt.Errorf("engine: stream %s registered but not journaled: %w", name, err)
 	}

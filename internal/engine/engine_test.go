@@ -459,7 +459,7 @@ func TestAppendRowsAndErrors(t *testing.T) {
 	}
 }
 
-func TestCostBreakdownAccumulates(t *testing.T) {
+func TestStatsAccumulate(t *testing.T) {
 	e := newTestEngine(t)
 	q, err := e.Register(`SELECT x1, sum(x2) FROM s [RANGE 40 SLIDE 10] GROUP BY x1`, Options{Mode: Incremental})
 	if err != nil {
@@ -469,11 +469,11 @@ func TestCostBreakdownAccumulates(t *testing.T) {
 	if _, err := e.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	mainNS, mergeNS, totalNS := q.CostBreakdown()
-	if mainNS <= 0 || mergeNS <= 0 || totalNS < mainNS {
-		t.Errorf("cost breakdown: main=%d merge=%d total=%d", mainNS, mergeNS, totalNS)
+	st := q.Stats()
+	if st.MainNS <= 0 || st.MergeNS <= 0 || st.TotalNS < st.MainNS {
+		t.Errorf("stage clock: main=%d merge=%d total=%d", st.MainNS, st.MergeNS, st.TotalNS)
 	}
-	if q.Windows() == 0 {
+	if st.Windows == 0 {
 		t.Error("no windows counted")
 	}
 	if e.LoadNS() <= 0 {

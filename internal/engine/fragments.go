@@ -7,46 +7,73 @@ import (
 	"datacell/internal/core"
 )
 
-// errFragmentAborted marks a shared partial whose leader errored or exited
-// before evaluating it; waiting followers fall back to computing the slide
-// privately.
-var errFragmentAborted = errors.New("engine: shared fragment leader aborted")
+// errPartialAborted marks a shared partial whose leader errored, exited or
+// had nothing to publish before completing it; waiting followers fall back
+// to computing the value privately (each keeps its own slot ring, so the
+// fallback needs no coordination).
+var errPartialAborted = errors.New("engine: shared partial leader aborted")
 
-// fragmentRegistry is one stream's shared-plan catalog: canonical fragment
-// key -> the sharedFragment evaluated once per slide for every subscribed
-// query. Guarded by its own mutex; acquired only after e.mu (never the
-// reverse) and before any sharedFragment.mu.
-type fragmentRegistry struct {
-	mu    sync.Mutex
-	frags map[string]*sharedFragment
-	// tails is the companion catalog of shareable merge heads (canonical
-	// merge-tail key -> sharedTail); see sharedTail below.
-	tails map[string]*sharedTail
+// shareRegistry is one stream's shared-plan catalog: canonical key -> the
+// partialCache computed once per log position for every subscribed query.
+// One map holds both instantiations (fragKey and tailKey keep their key
+// spaces apart). Lock order: e.mu > shareRegistry.mu > partialCache.mu,
+// never the reverse.
+type shareRegistry struct {
+	mu     sync.Mutex
+	caches map[string]any // *partialCache[V]
 }
 
-func newFragmentRegistry() *fragmentRegistry {
-	return &fragmentRegistry{
-		frags: map[string]*sharedFragment{},
-		tails: map[string]*sharedTail{},
-	}
+func newShareRegistry() *shareRegistry {
+	return &shareRegistry{caches: map[string]any{}}
 }
 
-// sharedFragment is one canonical per-basic-window fragment with its
-// current subscribers and the cache of slide partials in flight. Partials
-// are keyed by the absolute segment-log position where the slide starts,
-// so queries whose cursors sit at the same offset share, and queries
-// subscribed mid-slide simply lead their own (differently keyed) ranges.
-type sharedFragment struct {
-	reg *fragmentRegistry
+// The two instantiations of the cache.
+//
+// A sharedFragment is one canonical per-basic-window fragment. Partials are
+// slot files keyed by the absolute log position where the slide STARTS
+// (extent: where it ends), so queries whose cursors sit at the same offset
+// share whatever their window lengths, and queries subscribed mid-slide
+// simply lead their own (differently keyed) ranges.
+//
+// A sharedTail is one canonical merge head — the concat + grouped re-group.
+// Partials are keyed by the absolute position where the window ENDS: a head
+// re-groups the whole window (the window length is part of the tail's
+// canonical key), so only queries merging the exact same row range adopt it.
+type (
+	sharedFragment = partialCache[core.SlotFile]
+	sharedTail     = partialCache[*core.MergeHead]
+)
+
+func fragKey(canon string) string { return "frag|" + canon }
+func tailKey(canon string) string { return "tail|" + canon }
+
+// partialCache is the one leader/follower sharing mechanism: a keyed cache
+// of values in flight with its refcounted subscribers. The first query to
+// acquire a position leads — it computes the value and publishes it exactly
+// once, success or abort — and every other subscriber waits for and adopts
+// the published value.
+//
+// Deadlock freedom rests on two rules the firing path (fireSlides) keeps:
+//
+//   - fragments: a query fixes its leadership set for a whole firing up
+//     front and publishes ALL the partials it owes — value or abort —
+//     before it waits on any partial another query leads, so fragment waits
+//     never cycle;
+//   - tails: a query merges its slides in ascending window-end order and
+//     has published every head it leads below end E before it waits at E,
+//     so wait-for edges point at strictly smaller ends; and every fragment
+//     partial is published before any tail runs, so a tail wait never holds
+//     up a fragment wait.
+type partialCache[V any] struct {
+	reg *shareRegistry
 	key string
-	fp  string // display fingerprint (core.FragmentFingerprint)
+	fp  string // display fingerprint of the canonical key
 
 	mu sync.Mutex
 	// subs maps each subscribed query to the absolute log position it will
 	// consume next; the minimum over all subscribers is the prune horizon.
-	subs map[*ContinuousQuery]int64
-	// cache holds the slide partials keyed by absolute start position.
-	cache map[int64]*fragPartial
+	subs  map[*ContinuousQuery]int64
+	cache map[int64]*partial[V]
 	// consumes counts consumedTo calls since the last prune; the O(subs)
 	// horizon scan runs once per len(subs) consumes (one round of firings),
 	// keeping the per-firing bookkeeping O(1) amortized at high fanout
@@ -54,70 +81,65 @@ type sharedFragment struct {
 	consumes int
 }
 
-// fragPartial is one slide's shared slot file. The leader (the first query
-// to acquire the range) evaluates and publishes it; followers wait on done.
-// file and err are written exactly once before done closes, so readers
-// after wait() need no lock.
-type fragPartial struct {
-	start, end int64
-	done       chan struct{}
-	file       core.SlotFile
-	err        error
+// partial is one position's shared value. val and err are written exactly
+// once, by the leader, before done closes, so readers after wait() need no
+// lock; published is the leader's own publish-once guard.
+type partial[V any] struct {
+	extent    int64
+	done      chan struct{}
+	val       V
+	err       error
+	published bool
 }
 
-// attach subscribes q to the fragment named by key, creating it on first
-// use. pos is the absolute log position of q's cursor (its first slide
-// start). Returns the fragment q must acquire slides through.
-func (fr *fragmentRegistry) attach(key, fp string, q *ContinuousQuery, pos int64) *sharedFragment {
-	fr.mu.Lock()
-	sf, ok := fr.frags[key]
+// attach subscribes q to the cache named by key, creating it on first use.
+// pos is a lower bound on every position q will acquire (its cursor's
+// absolute position) — a safe initial prune horizon.
+func attach[V any](reg *shareRegistry, key, fp string, q *ContinuousQuery, pos int64) *partialCache[V] {
+	reg.mu.Lock()
+	c, ok := reg.caches[key].(*partialCache[V])
 	if !ok {
-		sf = &sharedFragment{
-			reg:   fr,
-			key:   key,
-			fp:    fp,
+		c = &partialCache[V]{
+			reg: reg, key: key, fp: fp,
 			subs:  map[*ContinuousQuery]int64{},
-			cache: map[int64]*fragPartial{},
+			cache: map[int64]*partial[V]{},
 		}
-		fr.frags[key] = sf
+		reg.caches[key] = c
 	}
-	fr.mu.Unlock()
-	sf.mu.Lock()
-	sf.subs[q] = pos
-	sf.mu.Unlock()
-	return sf
+	reg.mu.Unlock()
+	c.mu.Lock()
+	c.subs[q] = pos
+	c.mu.Unlock()
+	return c
 }
 
-// detach unsubscribes q (refcounted release): the fragment's cache is
-// pruned to the remaining subscribers, and the fragment itself is deleted
-// from the registry once no subscriber is left, so orphaned fragments stop
-// accumulating partials the moment their last query deregisters.
-func (fr *fragmentRegistry) detach(sf *sharedFragment, q *ContinuousQuery) {
-	fr.mu.Lock()
-	sf.mu.Lock()
-	delete(sf.subs, q)
-	if len(sf.subs) == 0 {
-		clear(sf.cache)
-		delete(fr.frags, sf.key)
-	} else {
-		sf.pruneLocked()
+// detach unsubscribes q (refcounted release): the cache is pruned to the
+// remaining subscribers, and deleted from the registry once none is left,
+// so an orphaned cache stops accumulating partials the moment its last
+// query deregisters.
+func (c *partialCache[V]) detach(q *ContinuousQuery) {
+	c.reg.mu.Lock()
+	c.mu.Lock()
+	delete(c.subs, q)
+	if len(c.subs) == 0 {
+		delete(c.reg.caches, c.key)
 	}
-	sf.mu.Unlock()
-	fr.mu.Unlock()
+	c.pruneLocked()
+	c.mu.Unlock()
+	c.reg.mu.Unlock()
 }
 
-// acquire claims the slide covering absolute positions [start, end).
-// lead=true means the caller must evaluate the slide: either it is the
-// first to claim the range (a fresh fragPartial was cached for it to
-// publish — it MUST publish, success or error, before waiting on any other
-// partial), or p is nil and the cached range disagrees on end — then the
-// caller computes privately and publishes nothing. lead=false returns the
-// cached partial to wait on.
-func (sf *sharedFragment) acquire(start, end int64) (p *fragPartial, lead bool) {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if p, ok := sf.cache[start]; ok {
-		if p.end != end {
+// acquire claims the partial at absolute position pos (singleflight).
+// lead=true means the caller must compute the value itself: either it is
+// the first to claim pos (a fresh partial was cached for it to publish — it
+// MUST publish, value or abort), or p is nil because the cached partial
+// disagrees on extent — then the caller computes privately and publishes
+// nothing. lead=false returns the cached partial to wait on.
+func (c *partialCache[V]) acquire(pos, extent int64) (p *partial[V], lead bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p, ok := c.cache[pos]; ok {
+		if p.extent != extent {
 			// Same start, different slide extent — should not happen for
 			// aligned subscribers (ts-ordered arrival makes a closed slide's
 			// tuple count final), but stay correct if it does: evaluate
@@ -126,245 +148,94 @@ func (sf *sharedFragment) acquire(start, end int64) (p *fragPartial, lead bool) 
 		}
 		return p, false
 	}
-	p = &fragPartial{start: start, end: end, done: make(chan struct{})}
-	sf.cache[start] = p
+	p = &partial[V]{extent: extent, done: make(chan struct{})}
+	c.cache[pos] = p
 	return p, true
 }
 
-// publish installs the evaluated slot file (or the leader's error) and
-// releases every waiting follower.
-func (p *fragPartial) publish(file core.SlotFile, err error) {
-	p.file = file
-	p.err = err
+// publish installs the leader's value (or its error) and releases every
+// waiting follower. Only the leader calls it; calls after the first are
+// no-ops, so an abort-everything-owed cleanup may follow a normal publish.
+// A published error poisons only this partial: later acquirers of other
+// positions are unaffected.
+func (p *partial[V]) publish(val V, err error) {
+	if p.published {
+		return
+	}
+	p.published = true
+	p.val, p.err = val, err
 	close(p.done)
 }
 
 // wait blocks until the leader publishes.
-func (p *fragPartial) wait() { <-p.done }
+func (p *partial[V]) wait() { <-p.done }
 
-// consumedTo records that q has consumed every slide below pos and prunes
-// partials no remaining subscriber will read. A query that detached
+// consumedTo records that q has consumed every position below pos and
+// prunes partials no remaining subscriber will read. A query that detached
 // concurrently is not re-added.
-func (sf *sharedFragment) consumedTo(q *ContinuousQuery, pos int64) {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	if _, ok := sf.subs[q]; !ok {
+func (c *partialCache[V]) consumedTo(q *ContinuousQuery, pos int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if _, ok := c.subs[q]; !ok {
 		return
 	}
-	sf.subs[q] = pos
-	sf.consumes++
-	if sf.consumes >= len(sf.subs) {
-		sf.pruneLocked()
+	c.subs[q] = pos
+	c.consumes++
+	if c.consumes >= len(c.subs) {
+		c.pruneLocked()
 	}
 }
 
-// pruneLocked drops cached partials wholly below the minimum subscriber
-// position. A follower still waiting on a partial has not advanced past
-// its start, so its entry survives until the follower consumes it.
-func (sf *sharedFragment) pruneLocked() {
-	sf.consumes = 0
-	if len(sf.subs) == 0 {
-		clear(sf.cache)
+// pruneLocked drops cached partials keyed below the minimum subscriber
+// position (everything, once no subscriber is left). A follower still
+// waiting on a partial has not advanced past its key, so its entry
+// survives until the follower consumes it.
+func (c *partialCache[V]) pruneLocked() {
+	c.consumes = 0
+	if len(c.subs) == 0 {
+		clear(c.cache)
 		return
 	}
 	min := int64(-1)
-	for _, pos := range sf.subs {
+	for _, pos := range c.subs {
 		if min < 0 || pos < min {
 			min = pos
 		}
 	}
-	for start, p := range sf.cache {
-		if p.start < min {
-			delete(sf.cache, start)
+	for key := range c.cache {
+		if key < min {
+			delete(c.cache, key)
 		}
 	}
 }
 
 // subscribers reports the current subscriber count (Explain, tests).
-func (sf *sharedFragment) subscribers() int {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	return len(sf.subs)
+func (c *partialCache[V]) subscribers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.subs)
 }
 
 // cached reports the number of partials currently held (testing hook).
-func (sf *sharedFragment) cached() int {
-	sf.mu.Lock()
-	defer sf.mu.Unlock()
-	return len(sf.cache)
+func (c *partialCache[V]) cached() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.cache)
 }
 
-// errTailAborted marks a shared merge head whose leader errored, exited,
-// or produced an uncapturable head; waiting followers fall back to their
-// private merge (each keeps its own slot ring, so the fallback is free of
-// coordination).
-var errTailAborted = errors.New("engine: shared merge-tail leader aborted")
-
-// sharedTail is one canonical merge head — the concat + grouped re-group
-// shared by every subscribed query whose MergeTailKey matches — with the
-// cache of heads in flight. Heads are keyed by the absolute log position
-// where the window ENDS: unlike fragments (keyed by slide start, window
-// length excluded), a head re-groups the whole window, so only queries
-// merging the exact same row range may adopt it. Lock order matches
-// sharedFragment: fragmentRegistry.mu > sharedTail.mu.
-type sharedTail struct {
-	reg *fragmentRegistry
-	key string
-	fp  string // display fingerprint (core.MergeTailFingerprint)
-
-	mu sync.Mutex
-	// subs maps each subscribed query to the absolute window end it will
-	// merge next; the minimum is the prune horizon.
-	subs map[*ContinuousQuery]int64
-	// cache holds in-flight heads keyed by absolute window end.
-	cache map[int64]*tailPartial
-	// consumes amortizes pruning exactly like sharedFragment.consumes.
-	consumes int
-}
-
-// tailPartial is one window end's shared merge head. The leader (first
-// query to acquire the end) computes and publishes it; followers wait on
-// done. head and err are written once before done closes. A nil head with
-// nil err (slide skipped: window still filling) is normalized to
-// errTailAborted at publish so followers always fall back cleanly.
-type tailPartial struct {
-	end  int64
-	done chan struct{}
-	head *core.MergeHead
-	err  error
-}
-
-// attachTail subscribes q to the merge tail named by key, creating it on
-// first use; pos is the absolute end of q's next window.
-func (fr *fragmentRegistry) attachTail(key, fp string, q *ContinuousQuery, pos int64) *sharedTail {
-	fr.mu.Lock()
-	st, ok := fr.tails[key]
-	if !ok {
-		st = &sharedTail{
-			reg:   fr,
-			key:   key,
-			fp:    fp,
-			subs:  map[*ContinuousQuery]int64{},
-			cache: map[int64]*tailPartial{},
-		}
-		fr.tails[key] = st
-	}
-	fr.mu.Unlock()
-	st.mu.Lock()
-	st.subs[q] = pos
-	st.mu.Unlock()
-	return st
-}
-
-// detachTail unsubscribes q, pruning the cache and deleting the tail from
-// the registry once no subscriber remains.
-func (fr *fragmentRegistry) detachTail(st *sharedTail, q *ContinuousQuery) {
-	fr.mu.Lock()
-	st.mu.Lock()
-	delete(st.subs, q)
-	if len(st.subs) == 0 {
-		clear(st.cache)
-		delete(fr.tails, st.key)
-	} else {
-		st.pruneLocked()
-	}
-	st.mu.Unlock()
-	fr.mu.Unlock()
-}
-
-// acquire claims the merge head for the window ending at absolute position
-// end. lead=true means the caller must merge the window and publish the
-// head (success, error, or skip). lead=false returns the cached partial to
-// adopt. Deadlock freedom is positional: queries merge their slides in
-// ascending end order, and a leader blocked in a follower wait at end E has
-// already published every head it leads below E, so wait-for edges always
-// point at strictly smaller ends.
-func (st *sharedTail) acquire(end int64) (p *tailPartial, lead bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if p, ok := st.cache[end]; ok {
-		return p, false
-	}
-	p = &tailPartial{end: end, done: make(chan struct{})}
-	st.cache[end] = p
-	return p, true
-}
-
-// publish installs the merged head (or the leader's error) and releases
-// every waiting follower. Exactly once per partial.
-func (p *tailPartial) publish(head *core.MergeHead, err error) {
-	if head == nil && err == nil {
-		err = errTailAborted
-	}
-	p.head = head
-	p.err = err
-	close(p.done)
-}
-
-// wait blocks until the leader publishes.
-func (p *tailPartial) wait() { <-p.done }
-
-// consumedTo records that q has merged every window ending below pos and
-// prunes heads no remaining subscriber will adopt.
-func (st *sharedTail) consumedTo(q *ContinuousQuery, pos int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.subs[q]; !ok {
-		return
-	}
-	st.subs[q] = pos
-	st.consumes++
-	if st.consumes >= len(st.subs) {
-		st.pruneLocked()
-	}
-}
-
-func (st *sharedTail) pruneLocked() {
-	st.consumes = 0
-	if len(st.subs) == 0 {
-		clear(st.cache)
-		return
-	}
-	min := int64(-1)
-	for _, pos := range st.subs {
-		if min < 0 || pos < min {
-			min = pos
-		}
-	}
-	for end, p := range st.cache {
-		if p.end < min {
-			delete(st.cache, end)
-		}
-	}
-}
-
-// subscribers reports the current subscriber count (Explain, tests).
-func (st *sharedTail) subscribers() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.subs)
-}
-
-// cachedTails reports the number of heads currently held (testing hook).
-func (st *sharedTail) cached() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.cache)
-}
-
-// fragmentsOf returns a stream's fragment registry (testing hook).
-func (e *Engine) fragmentsOf(stream string) *fragmentRegistry {
+// sharesOf returns a stream's share registry (testing hook).
+func (e *Engine) sharesOf(stream string) *shareRegistry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if si, ok := e.streams[stream]; ok {
-		return si.frags
+		return si.shares
 	}
 	return nil
 }
 
-// size reports the number of live shared fragments (testing hook).
-func (fr *fragmentRegistry) size() int {
-	fr.mu.Lock()
-	defer fr.mu.Unlock()
-	return len(fr.frags)
+// size reports the number of live caches, fragments and tails (testing hook).
+func (r *shareRegistry) size() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.caches)
 }

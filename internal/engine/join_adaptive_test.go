@@ -48,7 +48,7 @@ func joinKeyColumn(rng *rand.Rand, typ vector.Type, n int, onekey bool, domain i
 // TestAdaptiveJoinDifferentialEngine drives randomized multi-slide join
 // workloads over int64, float, and string keys at three skews (uniform,
 // all-rows-one-key, 1000x-selective filter on one side) through four arms —
-// the written-order baseline (PrivateJoinPlan) and the greedy adaptive
+// the written-order baseline (Options.Baseline) and the greedy adaptive
 // planner, each at parallelism 1 and 4 — and requires every emitted window
 // to be bit-identical across arms. The adaptive arms must also report
 // interned-table reuse; the baseline arms must report none.
@@ -79,10 +79,10 @@ func TestAdaptiveJoinDifferentialEngine(t *testing.T) {
 					opts Options
 				}
 				arms := []arm{
-					{"baseline-p1", Options{Mode: Incremental, Parallelism: 1, PrivateJoinPlan: true}},
+					{"baseline-p1", Options{Mode: Incremental, Parallelism: 1, Baseline: true}},
 					{"adaptive-p1", Options{Mode: Incremental, Parallelism: 1}},
 					{"adaptive-p4", Options{Mode: Incremental, Parallelism: 4}},
-					{"baseline-p4", Options{Mode: Incremental, Parallelism: 4, PrivateJoinPlan: true}},
+					{"baseline-p4", Options{Mode: Incremental, Parallelism: 4, Baseline: true}},
 				}
 				var results [][]*Result
 				for _, a := range arms {
@@ -123,12 +123,12 @@ func TestAdaptiveJoinDifferentialEngine(t *testing.T) {
 					if len(c.results) == 0 {
 						t.Fatalf("%s: no windows", a.name)
 					}
-					st := q.StageBreakdown()
-					if a.opts.PrivateJoinPlan {
+					st := q.Stats()
+					if a.opts.Baseline {
 						if st.BuildsReused != 0 {
 							t.Fatalf("%s: baseline reports %d reused builds", a.name, st.BuildsReused)
 						}
-						if !strings.Contains(q.Explain(), "PrivateJoinPlan") {
+						if !strings.Contains(q.Explain(), "written-order baseline") {
 							t.Fatalf("%s: Explain does not mention the baseline:\n%s", a.name, q.Explain())
 						}
 					} else {
@@ -158,65 +158,6 @@ func TestAdaptiveJoinDifferentialEngine(t *testing.T) {
 					}
 				}
 			})
-		}
-	}
-}
-
-// TestAdaptiveJoinGroupedEngine repeats the differential check with an
-// aggregation on top of the join (the paper's Q2 shape), so the cell stage
-// carries per-cell aggregate partials over the planned join output.
-func TestAdaptiveJoinGroupedEngine(t *testing.T) {
-	query := `SELECT count(*), sum(a.v), max(b.v) FROM a [RANGE 32 SLIDE 8], b [RANGE 32 SLIDE 8] WHERE a.k = b.k`
-	var refs []string
-	for ai, opts := range []Options{
-		{Mode: Incremental, Parallelism: 1, PrivateJoinPlan: true},
-		{Mode: Incremental, Parallelism: 1},
-		{Mode: Incremental, Parallelism: 4},
-	} {
-		e := New()
-		intCol := func(n string) catalog.Column { return catalog.Column{Name: n, Type: vector.Int64} }
-		for _, s := range []string{"a", "b"} {
-			if err := e.RegisterStream(s, catalog.NewSchema(intCol("k"), intCol("v"))); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var c collector
-		opts.OnResult = c.add
-		if _, err := e.Register(query, opts); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(9))
-		for off := 0; off < 320; off += 16 {
-			for _, s := range []string{"a", "b"} {
-				k := make([]int64, 16)
-				v := make([]int64, 16)
-				for i := range k {
-					k[i] = rng.Int63n(8)
-					v[i] = rng.Int63n(100)
-				}
-				if err := e.Append(s, []*vector.Vector{vector.FromInt64(k), vector.FromInt64(v)}, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := e.Pump(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var keys []string
-		for _, r := range c.results {
-			keys = append(keys, tableKey(r.Table, false))
-		}
-		if ai == 0 {
-			refs = keys
-			continue
-		}
-		if len(keys) != len(refs) {
-			t.Fatalf("arm %d: %d windows vs %d", ai, len(keys), len(refs))
-		}
-		for i := range refs {
-			if keys[i] != refs[i] {
-				t.Fatalf("arm %d window %d differs:\n%s\nvs\n%s", ai, i+1, refs[i], keys[i])
-			}
 		}
 	}
 }

@@ -65,7 +65,7 @@ func TestParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				// Whole backlog first, then one pump: many complete slides
-				// are buffered, so par4 takes the StepBatch path.
+				// are buffered, so par4 fires them in batches.
 				feedBurst(t, e, "s", 1, 512, 37)
 				feedBurst(t, e, "s2", 2, 512, 37)
 				if _, err := e.Pump(); err != nil {

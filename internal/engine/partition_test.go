@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"datacell/internal/catalog"
+	"datacell/internal/core"
 	"datacell/internal/vector"
 )
 
@@ -122,8 +123,9 @@ func TestGroupedMergeParityAcrossModes(t *testing.T) {
 
 // TestPartitionStatsSurfaced checks that a parallel grouped query reports
 // the fragment / partition / merge breakdown: the partitioned re-group
-// must be visible in StageBreakdown (and consistent with the CostBreakdown
-// merge lump) once the concatenated partials are large enough to shard.
+// must be visible in the cumulative Stats (which must equal the sum of the
+// per-result stage clocks) once the concatenated partials are large enough
+// to shard.
 func TestPartitionStatsSurfaced(t *testing.T) {
 	forceShards(t, 4)
 	e := newTestEngine(t)
@@ -141,33 +143,27 @@ func TestPartitionStatsSurfaced(t *testing.T) {
 	if len(c.results) == 0 {
 		t.Fatal("no windows")
 	}
-	st := q.StageBreakdown()
-	frag, part, merge, total := st.FragmentNS, st.PartitionNS, st.MergeNS, st.TotalNS
-	if frag <= 0 || part <= 0 || merge <= 0 {
-		t.Fatalf("stage breakdown: frag=%d part=%d merge=%d", frag, part, merge)
+	st := q.Stats()
+	if st.MainNS <= 0 || st.PartitionNS <= 0 || st.MergeNS <= 0 || st.TotalNS < st.MainNS {
+		t.Fatalf("stage clock: %+v", st.StepStats)
 	}
-	m, lump, tot := q.CostBreakdown()
-	if m != frag || lump != st.ScatterNS+part+st.StitchNS+merge || tot != total {
-		t.Fatalf("CostBreakdown (%d,%d,%d) inconsistent with StageBreakdown (%+v)",
-			m, lump, tot, st)
-	}
-	var sawPart bool
+	// Every emitted window's clock is part of the cumulative one (which also
+	// covers the preface slides that emitted nothing).
+	var emitted core.StepStats
 	for _, r := range c.results {
-		if r.Stats.PartitionNS > 0 {
-			sawPart = true
-		}
+		emitted.Add(r.Stats)
 	}
-	if !sawPart {
-		t.Fatal("no per-result PartitionNS recorded")
+	if emitted.PartitionNS <= 0 || emitted.PartitionNS > st.PartitionNS || emitted.TotalNS > st.TotalNS {
+		t.Fatalf("per-result clocks %+v inconsistent with cumulative %+v", emitted, st.StepStats)
 	}
-	if q.BatchedSlides() == 0 {
-		t.Fatal("backlog did not drain through StepBatch")
+	if st.BatchedSlides == 0 {
+		t.Fatal("backlog did not drain in batches")
 	}
 }
 
 // TestTimeWindowBatchParity covers the extended batching path: a pure
 // time-based window draining a bursty event-time backlog must engage
-// StepBatch (precomputed successive boundaries) at Parallelism > 1 and
+// batched firing (precomputed successive boundaries) at Parallelism > 1 and
 // emit windows identical to the sequential query — including ragged
 // slides, empty slides (gaps in event time) and watermark-driven closes.
 func TestTimeWindowBatchParity(t *testing.T) {
@@ -209,7 +205,7 @@ func TestTimeWindowBatchParity(t *testing.T) {
 		if _, err := e.Pump(); err != nil {
 			t.Fatal(err)
 		}
-		return c.results, q.BatchedSlides()
+		return c.results, q.Stats().BatchedSlides
 	}
 	seq, seqBatched := run(1)
 	par, parBatched := run(4)

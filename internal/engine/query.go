@@ -15,12 +15,12 @@ import (
 )
 
 // Result is one window result delivered by a continuous query's emitter.
+// Stats is the stage clock of the step that produced it (Stats.TotalNS is
+// the step's wall time).
 type Result struct {
 	Window int // 1-based window number
 	Table  *exec.Table
 	Stats  core.StepStats
-	// StepNS is the total wall time of the step that produced this result.
-	StepNS int64
 }
 
 // DefaultAutoThreshold is the window size (tuples) above which Auto mode
@@ -45,29 +45,13 @@ type Options struct {
 	// 0 inherits the engine default (SetDefaultParallelism), 1 forces
 	// sequential execution. Results are identical at any setting.
 	Parallelism int
-	// SerialMergeInstr disables the grouped-merge kernel and runs grouped
-	// compensation through the seed-style instruction path (throwaway maps
-	// every firing) — the benchmark baseline; see core.Options.
-	SerialMergeInstr bool
-	// PrivateFragments opts this query out of the stream's shared-plan
-	// catalog: its per-bw fragments are always evaluated privately even
-	// when other standing queries intern an identical fragment. The
-	// benchmark baseline for fragment sharing; results are identical
-	// either way.
-	PrivateFragments bool
-	// PrivateMergeTails opts this query out of merge-tail sharing while
-	// leaving fragment sharing on: the query always runs its own concat +
-	// grouped re-group even when other subscribers intern an identical
-	// merge head. Implied by PrivateFragments (tail sharing rides on the
-	// fragment catalog's bit-identical slot files). The benchmark baseline
-	// for tail sharing; results are identical either way.
-	PrivateMergeTails bool
-	// PrivateJoinPlan disables adaptive join planning for stream-stream
-	// join matrices: cells evaluate in written order, the right side
-	// building a fresh hash table per cell, with no build-table interning
-	// or empty-side early termination. The benchmark baseline for the
-	// greedy planner; results are identical either way. See core.Options.
-	PrivateJoinPlan bool
+	// Baseline evaluates the query as the seed did: it attaches to no
+	// shared fragment or merge tail (every slide is led privately), joins
+	// run in written order and grouped merges through the instruction path
+	// (see core.Options.Baseline). Results are bit-identical either way; it
+	// exists because tests and internal/bench use that path as the
+	// reference the default path is compared against.
+	Baseline bool
 	// OnResult is invoked synchronously for every produced window result.
 	OnResult func(*Result)
 }
@@ -110,43 +94,18 @@ type ContinuousQuery struct {
 	// never consume its successor's wake-ups; guarded by statsMu.
 	wake chan struct{}
 
-	// statsMu guards the cumulative counters below and the worker's
-	// terminal error. Step execution is already serialized by stepMu;
-	// statsMu exists so readers (Windows, CostBreakdown, Err) are
-	// race-free against a running worker.
-	statsMu   sync.Mutex
-	windows   int
-	totalNS   int64
-	mainNS    int64
-	partNS    int64
-	mergeNS   int64
-	scatterNS int64
-	stitchNS  int64
-	// joinNS is the join-matrix update share of mainNS; buildsReused
-	// counts matrix cells served by an interned build table.
-	joinNS       int64
-	buildsReused int64
-	// batchedSlides counts slides executed through StepBatch (the
-	// intra-query parallel path), for observability and tests.
-	batchedSlides int64
-	// frag is the query's interned shared fragment (nil when the query is
-	// ineligible or opted out). Guarded by statsMu so Deregister clearing
-	// it never races a late synchronous pump.
+	// statsMu guards the cumulative stats below and the worker's terminal
+	// error. Step execution is already serialized by stepMu; statsMu exists
+	// so readers (Stats, Err) are race-free against a running worker.
+	statsMu sync.Mutex
+	stats   Stats
+	// frag and tail are the query's interned shared fragment and merge tail
+	// (nil when the query is ineligible, runs as Baseline, or is already
+	// deregistered). Guarded by statsMu so Deregister clearing them never
+	// races a late synchronous pump.
 	frag *sharedFragment
-	// tail is the query's interned shared merge tail (nil when ineligible
-	// or opted out); like frag, guarded by statsMu.
 	tail *sharedTail
-	// sharedNS accumulates time spent adopting partials another query
-	// computed (registry wait + handoff); sharedSlides / leadSlides count
-	// slides adopted vs led through the shared path.
-	sharedNS     int64
-	sharedSlides int64
-	leadSlides   int64
-	// tailAdopted / tailLed count window merges whose head was adopted
-	// from the merge-tail catalog vs computed and published by this query.
-	tailAdopted int64
-	tailLed     int64
-	err         error
+	err  error
 	// emitting is true while the query's OnResult callback is running.
 	// Deregister/Stop consult it to avoid self-deadlock when the callback
 	// itself tears the scheduler down (see stopWorker).
@@ -170,20 +129,13 @@ func (q *ContinuousQuery) isEmitting() bool {
 	return q.emitting
 }
 
-// fragment returns the query's shared fragment, or nil when sharing is
-// off for this query (ineligible, opted out, or already deregistered).
-func (q *ContinuousQuery) fragment() *sharedFragment {
+// sharing returns the query's shared fragment and merge tail; each is nil
+// when that layer is off for this query (ineligible, Baseline, or already
+// deregistered).
+func (q *ContinuousQuery) sharing() (*sharedFragment, *sharedTail) {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()
-	return q.frag
-}
-
-// mergeTail returns the query's shared merge tail, or nil when tail
-// sharing is off for this query.
-func (q *ContinuousQuery) mergeTail() *sharedTail {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.tail
+	return q.frag, q.tail
 }
 
 // notifyData posts a non-blocking wake-up for the query's worker.
@@ -331,11 +283,7 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 			return nil, err
 		}
 		q.inc = inc
-		q.rt = core.NewRuntimeOpts(inc, core.Options{
-			Parallelism:      par,
-			SerialMergeInstr: opts.SerialMergeInstr,
-			PrivateJoinPlan:  opts.PrivateJoinPlan,
-		})
+		q.rt = core.NewRuntimeOpts(inc, core.Options{Parallelism: par, Baseline: opts.Baseline})
 		if opts.Chunks > 1 || opts.AdaptiveChunks {
 			if inc.HasJoin {
 				return nil, fmt.Errorf("engine: chunked processing supports single-stream plans only")
@@ -345,14 +293,14 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 	}
 
 	// Fragment-sharing eligibility: a single-stream incremental plan whose
-	// per-bw fragment canonicalizes, with discard-on-process cursors (so a
-	// slide is a fixed positional log range) and no chunked processing
+	// per-bw fragment canonicalizes (a slide is a fixed positional log range:
+	// incremental cursors discard on process) and no chunked processing
 	// (chunks split the fragment across arrivals). Landmark plans are out:
 	// their slots carry query-private cumulative state.
-	var fragKey, fragFP string
-	if q.Mode == Incremental && !opts.PrivateFragments && q.chunker == nil &&
-		len(prog.Sources) == 1 && !q.inc.HasJoin && !q.inc.Landmark && q.inc.DiscardInput {
-		fragKey = q.inc.FragmentKey(0)
+	var fragCanon, fragFP string
+	if q.Mode == Incremental && !opts.Baseline && q.chunker == nil &&
+		len(prog.Sources) == 1 && !q.inc.HasJoin && !q.inc.Landmark {
+		fragCanon = q.inc.FragmentKey(0)
 		fragFP = q.inc.FragmentFingerprint(0)
 	}
 	// Merge-tail sharing rides on fragment sharing (adopted heads re-group
@@ -361,10 +309,10 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 	// row range (end - N*slide rows), which is what keys the head cache.
 	// Time windows anchor their slide grids at registration time, so two
 	// queries can close windows at the same position with different spans.
-	var tailKey, tailFP string
-	if fragKey != "" && !opts.PrivateMergeTails {
+	var tailCanon, tailFP string
+	if fragCanon != "" {
 		if w := prog.Sources[0].Window; w.Kind == sql.CountWindow && w.SlideDur == 0 {
-			tailKey = q.inc.MergeTailKey(0)
+			tailCanon = q.inc.MergeTailKey(0)
 			tailFP = q.inc.MergeTailFingerprint(0)
 		}
 	}
@@ -401,14 +349,14 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 			pos := qi.cur.PosLocked()
 			qi.cur.Unlock()
 			starts[src.Name] = pos
-			if fragKey != "" {
-				// Intern the query's fragment in the stream's shared-plan
-				// catalog, anchored at the cursor's absolute position.
-				q.frag = si.frags.attach(fragKey, fragFP, q, pos)
-				if tailKey != "" {
-					// The cursor position is a lower bound on every window
-					// end this query will merge — a safe prune horizon.
-					q.tail = si.frags.attachTail(tailKey, tailFP, q, pos)
+			if fragCanon != "" {
+				// Intern the query's fragment (and merge tail) in the stream's
+				// shared-plan catalog, anchored at the cursor's absolute
+				// position — a lower bound on every slide start and window
+				// end this query will claim.
+				q.frag = attach[core.SlotFile](si.shares, fragKey(fragCanon), fragFP, q, pos)
+				if tailCanon != "" {
+					q.tail = attach[*core.MergeHead](si.shares, tailKey(tailCanon), tailFP, q, pos)
 				}
 			}
 			// Publish a fresh subscriber snapshot (copy-on-write) so
@@ -428,15 +376,11 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 	// Register.
 	def := storage.QueryDef{
 		Seq: seq, SQL: query, Mode: uint8(opts.Mode),
-		AutoThreshold:     opts.AutoThreshold,
-		Chunks:            opts.Chunks,
-		AdaptiveChunks:    opts.AdaptiveChunks,
-		Parallelism:       opts.Parallelism,
-		SerialMergeInstr:  opts.SerialMergeInstr,
-		PrivateFragments:  opts.PrivateFragments,
-		PrivateMergeTails: opts.PrivateMergeTails,
-		PrivateJoinPlan:   opts.PrivateJoinPlan,
-		Start:             starts,
+		AutoThreshold:  opts.AutoThreshold,
+		Chunks:         opts.Chunks,
+		AdaptiveChunks: opts.AdaptiveChunks,
+		Parallelism:    opts.Parallelism,
+		Start:          starts,
 	}
 	if err := e.persistQuery(seq, &def); err != nil {
 		e.Deregister(q)
@@ -468,20 +412,18 @@ func (e *Engine) Deregister(q *ContinuousQuery) {
 		q.stepMu.Unlock()
 	}
 	e.mu.Lock()
-	// Release the query's shared-fragment subscription (refcounted): the
-	// fragment stops caching partials for q, and disappears entirely when
-	// q was its last subscriber.
+	// Release the query's shared-plan subscriptions (refcounted): the
+	// caches stop holding partials for q, and disappear entirely when q was
+	// their last subscriber.
 	q.statsMu.Lock()
-	frag := q.frag
-	tail := q.tail
-	q.frag = nil
-	q.tail = nil
+	frag, tail := q.frag, q.tail
+	q.frag, q.tail = nil, nil
 	q.statsMu.Unlock()
 	if tail != nil {
-		tail.reg.detachTail(tail, q)
+		tail.detach(q)
 	}
 	if frag != nil {
-		frag.reg.detach(frag, q)
+		frag.detach(q)
 	}
 	for _, qi := range q.inputs {
 		e.detachLocked(qi)
@@ -512,98 +454,42 @@ func (e *Engine) detachLocked(qi *queryInput) {
 	qi.cur.Close()
 }
 
-// Windows returns how many window results the query has emitted.
-func (q *ContinuousQuery) Windows() int {
+// Stats is the cumulative snapshot of one query: the one stage clock
+// (core.StepStats) summed over every step, plus the window and sharing
+// counters. It is what datacell.Query.Stats and /metrics report.
+type Stats struct {
+	core.StepStats
+	// Windows is the number of window results emitted.
+	Windows int
+	// AdoptedSlides and LedSlides count slides whose fragment partial the
+	// query adopted from the shared-plan catalog versus evaluated itself and
+	// published; AdoptedTails and LedTails count window merges whose head
+	// was adopted versus computed and published. All zero for a query that
+	// shares nothing.
+	AdoptedSlides, LedSlides int64
+	AdoptedTails, LedTails   int64
+	// BatchedSlides counts slides drained more than one per firing — the
+	// intra-query parallel cadence (Parallelism > 1 with a backlog).
+	BatchedSlides int64
+}
+
+// Stats returns the query's cumulative stats; safe against a running
+// worker.
+func (q *ContinuousQuery) Stats() Stats {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()
-	return q.windows
+	return q.stats
 }
+
+// Windows returns how many window results the query has emitted.
+func (q *ContinuousQuery) Windows() int { return q.Stats().Windows }
 
 // bumpWindows increments the emitted-window count and returns it.
 func (q *ContinuousQuery) bumpWindows() int {
 	q.statsMu.Lock()
 	defer q.statsMu.Unlock()
-	q.windows++
-	return q.windows
-}
-
-// CostBreakdown returns cumulative (main, merge, total) nanoseconds in the
-// paper's two-stage form; the merge lump includes the scatter, the
-// partitioned re-group and the stitch shares. See StageBreakdown for the
-// per-stage split.
-func (q *ContinuousQuery) CostBreakdown() (mainNS, mergeNS, totalNS int64) {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.mainNS, q.scatterNS + q.partNS + q.stitchNS + q.mergeNS, q.totalNS
-}
-
-// Stages is the cumulative per-stage step time of one query (see
-// ContinuousQuery.StageBreakdown). All values are nanoseconds.
-type Stages struct {
-	// FragmentNS is fragment work the query evaluated itself (per-basic-
-	// window / per-segment-part evaluation).
-	FragmentNS int64
-	// SharedNS is time spent adopting work computed by other queries —
-	// shared fragment partials and shared merge heads (registry wait +
-	// handoff).
-	SharedNS int64
-	// ScatterNS is the parallel hash-scatter that splits merge rows into
-	// shards; PartitionNS the sharded grouped re-group itself; StitchNS
-	// the tree reduction that restores the serial group order.
-	ScatterNS   int64
-	PartitionNS int64
-	StitchNS    int64
-	// MergeNS is the serial merge remainder; TotalNS the step wall time.
-	MergeNS int64
-	TotalNS int64
-	// JoinNS is the join-matrix update share of FragmentNS (planning,
-	// build tables, cell evaluation) — comparable across the adaptive and
-	// written-order paths. BuildsReused counts matrix cells served by an
-	// interned per-basic-window build table instead of building one (zero
-	// with Options.PrivateJoinPlan).
-	JoinNS       int64
-	BuildsReused int64
-}
-
-// StageBreakdown returns the query's cumulative per-stage step time.
-func (q *ContinuousQuery) StageBreakdown() Stages {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return Stages{
-		FragmentNS:   q.mainNS,
-		SharedNS:     q.sharedNS,
-		ScatterNS:    q.scatterNS,
-		PartitionNS:  q.partNS,
-		StitchNS:     q.stitchNS,
-		MergeNS:      q.mergeNS,
-		TotalNS:      q.totalNS,
-		JoinNS:       q.joinNS,
-		BuildsReused: q.buildsReused,
-	}
-}
-
-// BatchedSlides reports how many window slides drained through the
-// intra-query parallel StepBatch path.
-func (q *ContinuousQuery) BatchedSlides() int64 {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.batchedSlides
-}
-
-// SharedSlides reports how many slides the query adopted from the shared
-// fragment catalog versus led (evaluated itself and published).
-func (q *ContinuousQuery) SharedSlides() (adopted, led int64) {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.sharedSlides, q.leadSlides
-}
-
-// SharedTails reports how many window merges adopted a shared merge head
-// from the tail catalog versus computed and published one.
-func (q *ContinuousQuery) SharedTails() (adopted, led int64) {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.tailAdopted, q.tailLed
+	q.stats.Windows++
+	return q.stats.Windows
 }
 
 // Fingerprint returns the canonical fingerprint of the query's pre-merge
@@ -629,17 +515,14 @@ func (q *ContinuousQuery) Explain() string {
 	}
 	if q.inc != nil && q.inc.HasJoin {
 		if q.rt == nil || !q.rt.AdaptiveJoin() {
-			s += "join: written-order baseline, right side builds per cell (PrivateJoinPlan)\n"
+			s += "join: written-order baseline, right side builds per cell\n"
 		} else {
-			q.statsMu.Lock()
-			reused := q.buildsReused
-			q.statsMu.Unlock()
-			s += fmt.Sprintf("join: build=right|left per cell (greedy, exact cardinalities), tables reused×%d\n", reused)
+			s += fmt.Sprintf("join: build=right|left per cell (greedy, exact cardinalities), tables reused×%d\n", q.Stats().BuildsReused)
 		}
 	}
-	if frag := q.fragment(); frag != nil {
+	if frag, tail := q.sharing(); frag != nil {
 		s += fmt.Sprintf("fragment sharing: fingerprint %s shared×%d\n", frag.fp, frag.subscribers())
-		if tail := q.mergeTail(); tail != nil {
+		if tail != nil {
 			s += fmt.Sprintf("merge tail: fingerprint %s merge shared×%d\n", tail.fp, tail.subscribers())
 		} else {
 			s += "merge tail: private\n"
@@ -661,8 +544,8 @@ func (q *ContinuousQuery) pump() (int, error) { return q.pumpUntil(nil) }
 // pumpUntil is pump with an optional cancellation channel, checked between
 // firings so a worker being stopped abandons its drain after at most one
 // more firing (remaining data stays buffered for the next scheduler). One
-// firing covers one window slide, or a whole batch of buffered slides on
-// the intra-query parallel path; the returned count is always slides.
+// firing covers one window slide, or a whole batch of buffered slides when
+// the query has parallel workers; the returned count is always slides.
 func (q *ContinuousQuery) pumpUntil(stop <-chan struct{}) (int, error) {
 	q.stepMu.Lock()
 	defer q.stepMu.Unlock()
@@ -684,15 +567,6 @@ func (q *ContinuousQuery) pumpUntil(stop <-chan struct{}) (int, error) {
 		}
 		steps += n
 	}
-}
-
-// stepSize returns how many tuples source qi consumes per slide for
-// count-based specs.
-func stepSize(spec *sql.WindowSpec) int {
-	if spec.Kind == sql.LandmarkWindow {
-		return int(spec.SlideRows)
-	}
-	return int(spec.SlideRows)
 }
 
 // resolveAutoMode implements the paper's hybrid suggestion: below the
@@ -725,9 +599,9 @@ func resolveAutoMode(prog *plan.Program, threshold int64) Mode {
 	return Reevaluation
 }
 
-// fireOnce checks readiness and, if possible, executes one step (or one
-// batch of buffered slides on the parallel path). It returns the number of
-// window slides executed — 0 when the query cannot fire.
+// fireOnce checks readiness and, if possible, executes one firing (one or
+// more buffered slides). It returns the number of window slides executed —
+// 0 when the query cannot fire.
 func (q *ContinuousQuery) fireOnce() (int, error) {
 	switch q.Mode {
 	case Incremental:
@@ -737,8 +611,9 @@ func (q *ContinuousQuery) fireOnce() (int, error) {
 	}
 }
 
-// readyCount computes how many tuples each windowed source would consume
-// now; ok is false if some source lacks data.
+// consumable computes how many tuples source qi's next slide would consume
+// now (need is the count-window slide size still outstanding); ok is false
+// if the source lacks data or its watermark has not closed the slide.
 func (q *ContinuousQuery) consumable(qi *queryInput, need int) (int, bool) {
 	qi.cur.Lock()
 	defer qi.cur.Unlock()
@@ -771,6 +646,10 @@ func (qi *queryInput) slideMicros() int64 {
 	return 0
 }
 
+// fireIncremental is the one incremental firing path: plan the buffered
+// slides, then fire them as one batch. A single slide, private evaluation,
+// multi-source joins, landmark and chunked queries are its degenerate
+// cases.
 func (q *ContinuousQuery) fireIncremental() (int, error) {
 	// Chunked processing consumes fractions of the basic window early.
 	if q.chunker != nil {
@@ -778,133 +657,56 @@ func (q *ContinuousQuery) fireIncremental() (int, error) {
 			return 0, err
 		}
 	}
-	// Determine per-source consumption.
+	// Determine per-source consumption of the next slide.
 	counts := make([]int, len(q.inputs))
 	for _, qi := range q.inputs {
 		if qi.cur == nil {
 			continue
 		}
-		need := stepSize(qi.spec) - qi.chunkBuffer
-		c, ok := q.consumable(qi, need)
+		c, ok := q.consumable(qi, int(qi.spec.SlideRows)-qi.chunkBuffer)
 		if !ok {
 			return 0, nil
 		}
 		counts[qi.srcIdx] = c
 	}
-
-	// Shared-plan path: when the query's fragment is interned in the
-	// stream's catalog, fire through the registry so each slide's fragment
-	// is evaluated once across all subscribed queries — even a single
-	// buffered slide, and at any parallelism.
-	if frag := q.fragment(); frag != nil {
-		// At Parallelism <= 1 take one slide per firing — same emission
-		// cadence as the sequential private path (one window per fire);
-		// with workers, drain batches exactly like fireIncrementalBatch.
-		kMax := 1
-		if q.rt.Parallelism() > 1 {
-			kMax = q.rt.Parallelism() * 4
-		}
-		if b := q.slidePlan(counts, kMax); b != nil {
-			return q.fireShared(frag, b)
-		}
+	// Without parallel workers take one slide per firing — one window per
+	// fire; with workers, take every buffered slide (in bounded bites of 4x
+	// the worker count) so their per-bw fragments evaluate concurrently. A
+	// chunked query's next slide is partly consumed already, so its slides
+	// do not sit at a fixed stride.
+	kMax := 1
+	if q.rt.Parallelism() > 1 && q.chunker == nil {
+		kMax = q.rt.Parallelism() * 4
 	}
-
-	// Intra-query parallelism: when several complete slides are already
-	// buffered, take them all in one batch so the runtime evaluates their
-	// per-bw fragments concurrently.
-	if b := q.batchableSlides(counts); b != nil {
-		return q.fireIncrementalBatch(b)
-	}
-
-	t0 := time.Now()
-	inputs, err := q.eng.tableInputs(q.prog)
-	if err != nil {
-		return 0, err
-	}
-	// Take the basic-window views under each log's lock, then execute
-	// unlocked: sealed segments are immutable and the tail is append-only,
-	// so the views stay consistent while receptors keep appending — query
-	// processing never blocks ingest. The positional prefix [0, count) is
-	// stable too: only this query's own step (serialized by stepMu) moves
-	// its cursors.
-	newBW := make([][]vector.View, len(q.inputs))
-	for _, qi := range q.inputs {
-		if qi.cur == nil {
-			continue
-		}
-		qi.cur.Lock()
-		newBW[qi.srcIdx] = qi.cur.ViewLocked(0, counts[qi.srcIdx]).ColViews()
-		qi.cur.Unlock()
-	}
-	tbl, stats, err := q.rt.Step(newBW, inputs)
-	if err != nil {
-		return 0, err
-	}
-	for _, qi := range q.inputs {
-		if qi.cur == nil {
-			continue
-		}
-		qi.cur.Lock()
-		// Incremental plans retain state in slots, so processed tuples
-		// expire immediately ("Discarding Input"): a cursor advance —
-		// whole segments are reclaimed once every subscriber passed them.
-		if q.inc.DiscardInput {
-			qi.cur.AdvanceLocked(counts[qi.srcIdx])
-		}
-		if qi.haveBound {
-			qi.boundary += qi.slideMicros()
-		}
-		qi.chunkBuffer = 0
-		qi.cur.Unlock()
-	}
-	stepNS := time.Since(t0).Nanoseconds()
-	q.account(stats, stepNS)
-	if q.chunker != nil {
-		q.chunker.Observe(stats.MainNS + stats.PartitionNS + stats.MergeNS)
-	}
-	if tbl != nil {
-		q.emit(&Result{Window: q.bumpWindows(), Table: tbl, Stats: stats, StepNS: stepNS})
-	}
-	return 1, nil
+	return q.fireSlides(q.slidePlan(counts, kMax))
 }
 
-// slideBatch describes k > 1 buffered slides ready for one StepBatch: for
+// slideBatch describes k >= 1 buffered slides ready to fire together: for
 // every stream source, ends[srcIdx] holds the cumulative tuple count
 // consumed from that source after each slide (ascending, len k) — slide
-// sl's basic window is the cursor-relative range [ends[sl-1], ends[sl]).
+// sl's basic window is the cursor-relative range [start(sl), ends[sl]).
 type slideBatch struct {
 	k    int
 	ends [][]int
 }
 
-// batchableSlides reports the batch of complete window slides that can be
-// taken in one StepBatch right now (nil when only the one-slide path
-// applies). Batching requires parallel workers to profit from, no chunked
-// processing in flight, and discard-on-process cursors (so a slide's views
-// sit at a fixed positional prefix). Two window shapes qualify: pure
-// count-based windows (every slide consumes a fixed count) and pure
-// time-based windows, whose next k slide boundaries are precomputed as
-// successive watermark-closed timestamps — bursty event-time backlogs
-// drain through StepBatch just like count backlogs. The batch is capped at
-// 4x the worker count so a deep backlog drains in bounded bites.
-func (q *ContinuousQuery) batchableSlides(counts []int) *slideBatch {
-	if q.rt.Parallelism() <= 1 || q.chunker != nil || !q.inc.DiscardInput {
-		return nil
+// start is the cursor-relative offset where slide sl of source src begins.
+func (b *slideBatch) start(src, sl int) int {
+	if sl == 0 {
+		return 0
 	}
-	b := q.slidePlan(counts, q.rt.Parallelism()*4)
-	if b == nil || b.k <= 1 {
-		return nil
-	}
-	return b
+	return b.ends[src][sl-1]
 }
 
 // slidePlan computes the batch of up to kMax complete, watermark-closed
-// slides available right now — the common slide accounting of the
-// StepBatch path (which requires k > 1 to profit) and the shared-fragment
-// path (which fires even single slides through the registry). Requires
-// discard-on-process cursors, which both callers guarantee; returns nil
-// for window shapes without precomputable slide ends (landmark, mixed
-// count/time).
+// slides available right now; counts is the next slide's consumption per
+// source (every source has at least that one slide ready). Two window
+// shapes have precomputable slide ends and batch beyond one slide: pure
+// count-based windows (every slide consumes a fixed count) and pure
+// time-based windows, whose next k boundaries are successive
+// watermark-closed timestamps — bursty event-time backlogs drain in
+// batches just like count backlogs. Landmark and mixed count/time shapes
+// fire one slide, built from counts.
 func (q *ContinuousQuery) slidePlan(counts []int, kMax int) *slideBatch {
 	b := &slideBatch{k: kMax, ends: make([][]int, len(q.inputs))}
 	for _, qi := range q.inputs {
@@ -919,7 +721,7 @@ func (q *ContinuousQuery) slidePlan(counts []int, kMax int) *slideBatch {
 			if avail < b.k {
 				b.k = avail
 			}
-		case qi.spec.Kind == sql.TimeWindow && qi.spec.SlideDur > 0 && qi.haveBound:
+		case qi.spec.Kind == sql.TimeWindow && qi.spec.SlideDur > 0:
 			// Precompute the successive basic-window boundaries the
 			// watermark already closes; each CountUntil is the cumulative
 			// consumption after that slide.
@@ -939,13 +741,8 @@ func (q *ContinuousQuery) slidePlan(counts []int, kMax int) *slideBatch {
 			}
 			b.ends[qi.srcIdx] = ends
 		default:
-			// Landmark and mixed count/time shapes keep per-slide
-			// accounting the one-slide path owns.
-			return nil
+			b.k = 1
 		}
-	}
-	if b.k < 1 {
-		return nil
 	}
 	for _, qi := range q.inputs {
 		if qi.cur == nil {
@@ -965,145 +762,104 @@ func (q *ContinuousQuery) slidePlan(counts []int, kMax int) *slideBatch {
 	return b
 }
 
-// fireIncrementalBatch executes the buffered slides of a slideBatch in one
-// runtime batch. Views for slide sl are taken at the cursor-relative range
-// [ends[sl-1], ends[sl]) under each log's lock and evaluated unlocked,
-// exactly like the one-slide path; the cursors advance once by the whole
-// batch afterwards and time-window boundaries jump k slides forward.
-func (q *ContinuousQuery) fireIncrementalBatch(b *slideBatch) (int, error) {
-	k := b.k
-	t0 := time.Now()
-	inputs, err := q.eng.tableInputs(q.prog)
-	if err != nil {
-		return 0, err
-	}
-	slides := make([][][]vector.View, k)
-	for sl := range slides {
-		slides[sl] = make([][]vector.View, len(q.inputs))
+// slideViews takes the basic-window views of the listed slides under each
+// log's lock; they are then read unlocked: sealed segments are immutable
+// and the tail is append-only, so the views stay consistent while receptors
+// keep appending — query processing never blocks ingest. The positional
+// ranges are stable too: only this query's own firing (serialized by
+// stepMu) moves its cursors. views[i][srcIdx] belongs to slide which[i].
+func (q *ContinuousQuery) slideViews(b *slideBatch, which []int) [][][]vector.View {
+	views := make([][][]vector.View, len(which))
+	for i := range views {
+		views[i] = make([][]vector.View, len(q.inputs))
 	}
 	for _, qi := range q.inputs {
 		if qi.cur == nil {
 			continue
 		}
-		ends := b.ends[qi.srcIdx]
 		qi.cur.Lock()
-		start := 0
-		for sl := 0; sl < k; sl++ {
-			slides[sl][qi.srcIdx] = qi.cur.ViewLocked(start, ends[sl]).ColViews()
-			start = ends[sl]
+		for i, sl := range which {
+			views[i][qi.srcIdx] = qi.cur.ViewLocked(b.start(qi.srcIdx, sl), b.ends[qi.srcIdx][sl]).ColViews()
 		}
 		qi.cur.Unlock()
 	}
-	results, err := q.rt.StepBatch(slides, inputs)
-	if err != nil {
-		return 0, err
-	}
-	for _, qi := range q.inputs {
-		if qi.cur == nil {
-			continue
-		}
-		ends := b.ends[qi.srcIdx]
-		qi.cur.Lock()
-		// batchableSlides already required DiscardInput.
-		qi.cur.AdvanceLocked(ends[k-1])
-		if qi.haveBound {
-			qi.boundary += int64(k) * qi.slideMicros()
-		}
-		qi.cur.Unlock()
-	}
-	q.statsMu.Lock()
-	q.batchedSlides += int64(k)
-	q.statsMu.Unlock()
-	stepNS := time.Since(t0).Nanoseconds() / int64(k)
-	for _, r := range results {
-		q.account(r.Stats, stepNS)
-		if r.Table != nil {
-			q.emit(&Result{Window: q.bumpWindows(), Table: r.Table, Stats: r.Stats, StepNS: stepNS})
-		}
-	}
-	return k, nil
+	return views
 }
 
-// fireShared executes the buffered slides of a slideBatch through the
-// stream's shared-plan catalog. For each slide the query claims the
-// absolute log range in the fragment registry: the first claimant (leader)
-// evaluates the fragment and publishes the slot file; every other
-// subscriber adopts the published file without re-evaluating. Leaders
-// publish ALL their owed partials — success or abort — before waiting on
-// any adopted slide, so cross-query waits can never cycle. The merge tail
-// stays private per query (StepFiles), so results are bit-identical to
-// private evaluation, including float accumulation order.
-func (q *ContinuousQuery) fireShared(frag *sharedFragment, b *slideBatch) (int, error) {
+// fireSlides fires the buffered slides of a slideBatch — the one function
+// that drives core.Runtime through incremental slides:
+//
+//	plan slides → claim → eval → publish → adopt → apply → emit
+//
+// With a shared fragment (q.frag) the query claims each slide's absolute
+// log range in the stream's catalog: the first claimant (leader) evaluates
+// the fragment and publishes the slot file, every other subscriber adopts
+// it without re-evaluating. Without one, every slide is led privately and
+// nothing is published. Merge tails (q.tail) exchange each closed window's
+// grouped head the same way, from inside the apply stage. Results are
+// bit-identical whichever query computed a partial, including float
+// accumulation order. See partialCache for why the waits cannot deadlock.
+func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 	k := b.k
 	t0 := time.Now()
 	inputs, err := q.eng.tableInputs(q.prog)
 	if err != nil {
 		return 0, err
 	}
-	qi := q.inputs[0] // sharing eligibility requires a single stream source
-	ends := b.ends[qi.srcIdx]
-
-	qi.cur.Lock()
-	base := qi.cur.PosLocked()
-	qi.cur.Unlock()
+	frag, tail := q.sharing()
 
 	// Claim every slide's range up front so our leadership set is fixed
-	// before any evaluation or waiting happens.
-	partials := make([]*fragPartial, k)
+	// before any evaluation or waiting happens. claims[sl] is nil for a
+	// slide led privately; lead[sl] is false for a slide to adopt.
+	claims := make([]*partial[core.SlotFile], k)
 	lead := make([]bool, k)
-	published := make([]bool, k)
-	for sl := 0; sl < k; sl++ {
-		lo := int64(0)
-		if sl > 0 {
-			lo = int64(ends[sl-1])
+	var base int64 // absolute log position of the shared source's cursor
+	var ends []int
+	if frag != nil {
+		qi := q.inputs[0] // sharing eligibility requires a single stream source
+		ends = b.ends[qi.srcIdx]
+		qi.cur.Lock()
+		base = qi.cur.PosLocked()
+		qi.cur.Unlock()
+		for sl := range claims {
+			claims[sl], lead[sl] = frag.acquire(base+int64(b.start(qi.srcIdx, sl)), base+int64(ends[sl]))
 		}
-		partials[sl], lead[sl] = frag.acquire(base+lo, base+int64(ends[sl]))
-	}
-	// Whatever happens below, owed partials must be released: followers of
-	// an aborted leader recompute privately instead of hanging.
-	defer func() {
-		for sl := range partials {
-			if lead[sl] && partials[sl] != nil && !published[sl] {
-				partials[sl].publish(nil, errFragmentAborted)
+		// Whatever happens below, owed partials must be released: followers
+		// of an aborted leader recompute privately instead of hanging.
+		defer func() {
+			for sl, p := range claims {
+				if lead[sl] && p != nil {
+					p.publish(nil, errPartialAborted)
+				}
 			}
+		}()
+	} else {
+		for sl := range lead {
+			lead[sl] = true
 		}
-	}()
+	}
 
 	// Merge-tail sharing: claim the head of every window this batch closes.
-	// Leaders publish from inside the merge (the Publish hook below) the
-	// moment the grouped block completes; followers block in Fetch. The
-	// exchange is deadlock-free because StepFilesTail processes slides in
-	// ascending window-end order and leadership is fixed here, up front: a
-	// query waiting at end E has already published every head it leads
-	// below E, and the leader it waits on is either past E or below it and
-	// descending waits cannot cycle. All fragment partials are published
-	// before any tail runs (leaders publish theirs right after EvalFragments
-	// below, and the deferred abort above covers errors), so a tail wait can
-	// never hold up a fragment wait either.
+	// Leaders publish from inside the merge (the Publish hook) the moment
+	// the grouped block completes; followers block in Fetch.
 	var tails []*core.TailExchange
-	var tailWait []int64 // per-slide adoption wait (ns), written in Fetch
-	var tailAdopt []bool // slide adopted a shared head
-	var tailPub []bool   // led slide published (success or abort)
-	var tailParts []*tailPartial
-	var tailLead []bool
-	tail := q.mergeTail()
+	var tailWait []int64           // per-slide adoption wait (ns), written in Fetch
+	var tailAdopted, tailLed int64 // window merges adopted vs led
 	if tail != nil {
 		tails = make([]*core.TailExchange, k)
 		tailWait = make([]int64, k)
-		tailAdopt = make([]bool, k)
-		tailPub = make([]bool, k)
-		tailParts = make([]*tailPartial, k)
-		tailLead = make([]bool, k)
-		for sl := 0; sl < k; sl++ {
-			sl := sl
-			p, ld := tail.acquire(base + int64(ends[sl]))
-			tailParts[sl], tailLead[sl] = p, ld
-			if ld {
+		owed := make([]*partial[*core.MergeHead], 0, k)
+		for sl := range tails {
+			p, led := tail.acquire(base+int64(ends[sl]), 0)
+			if led {
+				owed = append(owed, p)
 				tails[sl] = &core.TailExchange{Publish: func(h *core.MergeHead, err error) {
-					if !tailPub[sl] {
-						tailPub[sl] = true
-						p.publish(h, err)
+					if h == nil && err == nil {
+						// Nothing merged (window still filling) or the head
+						// was not capturable: followers merge privately.
+						err = errPartialAborted
 					}
+					p.publish(h, err)
 				}}
 			} else {
 				tails[sl] = &core.TailExchange{Fetch: func() (*core.MergeHead, error) {
@@ -1111,64 +867,41 @@ func (q *ContinuousQuery) fireShared(frag *sharedFragment, b *slideBatch) (int, 
 					p.wait()
 					tailWait[sl] = time.Since(tw).Nanoseconds()
 					if p.err == nil {
-						tailAdopt[sl] = true
+						tailAdopted++
 					}
-					return p.head, p.err
+					return p.val, p.err
 				}}
 			}
 		}
+		tailLed = int64(len(owed))
 		// Owed heads must be released even if the step errors out mid-batch.
 		defer func() {
-			for sl := range tailParts {
-				if tailLead[sl] && !tailPub[sl] {
-					tailPub[sl] = true
-					tailParts[sl].publish(nil, errTailAborted)
-				}
+			for _, p := range owed {
+				p.publish(nil, errPartialAborted)
 			}
 		}()
 	}
 
-	// Evaluate the slides this query leads (including end-mismatch slides
-	// it computes privately), in slide order so partials are bit-identical
-	// to the private StepBatch path.
-	nLead := 0
-	for sl := 0; sl < k; sl++ {
+	// Evaluate the slides this query leads (including extent-mismatch slides
+	// it computes privately) in one fan-out, and publish them.
+	files := make([][]core.SlotFile, k)
+	var evalNS int64
+	led := make([]int, 0, k)
+	for sl := range lead {
 		if lead[sl] {
-			nLead++
+			led = append(led, sl)
 		}
 	}
-	files := make([]core.SlotFile, k)
-	sharedMask := make([]bool, k)
-	var evalNS int64
-	if nLead > 0 {
-		views := make([][]vector.View, 0, nLead)
-		qi.cur.Lock()
-		for sl := 0; sl < k; sl++ {
-			if !lead[sl] {
-				continue
-			}
-			lo := 0
-			if sl > 0 {
-				lo = ends[sl-1]
-			}
-			views = append(views, qi.cur.ViewLocked(lo, ends[sl]).ColViews())
-		}
-		qi.cur.Unlock()
-		led, ns, err := q.rt.EvalFragments(views, inputs)
+	if len(led) > 0 {
+		out, ns, err := q.rt.EvalFragments(q.slideViews(b, led), inputs)
 		if err != nil {
 			return 0, err
 		}
 		evalNS = ns
-		fi := 0
-		for sl := 0; sl < k; sl++ {
-			if !lead[sl] {
-				continue
-			}
-			files[sl] = led[fi]
-			fi++
-			if partials[sl] != nil {
-				partials[sl].publish(files[sl], nil)
-				published[sl] = true
+		for i, sl := range led {
+			files[sl] = out[i]
+			if claims[sl] != nil {
+				claims[sl].publish(out[i][0], nil)
 			}
 		}
 	}
@@ -1176,25 +909,18 @@ func (q *ContinuousQuery) fireShared(frag *sharedFragment, b *slideBatch) (int, 
 	// Adopt the slides another query leads. All our own partials are
 	// published by now, so blocking here cannot deadlock the catalog.
 	var waitNS int64
-	nShared := 0
-	for sl := 0; sl < k; sl++ {
+	adopted := make([]bool, k)
+	nAdopted := 0
+	for sl, p := range claims {
 		if lead[sl] {
 			continue
 		}
 		tw := time.Now()
-		p := partials[sl]
 		p.wait()
 		waitNS += time.Since(tw).Nanoseconds()
 		if p.err != nil {
 			// The leader aborted; fall back to evaluating privately.
-			lo := 0
-			if sl > 0 {
-				lo = ends[sl-1]
-			}
-			qi.cur.Lock()
-			view := qi.cur.ViewLocked(lo, ends[sl]).ColViews()
-			qi.cur.Unlock()
-			own, ns, err := q.rt.EvalFragments([][]vector.View{view}, inputs)
+			own, ns, err := q.rt.EvalFragments(q.slideViews(b, []int{sl}), inputs)
 			if err != nil {
 				return 0, err
 			}
@@ -1202,62 +928,79 @@ func (q *ContinuousQuery) fireShared(frag *sharedFragment, b *slideBatch) (int, 
 			files[sl] = own[0]
 			continue
 		}
-		files[sl] = p.file
-		sharedMask[sl] = true
-		nShared++
+		files[sl] = []core.SlotFile{p.val}
+		adopted[sl] = true
+		nAdopted++
 	}
 
-	results, err := q.rt.StepFilesTail(files, sharedMask, evalNS, inputs, tails)
+	// Apply: the serial tail of every slide, in order. The fragment cost is
+	// spread evenly over the slides this query evaluated itself.
+	fragNS := make([]int64, k)
+	for sl := range fragNS {
+		if !adopted[sl] {
+			fragNS[sl] = evalNS / int64(k-nAdopted)
+		}
+	}
+	results, err := q.rt.Apply(files, fragNS, inputs, tails)
 	if err != nil {
 		return 0, err
 	}
-	qi.cur.Lock()
-	// Sharing eligibility already required DiscardInput.
-	qi.cur.AdvanceLocked(ends[k-1])
-	if qi.haveBound {
-		qi.boundary += int64(k) * qi.slideMicros()
-	}
-	qi.cur.Unlock()
-	frag.consumedTo(q, base+int64(ends[k-1]))
 
-	nTailAdopt := int64(0)
-	nTailLed := int64(0)
+	// Incremental plans retain state in slots, so processed tuples expire
+	// immediately (the paper's "Discarding Input"): one cursor advance past
+	// the whole batch — whole segments are reclaimed once every subscriber
+	// passed them — and time-window boundaries jump k slides forward.
+	for _, qi := range q.inputs {
+		if qi.cur == nil {
+			continue
+		}
+		qi.cur.Lock()
+		qi.cur.AdvanceLocked(b.ends[qi.srcIdx][k-1])
+		if qi.haveBound {
+			qi.boundary += int64(k) * qi.slideMicros()
+		}
+		qi.chunkBuffer = 0
+		qi.cur.Unlock()
+	}
+	if frag != nil {
+		frag.consumedTo(q, base+int64(ends[k-1]))
+	}
 	if tail != nil {
 		tail.consumedTo(q, base+int64(ends[k-1])+1)
-		for sl := 0; sl < k; sl++ {
-			if tailAdopt[sl] {
-				nTailAdopt++
-			} else if tailLead[sl] {
-				nTailLed++
-			}
-		}
 	}
 
 	q.statsMu.Lock()
 	if k > 1 {
-		q.batchedSlides += int64(k)
+		q.stats.BatchedSlides += int64(k)
 	}
-	q.sharedSlides += int64(nShared)
-	q.leadSlides += int64(k - nShared)
-	q.tailAdopted += nTailAdopt
-	q.tailLed += nTailLed
+	if frag != nil {
+		q.stats.AdoptedSlides += int64(nAdopted)
+		q.stats.LedSlides += int64(k - nAdopted)
+	}
+	q.stats.AdoptedTails += tailAdopted
+	q.stats.LedTails += tailLed
 	q.statsMu.Unlock()
 	stepNS := time.Since(t0).Nanoseconds() / int64(k)
-	for i := range results {
-		if sharedMask[i] && nShared > 0 {
-			results[i].Stats.SharedNS = waitNS / int64(nShared)
+	for sl := range results {
+		st := &results[sl].Stats
+		st.TotalNS = stepNS
+		if adopted[sl] {
+			st.SharedNS = waitNS / int64(nAdopted)
 		}
-		if tailWait != nil && tailWait[i] > 0 {
+		if tailWait != nil && tailWait[sl] > 0 {
 			// The adoption wait ran inside the merge; reattribute it from
 			// the merge lump to shared time so stage sums stay meaningful.
-			if results[i].Stats.MergeNS > tailWait[i] {
-				results[i].Stats.MergeNS -= tailWait[i]
+			if st.MergeNS > tailWait[sl] {
+				st.MergeNS -= tailWait[sl]
 			}
-			results[i].Stats.SharedNS += tailWait[i]
+			st.SharedNS += tailWait[sl]
 		}
-		q.account(results[i].Stats, stepNS)
-		if results[i].Table != nil {
-			q.emit(&Result{Window: q.bumpWindows(), Table: results[i].Table, Stats: results[i].Stats, StepNS: stepNS})
+		q.account(*st)
+		if q.chunker != nil {
+			q.chunker.Observe(st.MainNS + st.PartitionNS + st.MergeNS)
+		}
+		if results[sl].Table != nil {
+			q.emit(&Result{Window: q.bumpWindows(), Table: results[sl].Table, Stats: *st})
 		}
 	}
 	return k, nil
@@ -1288,7 +1031,7 @@ func (q *ContinuousQuery) pumpChunks() error {
 	for {
 		remaining := w - qi.chunkBuffer
 		if remaining <= chunk {
-			return nil // final piece handled by Step
+			return nil // final piece handled by fireSlides
 		}
 		qi.cur.Lock()
 		if qi.cur.LenLocked() < chunk {
@@ -1304,11 +1047,9 @@ func (q *ContinuousQuery) pumpChunks() error {
 		if err := q.rt.PushChunk(qi.srcIdx, view, inputs); err != nil {
 			return err
 		}
-		if q.inc.DiscardInput {
-			qi.cur.Lock()
-			qi.cur.AdvanceLocked(chunk)
-			qi.cur.Unlock()
-		}
+		qi.cur.Lock()
+		qi.cur.AdvanceLocked(chunk)
+		qi.cur.Unlock()
 		qi.chunkBuffer += chunk
 	}
 }
@@ -1432,15 +1173,15 @@ func (q *ContinuousQuery) fireReevaluation() (int, error) {
 		return 1, nil
 	}
 	stepNS := time.Since(t0).Nanoseconds()
-	stats := core.StepStats{MainNS: stepNS, Emitted: true, ResultRows: tbl.NumRows()}
+	stats := core.StepStats{MainNS: stepNS, TotalNS: stepNS, Emitted: true, ResultRows: tbl.NumRows()}
 	if split {
 		// The split run knows its own stage boundary: the parallel per-part
 		// scan is fragment work, the serial combine is merge work.
 		stats.MainNS = splitStats.PartialNS
 		stats.MergeNS = splitStats.CombineNS
 	}
-	q.account(stats, stepNS)
-	q.emit(&Result{Window: q.bumpWindows(), Table: tbl, Stats: stats, StepNS: stepNS})
+	q.account(stats)
+	q.emit(&Result{Window: q.bumpWindows(), Table: tbl, Stats: stats})
 	return 1, nil
 }
 
@@ -1469,16 +1210,9 @@ func splitColParts(cols []vector.View) [][]vector.View {
 	return parts
 }
 
-func (q *ContinuousQuery) account(stats core.StepStats, stepNS int64) {
+// account adds one step's stage clock to the query's cumulative stats.
+func (q *ContinuousQuery) account(stats core.StepStats) {
 	q.statsMu.Lock()
-	q.mainNS += stats.MainNS
-	q.sharedNS += stats.SharedNS
-	q.scatterNS += stats.ScatterNS
-	q.partNS += stats.PartitionNS
-	q.stitchNS += stats.StitchNS
-	q.mergeNS += stats.MergeNS
-	q.joinNS += stats.JoinNS
-	q.buildsReused += stats.BuildsReused
-	q.totalNS += stepNS
+	q.stats.StepStats.Add(stats)
 	q.statsMu.Unlock()
 }

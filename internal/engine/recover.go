@@ -157,7 +157,7 @@ func (e *Engine) recoverStream(name string, schema catalog.Schema) error {
 	e.streams[name] = &streamInfo{
 		schema:    schema,
 		log:       log,
-		frags:     newFragmentRegistry(),
+		shares:    newShareRegistry(),
 		watermark: wm,
 		appended:  log.Appended(),
 	}
@@ -170,16 +170,12 @@ func (e *Engine) recoverStream(name string, schema catalog.Schema) error {
 // history. onResult receives the replayed and all future window results.
 func (e *Engine) RegisterRecovered(def storage.QueryDef, onResult func(*Result)) (*ContinuousQuery, error) {
 	opts := Options{
-		Mode:              Mode(def.Mode),
-		AutoThreshold:     def.AutoThreshold,
-		Chunks:            def.Chunks,
-		AdaptiveChunks:    def.AdaptiveChunks,
-		Parallelism:       def.Parallelism,
-		SerialMergeInstr:  def.SerialMergeInstr,
-		PrivateFragments:  def.PrivateFragments,
-		PrivateMergeTails: def.PrivateMergeTails,
-		PrivateJoinPlan:   def.PrivateJoinPlan,
-		OnResult:          onResult,
+		Mode:           Mode(def.Mode),
+		AutoThreshold:  def.AutoThreshold,
+		Chunks:         def.Chunks,
+		AdaptiveChunks: def.AdaptiveChunks,
+		Parallelism:    def.Parallelism,
+		OnResult:       onResult,
 	}
 	return e.register(def.SQL, opts, def.Start, def.Seq)
 }

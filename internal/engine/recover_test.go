@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"sort"
@@ -300,6 +301,65 @@ func TestRecoverSeqStability(t *testing.T) {
 	if q3.ID == q1.ID || q3.ID == q2.ID {
 		t.Fatalf("new id %s collides with crashed-run ids %s/%s", q3.ID, q1.ID, q2.ID)
 	}
+}
+
+// TestRecoverOldManifestKeys: a MANIFEST.json written before the four
+// per-query baseline switches were dropped from QueryDef still opens; the
+// stale keys are ignored and the recovered query replays bit-identically
+// (the switches never changed a result, only how it was computed).
+func TestRecoverOldManifestKeys(t *testing.T) {
+	root := t.TempDir()
+	e1, d1 := openStoreEngine(t, root, 64)
+	registerIntStream(t, e1, "s")
+	var c1 collector
+	if _, err := e1.Register(recCountQ, Options{Mode: Incremental, OnResult: c1.add}); err != nil {
+		t.Fatal(err)
+	}
+	feedDet(t, e1, 0, 300, 23)
+	if len(c1.results) == 0 {
+		t.Fatal("pre-crash run produced no windows")
+	}
+	_ = d1.Close()
+
+	// Rewrite the manifest as the old engine would have journaled a query
+	// registered with every switch set.
+	path := filepath.Join(root, "MANIFEST.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man map[string]any
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	def := man["queries"].([]any)[0].(map[string]any)
+	for _, key := range []string{"private_fragments", "private_merge_tails", "private_join_plan", "serial_merge_instr"} {
+		def[key] = true
+	}
+	if raw, err = json.Marshal(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2, d2 := openStoreEngine(t, root, 64)
+	defer d2.Close()
+	defs, err := e2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(defs) != 1 || defs[0].SQL != recCountQ {
+		t.Fatalf("recovered defs %+v, want the one count query", defs)
+	}
+	var r1 collector
+	if _, err := e2.RegisterRecovered(defs[0], r1.add); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e2.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	requireSameResults(t, "replay from an old manifest", c1.results, r1.results)
 }
 
 // TestRecoverEmptyDir: recovering a fresh directory is a no-op and the

@@ -244,7 +244,7 @@ func TestCloseFromResultCallback(t *testing.T) {
 
 // TestSchedulerConcurrentAppendsAndReaders is the -race stress test:
 // several goroutines append while the scheduler runs and readers poll
-// Windows/CostBreakdown, with a synchronous Pump racing the workers too.
+// Windows/Stats, with a synchronous Pump racing the workers too.
 func TestSchedulerConcurrentAppendsAndReaders(t *testing.T) {
 	e := schedEngine(t)
 	q1, err := e.Register(`SELECT x1, sum(x2) FROM s [RANGE 8 SLIDE 4] GROUP BY x1`, Options{})
@@ -285,8 +285,8 @@ func TestSchedulerConcurrentAppendsAndReaders(t *testing.T) {
 				default:
 				}
 				_ = q1.Windows()
-				_, _, _ = q1.CostBreakdown()
-				_, _, _ = q2.CostBreakdown()
+				_ = q1.Stats()
+				_ = q2.Stats()
 				_ = e.Err()
 			}
 		}()

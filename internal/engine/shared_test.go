@@ -77,8 +77,8 @@ func feedSharedMix(t *testing.T, e *Engine, seed int64, total, batch int) {
 // runSharedMix executes the 64-query workload and returns each query's
 // concatenated window results as canonical strings (row order preserved:
 // the comparison is bit-exact, not set-based) plus the total adopted
-// slide count across all queries.
-func runSharedMix(t *testing.T, par int, private bool, pumpPar int) ([]string, int64) {
+// slide and adopted merge-head counts across all queries.
+func runSharedMix(t *testing.T, par int, baseline bool, pumpPar int) (keys []string, slides, tails int64) {
 	t.Helper()
 	e := sharedTestEngine(t)
 	e.streamLog("f").SetSealRows(96) // slides span segment boundaries
@@ -89,7 +89,7 @@ func runSharedMix(t *testing.T, par int, private bool, pumpPar int) ([]string, i
 		cols[i] = &collector{}
 		q, err := e.Register(sql, Options{
 			Mode: Incremental, Parallelism: par,
-			PrivateFragments: private, OnResult: cols[i].add,
+			Baseline: baseline, OnResult: cols[i].add,
 		})
 		if err != nil {
 			t.Fatalf("register %q: %v", sql, err)
@@ -106,8 +106,7 @@ func runSharedMix(t *testing.T, par int, private bool, pumpPar int) ([]string, i
 	if err != nil {
 		t.Fatal(err)
 	}
-	keys := make([]string, len(queries))
-	var adopted int64
+	keys = make([]string, len(queries))
 	for i, c := range cols {
 		if len(c.results) == 0 {
 			t.Fatalf("query %d (%s) produced no windows", i, queries[i])
@@ -118,24 +117,27 @@ func runSharedMix(t *testing.T, par int, private bool, pumpPar int) ([]string, i
 			sb.WriteByte('|')
 		}
 		keys[i] = sb.String()
-		a, _ := regs[i].SharedSlides()
-		adopted += a
+		st := regs[i].Stats()
+		slides += st.AdoptedSlides
+		tails += st.AdoptedTails
 	}
-	return keys, adopted
+	return keys, slides, tails
 }
 
 // TestSharedParityMixedWorkload is the acceptance harness: a 64-query
-// mixed workload must produce bit-identical results with fragment sharing
-// on and off, at parallelism 1 and 4, across segment seal boundaries.
+// mixed workload must produce bit-identical results with the shared-plan
+// catalog (fragments and merge tails; the mix holds same-head cliques that
+// differ only in their HAVING constant, and float sums) and as Baseline, at
+// parallelism 1 and 4, across segment seal boundaries.
 func TestSharedParityMixedWorkload(t *testing.T) {
-	baseline, privAdopted := runSharedMix(t, 1, true, 1)
-	if privAdopted != 0 {
-		t.Fatalf("private baseline adopted %d shared slides", privAdopted)
+	baseline, slides, tails := runSharedMix(t, 1, true, 1)
+	if slides != 0 || tails != 0 {
+		t.Fatalf("baseline adopted %d shared slides, %d merge heads", slides, tails)
 	}
 	for _, par := range []int{1, 4} {
-		shared, adopted := runSharedMix(t, par, false, 1)
-		if adopted == 0 {
-			t.Fatalf("parallelism %d: sharing never engaged", par)
+		shared, slides, tails := runSharedMix(t, par, false, 1)
+		if slides == 0 || tails == 0 {
+			t.Fatalf("parallelism %d: sharing never engaged (%d slides, %d heads adopted)", par, slides, tails)
 		}
 		for i := range baseline {
 			if shared[i] != baseline[i] {
@@ -151,10 +153,10 @@ func TestSharedParityMixedWorkload(t *testing.T) {
 // (exercised under -race in CI); results must still match the private
 // sequential baseline exactly.
 func TestSharedParityConcurrentPump(t *testing.T) {
-	baseline, _ := runSharedMix(t, 1, true, 1)
-	shared, adopted := runSharedMix(t, 2, false, 4)
-	if adopted == 0 {
-		t.Fatal("sharing never engaged under concurrent pump")
+	baseline, _, _ := runSharedMix(t, 1, true, 1)
+	shared, slides, tails := runSharedMix(t, 2, false, 4)
+	if slides == 0 || tails == 0 {
+		t.Fatalf("sharing never engaged under concurrent pump (%d slides, %d heads adopted)", slides, tails)
 	}
 	for i := range baseline {
 		if shared[i] != baseline[i] {
@@ -185,15 +187,19 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := e.fragmentsOf("f")
-	if got := reg.size(); got != 2 {
-		t.Fatalf("registry holds %d fragments, want 2 (one shared clique + one scalar)", got)
+	reg := e.sharesOf("f")
+	// Two fragments (the q1+q2 clique, the scalar) and two merge tails: the
+	// clique's window lengths differ, the scalar has no grouped head.
+	if got := reg.size(); got != 4 {
+		t.Fatalf("registry holds %d caches, want 4 (2 fragments + 2 tails)", got)
 	}
-	sf := q1.fragment()
-	if sf == nil || sf != q2.fragment() {
+	sf, _ := q1.sharing()
+	sf2, _ := q2.sharing()
+	sf3, _ := q3.sharing()
+	if sf == nil || sf != sf2 {
 		t.Fatal("q1 and q2 must intern the same fragment")
 	}
-	if sf == q3.fragment() {
+	if sf == sf3 {
 		t.Fatal("different slide must not share a fragment")
 	}
 	if got := sf.subscribers(); got != 2 {
@@ -208,7 +214,7 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	if _, err := e.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	if a, _ := q2.SharedSlides(); a == 0 {
+	if q2.Stats().AdoptedSlides == 0 {
 		t.Fatal("q2 never adopted a shared slide")
 	}
 	if got := sf.cached(); got != 0 {
@@ -218,13 +224,13 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	if got := sf.subscribers(); got != 1 {
 		t.Fatalf("fragment has %d subscribers after deregister, want 1", got)
 	}
-	if q2.fragment() != nil {
+	if f, tl := q2.sharing(); f != nil || tl != nil {
 		t.Fatal("deregistered query still holds its fragment")
 	}
 
-	// The survivor keeps producing correct results against a private twin.
+	// The survivor keeps producing correct results against a Baseline twin.
 	var ref collector
-	if _, err := e.Register(sql1, Options{Mode: Incremental, PrivateFragments: true, OnResult: ref.add}); err != nil {
+	if _, err := e.Register(sql1, Options{Mode: Incremental, Baseline: true, OnResult: ref.add}); err != nil {
 		t.Fatal(err)
 	}
 	before := len(c1.results)
@@ -250,75 +256,11 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 		}
 	}
 
-	// Last subscribers out: the fragments disappear from the registry (the
-	// PrivateFragments twin never attached, so nothing is left behind).
+	// Last subscribers out: the caches disappear from the registry (the
+	// Baseline twin never attached, so nothing is left behind).
 	e.Deregister(q1)
 	e.Deregister(q3)
 	if got := reg.size(); got != 0 {
-		t.Fatalf("registry holds %d fragments after deregistering every subscriber, want 0", got)
-	}
-}
-
-// TestSharedTimeWindowParity runs sharing over time-based windows with
-// ragged, bursty event-time slides closed by watermarks.
-func TestSharedTimeWindowParity(t *testing.T) {
-	const query = `SELECT x1, sum(x3) FROM f [RANGE 3 SECONDS SLIDE 1 SECONDS] GROUP BY x1`
-	run := func(private bool, par int) []string {
-		e := sharedTestEngine(t)
-		e.streamLog("f").SetSealRows(64)
-		var c1, c2 collector
-		if _, err := e.Register(query, Options{Mode: Incremental, Parallelism: par, PrivateFragments: private, OnResult: c1.add}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Register(query+` HAVING sum(x3) > 50`, Options{Mode: Incremental, Parallelism: par, PrivateFragments: private, OnResult: c2.add}); err != nil {
-			t.Fatal(err)
-		}
-		rng := rand.New(rand.NewSource(99))
-		ts := int64(5000)
-		for burst := 0; burst < 30; burst++ {
-			m := rng.Intn(40)
-			if m > 0 {
-				x1 := make([]int64, m)
-				x2 := make([]int64, m)
-				x3 := make([]float64, m)
-				tss := make([]int64, m)
-				for i := range x1 {
-					x1[i] = rng.Int63n(4)
-					x2[i] = rng.Int63n(50)
-					x3[i] = rng.Float64() * 10
-					ts += rng.Int63n(80_000)
-					tss[i] = ts
-				}
-				cols := []*vector.Vector{vector.FromInt64(x1), vector.FromInt64(x2), vector.FromFloat64(x3)}
-				if err := e.AppendColumns("f", cols, tss); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ts += 200_000 + rng.Int63n(1_400_000)
-		}
-		if err := e.SetWatermark("f", ts+100_000); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.Pump(); err != nil {
-			t.Fatal(err)
-		}
-		out := make([]string, 0, len(c1.results)+len(c2.results))
-		for _, r := range c1.results {
-			out = append(out, "a:"+tableKey(r.Table, false))
-		}
-		for _, r := range c2.results {
-			out = append(out, "b:"+tableKey(r.Table, false))
-		}
-		return out
-	}
-	want := run(true, 1)
-	if len(want) == 0 {
-		t.Fatal("no windows")
-	}
-	for _, par := range []int{1, 4} {
-		got := run(false, par)
-		if strings.Join(got, "\n") != strings.Join(want, "\n") {
-			t.Fatalf("time-window sharing parity broken at parallelism %d", par)
-		}
+		t.Fatalf("registry holds %d caches after deregistering every subscriber, want 0", got)
 	}
 }

@@ -28,26 +28,25 @@ func TestSharedTailLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qPriv, err := e.Register(sqlA, Options{Mode: Incremental, PrivateMergeTails: true})
+	qBase, err := e.Register(sqlA, Options{Mode: Incremental, Baseline: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	st := qA.mergeTail()
-	if st == nil || st != qB.mergeTail() {
+	_, st := qA.sharing()
+	_, stB := qB.sharing()
+	_, stN := qN.sharing()
+	if st == nil || st != stB {
 		t.Fatal("qA and qB must intern the same merge tail")
 	}
-	if qN.mergeTail() == st {
+	if stN == st {
 		t.Fatal("different window length must not share a merge tail")
 	}
-	if qN.mergeTail() == nil {
+	if stN == nil {
 		t.Fatal("qN should intern its own merge tail")
 	}
-	if qPriv.mergeTail() != nil {
-		t.Fatal("PrivateMergeTails query must not attach a tail")
-	}
-	if qPriv.fragment() == nil {
-		t.Fatal("PrivateMergeTails must leave fragment sharing on")
+	if f, tl := qBase.sharing(); f != nil || tl != nil {
+		t.Fatal("Baseline query must attach neither a fragment nor a tail")
 	}
 	if got := st.subscribers(); got != 2 {
 		t.Fatalf("tail has %d subscribers, want 2", got)
@@ -55,24 +54,24 @@ func TestSharedTailLifecycle(t *testing.T) {
 	if ex := qA.Explain(); !strings.Contains(ex, "merge shared×2") {
 		t.Errorf("Explain misses merge tail sharing:\n%s", ex)
 	}
-	if ex := qPriv.Explain(); !strings.Contains(ex, "merge tail: private") {
-		t.Errorf("Explain misses private merge tail:\n%s", ex)
+	if ex := qBase.Explain(); !strings.Contains(ex, "fragment sharing: off") {
+		t.Errorf("Explain misses the Baseline query's private evaluation:\n%s", ex)
 	}
 
 	feedSharedMix(t, e, 11, 2048, 256)
 	if _, err := e.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	aA, lA := qA.SharedTails()
-	aB, lB := qB.SharedTails()
-	if aA+aB == 0 {
-		t.Fatalf("no merge head was ever adopted (qA %d/%d, qB %d/%d)", aA, lA, aB, lB)
+	sA, sB := qA.Stats(), qB.Stats()
+	if sA.AdoptedTails+sB.AdoptedTails == 0 {
+		t.Fatalf("no merge head was ever adopted (qA %d/%d, qB %d/%d)",
+			sA.AdoptedTails, sA.LedTails, sB.AdoptedTails, sB.LedTails)
 	}
-	if lA+lB == 0 {
+	if sA.LedTails+sB.LedTails == 0 {
 		t.Fatal("no merge head was ever led")
 	}
-	if a, l := qPriv.SharedTails(); a != 0 || l != 0 {
-		t.Fatalf("private query touched the tail catalog (%d adopted, %d led)", a, l)
+	if s := qBase.Stats(); s.AdoptedTails != 0 || s.LedTails != 0 || s.AdoptedSlides != 0 || s.LedSlides != 0 {
+		t.Fatalf("Baseline query touched the catalog: %+v", s)
 	}
 	if got := st.cached(); got != 0 {
 		t.Fatalf("%d heads cached after full drain (prune failed)", got)
@@ -99,89 +98,13 @@ func TestSharedTailLifecycle(t *testing.T) {
 	if got := st.subscribers(); got != 1 {
 		t.Fatalf("tail has %d subscribers after deregister, want 1", got)
 	}
-	if qB.mergeTail() != nil {
+	if _, tl := qB.sharing(); tl != nil {
 		t.Fatal("deregistered query still holds its tail")
 	}
 	e.Deregister(qA)
 	e.Deregister(qN)
-	e.Deregister(qPriv)
-	reg := e.fragmentsOf("f")
-	reg.mu.Lock()
-	nTails := len(reg.tails)
-	reg.mu.Unlock()
-	if nTails != 0 {
-		t.Fatalf("registry holds %d tails after deregistering every subscriber, want 0", nTails)
-	}
-}
-
-// TestSharedTailParity pins bit-identical results with tail sharing on vs
-// off for a same-head clique whose members differ only in residual
-// constants, at parallelism 1 and 4 (batched slides interleave leader and
-// follower windows within one firing).
-func TestSharedTailParity(t *testing.T) {
-	queries := []string{
-		`SELECT x1, sum(x2), sum(x3) FROM f [RANGE 256 SLIDE 64] GROUP BY x1 HAVING sum(x2) > 500`,
-		`SELECT x1, sum(x2), sum(x3) FROM f [RANGE 256 SLIDE 64] GROUP BY x1 HAVING sum(x2) > 5000`,
-		`SELECT x1, sum(x2), sum(x3) FROM f [RANGE 256 SLIDE 64] GROUP BY x1 HAVING sum(x2) > 50000`,
-		`SELECT x1, sum(x2), sum(x3) FROM f [RANGE 256 SLIDE 64] GROUP BY x1`,
-	}
-	run := func(privateTails bool, par, pumpPar int) ([]string, int64) {
-		e := sharedTestEngine(t)
-		e.streamLog("f").SetSealRows(96)
-		cols := make([]*collector, len(queries))
-		regs := make([]*ContinuousQuery, len(queries))
-		for i, sql := range queries {
-			cols[i] = &collector{}
-			q, err := e.Register(sql, Options{
-				Mode: Incremental, Parallelism: par,
-				PrivateMergeTails: privateTails, OnResult: cols[i].add,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			regs[i] = q
-		}
-		feedSharedMix(t, e, 1234, 4096, 192)
-		var err error
-		if pumpPar > 1 {
-			_, err = e.PumpParallel(pumpPar)
-		} else {
-			_, err = e.Pump()
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		keys := make([]string, len(queries))
-		var adopted int64
-		for i, c := range cols {
-			if len(c.results) == 0 {
-				t.Fatalf("query %d produced no windows", i)
-			}
-			var sb strings.Builder
-			for _, r := range c.results {
-				sb.WriteString(tableKey(r.Table, false))
-				sb.WriteByte('|')
-			}
-			keys[i] = sb.String()
-			a, _ := regs[i].SharedTails()
-			adopted += a
-		}
-		return keys, adopted
-	}
-	want, privAdopted := run(true, 1, 1)
-	if privAdopted != 0 {
-		t.Fatalf("private baseline adopted %d merge heads", privAdopted)
-	}
-	for _, cfg := range []struct{ par, pumpPar int }{{1, 1}, {4, 1}, {2, 4}} {
-		got, adopted := run(false, cfg.par, cfg.pumpPar)
-		if adopted == 0 {
-			t.Fatalf("par=%d pump=%d: tail sharing never engaged", cfg.par, cfg.pumpPar)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("par=%d pump=%d: query %d diverges under tail sharing:\nshared  %s\nprivate %s",
-					cfg.par, cfg.pumpPar, i, got[i], want[i])
-			}
-		}
+	e.Deregister(qBase)
+	if n := e.sharesOf("f").size(); n != 0 {
+		t.Fatalf("registry holds %d caches after deregistering every subscriber, want 0", n)
 	}
 }

@@ -110,6 +110,17 @@ type wireResp struct {
 	payload []byte // private copy
 }
 
+// pendingReq is one request awaiting its response. sub is set by Register:
+// the reader attaches it under the server-assigned ID the moment the
+// MsgSubscribed acknowledgement arrives — before it reads another frame —
+// because the first result frames can follow the acknowledgement
+// immediately (a recovered query replays its backlog at once), and a frame
+// for a not-yet-attached subscription would be dropped as stale.
+type pendingReq struct {
+	resp chan wireResp
+	sub  *Sub
+}
+
 // Client is a datacelld network client. It is safe for concurrent use;
 // one background goroutine reads the socket and demultiplexes control
 // responses (by sequence number) and result frames (by subscription ID).
@@ -120,7 +131,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint32
-	pending map[uint32]chan wireResp
+	pending map[uint32]pendingReq
 	subs    map[uint32]*Sub
 	err     error
 	closed  bool
@@ -142,7 +153,7 @@ func NewClient(nc net.Conn) (*Client, error) {
 	cl := &Client{
 		c:       nc,
 		bw:      bufio.NewWriterSize(nc, 1<<16),
-		pending: map[uint32]chan wireResp{},
+		pending: map[uint32]pendingReq{},
 		subs:    map[uint32]*Sub{},
 		done:    make(chan struct{}),
 	}
@@ -206,15 +217,15 @@ func (cl *Client) fail(err error) {
 	cl.closed = true
 	cl.err = err
 	pending := cl.pending
-	cl.pending = map[uint32]chan wireResp{}
+	cl.pending = map[uint32]pendingReq{}
 	subs := make([]*Sub, 0, len(cl.subs))
 	for _, s := range cl.subs {
 		subs = append(subs, s)
 	}
 	cl.mu.Unlock()
 	close(cl.done)
-	for _, ch := range pending {
-		close(ch)
+	for _, p := range pending {
+		close(p.resp)
 	}
 	for _, s := range subs {
 		s.end()
@@ -294,13 +305,19 @@ func (cl *Client) readLoop(br *bufio.Reader) {
 				return
 			}
 			cl.mu.Lock()
-			ch := cl.pending[seq]
+			p := cl.pending[seq]
 			delete(cl.pending, seq)
+			if t == MsgSubscribed && p.sub != nil {
+				if id := r.u32(); r.err == nil {
+					p.sub.ID = id
+					cl.subs[id] = p.sub
+				}
+			}
 			cl.mu.Unlock()
-			if ch != nil {
+			if p.resp != nil {
 				cp := make([]byte, len(payload))
 				copy(cp, payload)
-				ch <- wireResp{t: t, payload: cp}
+				p.resp <- wireResp{t: t, payload: cp}
 			}
 		}
 	}
@@ -308,6 +325,12 @@ func (cl *Client) readLoop(br *bufio.Reader) {
 
 // request issues one control frame and waits for its response.
 func (cl *Client) request(t MsgType, build func(seq uint32) []byte) (wireResp, error) {
+	return cl.requestSub(t, nil, build)
+}
+
+// requestSub is request for a Register: sub is attached by the reader when
+// the acknowledgement arrives (see pendingReq).
+func (cl *Client) requestSub(t MsgType, sub *Sub, build func(seq uint32) []byte) (wireResp, error) {
 	cl.mu.Lock()
 	if cl.closed {
 		cl.mu.Unlock()
@@ -316,7 +339,7 @@ func (cl *Client) request(t MsgType, build func(seq uint32) []byte) (wireResp, e
 	cl.seq++
 	seq := cl.seq
 	ch := make(chan wireResp, 1)
-	cl.pending[seq] = ch
+	cl.pending[seq] = pendingReq{resp: ch, sub: sub}
 	cl.mu.Unlock()
 	if err := cl.writeFrame(t, build(seq)); err != nil {
 		cl.mu.Lock()
@@ -396,7 +419,18 @@ func (cl *Client) Queries() (string, error) {
 // Register installs a continuous query and subscribes this connection to
 // its window results.
 func (cl *Client) Register(sql string, opts RegisterOptions) (*Sub, error) {
-	resp, err := cl.request(MsgRegister, func(seq uint32) []byte {
+	buffer := opts.Buffer
+	if buffer <= 0 {
+		buffer = 16
+	} else if buffer > 65536 {
+		buffer = 65536 // never size a channel off an unbounded request
+	}
+	sub := &Sub{
+		cl:   cl,
+		ch:   make(chan *SubResult, buffer),
+		gone: make(chan struct{}),
+	}
+	resp, err := cl.requestSub(MsgRegister, sub, func(seq uint32) []byte {
 		b := appendU32(nil, seq)
 		b = append(b, byte(opts.Mode), byte(opts.Policy))
 		b = appendU32(b, uint32(opts.Buffer))
@@ -411,45 +445,34 @@ func (cl *Client) Register(sql string, opts RegisterOptions) (*Sub, error) {
 	if resp.t != MsgSubscribed {
 		return nil, fmt.Errorf("serve: unexpected reply 0x%02x", uint8(resp.t))
 	}
+	// The reader already attached sub under its ID; only the fingerprint is
+	// left to read.
 	r := &byteReader{b: resp.payload}
 	r.u32()
-	subID := r.u32()
-	fp := r.str32()
+	r.u32()
+	sub.Fingerprint = r.str32()
 	if r.err != nil {
+		cl.mu.Lock()
+		delete(cl.subs, sub.ID)
+		cl.mu.Unlock()
+		sub.end()
 		return nil, r.err
 	}
-	buffer := opts.Buffer
-	if buffer <= 0 {
-		buffer = 16
-	} else if buffer > 65536 {
-		buffer = 65536 // never size a channel off an unbounded request
-	}
-	sub := &Sub{
-		ID:          subID,
-		Fingerprint: fp,
-		cl:          cl,
-		ch:          make(chan *SubResult, buffer),
-		gone:        make(chan struct{}),
-	}
-	cl.mu.Lock()
-	if cl.closed {
-		cl.mu.Unlock()
-		return nil, cl.errOr(ErrClientClosed)
-	}
-	cl.subs[subID] = sub
-	cl.mu.Unlock()
 	return sub, nil
 }
 
 // Unsubscribe detaches a subscription server-side and ends it locally.
 func (cl *Client) Unsubscribe(sub *Sub) error {
-	resp, err := cl.request(MsgUnsubscribe, func(seq uint32) []byte {
-		return appendU32(appendU32(nil, seq), sub.ID)
-	})
+	// End it locally first: the reader may be blocked handing a result to
+	// this subscription's full channel, and a blocked reader would never
+	// read the response to the request below.
 	cl.mu.Lock()
 	delete(cl.subs, sub.ID)
 	cl.mu.Unlock()
 	sub.end()
+	resp, err := cl.request(MsgUnsubscribe, func(seq uint32) []byte {
+		return appendU32(appendU32(nil, seq), sub.ID)
+	})
 	if err != nil {
 		return err
 	}

@@ -81,7 +81,7 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 	s.mu.Unlock()
 	sort.Slice(shared, func(i, j int) bool { return shared[i].seq < shared[j].seq })
 
-	fmt.Fprintf(sb, "# HELP datacell_query_stage_seconds_total Cumulative per-stage step time (StageBreakdown).\n")
+	fmt.Fprintf(sb, "# HELP datacell_query_stage_seconds_total Cumulative per-stage step time (the query stage clock).\n")
 	for _, ss := range shared {
 		qs := ss.query.Stats()
 		ss.mu.Lock()

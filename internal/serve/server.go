@@ -278,6 +278,7 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 		return nil, "", errors.New("serve: server is draining")
 	}
 	ss := s.shared[key]
+	var results <-chan *datacell.Result // set when ss is new: its fan-out is still to start
 	if ss == nil {
 		// A matching query recovered from the data directory resumes —
 		// replay backlog and all — instead of registering a duplicate.
@@ -311,8 +312,7 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 			members: map[uint32]*member{},
 		}
 		s.shared[key] = ss
-		s.wg.Add(1)
-		go ss.fanout(ch)
+		results = ch
 	}
 	m := &member{
 		id:       s.nextSub.Add(1),
@@ -329,6 +329,14 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 	ss.mu.Lock()
 	ss.members[m.id] = m
 	ss.mu.Unlock()
+	if results != nil {
+		// Start a new statement's fan-out only now that its first member is
+		// in: an adopted recovered query replays its backlog the moment the
+		// fan-out reads the channel, and windows fanned out to an empty
+		// member set would be lost.
+		s.wg.Add(1)
+		go ss.fanout(results)
+	}
 	s.mu.Unlock()
 	// Attach to the connection last, gated on the dead flag: teardown can
 	// fire concurrently from another subscription's pump (write failure) or

@@ -483,6 +483,73 @@ func TestRegisterBufferClamped(t *testing.T) {
 	}
 }
 
+// TestRecoveredReplayReachesFirstSubscriber pins the register/fan-out
+// order: a statement that adopts a RECOVERED query starts replaying its
+// backlog the moment its fan-out goroutine runs, so the registering
+// connection must already be a member by then. The first frame on the wire
+// has to be the first replayed window and the sequence gap-free. The race
+// window on the server is the member's construction — the large requested
+// queue widens it — hence the loop. (The client has the mirror-image
+// obligation: attach the subscription before reading the frame after the
+// acknowledgement.)
+func TestRecoveredReplayReachesFirstSubscriber(t *testing.T) {
+	const sql = `SELECT count(*) FROM s [RANGE 4 SLIDE 4]`
+	const windows = 16
+	for iter := 0; iter < 40; iter++ {
+		t.Run(fmt.Sprint(iter), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := datacell.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.MustRegisterStream("s", datacell.Col("x1", datacell.Int64), datacell.Col("x2", datacell.Int64))
+			if _, err := db.Register(sql, datacell.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			rows := make([][]datacell.Value, 4*windows)
+			for i := range rows {
+				rows[i] = []datacell.Value{datacell.Int(int64(i)), datacell.Int(1)}
+			}
+			if err := db.Append("s", rows...); err != nil {
+				t.Fatal(err)
+			}
+			// The standing query is still registered: Close leaves it in the
+			// manifest, as a crash would.
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			db, err = datacell.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			if len(db.RecoveredQueries()) != 1 {
+				t.Fatalf("recovered %d queries, want 1", len(db.RecoveredQueries()))
+			}
+			if _, err := db.Pump(); err != nil { // replay: the backlog now sits buffered
+				t.Fatal(err)
+			}
+			_, addr := startServer(t, db, Config{})
+			sub, err := dialT(t, addr).Register(sql, RegisterOptions{Buffer: 65536})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			for want := 1; want <= windows; want++ {
+				r, err := sub.Recv(ctx)
+				if err != nil {
+					t.Fatalf("window %d: %v", want, err)
+				}
+				if r.Window != want {
+					t.Fatalf("received window %d, want %d: replayed windows lost", r.Window, want)
+				}
+			}
+		})
+	}
+}
+
 // TestRegisterAfterTeardownDetaches pins the register/teardown race: a
 // registration that loses the race against connection teardown must be
 // detached (and its sharedSub retired), not leaked as an unreachable

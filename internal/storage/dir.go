@@ -28,18 +28,14 @@ type SourceDef struct {
 // row offset of the query's cursor on each input stream at registration
 // time; replay re-reads the retained log from there.
 type QueryDef struct {
-	Seq               int              `json:"seq"`
-	SQL               string           `json:"sql"`
-	Mode              uint8            `json:"mode"`
-	AutoThreshold     int64            `json:"auto_threshold,omitempty"`
-	Chunks            int              `json:"chunks,omitempty"`
-	AdaptiveChunks    bool             `json:"adaptive_chunks,omitempty"`
-	Parallelism       int              `json:"parallelism,omitempty"`
-	SerialMergeInstr  bool             `json:"serial_merge_instr,omitempty"`
-	PrivateFragments  bool             `json:"private_fragments,omitempty"`
-	PrivateMergeTails bool             `json:"private_merge_tails,omitempty"`
-	PrivateJoinPlan   bool             `json:"private_join_plan,omitempty"`
-	Start             map[string]int64 `json:"start,omitempty"`
+	Seq            int              `json:"seq"`
+	SQL            string           `json:"sql"`
+	Mode           uint8            `json:"mode"`
+	AutoThreshold  int64            `json:"auto_threshold,omitempty"`
+	Chunks         int              `json:"chunks,omitempty"`
+	AdaptiveChunks bool             `json:"adaptive_chunks,omitempty"`
+	Parallelism    int              `json:"parallelism,omitempty"`
+	Start          map[string]int64 `json:"start,omitempty"`
 }
 
 // Manifest is the persisted engine catalog. It is rewritten atomically

@@ -7,7 +7,6 @@ import (
 	"datacell/internal/basket"
 	"datacell/internal/engine"
 	"datacell/internal/storage"
-	"time"
 )
 
 // StoreConfig tunes a persistent instance opened with OpenConfig.
@@ -57,16 +56,7 @@ func OpenConfig(dir string, cfg StoreConfig) (*DB, error) {
 	}
 	for _, def := range defs {
 		q := &Query{db: db}
-		cq, err := eng.RegisterRecovered(def, func(r *engine.Result) {
-			q.deliver(&Result{
-				Window:           r.Window,
-				Table:            r.Table,
-				Latency:          time.Duration(r.StepNS),
-				MainLatency:      time.Duration(r.Stats.MainNS),
-				PartitionLatency: time.Duration(r.Stats.PartitionNS),
-				MergeLatency:     time.Duration(r.Stats.MergeNS),
-			})
-		})
+		cq, err := eng.RegisterRecovered(def, func(r *engine.Result) { q.deliver(newResult(r)) })
 		if err != nil {
 			_ = d.Close()
 			return nil, fmt.Errorf("datacell: open %s: re-register %q: %w", dir, def.SQL, err)
