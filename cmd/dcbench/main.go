@@ -14,8 +14,8 @@
 // that support it (fanout → DIR/BENCH_fanout.json with ns/op and allocs/op
 // per query count, parallel → DIR/BENCH_parallel.json with wall time and
 // speedup per worker count, merge → DIR/BENCH_merge.json with per-stage
-// times and merge speedup per key domain x worker count, joins →
-// DIR/BENCH_joins.json with join-stage time, interned-table reuse, and
+// times, merge kernel and merge speedup per query shape x key domain x
+// worker count, joins → DIR/BENCH_joins.json with join-stage time, interned-table reuse, and
 // speedup per filter skew x plan arm, serve → DIR/BENCH_serve.json with
 // end-to-end p50/p99 latency per client count), so CI can track the perf
 // trajectory across commits.
@@ -127,9 +127,9 @@ func runFanout(cfg bench.Config, jsonDir string) (*bench.Table, error) {
 	return bench.FanoutSlideTable(slidePoints, window, slide), nil
 }
 
-// runMerge measures the partitioned-merge sweep (key domains x worker
-// counts) once and feeds the single measurement to both the printed table
-// and (when -json is set) the machine-readable BENCH_merge.json.
+// runMerge measures the grouped-merge sweep (query shapes x key domains x
+// worker counts) once and feeds the single measurement to both the printed
+// table and (when -json is set) the machine-readable BENCH_merge.json.
 func runMerge(cfg bench.Config, jsonDir string) (*bench.Table, error) {
 	window, slide, slides := bench.MergeParams(cfg)
 	points, err := bench.MeasureMergeSweep(window, slide, slides)

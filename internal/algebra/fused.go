@@ -563,26 +563,25 @@ func (f *Fused) Finish() (*vector.Vector, []*vector.Vector) {
 // are freshly allocated per firing, so wrapping transfers ownership with
 // no copy.
 func (f *Fused) wrap(keys []int64, accs [][]int64) (*vector.Vector, []*vector.Vector) {
-	var keyVec *vector.Vector
-	if f.keyTyp == vector.Timestamp {
-		keyVec = vector.FromTimestamp(keys)
-	} else {
-		keyVec = vector.FromInt64(keys)
-	}
 	out := make([]*vector.Vector, len(f.aggs))
 	for a, ag := range f.aggs {
-		switch ag.Typ {
-		case vector.Float64:
+		if ag.Typ == vector.Float64 {
 			fs := make([]float64, len(accs[a]))
 			for i, b := range accs[a] {
 				fs[i] = math.Float64frombits(uint64(b))
 			}
 			out[a] = vector.FromFloat64(fs)
-		case vector.Timestamp:
-			out[a] = vector.FromTimestamp(accs[a])
-		default:
-			out[a] = vector.FromInt64(accs[a])
+		} else {
+			out[a] = intVector(ag.Typ, accs[a])
 		}
 	}
-	return keyVec, out
+	return intVector(f.keyTyp, keys), out
+}
+
+// intVector wraps an int64 payload as an Int64 or Timestamp column.
+func intVector(t vector.Type, vals []int64) *vector.Vector {
+	if t == vector.Timestamp {
+		return vector.FromTimestamp(vals)
+	}
+	return vector.FromInt64(vals)
 }

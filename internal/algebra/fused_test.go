@@ -259,7 +259,8 @@ func TestPartitionerScatterDifferential(t *testing.T) {
 // parallel firing allocates nothing before Finish (whose output columns
 // escape into result tables and are deliberately fresh). The kernels are
 // driven serially — goroutine fan-out is the runtime's job and allocates
-// by nature.
+// by nature. The delta-maintained kernel keeps its state across slides
+// instead: its expire+add allocates nothing, only Emit's columns are fresh.
 func TestMergeKernelSteadyStateAllocs(t *testing.T) {
 	const rows = 4096
 	rng := rand.New(rand.NewSource(3))
@@ -324,4 +325,6 @@ func TestMergeKernelSteadyStateAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, scatter); avg != 0 {
 		t.Errorf("partitioner scatter: %v allocs per firing, want 0", avg)
 	}
+
+	deltaSteadyStateAllocs(t)
 }

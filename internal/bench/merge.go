@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"datacell/internal/engine"
@@ -13,29 +14,45 @@ import (
 	"datacell/internal/workload"
 )
 
-// This file measures the partition-parallel merge (not a paper figure):
-// one grouped continuous query drains a buffered backlog while the merge
-// stage — re-grouping the concatenated per-basic-window partials — runs
-// through the seed-style serial instruction path (throwaway map grouping
-// per firing; the baseline), or through the grouped-merge kernel at 1..N
-// workers (reusable hashtables, hash-partitioned across the worker pool
-// when the host has schedulable CPUs to overlap shards on). The sweep
-// crosses key-domain sizes with worker counts: small domains keep the
-// merge cheap (fragments dominate), large domains make the re-group the
-// bottleneck the kernel lifts. Every cell is checksum-verified against the
-// baseline of the same domain — the partitioned merge must be
-// bit-identical. cmd/dcbench renders the table (-fig merge) and can emit
-// the machine-readable BENCH_merge.json consumed by CI.
+// This file measures the grouped merge stage (not a paper figure): one
+// grouped continuous query drains a buffered backlog while the merge stage
+// runs through the seed-style serial instruction path (throwaway map
+// grouping per firing; the baseline), or through the kernel the runtime
+// picks for the query's shape at 1..N workers. Two query shapes are swept,
+// because they take different kernels and every point is tagged with the
+// one that ran:
+//
+//   - sum, count(*): every compensating aggregate is invertible, so the
+//     block is delta-maintained — per-key totals kept across slides, no
+//     re-group, no scatter or stitch at any worker count;
+//   - sum, count(*), max: max has no inverse, so the block re-groups the
+//     concatenated partials every slide through the fused kernel
+//     (reusable hashtables, hash-partitioned across the worker pool when
+//     the host has schedulable CPUs to overlap shards on) — the arm that
+//     keeps the parallel scatter/shard/stitch numbers measured.
+//
+// The sweep crosses key-domain sizes with worker counts: small domains
+// keep the merge cheap (fragments dominate), large domains make the merge
+// the bottleneck. Every cell is checksum-verified against the baseline of
+// the same shape and domain — every kernel must be bit-identical.
+// cmd/dcbench renders the table (-fig merge) and can emit the
+// machine-readable BENCH_merge.json consumed by CI.
 
-// mergeQuery keeps per-group work trivial so the grouped merge itself
-// (concat + re-group + compensating aggregates) dominates at large key
-// domains.
-const mergeQuery = `SELECT x1, sum(x2), count(*) FROM s [RANGE %d SLIDE %d] GROUP BY x1`
+// mergeShapes keep per-group work trivial so the grouped merge itself
+// dominates at large key domains. Aggs names the shape in MergePoint.
+var mergeShapes = []struct{ Aggs, Query string }{
+	{"sum,count", `SELECT x1, sum(x2), count(*) FROM s [RANGE %d SLIDE %d] GROUP BY x1`},
+	{"sum,count,max", `SELECT x1, sum(x2), count(*), max(x2) FROM s [RANGE %d SLIDE %d] GROUP BY x1`},
+}
 
-// MergePoint is one measured (key domain, worker count) cell. Baseline
-// marks the seed-style serial-merge run (grouped-merge kernel disabled)
-// that anchors the speedup columns of its key domain.
+// MergePoint is one measured (shape, key domain, worker count) cell.
+// Baseline marks the seed-style serial-merge run (grouped-merge kernels
+// disabled) that anchors the speedup columns of its shape and key domain.
+// Kernel is the merge kernel the run's grouped block actually took
+// (core.MergeDelta, MergeFused, MergeIndex or MergeInstruction).
 type MergePoint struct {
+	Aggs         string  `json:"aggs"`
+	Kernel       string  `json:"kernel"`
 	Keys         int     `json:"key_domain"`
 	Workers      int     `json:"workers"`
 	Baseline     bool    `json:"serial_baseline,omitempty"`
@@ -53,11 +70,13 @@ type MergePoint struct {
 	AllocPerStep float64 `json:"allocs_per_step"`
 }
 
-// MeasureMerge registers one grouped incremental query with the given
-// worker count and key domain, buffers the whole backlog, and measures the
-// single Pump that drains it, splitting time by stage (the query stage clock).
-func MeasureMerge(workers, keys, window, slide, slides int, baseline bool) (MergePoint, error) {
-	p := MergePoint{Keys: keys, Workers: workers, Baseline: baseline}
+// MeasureMerge registers one grouped incremental query of the given shape
+// (an index into the sweep's two shapes: 0 invertible, 1 with max) with the
+// given worker count and key domain, buffers the whole backlog, and
+// measures the single Pump that drains it, splitting time by stage (the
+// query stage clock).
+func MeasureMerge(shape, workers, keys, window, slide, slides int, baseline bool) (MergePoint, error) {
+	p := MergePoint{Aggs: mergeShapes[shape].Aggs, Keys: keys, Workers: workers, Baseline: baseline}
 	// The runtime caps shard counts at GOMAXPROCS (shards beyond schedulable
 	// CPUs only add stitch overhead), so raise it to the measured worker
 	// count for the duration — on small hosts the sweep then still
@@ -97,10 +116,11 @@ func MeasureMerge(workers, keys, window, slide, slides int, baseline bool) (Merg
 			}
 		},
 	}
-	q, err := e.Register(fmt.Sprintf(mergeQuery, window, slide), opts)
+	q, err := e.Register(fmt.Sprintf(mergeShapes[shape].Query, window, slide), opts)
 	if err != nil {
 		return p, err
 	}
+	p.Kernel = strings.Join(q.MergeKernels(), ",")
 	gen := workload.NewGen(1717, int64(keys), 1000)
 	total := slide * slides
 	for off := 0; off < total; off += slide {
@@ -160,34 +180,36 @@ func MergeKeyDomains(window int) []int {
 	return []int{small, mid, large}
 }
 
-// MeasureMergeSweep measures, per key domain, the seed-serial baseline
-// plus every kernel worker count, verifies result checksums match across
-// all cells of the domain, and anchors the speedup columns on the
-// baseline's merge-stage and wall times.
+// MeasureMergeSweep measures, per query shape and key domain, the
+// seed-serial baseline plus every worker count, verifies result checksums
+// match across all cells of the shape and domain, and anchors the speedup
+// columns on the baseline's merge-stage and wall times.
 func MeasureMergeSweep(window, slide, slides int) ([]MergePoint, error) {
 	var points []MergePoint
-	for _, keys := range MergeKeyDomains(window) {
-		base, err := MeasureMerge(1, keys, window, slide, slides, true)
-		if err != nil {
-			return nil, err
-		}
-		base.Speedup = 1
-		base.MergeSpeedup = 1
-		points = append(points, base)
-		for _, workers := range MergeWorkerCounts() {
-			pt, err := MeasureMerge(workers, keys, window, slide, slides, false)
+	for shape := range mergeShapes {
+		for _, keys := range MergeKeyDomains(window) {
+			base, err := MeasureMerge(shape, 1, keys, window, slide, slides, true)
 			if err != nil {
 				return nil, err
 			}
-			if pt.ResultSum != base.ResultSum {
-				return nil, fmt.Errorf("bench: keys=%d workers=%d checksum %d differs from serial baseline %d",
-					keys, pt.Workers, pt.ResultSum, base.ResultSum)
+			base.Speedup = 1
+			base.MergeSpeedup = 1
+			points = append(points, base)
+			for _, workers := range MergeWorkerCounts() {
+				pt, err := MeasureMerge(shape, workers, keys, window, slide, slides, false)
+				if err != nil {
+					return nil, err
+				}
+				if pt.ResultSum != base.ResultSum {
+					return nil, fmt.Errorf("bench: %s keys=%d workers=%d checksum %d differs from serial baseline %d",
+						pt.Aggs, keys, pt.Workers, pt.ResultSum, base.ResultSum)
+				}
+				pt.Speedup = base.WallMS / pt.WallMS
+				if m := pt.ScatterMS + pt.PartitionMS + pt.StitchMS + pt.MergeMS; m > 0 {
+					pt.MergeSpeedup = (base.PartitionMS + base.MergeMS) / m
+				}
+				points = append(points, pt)
 			}
-			pt.Speedup = base.WallMS / pt.WallMS
-			if m := pt.ScatterMS + pt.PartitionMS + pt.StitchMS + pt.MergeMS; m > 0 {
-				pt.MergeSpeedup = (base.PartitionMS + base.MergeMS) / m
-			}
-			points = append(points, pt)
 		}
 	}
 	return points, nil
@@ -201,7 +223,7 @@ func MergeParams(cfg Config) (window, slide, slides int) {
 	return window, slide, 48
 }
 
-// RunMerge regenerates the partitioned-merge table.
+// RunMerge regenerates the grouped-merge table.
 func RunMerge(cfg Config) (*Table, error) {
 	window, slide, slides := MergeParams(cfg)
 	points, err := MeasureMergeSweep(window, slide, slides)
@@ -215,10 +237,10 @@ func RunMerge(cfg Config) (*Table, error) {
 func MergeTable(points []MergePoint, window, slide, slides int) *Table {
 	t := &Table{
 		Figure: "Merge",
-		Title: fmt.Sprintf("partition-parallel grouped merge: |W|=%d, |w|=%d, %d-slide backlog, key domains x workers",
+		Title: fmt.Sprintf("grouped merge kernels: |W|=%d, |w|=%d, %d-slide backlog, shapes x key domains x workers",
 			window, slide, slides),
-		Header: []string{"keys", "workers", "wall_ms", "fragment_ms", "scatter_ms", "partition_ms", "stitch_ms", "merge_ms", "merge_speedup", "speedup", "allocs_per_step"},
-		Notes:  "(serial = seed-style instruction merge, the speedup anchor; merge_speedup compares the merge stage — partition + serial remainder — against it; checksums verified identical across every cell)",
+		Header: []string{"aggs", "kernel", "keys", "workers", "wall_ms", "fragment_ms", "scatter_ms", "partition_ms", "stitch_ms", "merge_ms", "merge_speedup", "speedup", "allocs_per_step"},
+		Notes:  "(serial = seed-style instruction merge, the speedup anchor of its shape and domain; merge_speedup compares the merge stage — scatter + partition + stitch + serial remainder — against it; kernel = what the grouped block ran: delta keeps per-key totals across slides and never shards, fused re-groups every slide; checksums verified identical across every cell of a shape)",
 	}
 	for _, p := range points {
 		workers := fmt.Sprint(p.Workers)
@@ -226,6 +248,8 @@ func MergeTable(points []MergePoint, window, slide, slides int) *Table {
 			workers = "serial"
 		}
 		t.Rows = append(t.Rows, []string{
+			p.Aggs,
+			p.Kernel,
 			fmt.Sprint(p.Keys),
 			workers,
 			fmt.Sprintf("%.1f", p.WallMS),

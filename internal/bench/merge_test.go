@@ -3,13 +3,18 @@ package bench
 import (
 	"runtime"
 	"testing"
+
+	"datacell/internal/core"
 )
 
 // TestMergeSweepChecksums runs a small merge sweep end to end: every
-// (domain, workers) cell must produce the same number of windows and an
-// identical checksum within its domain, and the large-domain parallel
-// cells must actually record partition-stage time (the sharded path
-// engaged).
+// (shape, domain, workers) cell must produce the same number of windows
+// and an identical checksum within its shape and domain, every cell must
+// be tagged with the kernel that ran — delta for the invertible shape,
+// fused for the one with max, instruction for the baselines — the delta
+// cells must never shard, and the large-domain fused cells must actually
+// record partition-stage time (the sharded path engaged), so the sweep
+// keeps measuring scatter/stitch.
 func TestMergeSweepChecksums(t *testing.T) {
 	// Raise GOMAXPROCS so the sharded path engages even on 1-CPU hosts
 	// (PartitionMS counts only genuinely sharded re-groups).
@@ -18,43 +23,61 @@ func TestMergeSweepChecksums(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perDomain := map[int][]MergePoint{}
-	for _, p := range points {
-		perDomain[p.Keys] = append(perDomain[p.Keys], p)
+	type cellKey struct {
+		aggs string
+		keys int
 	}
-	for keys, pts := range perDomain {
+	perDomain := map[cellKey][]MergePoint{}
+	for _, p := range points {
+		perDomain[cellKey{p.Aggs, p.Keys}] = append(perDomain[cellKey{p.Aggs, p.Keys}], p)
+		want := core.MergeInstruction
+		switch {
+		case p.Baseline:
+		case p.Aggs == "sum,count":
+			want = core.MergeDelta
+		default:
+			want = core.MergeFused
+		}
+		if p.Kernel != want {
+			t.Errorf("%s keys=%d workers=%d baseline=%v ran kernel %q, want %q", p.Aggs, p.Keys, p.Workers, p.Baseline, p.Kernel, want)
+		}
+		if p.Kernel == core.MergeDelta && (p.ScatterMS != 0 || p.PartitionMS != 0 || p.StitchMS != 0) {
+			t.Errorf("%s keys=%d workers=%d: delta cell recorded scatter/partition/stitch time: %+v", p.Aggs, p.Keys, p.Workers, p)
+		}
+	}
+	if len(perDomain) != 6 {
+		t.Fatalf("sweep covers %d (shape, domain) cells, want 2 shapes x 3 domains", len(perDomain))
+	}
+	for k, pts := range perDomain {
+		if !pts[0].Baseline {
+			t.Errorf("%s keys=%d: sweep lacks the seed-serial baseline cell", k.aggs, k.keys)
+		}
 		for _, p := range pts[1:] {
 			if p.Windows != pts[0].Windows {
-				t.Errorf("keys=%d workers=%d: %d windows, want %d", keys, p.Workers, p.Windows, pts[0].Windows)
+				t.Errorf("%s keys=%d workers=%d: %d windows, want %d", k.aggs, k.keys, p.Workers, p.Windows, pts[0].Windows)
 			}
 			if p.ResultSum != pts[0].ResultSum {
-				t.Errorf("keys=%d workers=%d checksum %d != %d", keys, p.Workers, p.ResultSum, pts[0].ResultSum)
+				t.Errorf("%s keys=%d workers=%d checksum %d != %d", k.aggs, k.keys, p.Workers, p.ResultSum, pts[0].ResultSum)
 			}
 		}
 	}
 	large := MergeKeyDomains(8192)[2]
 	engaged := false
-	var sawBaseline bool
-	for _, p := range perDomain[large] {
-		if p.Baseline {
-			sawBaseline = true
-		}
+	for _, p := range perDomain[cellKey{"sum,count,max", large}] {
 		if !p.Baseline && p.PartitionMS > 0 {
 			engaged = true
 		}
 	}
-	if !sawBaseline {
-		t.Error("sweep lacks the seed-serial baseline cell")
-	}
-	if len(perDomain[large]) > 1 && !engaged {
-		t.Error("large-domain kernel cells never recorded partition-stage time")
+	if !engaged {
+		t.Error("large-domain fused cells never recorded partition-stage time")
 	}
 }
 
 // BenchmarkMergePartitioned measures the backlog-drain wall time of a
 // large-key-domain grouped query at 1 and 4 workers — the acceptance
 // benchmark for the partitioned merge (the merge stage should shrink
-// toward 1/workers on a multicore host).
+// toward 1/workers on a multicore host). It runs the shape with max: the
+// invertible shape is delta-maintained and has nothing to partition.
 func BenchmarkMergePartitioned(b *testing.B) {
 	const (
 		window = 1 << 16
@@ -68,7 +91,7 @@ func BenchmarkMergePartitioned(b *testing.B) {
 	}{{"serial", 1, true}, {"kernel-1", 1, false}, {"kernel-4", 4, false}} {
 		b.Run(cell.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := MeasureMerge(cell.workers, window, window, slide, slides, cell.baseline); err != nil {
+				if _, err := MeasureMerge(1, cell.workers, window, window, slide, slides, cell.baseline); err != nil {
 					b.Fatal(err)
 				}
 			}

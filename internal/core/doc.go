@@ -45,6 +45,20 @@
 //     with reusable per-shard hashtables and a stitch that reproduces the
 //     exact serial group order — bit-identical results at any worker or
 //     shard count, including float accumulation order.
+//   - Blocks whose compensating aggregates are all invertible (integer
+//     Sum on one integer key, one windowed source, not landmark — see
+//     IncPlan.MergeKernel) are not re-grouped at all: the Runtime keeps
+//     their per-key totals across slides (algebra.Delta) and at slot
+//     rotation adds the new basic window's partial and subtracts the
+//     expired one. That state is private to the Runtime. Slot files are
+//     only ever read — they may be shared with other queries — so every
+//     per-row side array (next-occurrence links, first-row flags, running
+//     totals) lives in the Runtime's own arena, never in a slot vector.
+//     The state advances on every applied slide, including slides whose
+//     MergeHead is adopted (only the emission is skipped: leadership flips
+//     between queries), emitted columns are freshly allocated so published
+//     heads stay immutable, and a slide that errors after rotation drops
+//     the state, which the next slide rebuilds from the slot ring.
 //   - Slot files must survive basket reclamation: values that alias log
 //     storage (bind registers, unflattened views) are cloned/materialized
 //     by runPerBW before entering a slot. The Runtime owns its slots and

@@ -11,8 +11,16 @@ import (
 // analogue of EXPLAIN for rewritten continuous plans. It shows the four
 // transformations at a glance: the per-basic-window fragments (split +
 // replicate), the cell fragment (join matrix), the concat specifications
-// and the merge/compensation tail.
-func (ip *IncPlan) Explain() string {
+// and the merge/compensation tail. Grouped merge blocks are labelled with
+// the kernel a default runtime runs them through; Runtime.Explain labels
+// them for that runtime's options.
+func (ip *IncPlan) Explain() string { return ip.explain(Options{}) }
+
+// Explain renders the runtime's plan with the merge kernels this runtime
+// chose (Baseline runs every block through the instruction path).
+func (rt *Runtime) Explain() string { return rt.ip.explain(rt.opts) }
+
+func (ip *IncPlan) explain(opts Options) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "incremental plan: n=%d basic windows", ip.N)
 	if ip.Landmark {
@@ -61,7 +69,7 @@ func (ip *IncPlan) Explain() string {
 		}
 	}
 	writeStage("merge (compensation + tail)", ip.Merge)
-	for _, gm := range ip.GroupMerges {
+	for i, gm := range ip.GroupMerges {
 		keys := make([]string, len(gm.CatKeys))
 		for i, r := range gm.CatKeys {
 			keys[i] = fmt.Sprintf("r%d", r)
@@ -70,8 +78,17 @@ func (ip *IncPlan) Explain() string {
 		for i, a := range gm.Aggs {
 			aggs[i] = fmt.Sprintf("%s(r%d)->r%d", a.Kind, a.Cat, a.Out)
 		}
-		fmt.Fprintf(&sb, "grouped merge block @%d [partition-parallel eligible: keys %s re-grouped across P shards, aggs %s]\n",
-			gm.Start, strings.Join(keys, ","), strings.Join(aggs, ","))
+		kernel, why := ip.MergeKernel(i, opts)
+		switch kernel {
+		case MergeDelta:
+			kernel += ": per-key totals maintained across slides (+new basic window, -expired), emitted without re-grouping"
+		case MergeInstruction:
+			kernel += fmt.Sprintf(": block runs as written (not delta: %s)", why)
+		default:
+			kernel += fmt.Sprintf(": re-grouped every slide, across P shards when large (not delta: %s)", why)
+		}
+		fmt.Fprintf(&sb, "grouped merge block @%d [keys %s, aggs %s] kernel=%s\n",
+			gm.Start, strings.Join(keys, ","), strings.Join(aggs, ","), kernel)
 	}
 
 	for s, regs := range ip.SlotRegs {

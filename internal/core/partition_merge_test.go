@@ -40,10 +40,12 @@ func genGroupedBW(rng *rand.Rand, rows int, domain int64) [][]vector.View {
 // single-shard reusable hashtable) and several higher settings (the shard
 // count follows the worker bound) over many slides with an identical feed,
 // requiring bit-identical window results; the parallel runs over the
-// sharding threshold must report partition-stage time.
+// sharding threshold must report partition-stage time. max(x2) keeps the
+// block on the re-grouping kernels: without it the block would be
+// delta-maintained and never shard (TestDeltaMergeMatchesBaseline).
 func TestPartitionedMergeMatchesSerialRuntime(t *testing.T) {
 	forceShards(t, 8)
-	prog := compile(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1`)
+	prog := compile(t, `SELECT x1, sum(x2), count(*), max(x2) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1`)
 	ip, err := Rewrite(prog, 4, false)
 	if err != nil {
 		t.Fatal(err)
@@ -83,16 +85,17 @@ func TestPartitionedMergeMatchesSerialRuntime(t *testing.T) {
 	}
 }
 
-// TestExplainShowsGroupedMergeBlock pins the Explain surface for the
-// partition-parallel merge.
+// TestExplainShowsGroupedMergeBlock pins the Explain surface for a
+// re-grouped merge block: its kernel and why it is not delta-maintained
+// (TestDeltaMergeEligibility covers every reason).
 func TestExplainShowsGroupedMergeBlock(t *testing.T) {
-	prog := compile(t, `SELECT x1, sum(x2) FROM s [RANGE 100 SLIDE 10] GROUP BY x1`)
+	prog := compile(t, `SELECT x1, min(x2) FROM s [RANGE 100 SLIDE 10] GROUP BY x1`)
 	ip, err := Rewrite(prog, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := ip.Explain()
-	if !strings.Contains(out, "partition-parallel eligible") {
+	if !strings.Contains(out, "grouped merge block @0") || !strings.Contains(out, "kernel=fused: re-grouped every slide, across P shards when large (not delta: min/max)") {
 		t.Fatalf("Explain lacks the grouped merge block:\n%s", out)
 	}
 }

@@ -68,7 +68,14 @@ type GroupMergeAgg struct {
 	Cat  plan.Reg
 	Kind algebra.AggKind
 	Out  plan.Reg
+	// Typ is the partial column's type (untyped when the rewriter could
+	// not derive it).
+	Typ vector.Type
 }
+
+// untyped marks a key or aggregate column whose type the rewriter could
+// not derive statically; such a block never qualifies for a typed kernel.
+const untyped = vector.Type(0xFF)
 
 // GroupMergeSpec describes one grouped-aggregation compensation block in
 // the merge stage — the re-group of concatenated partial keys plus the
@@ -84,7 +91,12 @@ type GroupMergeSpec struct {
 	// KeyOuts receive the merged (representative) key columns, aligned
 	// with CatKeys.
 	KeyOuts []plan.Reg
-	Aggs    []GroupMergeAgg
+	// KeyTypes are the key columns' types, aligned with CatKeys.
+	KeyTypes []vector.Type
+	Aggs     []GroupMergeAgg
+	// Source is the windowed source whose per-basic-window slots feed every
+	// concatenation of the block, or -1 when the join matrix's cells do.
+	Source int
 }
 
 // IncPlan is the rewritten, incremental form of a physical program.
@@ -486,12 +498,17 @@ func (rw *rewriter) newRegIn(class Class, src int) plan.Reg {
 	return r
 }
 
+// typeOf returns the statically derived column type of r, or untyped.
+func (rw *rewriter) typeOf(r plan.Reg) vector.Type {
+	if t, ok := rw.regType[r]; ok {
+		return t
+	}
+	return untyped
+}
+
 // intKey reports whether a register is known to hold an integer-typed
 // vector (eligible for the reusable hash table).
-func (rw *rewriter) intKey(r plan.Reg) bool {
-	t, ok := rw.regType[r]
-	return ok && (t == vector.Int64 || t == vector.Timestamp)
-}
+func (rw *rewriter) intKey(r plan.Reg) bool { return vector.IntKind(rw.typeOf(r)) }
 
 func (rw *rewriter) classifyGroup(in plan.Instr) error {
 	stage, src, err := rw.stageOf(in.In)
@@ -719,7 +736,13 @@ func (rw *rewriter) materializeCluster(cl *cluster) error {
 		rw.addConcat(ck, kt)
 		catKeys[i] = ck
 	}
-	spec := GroupMergeSpec{Start: len(rw.ip.Merge), CatKeys: catKeys}
+	spec := GroupMergeSpec{Start: len(rw.ip.Merge), CatKeys: catKeys, Source: -1}
+	if cl.stage == ClassPerBW {
+		spec.Source = cl.source
+	}
+	for _, k := range cl.keyIns {
+		spec.KeyTypes = append(spec.KeyTypes, rw.typeOf(k))
+	}
 	g2 := rw.newReg()
 	rw.ip.Merge = append(rw.ip.Merge, plan.Instr{Op: plan.OpGroup, In: catKeys, Out: []plan.Reg{g2}})
 	rs2 := rw.newReg()
@@ -737,7 +760,7 @@ func (rw *rewriter) materializeCluster(cl *cluster) error {
 			Op: plan.OpAgg, Agg: ag.kind.MergeKind(), In: []plan.Reg{cv, g2}, Out: []plan.Reg{ag.reg},
 		})
 		rw.merged[ag.reg] = true
-		spec.Aggs = append(spec.Aggs, GroupMergeAgg{Cat: cv, Kind: ag.kind.MergeKind(), Out: ag.reg})
+		spec.Aggs = append(spec.Aggs, GroupMergeAgg{Cat: cv, Kind: ag.kind.MergeKind(), Out: ag.reg, Typ: rw.typeOf(ag.reg)})
 	}
 	spec.Len = len(rw.ip.Merge) - spec.Start
 	rw.ip.GroupMerges = append(rw.ip.GroupMerges, spec)

@@ -151,7 +151,8 @@ type workerEnv struct {
 // Runtime executes an IncPlan across window slides, maintaining the
 // per-basic-window intermediate slots and the join matrix.
 type Runtime struct {
-	ip *IncPlan
+	ip   *IncPlan
+	opts Options
 
 	slotPos []map[plan.Reg]int // per source: reg -> slot index
 	cellPos map[plan.Reg]int
@@ -194,6 +195,20 @@ type Runtime struct {
 	fusedAggs  []algebra.FusedAgg
 	fusedParts []fusedPart
 	lazyConcat bool
+
+	// deltas are the delta-maintained grouped merge blocks (MergeDelta), in
+	// plan order; deltaAt indexes them by their start instruction like
+	// groupMergeAt. deltaSynced says their state mirrors the slot ring: it
+	// is dropped for the duration of every slide, so a slide that errors
+	// after rotation leaves it false and the next one rebuilds from the
+	// ring instead of trusting a half-advanced state.
+	deltas      []*deltaBlock
+	deltaAt     map[int]*deltaBlock
+	deltaSynced bool
+	// deltaCat maps a concatenation's destination to the delta block that
+	// is its only reader; merge skips those concatenations (the block emits
+	// from its own state).
+	deltaCat map[plan.Reg]*deltaBlock
 
 	// mergeEnv is the reusable merge-stage register file; its entries are
 	// cleared after every firing so it never pins a slide's vectors.
@@ -247,6 +262,7 @@ func NewRuntime(ip *IncPlan) *Runtime { return NewRuntimeOpts(ip, Options{}) }
 func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 	rt := &Runtime{
 		ip:      ip,
+		opts:    opts,
 		slots:   make([][]regFile, len(ip.Prog.Sources)),
 		pending: make([][]regFile, len(ip.Prog.Sources)),
 		slotPos: make([]map[plan.Reg]int, len(ip.Prog.Sources)),
@@ -282,6 +298,7 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 		}
 		rt.partitioner = algebra.NewPartitioner()
 		rt.fused = algebra.NewFused()
+		rt.initDeltas()
 		// Landmark plans compact merge outputs back into slots, which must
 		// hold dense vectors; everything else can feed the merge stage
 		// multi-part views (vec() materializes lazily where needed).
@@ -489,6 +506,9 @@ func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input
 // applyOne is one slide of Apply; it adds its stage times to stats.
 func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, error) {
 	t1 := time.Now()
+	synced := rt.deltaSynced
+	rt.deltaSynced = false // until this slide completes without error
+	var deltaNS int64
 	evicted := false
 	for j, s := range rt.srcIdx {
 		file := newFiles[j]
@@ -497,12 +517,21 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 			file = rt.combineChunks(s, chunks)
 			rt.pending[s] = nil
 		}
+		var old regFile
 		if !rt.ip.Landmark && len(rt.slots[s]) == rt.ip.N {
 			// Transition phase: expire the oldest basic window.
+			old = rt.slots[s][0]
 			rt.slots[s] = rt.slots[s][1:]
 			evicted = true
 		}
 		rt.slots[s] = append(rt.slots[s], file)
+		if len(rt.deltas) > 0 {
+			// The delta-maintained blocks advance with the ring on every
+			// slide, whether or not this runtime goes on to merge it.
+			td := time.Now()
+			rt.advanceDeltas(s, old, file, synced)
+			deltaNS += time.Since(td).Nanoseconds()
+		}
 	}
 	if rt.ip.HasJoin {
 		tj := time.Now()
@@ -511,13 +540,16 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 		}
 		stats.JoinNS = time.Since(tj).Nanoseconds()
 	}
-	stats.MainNS += time.Since(t1).Nanoseconds()
+	// Maintaining merge state is merge work, not fragment work.
+	stats.MainNS += time.Since(t1).Nanoseconds() - deltaNS
+	stats.MergeNS += deltaNS
 
 	if !rt.ready() {
 		if tx != nil && tx.Publish != nil {
 			// The window is still filling: nothing merged, nothing to adopt.
 			tx.Publish(nil, nil)
 		}
+		rt.deltaSynced = true
 		return nil, nil
 	}
 	t2 := time.Now()
@@ -531,7 +563,8 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 	// env is the reusable merge register file: clear it so it does not pin
 	// the slide's concatenations and result columns past this firing.
 	clear(env)
-	stats.MergeNS = time.Since(t2).Nanoseconds() - stats.ScatterNS - stats.PartitionNS - stats.StitchNS
+	stats.MergeNS += time.Since(t2).Nanoseconds() - stats.ScatterNS - stats.PartitionNS - stats.StitchNS
+	rt.deltaSynced = true
 	stats.Emitted = true
 	stats.ResultRows = tbl.NumRows()
 	return tbl, nil
@@ -954,6 +987,9 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 
 	if adopt == nil {
 		for _, spec := range rt.ip.Concats {
+			if b := rt.deltaCat[spec.Dst]; b != nil && !b.off {
+				continue
+			}
 			vecs, err := rt.gather(spec)
 			if err != nil {
 				return nil, nil, err
@@ -1036,23 +1072,226 @@ func (rt *Runtime) mergeShards(rows int) int {
 }
 
 // mergeGrouped executes one grouped-aggregation compensation block,
-// bit-identical to the plain instruction path at any configuration. Two
-// kernels implement it:
+// bit-identical to the plain instruction path at any configuration. Three
+// kernels implement it (MergeKernel says which a block gets):
 //
+//   - the delta-maintained kernel (single int64/timestamp key, integer
+//     Sum partials from one windowed source): the block's totals were kept
+//     current by advanceDeltas at slot rotation, so merging is one
+//     sequential emission — no re-group, no scatter, at any Parallelism;
 //   - the fused scatter/shard/tree-stitch kernel (single int64/timestamp
-//     key, Sum/Min/Max over int64/float64 partials — the common shape):
-//     grouping and aggregation run in one pass per shard over scattered
-//     row payloads, and shards stitch back pairwise up a binary tree;
+//     key, Sum/Min/Max over int64/float64 partials): grouping and
+//     aggregation run in one pass per shard over scattered row payloads,
+//     and shards stitch back pairwise up a binary tree;
 //   - the index-based Partitioner kernel for every other shape (generic
 //     multi-column keys, non-numeric aggregates), unchanged from PR 5.
 //
-// P degrades to 1 (reusing the hashtable, skipping scatter and stitch)
-// when parallelism is off or the block is too small to shard profitably.
+// For the re-grouping kernels P degrades to 1 (reusing the hashtable,
+// skipping scatter and stitch) when parallelism is off or the block is too
+// small to shard profitably.
 func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (handled bool, err error) {
+	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
+		keyVec, aggVecs := b.d.Emit()
+		env[spec.KeyOuts[0]] = exec.VecDatum(keyVec)
+		for i, ag := range spec.Aggs {
+			env[ag.Out] = exec.VecDatum(aggVecs[i])
+		}
+		return true, nil
+	}
 	if ok, err := rt.mergeFused(spec, env, stats); ok || err != nil {
 		return ok, err
 	}
 	return rt.mergeGroupedIndex(spec, env, stats)
+}
+
+// Merge kernel names, as MergeKernel and Explain report them.
+const (
+	MergeDelta       = "delta"
+	MergeFused       = "fused"
+	MergeIndex       = "index"
+	MergeInstruction = "instruction"
+)
+
+// MergeKernel names the kernel a runtime built with opts runs grouped
+// merge block i through and, unless that is the delta-maintained kernel,
+// the first reason the block does not qualify for it. The choice follows
+// from the plan's shape alone; Baseline is the only switch.
+func (ip *IncPlan) MergeKernel(i int, opts Options) (kernel, reason string) {
+	spec := &ip.GroupMerges[i]
+	if opts.Baseline {
+		return MergeInstruction, "baseline"
+	}
+	singleIntKey := len(spec.KeyTypes) == 1 && vector.IntKind(spec.KeyTypes[0])
+	kernel = MergeIndex
+	if singleIntKey {
+		kernel = MergeFused
+		for _, ag := range spec.Aggs {
+			if !(algebra.FusedAgg{Kind: ag.Kind, Typ: ag.Typ}).Fusible() {
+				kernel = MergeIndex
+			}
+		}
+	}
+	switch {
+	case ip.Landmark:
+		return kernel, "landmark"
+	case ip.HasJoin || spec.Source < 0:
+		return kernel, "join-fed"
+	case !singleIntKey:
+		return kernel, "generic key"
+	}
+	for _, ag := range spec.Aggs {
+		switch {
+		case ag.Kind == algebra.AggMin || ag.Kind == algebra.AggMax:
+			return kernel, "min/max"
+		case ag.Kind == algebra.AggSum && ag.Typ == vector.Float64:
+			return kernel, "float sum"
+		case !(algebra.FusedAgg{Kind: ag.Kind, Typ: ag.Typ}).Invertible():
+			return kernel, "non-invertible aggregate"
+		}
+	}
+	return MergeDelta, ""
+}
+
+// MergeKernels names the kernel this runtime runs each grouped merge block
+// of its plan through, in plan order.
+func (rt *Runtime) MergeKernels() []string {
+	out := make([]string, len(rt.ip.GroupMerges))
+	for i := range out {
+		out[i], _ = rt.ip.MergeKernel(i, rt.opts)
+		if b := rt.deltaAt[rt.ip.GroupMerges[i].Start]; out[i] == MergeDelta && (b == nil || b.off) {
+			out[i] = MergeFused // retired by a slot file of unexpected shape
+		}
+	}
+	return out
+}
+
+// deltaBlock is the runtime-private state of one delta-maintained grouped
+// merge block: the kernel state plus where its key and aggregate partials
+// sit in the feeding source's slot files. Slot files may be shared with
+// other queries through the fragment catalog and are only ever read here —
+// every per-row side array lives inside d.
+type deltaBlock struct {
+	d      *algebra.Delta
+	src    int
+	keyPos int
+	aggPos []int
+	keyTyp vector.Type
+	aggTyp []vector.Type
+	vals   [][]int64 // scratch: one slot file's aggregate columns
+	// off retires the block to the re-grouping kernels for good: a slot
+	// file did not have the statically derived shape.
+	off bool
+}
+
+// initDeltas sets up the delta-maintained state of every grouped merge
+// block that qualifies.
+func (rt *Runtime) initDeltas() {
+	ip := rt.ip
+	catSrc := make(map[plan.Reg]plan.Reg, len(ip.Concats))
+	for _, c := range ip.Concats {
+		catSrc[c.Dst] = c.Src
+	}
+	for i := range ip.GroupMerges {
+		if kernel, _ := ip.MergeKernel(i, rt.opts); kernel != MergeDelta {
+			continue
+		}
+		spec := &ip.GroupMerges[i]
+		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs))}
+		pos, ok := rt.slotPos[b.src][catSrc[spec.CatKeys[0]]]
+		b.keyPos = pos
+		for _, ag := range spec.Aggs {
+			p, found := rt.slotPos[b.src][catSrc[ag.Cat]]
+			ok = ok && found
+			b.aggPos = append(b.aggPos, p)
+			b.aggTyp = append(b.aggTyp, ag.Typ)
+		}
+		if !ok {
+			continue
+		}
+		b.d = algebra.NewDelta(b.keyTyp, b.aggTyp)
+		if rt.deltaAt == nil {
+			rt.deltaAt = map[int]*deltaBlock{}
+			rt.deltaCat = map[plan.Reg]*deltaBlock{}
+		}
+		rt.deltaAt[spec.Start] = b
+		rt.deltas = append(rt.deltas, b)
+		// The block's concatenations need not be bound unless a residual
+		// instruction outside the block also reads them.
+		rt.deltaCat[spec.CatKeys[0]] = b
+		for _, ag := range spec.Aggs {
+			rt.deltaCat[ag.Cat] = b
+		}
+		for idx, in := range ip.Merge {
+			if idx >= spec.Start && idx < spec.Start+spec.Len {
+				continue
+			}
+			for _, r := range in.In {
+				delete(rt.deltaCat, r)
+			}
+		}
+	}
+}
+
+// columns reads one slot file's key and aggregate partial columns (the
+// latter into the block's scratch). ok is false when the file does not
+// hold dense columns of the expected types and equal lengths.
+func (b *deltaBlock) columns(file regFile) (keys []int64, vals [][]int64, ok bool) {
+	kd := file[b.keyPos]
+	if kd.Kind != exec.KindVec || kd.Vec.Type() != b.keyTyp {
+		return nil, nil, false
+	}
+	keys = kd.Vec.Int64s()
+	for a, p := range b.aggPos {
+		d := file[p]
+		if d.Kind != exec.KindVec || d.Vec.Type() != b.aggTyp[a] || d.Vec.Len() != len(keys) {
+			return nil, nil, false
+		}
+		b.vals[a] = d.Vec.Int64s()
+	}
+	return keys, b.vals, true
+}
+
+// advanceDeltas moves every delta block fed by source s one slide forward:
+// old (nil while the window is filling) left the slot ring, file entered
+// it. A block that was not in sync with the ring — first slide, or a
+// previous slide errored after rotation — is rebuilt from the ring.
+func (rt *Runtime) advanceDeltas(s int, old, file regFile, synced bool) {
+	for _, b := range rt.deltas {
+		if b.src != s || b.off {
+			continue
+		}
+		if synced && rt.advanceDelta(b, old, file) {
+			continue
+		}
+		b.d.Reset()
+		for _, f := range rt.slots[s] {
+			keys, vals, ok := b.columns(f)
+			if !ok {
+				b.off = true
+				break
+			}
+			b.d.Add(keys, vals)
+		}
+		clear(b.vals)
+	}
+}
+
+// advanceDelta is the steady-state step: subtract the expired basic
+// window's partial, add the new one. It reports false when the state and
+// the ring disagree, which sends the block through a rebuild.
+func (rt *Runtime) advanceDelta(b *deltaBlock, old, file regFile) bool {
+	defer clear(b.vals) // don't pin slot vectors
+	if old != nil {
+		keys, vals, ok := b.columns(old)
+		if !ok || !b.d.Expire(keys, vals) {
+			return false
+		}
+	}
+	keys, vals, ok := b.columns(file)
+	if ok {
+		b.d.Add(keys, vals)
+	}
+	return ok
 }
 
 // datumCol reports the column type and row count of a merge input that is
@@ -1415,6 +1654,31 @@ func (rt *Runtime) MemorySlots() int {
 		total += len(s)
 	}
 	return total
+}
+
+// DeltaState is the footprint of the delta-maintained merge blocks, summed
+// over the blocks in use: live groups and partial rows, and the allocated
+// capacity of the key tables and row arenas holding them.
+type DeltaState struct {
+	Blocks, Groups, Rows, TableCap, ArenaCap int
+}
+
+// DeltaState reports the delta-maintained merge state, for observability
+// and the bounded-state tests. Blocks is zero when no block of the plan
+// takes the delta path.
+func (rt *Runtime) DeltaState() DeltaState {
+	var st DeltaState
+	for _, b := range rt.deltas {
+		if b.off {
+			continue
+		}
+		st.Blocks++
+		st.Groups += b.d.Groups()
+		st.Rows += b.d.Rows()
+		st.TableCap += b.d.TableCap()
+		st.ArenaCap += b.d.ArenaCap()
+	}
+	return st
 }
 
 // CellCount reports the number of live join-matrix cells.

@@ -125,13 +125,14 @@ func TestGroupedMergeParityAcrossModes(t *testing.T) {
 // the fragment / partition / merge breakdown: the partitioned re-group
 // must be visible in the cumulative Stats (which must equal the sum of the
 // per-result stage clocks) once the concatenated partials are large enough
-// to shard.
+// to shard. (max keeps the block re-grouped; an invertible block is
+// delta-maintained and never shards.)
 func TestPartitionStatsSurfaced(t *testing.T) {
 	forceShards(t, 4)
 	e := newTestEngine(t)
 	var c collector
 	q, err := e.Register(
-		`SELECT x1, sum(x2) FROM s [RANGE 4096 SLIDE 512] GROUP BY x1`,
+		`SELECT x1, sum(x2), max(x2) FROM s [RANGE 4096 SLIDE 512] GROUP BY x1`,
 		Options{Mode: Incremental, Parallelism: 4, OnResult: c.add})
 	if err != nil {
 		t.Fatal(err)

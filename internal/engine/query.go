@@ -510,8 +510,8 @@ func (q *ContinuousQuery) Fingerprint() string {
 // subscribe to it, so sharing is observable without reading stats.
 func (q *ContinuousQuery) Explain() string {
 	s := fmt.Sprintf("query %s [%s]: %s\n", q.ID, q.Mode, q.SQL)
-	if q.inc != nil {
-		s += q.inc.Explain()
+	if q.rt != nil {
+		s += q.rt.Explain()
 	}
 	if q.inc != nil && q.inc.HasJoin {
 		if q.rt == nil || !q.rt.AdaptiveJoin() {
@@ -531,6 +531,16 @@ func (q *ContinuousQuery) Explain() string {
 		s += "fragment sharing: off (private evaluation)\n"
 	}
 	return s
+}
+
+// MergeKernels names the merge kernel each grouped merge block of the
+// query's incremental plan runs through (see core.Runtime.MergeKernels);
+// nil for re-evaluation queries.
+func (q *ContinuousQuery) MergeKernels() []string {
+	if q.rt == nil {
+		return nil
+	}
+	return q.rt.MergeKernels()
 }
 
 // Chunker exposes the adaptive chunk controller (nil when disabled).
