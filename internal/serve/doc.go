@@ -15,38 +15,53 @@
 //
 // # Multiplexing and shared encode
 //
-// Each client connection is served by one reader goroutine (parsing
-// commands) and per-subscription writer pumps. Subscriptions are interned
-// by statement: all clients registering the same SQL text and mode attach
-// to a single sharedSub owning one engine query and one
-// Query.Subscribe channel, and every window result is encoded exactly
-// once and fanned to the N attached connection writers — one serialize, N
-// writes. This extends the engine's shared-plan fragment catalog (which
-// shares pre-merge evaluation across *different* statements with equal
-// fragment fingerprints) one layer up: identical statements also share
-// the merge, the subscription, and the wire encode.
+// Each connection is served by two goroutines: a reader that executes
+// commands, and one writer that owns the socket — nothing else writes it.
+// Subscriptions are interned by statement: all clients registering the same
+// SQL text and mode attach to a single sharedSub owning one engine query and
+// one Query.Subscribe channel, and every window result is encoded exactly
+// once by that statement's fanout and queued, by reference, for each
+// attached subscription — one serialize, N frames. This extends the engine's
+// shared-plan fragment catalog (which shares pre-merge evaluation across
+// *different* statements with equal fragment fingerprints) one layer up:
+// identical statements also share the merge, the subscription, and the
+// wire encode.
+//
+// Replies and every subscription's result frames enter the connection's
+// outbox in arrival order. The writer copies what is ready into a 64 KiB
+// buffer and flushes when the outbox is empty: the batch is whatever is ready
+// when it looks — no timer, no setting. A control frame (reply, append ack,
+// SUBSCRIBED, BYE) flushes at once. With more than one subscription on the
+// connection the writer yields the processor once before flushing results,
+// so the frames sibling fanouts emit for the same slide share a write; with
+// one, each frame is one prompt write. A subscription's frames enter the
+// outbox only behind its SUBSCRIBED.
 //
 // # Backpressure
 //
 // The shared engine subscription runs SubOptions{OnOverflow: Block}, so
-// the engine never drops a window before the fanout saw it. Each attached
-// connection then applies its own policy at its delivery queue — the same
-// {buffer, overflow} shape as SubOptions, per connection:
+// the engine never drops a window before the fanout saw it. Each
+// subscription has its own bounded queue of undelivered frames — the same
+// {buffer, overflow} shape as SubOptions — filled by the fanout and emptied
+// by the writer. When it is full:
 //
-//   - PolicyBlock: the fanout blocks until the writer drains — the stall
-//     propagates through the Block subscription into the query step,
-//     exactly the engine's Block semantics, now per wire consumer.
-//   - PolicyDropOldest: the queue drops its oldest undelivered frame —
-//     bounded staleness; a slow or dead socket never stalls ingest, the
-//     engine, or other clients.
-//   - PolicyDisconnect: a full queue closes the connection (the client is
-//     told via a BYE frame when the socket still accepts writes).
+//   - PolicyBlock: that statement's fanout waits for the writer to take a
+//     frame (or the subscription to end) — the stall propagates through the
+//     Block subscription into that query's step and to nothing else.
+//   - PolicyDropOldest: the subscription's oldest undelivered frame gives
+//     way — bounded staleness; a slow or dead socket never stalls ingest,
+//     the engine, or other clients.
+//   - PolicyDisconnect: the connection is evicted — what it has queued is
+//     discarded, the writer sends BYE "slow client (policy disconnect)" and
+//     closes; a socket that takes no bytes for a second closes untold.
 //
 // # Drain
 //
 // Shutdown stops accepting, halts the scheduler, pumps owed windows
-// synchronously, closes the shared subscriptions (their channels drain
-// through the fanout), flushes writer queues, sends BYE and closes — all
+// synchronously and closes the shared subscriptions (their channels drain
+// through the fanouts into the outboxes); each connection then accepts
+// nothing new, its writer empties the outbox, writes a BYE and closes — all
 // bounded by the caller's context deadline, after which connections are
-// force-closed.
+// force-closed. A connection's end is counted under the class of its first
+// cause: read, write, policy, drain, handshake, dispatch.
 package serve

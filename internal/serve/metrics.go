@@ -37,6 +37,11 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 	fmt.Fprintf(sb, "datacell_serve_accepted_total %d\n", st.Accepted)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_disconnects_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_disconnects_total %d\n", st.Disconnects)
+	fmt.Fprintf(sb, "# HELP datacell_serve_disconnects_by_class_total Connections ended, by why: the peer went away (read), the socket failed (write), a slow client was evicted (policy), shutdown (drain), or a bad hello or frame (handshake, dispatch).\n")
+	fmt.Fprintf(sb, "# TYPE datacell_serve_disconnects_by_class_total counter\n")
+	for _, class := range []string{"read", "write", "policy", "drain", "handshake", "dispatch"} {
+		fmt.Fprintf(sb, "datacell_serve_disconnects_by_class_total{class=%q} %d\n", class, st.DisconnectsBy[class])
+	}
 	fmt.Fprintf(sb, "# HELP datacell_serve_result_encodes_total Window results serialized (one per window per statement, shared by all its subscribers).\n")
 	fmt.Fprintf(sb, "# TYPE datacell_serve_result_encodes_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_result_encodes_total %d\n", st.Encodes)
@@ -44,6 +49,9 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 	fmt.Fprintf(sb, "datacell_serve_result_frames_total %d\n", st.ResultFrames)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_result_frames_dropped_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_result_frames_dropped_total %d\n", st.DroppedFrames)
+	fmt.Fprintf(sb, "# HELP datacell_serve_socket_writes_total Write calls on client sockets: one per reply, one per batch of result frames; result_frames_total over this is the frames a write carries.\n")
+	fmt.Fprintf(sb, "# TYPE datacell_serve_socket_writes_total counter\n")
+	fmt.Fprintf(sb, "datacell_serve_socket_writes_total %d\n", st.SocketWrites)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_bytes_written_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_bytes_written_total %d\n", st.BytesOut)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_append_rows_total counter\n")

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -34,7 +35,8 @@ const (
 	// clients.
 	PolicyDropOldest Policy = 1
 	// PolicyDisconnect closes the connection when its queue is full: a
-	// slow client is evicted rather than slowed or fed stale results.
+	// slow client is evicted (with a BYE when its socket still takes
+	// writes) rather than slowed or fed stale results.
 	PolicyDisconnect Policy = 2
 )
 
@@ -88,20 +90,28 @@ type Stats struct {
 	SharedQueries int
 	Accepted      int64
 	Disconnects   int64
+	// DisconnectsBy splits Disconnects by why the connection ended: read
+	// (EOF or a bad frame), write, policy (slow-client eviction), drain,
+	// handshake, dispatch.
+	DisconnectsBy map[string]int64
 	// Encodes counts window results serialized; ResultFrames counts
 	// frames delivered to connection queues. With N subscribers sharing a
 	// statement, one window bumps Encodes once and ResultFrames N times.
 	Encodes       int64
 	ResultFrames  int64
 	DroppedFrames int64
-	BytesOut      int64
-	AppendRows    int64
+	// SocketWrites counts write calls on client sockets (one per reply, one
+	// per batch of result frames) and BytesOut the bytes they took;
+	// ResultFrames/SocketWrites is the writer's batching.
+	SocketWrites int64
+	BytesOut     int64
+	AppendRows   int64
 }
 
 type serverStats struct {
-	accepted, disconnects                atomic.Int64
+	accepted                             atomic.Int64
 	encodes, resultFrames, droppedFrames atomic.Int64
-	bytesOut, appendRows                 atomic.Int64
+	socketWrites, bytesOut, appendRows   atomic.Int64
 }
 
 // Server multiplexes TCP clients onto one datacell.DB.
@@ -109,27 +119,29 @@ type Server struct {
 	db  *datacell.DB
 	cfg Config
 
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[*conn]struct{}
-	shared   map[shareKey]*sharedSub
-	draining bool
-	closed   bool
+	mu          sync.Mutex
+	ln          net.Listener
+	conns       map[*conn]struct{}
+	shared      map[shareKey]*sharedSub
+	disconnects map[string]int64 // by teardown reason class
+	draining    bool
+	closed      bool
 
 	nextSub   atomic.Uint32
 	nextQuery atomic.Int64
 
-	wg    sync.WaitGroup // readers, pumps, fanouts
+	wg    sync.WaitGroup // connection readers and writers, fanouts
 	stats serverStats
 }
 
 // New wraps db in a Server. The caller starts it with Serve.
 func New(db *datacell.DB, cfg Config) *Server {
 	return &Server{
-		db:     db,
-		cfg:    cfg,
-		conns:  map[*conn]struct{}{},
-		shared: map[shareKey]*sharedSub{},
+		db:          db,
+		cfg:         cfg,
+		conns:       map[*conn]struct{}{},
+		shared:      map[shareKey]*sharedSub{},
+		disconnects: map[string]int64{},
 	}
 }
 
@@ -183,16 +195,24 @@ func (s *Server) Stats() Stats {
 		subs += len(ss.members)
 		ss.mu.Unlock()
 	}
+	var disconnects int64
+	by := make(map[string]int64, len(s.disconnects))
+	for class, n := range s.disconnects {
+		by[class] = n
+		disconnects += n
+	}
 	s.mu.Unlock()
 	return Stats{
 		Conns:         conns,
 		Subscriptions: subs,
 		SharedQueries: queries,
 		Accepted:      s.stats.accepted.Load(),
-		Disconnects:   s.stats.disconnects.Load(),
+		Disconnects:   disconnects,
+		DisconnectsBy: by,
 		Encodes:       s.stats.encodes.Load(),
 		ResultFrames:  s.stats.resultFrames.Load(),
 		DroppedFrames: s.stats.droppedFrames.Load(),
+		SocketWrites:  s.stats.socketWrites.Load(),
 		BytesOut:      s.stats.bytesOut.Load(),
 		AppendRows:    s.stats.appendRows.Load(),
 	}
@@ -252,21 +272,42 @@ type sharedSub struct {
 	retired bool
 }
 
-// member is one connection's attachment to a sharedSub: a bounded frame
-// queue (the wire-level SubOptions{Buffer, OnOverflow}) plus the pump
-// goroutine that owns its socket writes.
+// member is one connection's attachment to a sharedSub: a bounded queue of
+// undelivered frames (the wire-level SubOptions{Buffer, OnOverflow}) that
+// the statement's fanout fills and the connection's writer empties.
 type member struct {
-	id       uint32
-	c        *conn
-	ss       *sharedSub
-	policy   Policy
-	queue    chan []byte
-	gone     chan struct{}
-	goneOnce sync.Once
-	pumpDone chan struct{}
+	id     uint32
+	c      *conn
+	ss     *sharedSub
+	policy Policy
+	limit  int          // capacity of q
+	q      fifo[[]byte] // guarded by c.mu, as is acked
+	acked  bool         // SUBSCRIBED is in the outbox; only then do q's frames enter it
 }
 
-func (m *member) detachSignal() { m.goneOnce.Do(func() { close(m.gone) }) }
+// fifo is a slice-backed queue; pop reclaims the consumed half as it goes,
+// so a queue that never quite drains does not grow.
+type fifo[T any] struct {
+	items []T
+	head  int
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
+
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head == len(q.items) {
+		return v, false
+	}
+	v = q.items[q.head]
+	if q.head++; 2*q.head >= len(q.items) {
+		n := copy(q.items, q.items[q.head:])
+		clear(q.items[n:])
+		q.items, q.head = q.items[:n], 0
+	}
+	return v, true
+}
 
 // register interns (mode, sql) and attaches c, creating the engine query
 // and fanout on first use.
@@ -315,20 +356,28 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 		results = ch
 	}
 	m := &member{
-		id:       s.nextSub.Add(1),
-		c:        c,
-		ss:       ss,
-		policy:   policy,
-		queue:    make(chan []byte, s.cfg.clientBuffer(buffer)),
-		gone:     make(chan struct{}),
-		pumpDone: make(chan struct{}),
+		id:     s.nextSub.Add(1),
+		c:      c,
+		ss:     ss,
+		policy: policy,
+		limit:  s.cfg.clientBuffer(buffer),
 	}
-	// Insert the member while still holding s.mu: retire takes s.mu before
-	// marking, so an entry found in the map here cannot retire underneath
-	// us, and once the member is in it sees len(members) > 0 and bails.
-	ss.mu.Lock()
-	ss.members[m.id] = m
-	ss.mu.Unlock()
+	// Attach to the connection and the statement in one c.mu section, gated
+	// on the closing mark: either the connection's teardown finds the member
+	// in c.subs and detaches it, or it came first and nothing is attached —
+	// never a member the statement holds and no connection reaches. All under
+	// s.mu still: retire takes it before marking, so an entry found in the map
+	// above cannot retire underneath us, and once the member is in it sees
+	// len(members) > 0 and bails. Lock order: s.mu, c.mu, ss.mu.
+	c.mu.Lock()
+	attached := c.closing == ""
+	if attached {
+		c.subs[m.id] = m
+		ss.mu.Lock()
+		ss.members[m.id] = m
+		ss.mu.Unlock()
+	}
+	c.mu.Unlock()
 	if results != nil {
 		// Start a new statement's fan-out only now that its first member is
 		// in: an adopted recovered query replays its backlog the moment the
@@ -338,36 +387,18 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 		go ss.fanout(results)
 	}
 	s.mu.Unlock()
-	// Attach to the connection last, gated on the dead flag: teardown can
-	// fire concurrently from another subscription's pump (write failure) or
-	// a policy disconnect. Either teardown's sweep sees the member in
-	// c.subs and detaches it, or it ran first and marked the conn dead —
-	// then we detach here, so a post-teardown registration can never leak
-	// into the sharedSub as an unreachable Block-policy member.
-	c.mu.Lock()
-	if c.dead {
-		c.mu.Unlock()
-		s.detach(m)
-		return nil, "", errors.New("serve: connection closed")
+	if !attached {
+		s.retire(ss) // no-op unless ss is memberless, as a new one is
+		return nil, "", errConnClosed
 	}
-	c.subs[m.id] = m
-	c.mu.Unlock()
-	// The caller starts the pump after writing the MsgSubscribed response,
-	// so the first result frame can never overtake the acknowledgement on
-	// the wire; the queue buffers anything the fanout delivers meanwhile.
+	// The fanout fills m.q from here on; the frames enter the outbox only
+	// behind the MsgSubscribed the caller queues, so none can overtake it.
 	return m, ss.fp, nil
-}
-
-// startPump launches m's writer goroutine.
-func (s *Server) startPump(m *member) {
-	s.wg.Add(1)
-	go m.pump()
 }
 
 // detach removes m from its sharedSub, retiring the shared engine query
 // when the last member leaves.
 func (s *Server) detach(m *member) {
-	m.detachSignal()
 	ss := m.ss
 	ss.mu.Lock()
 	_, present := ss.members[m.id]
@@ -432,171 +463,217 @@ func (ss *sharedSub) fanout(ch <-chan *datacell.Result) {
 	}
 }
 
-// deliver applies one member's slow-consumer policy. The frame bytes are
-// shared across members — queues hold references, never copies.
+// deliver queues one frame for m under its slow-consumer policy. The frame
+// bytes are shared across members — queues hold references, never copies.
 func (ss *sharedSub) deliver(m *member, shared []byte) {
-	st := &ss.srv.stats
-	switch m.policy {
-	case PolicyBlock:
-		select {
-		case m.queue <- shared:
-			st.resultFrames.Add(1)
-		case <-m.gone:
-		}
-	case PolicyDropOldest:
-		for {
-			select {
-			case m.queue <- shared:
-				st.resultFrames.Add(1)
-				return
-			default:
-			}
-			select {
-			case <-m.queue: // drop the oldest queued frame, retry
-				st.droppedFrames.Add(1)
-			default:
-			}
-			select {
-			case <-m.gone:
-				return
-			default:
-			}
-		}
-	case PolicyDisconnect:
-		select {
-		case m.queue <- shared:
-			st.resultFrames.Add(1)
-		default:
-			m.c.teardown("slow client (policy disconnect)")
-		}
+	c, st := m.c, &ss.srv.stats
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for m.policy == PolicyBlock && m.q.len() >= m.limit && m.live() {
+		c.moved.Wait() // only this statement's fanout stalls
 	}
+	switch full := m.q.len() >= m.limit; {
+	case !m.live():
+		return
+	case full && m.policy == PolicyDisconnect:
+		// An evicted client is owed the reason and nothing queued; a socket that
+		// takes no bytes within evictGrace fails the write and closes untold.
+		const why = "slow client (policy disconnect)"
+		c.out, c.replies = fifo[outFrame]{}, 0
+		c.finish("policy: "+why, MsgBye, appendStr32(nil, why))
+		_ = c.c.SetWriteDeadline(time.Now().Add(evictGrace))
+		return
+	case full: // PolicyDropOldest: the dropped frame's outbox token now stands for the next-oldest
+		m.q.pop()
+		st.droppedFrames.Add(1)
+	case m.acked:
+		c.out.push(outFrame{m: m})
+		c.moved.Broadcast()
+	}
+	m.q.push(shared)
+	st.resultFrames.Add(1)
 }
 
-// pump forwards queued result frames onto the member's socket. After the
-// detach signal it flushes whatever is still queued (the graceful-drain
-// path) and exits.
-func (m *member) pump() {
-	defer m.ss.srv.wg.Done()
-	defer close(m.pumpDone)
-	for {
-		select {
-		case shared := <-m.queue:
-			if err := m.c.writeResult(m.id, shared); err != nil {
-				m.c.teardown("write failed: " + err.Error())
-				return
-			}
-		case <-m.gone:
-			for {
-				select {
-				case shared := <-m.queue:
-					if m.c.writeResult(m.id, shared) != nil {
-						return
-					}
-				default:
-					return
-				}
-			}
-		}
-	}
-}
+// live: m is subscribed and its connection not ending. Caller holds c.mu.
+func (m *member) live() bool { return m.c.closing == "" && m.c.subs[m.id] == m }
 
 // --- connections -----------------------------------------------------------
 
+// conn is one client connection: handleConn reads it, writeLoop alone writes
+// it. Everything bound for the socket — dispatch's control frames and a token
+// per queued result frame — enters out in arrival order.
 type conn struct {
 	srv  *Server
 	c    net.Conn
-	wmu  sync.Mutex
-	bw   *bufio.Writer
+	bw   *bufio.Writer        // over conn.Write; writeLoop's alone, as is hdr
+	hdr  [HeaderSize + 4]byte // result-header scratch
 	once sync.Once
-	gone chan struct{}
+	gone chan struct{} // closed by teardown
 
-	mu   sync.Mutex
-	subs map[uint32]*member
-	dead bool // set by teardown; register refuses attachments after it
+	mu      sync.Mutex
+	subs    map[uint32]*member
+	out     fifo[outFrame]
+	replies int       // control frames in out
+	closing string    // first "class: detail" reason the conn ends for; once set nothing new is accepted
+	moved   sync.Cond // on mu: a frame entered or left the outbox, a member left, or closing was set
 }
 
-// writeFrame serializes one control frame onto the socket.
-func (c *conn) writeFrame(t MsgType, payload []byte) error {
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	if err := WriteFrame(c.bw, t, payload); err != nil {
-		return err
+// outFrame is one outbox entry: a control frame (t, b), or with m set a
+// token for the oldest frame in m.q.
+type outFrame struct {
+	m *member
+	t MsgType
+	b []byte
+}
+
+const (
+	// maxQueuedControl bounds a connection's unwritten replies: a client that
+	// pipelines requests and never reads the answers stalls its own reader.
+	maxQueuedControl = 16
+	// evictGrace is what an evicted socket gets to take the BYE in.
+	evictGrace = time.Second
+)
+
+var errConnClosed = errors.New("serve: connection closed")
+
+// Write is the only path to the socket (bw wraps the conn, not c.c), so the
+// wire counters see what actually left.
+func (c *conn) Write(p []byte) (int, error) {
+	c.srv.stats.socketWrites.Add(1)
+	n, err := c.c.Write(p)
+	c.srv.stats.bytesOut.Add(int64(n))
+	return n, err
+}
+
+func (c *conn) send(t MsgType, payload []byte) error { return c.sendAck(t, payload, nil) }
+
+// sendAck queues a control frame behind whatever the outbox holds. For m's
+// MsgSubscribed, the same critical section lets m's frames in behind it.
+func (c *conn) sendAck(t MsgType, payload []byte, m *member) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for c.replies >= maxQueuedControl && c.closing == "" {
+		c.moved.Wait()
 	}
-	if err := c.bw.Flush(); err != nil {
-		return err
+	if c.closing != "" {
+		return errConnClosed
 	}
-	c.srv.stats.bytesOut.Add(int64(HeaderSize + len(payload)))
+	c.replies++
+	c.out.push(outFrame{t: t, b: payload})
+	if m != nil {
+		m.acked = true
+		for i := m.q.len(); i > 0; i-- {
+			c.out.push(outFrame{m: m})
+		}
+	}
+	c.moved.Broadcast()
 	return nil
 }
 
-// writeResult writes a result frame as subID + the shared bytes — the
+// writeLoop owns the socket. It copies frames into bw as they become ready
+// and flushes when the outbox is empty, so frames queued close together
+// leave in one write. A control frame flushes at once, whatever is queued
+// behind it. With sibling subscriptions on the connection it yields once
+// before flushing results: the statements' fanouts emit the same slide
+// microseconds apart. Closing, with everything owed out, it tears down.
+func (c *conn) writeLoop() {
+	defer c.srv.wg.Done()
+	yielded := false
+	for {
+		c.mu.Lock()
+		for c.out.len() == 0 && c.bw.Buffered() == 0 && c.closing == "" {
+			c.moved.Wait()
+		}
+		f, ok := c.out.pop()
+		if ok {
+			if f.m == nil {
+				c.replies--
+			} else {
+				f.b, _ = f.m.q.pop() // a token always has its frame
+			}
+			c.moved.Broadcast()
+		}
+		siblings, closing := len(c.subs) > 1, c.closing
+		c.mu.Unlock()
+		var err error
+		switch {
+		case ok && f.m != nil:
+			err = c.writeResult(f.m.id, f.b)
+		case ok:
+			if err = WriteFrame(c.bw, f.t, f.b); err == nil {
+				err = c.bw.Flush()
+			}
+			yielded = false
+		case c.bw.Buffered() == 0:
+			c.teardown(closing)
+			return
+		case siblings && !yielded:
+			yielded = true
+			runtime.Gosched()
+		default:
+			err = c.bw.Flush()
+			yielded = false
+		}
+		if err != nil {
+			c.teardown("write: " + err.Error())
+			return
+		}
+	}
+}
+
+// writeResult buffers a result frame as subID + the shared bytes — the
 // only copy of the window payload is the one every member references.
 func (c *conn) writeResult(subID uint32, shared []byte) error {
 	if 4+len(shared) > MaxFrame {
 		return ErrFrameTooLarge
 	}
-	c.wmu.Lock()
-	defer c.wmu.Unlock()
-	var hdr [HeaderSize + 4]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(4+len(shared)))
-	hdr[4] = byte(MsgResult)
-	binary.BigEndian.PutUint32(hdr[5:], subID)
-	if _, err := c.bw.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(c.hdr[:4], uint32(4+len(shared)))
+	c.hdr[4] = byte(MsgResult)
+	binary.BigEndian.PutUint32(c.hdr[5:], subID)
+	if _, err := c.bw.Write(c.hdr[:]); err != nil {
 		return err
 	}
-	if _, err := c.bw.Write(shared); err != nil {
-		return err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return err
-	}
-	c.srv.stats.bytesOut.Add(int64(len(hdr) + len(shared)))
-	return nil
+	_, err := c.bw.Write(shared)
+	return err
 }
 
-// teardown closes the connection and detaches its subscriptions. It is
-// idempotent and never takes wmu, so a writer blocked on a dead socket
-// cannot wedge it — closing the socket is what unblocks that writer.
+// finish is the orderly end; the caller holds c.mu. Nothing new is accepted
+// from here: writeLoop writes what the outbox holds, this farewell, and
+// tears down.
+func (c *conn) finish(reason string, t MsgType, payload []byte) {
+	if c.closing != "" {
+		return
+	}
+	c.closing = reason
+	c.replies++
+	c.out.push(outFrame{t: t, b: payload})
+	c.moved.Broadcast()
+}
+
+// teardown closes the connection now and detaches its subscriptions. It is
+// idempotent and takes only c.mu, which writeLoop never holds across a write:
+// closing the socket is what unblocks a writer stuck on a dead one.
 func (c *conn) teardown(reason string) {
 	c.once.Do(func() {
-		_ = reason
+		c.mu.Lock()
+		if c.closing == "" {
+			c.closing = reason
+		}
+		class, _, _ := strings.Cut(c.closing, ":")
+		subs := c.subs
+		c.subs = nil // read-only from here: register is gated on closing
+		c.moved.Broadcast()
+		c.mu.Unlock()
 		close(c.gone)
 		c.c.Close()
-		c.mu.Lock()
-		c.dead = true
-		subs := make([]*member, 0, len(c.subs))
-		for _, m := range c.subs {
-			subs = append(subs, m)
-		}
-		c.subs = map[uint32]*member{}
-		c.mu.Unlock()
 		for _, m := range subs {
 			c.srv.detach(m)
 		}
 		c.srv.mu.Lock()
 		delete(c.srv.conns, c)
+		c.srv.disconnects[class]++
 		c.srv.mu.Unlock()
-		c.srv.stats.disconnects.Add(1)
 	})
-}
-
-// drainAndClose is the graceful variant: detach subscriptions, let the
-// pumps flush their queues, say goodbye, then close.
-func (c *conn) drainAndClose(reason string) {
-	c.mu.Lock()
-	subs := make([]*member, 0, len(c.subs))
-	for _, m := range c.subs {
-		subs = append(subs, m)
-	}
-	c.mu.Unlock()
-	for _, m := range subs {
-		m.detachSignal()
-	}
-	for _, m := range subs {
-		<-m.pumpDone
-	}
-	c.writeFrame(MsgBye, appendStr32(nil, reason))
-	c.teardown(reason)
 }
 
 // handleConn is one connection's reader goroutine: handshake, then a
@@ -606,15 +683,18 @@ func (s *Server) handleConn(nc net.Conn) {
 	c := &conn{
 		srv:  s,
 		c:    nc,
-		bw:   bufio.NewWriterSize(nc, 1<<16),
 		gone: make(chan struct{}),
 		subs: map[uint32]*member{},
 	}
+	c.bw, c.moved.L = bufio.NewWriterSize(c, 1<<16), &c.mu
+	s.wg.Add(1)
+	go c.writeLoop()
 	s.mu.Lock()
 	if s.draining || s.closed {
 		s.mu.Unlock()
-		c.writeFrame(MsgBye, appendStr32(nil, "server is draining"))
-		nc.Close()
+		c.mu.Lock()
+		c.finish("drain: refused", MsgBye, appendStr32(nil, "server is draining"))
+		c.mu.Unlock()
 		return
 	}
 	s.conns[c] = struct{}{}
@@ -626,12 +706,12 @@ func (s *Server) handleConn(nc net.Conn) {
 	t, payload, buf, err := ReadFrame(br, buf)
 	if err != nil || t != MsgHello || len(payload) != len(Magic)+1 ||
 		string(payload[:len(Magic)]) != Magic || payload[len(Magic)] != ProtocolVersion {
-		c.writeFrame(MsgError, encodeError(0, "serve: bad handshake"))
-		c.teardown("bad handshake")
+		c.mu.Lock()
+		c.finish("handshake: bad hello", MsgError, encodeError(0, "serve: bad handshake"))
+		c.mu.Unlock()
 		return
 	}
-	if err := c.writeFrame(MsgOK, encodeOK(0, "datacell")); err != nil {
-		c.teardown("handshake write failed")
+	if err := c.send(MsgOK, encodeOK(0, "datacell")); err != nil {
 		return
 	}
 	for {
@@ -641,7 +721,10 @@ func (s *Server) handleConn(nc net.Conn) {
 			return
 		}
 		if err := s.dispatch(c, t, payload); err != nil {
-			c.teardown("dispatch: " + err.Error())
+			// On errConnClosed the writer still owes the client the outbox.
+			if !errors.Is(err, errConnClosed) {
+				c.teardown("dispatch: " + err.Error())
+			}
 			return
 		}
 	}
@@ -655,8 +738,9 @@ func encodeError(seq uint32, msg string) []byte {
 	return appendStr32(appendU32(nil, seq), msg)
 }
 
-// dispatch executes one client frame. A returned error is fatal for the
-// connection (malformed frame); per-request failures go back as MsgError.
+// dispatch executes one client frame. A returned error ends the reader: a
+// malformed frame is fatal for the connection, errConnClosed means it is
+// ending already; per-request failures go back as MsgError.
 func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 	r := &byteReader{b: payload}
 	seq := r.u32()
@@ -665,10 +749,10 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 	}
 	switch t {
 	case MsgPing:
-		return c.writeFrame(MsgOK, encodeOK(seq, "pong"))
+		return c.send(MsgOK, encodeOK(seq, "pong"))
 
 	case MsgQueries:
-		return c.writeFrame(MsgOK, encodeOK(seq, s.QueryList()))
+		return c.send(MsgOK, encodeOK(seq, s.QueryList()))
 
 	case MsgStmt:
 		sql := r.str32()
@@ -678,11 +762,11 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 		detail, tbl, err := ExecStatement(s.db, sql)
 		switch {
 		case err != nil:
-			return c.writeFrame(MsgError, encodeError(seq, err.Error()))
+			return c.send(MsgError, encodeError(seq, err.Error()))
 		case tbl != nil:
-			return c.writeFrame(MsgTable, AppendTable(appendU32(nil, seq), tbl))
+			return c.send(MsgTable, AppendTable(appendU32(nil, seq), tbl))
 		default:
-			return c.writeFrame(MsgOK, encodeOK(seq, detail))
+			return c.send(MsgOK, encodeOK(seq, detail))
 		}
 
 	case MsgRegister:
@@ -694,19 +778,17 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 			return r.err
 		}
 		if mode > datacell.Auto {
-			return c.writeFrame(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown mode %d", mode)))
+			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown mode %d", mode)))
 		}
 		if policy > PolicyDisconnect {
-			return c.writeFrame(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown policy %d", policy)))
+			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown policy %d", policy)))
 		}
 		m, fp, err := s.register(c, sql, mode, policy, buffer)
 		if err != nil {
-			return c.writeFrame(MsgError, encodeError(seq, err.Error()))
+			return c.send(MsgError, encodeError(seq, err.Error()))
 		}
 		out := appendU32(appendU32(nil, seq), m.id)
-		werr := c.writeFrame(MsgSubscribed, appendStr32(out, fp))
-		s.startPump(m) // after the ack: result frames never overtake it
-		return werr
+		return c.sendAck(MsgSubscribed, appendStr32(out, fp), m)
 
 	case MsgUnsubscribe:
 		subID := r.u32()
@@ -716,12 +798,13 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 		c.mu.Lock()
 		m := c.subs[subID]
 		delete(c.subs, subID)
+		c.moved.Broadcast() // a Block deliver may be waiting on m
 		c.mu.Unlock()
 		if m == nil {
-			return c.writeFrame(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown subscription %d", subID)))
+			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown subscription %d", subID)))
 		}
 		s.detach(m)
-		return c.writeFrame(MsgOK, encodeOK(seq, "unsubscribed"))
+		return c.send(MsgOK, encodeOK(seq, "unsubscribed"))
 
 	case MsgAppend:
 		kind := r.u8()
@@ -746,10 +829,10 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 			aerr = fmt.Errorf("serve: unknown append kind %d", kind)
 		}
 		if aerr != nil {
-			return c.writeFrame(MsgError, encodeError(seq, aerr.Error()))
+			return c.send(MsgError, encodeError(seq, aerr.Error()))
 		}
 		s.stats.appendRows.Add(int64(blk.NumRows()))
-		return c.writeFrame(MsgOK, encodeOK(seq, fmt.Sprintf("%d rows", blk.NumRows())))
+		return c.send(MsgOK, encodeOK(seq, fmt.Sprintf("%d rows", blk.NumRows())))
 
 	default:
 		return fmt.Errorf("serve: unexpected message type 0x%02x", uint8(t))
@@ -820,11 +903,21 @@ func (s *Server) insertTable(table string, blk *Block) error {
 
 // --- shutdown --------------------------------------------------------------
 
+func (s *Server) connList() []*conn {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	conns := make([]*conn, 0, len(s.conns))
+	for c := range s.conns {
+		conns = append(conns, c)
+	}
+	return conns
+}
+
 // Shutdown drains the server: stop accepting, halt the scheduler, flush
-// owed windows through the shared subscriptions, let writer pumps empty
-// their queues, send BYE frames and close. The graceful phase is bounded
-// by ctx (or Config.DrainTimeout when ctx has no deadline); past the
-// bound, connections are force-closed. Safe to call more than once.
+// owed windows through the shared subscriptions, let each connection's
+// writer empty its outbox, send its BYE frame and close. The graceful phase
+// is bounded by ctx (or Config.DrainTimeout when ctx has no deadline); past
+// the bound, connections are force-closed. Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -873,22 +966,17 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			<-ss.done
 			ss.cancel()
 		}
-		// Detach members (pumps flush their queues), say goodbye, close.
-		s.mu.Lock()
-		conns := make([]*conn, 0, len(s.conns))
-		for c := range s.conns {
-			conns = append(conns, c)
-		}
-		s.mu.Unlock()
-		var cwg sync.WaitGroup
+		// Every frame owed is in an outbox now: detach the members and let
+		// each writer empty its outbox, say goodbye and close.
+		conns := s.connList()
 		for _, c := range conns {
-			cwg.Add(1)
-			go func(c *conn) {
-				defer cwg.Done()
-				c.drainAndClose("server draining")
-			}(c)
+			c.mu.Lock()
+			c.finish("drain: server draining", MsgBye, appendStr32(nil, "server draining"))
+			c.mu.Unlock()
 		}
-		cwg.Wait()
+		for _, c := range conns {
+			<-c.gone
+		}
 	}()
 
 	select {
@@ -897,16 +985,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return pumpErr
 	case <-ctx.Done():
 		// Force: close every socket and detach every member — this
-		// unblocks stuck writes, Block-policy fanout sends, and the
+		// unblocks stuck writes, Block-policy fanout waits, and the
 		// synchronous pump above.
-		s.mu.Lock()
-		conns := make([]*conn, 0, len(s.conns))
-		for c := range s.conns {
-			conns = append(conns, c)
-		}
-		s.mu.Unlock()
-		for _, c := range conns {
-			c.teardown("drain timeout")
+		for _, c := range s.connList() {
+			c.teardown("drain: timeout")
 		}
 		for _, ss := range shared {
 			ss.cancel()

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -24,6 +25,12 @@ func startServer(t *testing.T, db *datacell.DB, cfg Config) (*Server, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveOn(t, db, cfg, ln)
+}
+
+// serveOn is startServer over a listener the test supplies.
+func serveOn(t *testing.T, db *datacell.DB, cfg Config, ln net.Listener) (*Server, string) {
+	t.Helper()
 	srv := New(db, cfg)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(ln) }()
@@ -491,7 +498,8 @@ func TestRegisterBufferClamped(t *testing.T) {
 // window on the server is the member's construction — the large requested
 // queue widens it — hence the loop. (The client has the mirror-image
 // obligation: attach the subscription before reading the frame after the
-// acknowledgement.)
+// acknowledgement.) Odd iterations read the wire by hand: the
+// acknowledgement itself must precede the backlog's first frame.
 func TestRecoveredReplayReachesFirstSubscriber(t *testing.T) {
 	const sql = `SELECT count(*) FROM s [RANGE 4 SLIDE 4]`
 	const windows = 16
@@ -531,6 +539,27 @@ func TestRecoveredReplayReachesFirstSubscriber(t *testing.T) {
 				t.Fatal(err)
 			}
 			_, addr := startServer(t, db, Config{})
+			if iter%2 == 1 {
+				nc, br := rawDial(t, addr)
+				rawRegister(t, nc, 1, PolicyBlock, 65536, sql)
+				nc.SetReadDeadline(time.Now().Add(10 * time.Second))
+				for want := 0; want <= windows; want++ {
+					typ, payload, _, err := ReadFrame(br, nil)
+					if err != nil {
+						t.Fatalf("frame %d: %v", want, err)
+					}
+					if want == 0 {
+						if typ != MsgSubscribed {
+							t.Fatalf("first frame is 0x%02x, want the SUBSCRIBED acknowledgement", uint8(typ))
+						}
+						continue
+					}
+					if got := binary.BigEndian.Uint64(payload[4:]); typ != MsgResult || got != uint64(want) {
+						t.Fatalf("frame %d: type 0x%02x window %d", want, uint8(typ), got)
+					}
+				}
+				return
+			}
 			sub, err := dialT(t, addr).Register(sql, RegisterOptions{Buffer: 65536})
 			if err != nil {
 				t.Fatal(err)
@@ -661,6 +690,18 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A client that came and went: one disconnect, of class read.
+	gone, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gone.Close()
+	waitFor(t, "the closed client's disconnect", func() bool { return srv.Stats().Disconnects == 1 })
+	if st := srv.Stats(); st.SocketWrites < 4 || st.SocketWrites > 6 {
+		// Two hello OKs, SUBSCRIBED, the append ack, and the two windows in
+		// one write or two.
+		t.Errorf("SocketWrites = %d, want 4..6", st.SocketWrites)
+	}
 	ts := httptest.NewServer(srv.MetricsHandler())
 	defer ts.Close()
 	resp, err := ts.Client().Get(ts.URL)
@@ -679,6 +720,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"datacell_serve_subscriptions 1",
 		"datacell_serve_shared_queries 1",
 		"datacell_serve_result_encodes_total 2",
+		"datacell_serve_result_frames_total 2",
+		"datacell_serve_socket_writes_total ",
+		"datacell_serve_disconnects_total 1",
+		`datacell_serve_disconnects_by_class_total{class="read"} 1`,
+		`datacell_serve_disconnects_by_class_total{class="policy"} 0`,
 		`datacell_query_info{query="s1"`,
 		`datacell_query_windows_total{query="s1"} 2`,
 		`stage="fragment"`,
