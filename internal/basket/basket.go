@@ -305,7 +305,8 @@ func (b *Basket) reclaimLocked() {
 		b.head = b.segs[0].base
 		// Best-effort: trim the store to the replay floor (not the RAM
 		// head — recovery re-reads from registration offsets). A failure
-		// only leaves stale files, which later Drops and recovery tolerate.
+		// only leaves stale files, which the store keeps indexed for the
+		// next reclaim's Drop to retry and recovery tolerates.
 		_ = b.store.Drop(b.minRetainLocked())
 	}
 }
@@ -458,6 +459,7 @@ type StorageStats struct {
 	ResidentBytes int64 // payload bytes of resident sealed segments
 	Fetches       int64 // cold segments read back from the store
 	Evictions     int64 // segments whose payloads were dropped under budget
+	Files         int   // segment files the store holds on disk
 	Durable       bool  // the store persists sealed segments
 }
 
@@ -470,6 +472,7 @@ func (b *Basket) StorageStats() StorageStats {
 		ResidentBytes: b.residentBytes,
 		Fetches:       b.fetches,
 		Evictions:     b.evictions,
+		Files:         b.store.Files(),
 		Durable:       b.store.Durable(),
 	}
 	for _, s := range b.segs {

@@ -217,3 +217,35 @@ func TestNewCursorAtClamps(t *testing.T) {
 		t.Fatalf("mid cursor sees %d rows, want 6", c.Len())
 	}
 }
+
+func TestStorageStatsFilesFollowReplayFloor(t *testing.T) {
+	b := NewStored("s", spillSchema(), 16, openStream(t, t.TempDir()), 0)
+	pinned := b.NewCursor() // registration offset 0 pins every file
+	fill(t, b, 0, 160, 16)
+	if got := b.StorageStats().Files; got != 10 {
+		t.Fatalf("Files = %d, want 10 sealed segment files", got)
+	}
+
+	// A later query keeps the floor at its own registration offset once
+	// the pinning query goes.
+	later := b.NewCursor() // start 160
+	pinned.Close()
+	if got := b.StorageStats().Files; got != 0 {
+		t.Fatalf("Files = %d after the floor passed every file, want 0", got)
+	}
+	later.Lock()
+	later.AdvanceLocked(later.LenLocked())
+	later.Unlock()
+	fill(t, b, 160, 200, 8)
+	if got := b.StorageStats().Files; got != 3 {
+		t.Fatalf("Files = %d, want 2 sealed + 1 tail", got)
+	}
+}
+
+func TestMemoryStoreReportsNoFiles(t *testing.T) {
+	b := NewWithSeal("s", spillSchema(), 4)
+	fill(t, b, 0, 20, 4)
+	if got := b.StorageStats().Files; got != 0 {
+		t.Fatalf("Files = %d for a memory store, want 0", got)
+	}
+}

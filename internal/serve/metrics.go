@@ -76,6 +76,7 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 		fmt.Fprintf(sb, "datacell_stream_durable{stream=%q} %d\n", name, durable)
 		fmt.Fprintf(sb, "datacell_stream_segments{stream=%q,residency=\"resident\"} %d\n", name, ss.Segments-ss.Cold)
 		fmt.Fprintf(sb, "datacell_stream_segments{stream=%q,residency=\"spilled\"} %d\n", name, ss.Cold)
+		fmt.Fprintf(sb, "datacell_stream_segment_files{stream=%q} %d\n", name, ss.Files)
 		fmt.Fprintf(sb, "datacell_stream_resident_bytes{stream=%q} %d\n", name, ss.ResidentBytes)
 		fmt.Fprintf(sb, "datacell_stream_segment_fetches_total{stream=%q} %d\n", name, ss.Fetches)
 		fmt.Fprintf(sb, "datacell_stream_segment_evictions_total{stream=%q} %d\n", name, ss.Evictions)

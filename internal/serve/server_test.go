@@ -731,10 +731,41 @@ func TestMetricsEndpoint(t *testing.T) {
 		`outcome="delivered"`,
 		`datacell_stream_durable{stream="s"} 0`,
 		`datacell_stream_segments{stream="s",residency="resident"}`,
+		`datacell_stream_segment_files{stream="s"} 0`,
 		`datacell_stream_resident_bytes{stream="s"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
 		}
+	}
+
+	// On disk, the file count follows the stream's segment files: a
+	// registered query pins every sealed one, plus the open tail.
+	ddb, err := datacell.OpenConfig(t.TempDir(), datacell.StoreConfig{SealRows: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ddb.Close()
+	ddb.MustRegisterStream("s", datacell.Col("x1", datacell.Int64), datacell.Col("x2", datacell.Int64))
+	if _, err := ddb.Register(`SELECT count(*) FROM s [RANGE 2 SLIDE 2]`, datacell.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if err := ddb.Append("s", []datacell.Value{datacell.Int(int64(i)), datacell.Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	dts := httptest.NewServer(New(ddb, Config{}).MetricsHandler())
+	defer dts.Close()
+	resp, err = dts.Client().Get(dts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if raw, err = io.ReadAll(resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if want := `datacell_stream_segment_files{stream="s"} 4`; !strings.Contains(string(raw), want) {
+		t.Errorf("durable metrics missing %q\n%s", want, raw)
 	}
 }

@@ -16,6 +16,18 @@
 // were evicted from RAM. Durable() gates eviction: only a store that can
 // fetch a segment back may see its RAM copy dropped.
 //
+// Drop(below) deletes the sealed files whose rows all precede below. A
+// StreamLog never lists its directory to find them: it keeps an ascending
+// in-memory index of its sealed files and their row counts — built by
+// Recover from the files it keeps, appended to by each Seal whose fsync
+// succeeded — and Drop walks only the index prefix whose rows all precede
+// below, so it costs O(files removed), not O(files on disk); a floor that
+// did not move, or sits inside a file, costs no I/O. Every file it deletes
+// still has its footer read and checked (base matches, base+rows <=
+// below); a file that fails the check or whose removal errors stays on
+// disk and in the index for the next Drop to retry. Files() reports the
+// count of segment files held, tail included.
+//
 // # On-disk layout
 //
 //	<root>/MANIFEST.json              catalog + standing queries (atomic rename)

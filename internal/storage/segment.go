@@ -214,6 +214,11 @@ func decodeRecordBody(body []byte, schema catalog.Schema, cols []*vector.Vector,
 // StreamLog is the disk store for one stream: a directory of segment
 // files, at most one of which (the highest base) is an unsealed mutable
 // tail held open for appending. It implements Store.
+//
+// sealed indexes the sealed files on disk and their row counts,
+// ascending by base, so Drop never lists the directory: Recover fills it
+// from the files it keeps, Seal appends to it, and Drop trims the prefix
+// it removes.
 type StreamLog struct {
 	dir        string
 	schema     catalog.Schema
@@ -225,7 +230,17 @@ type StreamLog struct {
 	tailBase int64
 	tailRecs uint32
 	tailRows int
+	sealed   []sealedFile
 }
+
+// sealedFile is one entry of the sealed index: a file's base and the row
+// count it was sealed with.
+type sealedFile struct {
+	base int64
+	rows int
+}
+
+func (f sealedFile) end() int64 { return f.base + int64(f.rows) }
 
 // newStreamLog creates or reuses dir for the stream's segment files.
 func newStreamLog(dir string, schema catalog.Schema, syncChunks bool) (*StreamLog, error) {
@@ -299,7 +314,10 @@ func (l *StreamLog) Seal(base int64, rows int) error {
 	if err := l.tailF.Sync(); err != nil {
 		return err
 	}
-	err := l.tailF.Close()
+	// Footer and fsync done: the file is complete and durable, so it is
+	// indexed for Drop even if the close below fails.
+	l.sealed = append(l.sealed, sealedFile{base, rows})
+	err := closeFile(l.tailF)
 	l.tailF, l.tailBase = nil, -1
 	return err
 }
@@ -424,6 +442,7 @@ func (l *StreamLog) Recover() ([]SegmentData, error) {
 	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
 
 	var segs []SegmentData
+	l.sealed = l.sealed[:0]
 	valid := 0 // bases[:valid] survived
 	for i, base := range bases {
 		if i > 0 && base != segs[len(segs)-1].Base+int64(segs[len(segs)-1].Rows) {
@@ -463,6 +482,7 @@ func (l *StreamLog) Recover() ([]SegmentData, error) {
 			break
 		}
 		segs = append(segs, seg)
+		l.sealed = append(l.sealed, sealedFile{base, seg.Rows})
 		valid = i + 1
 	}
 	for _, base := range bases[valid:] {
@@ -531,44 +551,83 @@ func truncateTo(path string, n int) error {
 func (l *StreamLog) Durable() bool { return true }
 
 // Drop removes every sealed segment file whose rows all precede below.
-// The open tail is never dropped.
+// It walks the sealed index only while an entry's rows all precede
+// below; the index is ascending and non-overlapping, so no later entry
+// can qualify. Its cost is O(files removed or retried), not O(files on
+// disk), and a floor inside a file costs no I/O. Each file is deleted
+// only if its footer confirms base and base+rows <= below; a file that
+// fails the check or whose removal errors stays on disk and in the index
+// for the next Drop to retry. The first removal error is returned. The
+// open tail is never in the index and so is never dropped.
 func (l *StreamLog) Drop(below int64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	entries, err := os.ReadDir(l.dir)
+	var firstErr error
+	kept, i := 0, 0 // l.sealed[:kept] collects the entries that stay
+	for ; i < len(l.sealed) && l.sealed[i].end() <= below; i++ {
+		gone, err := l.dropFile(l.sealed[i].base, below)
+		if gone {
+			continue
+		}
+		if err != nil && firstErr == nil {
+			firstErr = err
+		}
+		l.sealed[kept] = l.sealed[i]
+		kept++
+	}
+	// Slide the kept entries up against the untouched suffix.
+	copy(l.sealed[i-kept:i], l.sealed[:kept])
+	l.sealed = l.sealed[i-kept:]
+	return firstErr
+}
+
+// dropFile removes the sealed file at base if its footer confirms base
+// and rows that all precede below. It reports whether the file is gone
+// from disk (removed now, or already missing) and any removal error.
+func (l *StreamLog) dropFile(base, below int64) (bool, error) {
+	path := filepath.Join(l.dir, segFileName(base))
+	f, err := os.Open(path)
 	if err != nil {
-		return err
+		return os.IsNotExist(err), nil
 	}
-	for _, e := range entries {
-		base, ok := parseSegFileName(e.Name())
-		if !ok || (l.tailF != nil && base == l.tailBase) || base >= below {
-			continue
-		}
-		path := filepath.Join(l.dir, e.Name())
-		f, err := os.Open(path)
-		if err != nil {
-			continue
-		}
-		st, err := f.Stat()
-		if err != nil || st.Size() < footerSize {
-			f.Close()
-			continue
-		}
-		buf := make([]byte, footerSize)
-		_, rerr := f.ReadAt(buf, st.Size()-footerSize)
-		f.Close()
-		if rerr != nil {
-			continue
-		}
-		ftr, err := decodeFooter(buf)
-		if err != nil || ftr.base != base || base+int64(ftr.rows) > below {
-			continue
-		}
-		if err := os.Remove(path); err != nil {
-			return err
-		}
+	buf := make([]byte, footerSize)
+	st, err := f.Stat()
+	ok := err == nil && st.Size() >= footerSize
+	if ok {
+		_, err = f.ReadAt(buf, st.Size()-footerSize)
+		ok = err == nil
 	}
-	return nil
+	f.Close()
+	if !ok {
+		return false, nil
+	}
+	if ftr, err := decodeFooter(buf); err != nil || ftr.base != base || base+int64(ftr.rows) > below {
+		return false, nil
+	}
+	if err := removeFile(path); err != nil && !os.IsNotExist(err) {
+		return false, err
+	}
+	return true, nil
+}
+
+// removeFile is os.Remove; tests swap it to inject removal failures,
+// which directory permissions cannot produce for a root process.
+var removeFile = os.Remove
+
+// closeFile is (*os.File).Close; tests swap it to make a Seal's final
+// close fail after the footer and fsync succeeded.
+var closeFile = (*os.File).Close
+
+// Files reports the segment files this log holds on disk: the sealed
+// ones in the index plus the open tail.
+func (l *StreamLog) Files() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.sealed)
+	if l.tailF != nil {
+		n++
+	}
+	return n
 }
 
 // Close closes the open tail file, if any, without sealing it. Unsynced

@@ -1,9 +1,12 @@
 package storage
 
 import (
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"datacell/internal/catalog"
@@ -346,13 +349,142 @@ func TestRecoverSchemaDrift(t *testing.T) {
 	}
 }
 
+// segFiles lists the segment-file bases in dir, ascending.
+func segFiles(t *testing.T, dir string) []int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bases []int64
+	for _, e := range entries {
+		if b, ok := parseSegFileName(e.Name()); ok {
+			bases = append(bases, b)
+		}
+	}
+	sort.Slice(bases, func(i, j int) bool { return bases[i] < bases[j] })
+	return bases
+}
+
+// scanSurvivors is the directory-scan Drop rule the sealed index
+// replaced: it returns the bases a full ReadDir pass of Drop(below)
+// leaves on disk — the open tail, every file at or above below, and
+// every file whose footer does not prove its rows all precede below.
+func scanSurvivors(t *testing.T, dir string, below, tailBase int64) []int64 {
+	t.Helper()
+	var keep []int64
+	for _, base := range segFiles(t, dir) {
+		if base == tailBase || base >= below {
+			keep = append(keep, base)
+			continue
+		}
+		raw, err := os.ReadFile(filepath.Join(dir, segFileName(base)))
+		if err != nil || len(raw) < footerSize {
+			keep = append(keep, base)
+			continue
+		}
+		ftr, err := decodeFooter(raw[len(raw)-footerSize:])
+		if err != nil || ftr.base != base || base+int64(ftr.rows) > below {
+			keep = append(keep, base)
+		}
+	}
+	return keep
+}
+
+// dropAndCheck runs Drop(below) and asserts the files left on disk are
+// exactly what the directory scan would have left, and that the sealed
+// index lists exactly the sealed files still on disk.
+func dropAndCheck(t *testing.T, l *StreamLog, below int64) {
+	t.Helper()
+	tailBase := int64(-1)
+	if l.tailF != nil {
+		tailBase = l.tailBase
+	}
+	want := scanSurvivors(t, l.dir, below, tailBase)
+	if err := l.Drop(below); err != nil {
+		t.Fatalf("Drop(%d): %v", below, err)
+	}
+	got := segFiles(t, l.dir)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Drop(%d) left %v on disk, directory scan leaves %v", below, got, want)
+	}
+	checkIndex(t, l)
+}
+
+// indexBases lists the bases in the sealed index, in index order.
+func indexBases(l *StreamLog) []int64 {
+	var bases []int64
+	for _, f := range l.sealed {
+		bases = append(bases, f.base)
+	}
+	return bases
+}
+
+// checkIndex asserts the sealed index equals the non-tail files on disk.
+func checkIndex(t *testing.T, l *StreamLog) {
+	t.Helper()
+	var sealed []int64
+	for _, base := range segFiles(t, l.dir) {
+		if l.tailF == nil || base != l.tailBase {
+			sealed = append(sealed, base)
+		}
+	}
+	if got := indexBases(l); !reflect.DeepEqual(got, sealed) {
+		t.Fatalf("sealed index = %v, sealed files on disk = %v", got, sealed)
+	}
+	if want := len(segFiles(t, l.dir)); l.Files() != want {
+		t.Fatalf("Files() = %d, %d segment files on disk", l.Files(), want)
+	}
+}
+
+func TestRecoverBuildsSealedIndex(t *testing.T) {
+	// Five sealed segments; the fourth loses part of its footer (a torn
+	// seal), so it reopens as the tail and the fifth is a dropped suffix.
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	writeSegments(t, l, 5, 8, 0)
+	path := filepath.Join(dir, segFileName(24))
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	l2 := openLog(t, dir)
+	if _, err := l2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []sealedFile{{0, 8}, {8, 8}, {16, 8}}; !reflect.DeepEqual(l2.sealed, want) {
+		t.Fatalf("sealed index = %v, want %v", l2.sealed, want)
+	}
+	if l2.tailF == nil || l2.tailBase != 24 {
+		t.Fatalf("tail = %d, want 24", l2.tailBase)
+	}
+	checkIndex(t, l2)
+
+	// Sealing the recovered tail appends it to the index.
+	if err := l2.Seal(24, 8); err != nil {
+		t.Fatal(err)
+	}
+	if want := []sealedFile{{0, 8}, {8, 8}, {16, 8}, {24, 8}}; !reflect.DeepEqual(l2.sealed, want) {
+		t.Fatalf("sealed index after Seal = %v, want %v", l2.sealed, want)
+	}
+	checkIndex(t, l2)
+}
+
 func TestDropRemovesCoveredSegments(t *testing.T) {
 	dir := t.TempDir()
 	l := openLog(t, dir)
-	writeSegments(t, l, 3, 8, 4)
-	if err := l.Drop(16); err != nil {
-		t.Fatal(err)
+	writeSegments(t, l, 4, 8, 4) // sealed 0, 8, 16, 24; tail at 32
+	checkIndex(t, l)
+	// Below the first segment: nothing goes.
+	dropAndCheck(t, l, 4)
+	if _, err := l.Fetch(0); err != nil {
+		t.Fatalf("Fetch(0) after Drop(4) = %v, want segment", err)
 	}
+	dropAndCheck(t, l, 16)
 	if _, err := l.Fetch(0); err != ErrNotFound {
 		t.Fatalf("Fetch(0) after Drop = %v, want ErrNotFound", err)
 	}
@@ -363,11 +495,125 @@ func TestDropRemovesCoveredSegments(t *testing.T) {
 		t.Fatalf("Fetch(16) after Drop(16) = %v, want segment", err)
 	}
 	// Drop inside a segment keeps it (its rows are not all covered).
-	if err := l.Drop(20); err != nil {
-		t.Fatal(err)
-	}
+	dropAndCheck(t, l, 20)
 	if _, err := l.Fetch(16); err != nil {
 		t.Fatalf("Fetch(16) after Drop(20) = %v, want segment", err)
+	}
+	// A floor that moves backwards removes nothing.
+	dropAndCheck(t, l, 10)
+	// Above every segment: all sealed files go, the tail stays.
+	dropAndCheck(t, l, 1<<40)
+	if got := segFiles(t, dir); !reflect.DeepEqual(got, []int64{32}) {
+		t.Fatalf("files after Drop above all = %v, want just the tail [32]", got)
+	}
+}
+
+func TestDropNeverRemovesTail(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	writeSegments(t, l, 2, 8, 8) // tail at 16 holds a full segment's rows
+	dropAndCheck(t, l, 1<<40)
+	if got := segFiles(t, dir); !reflect.DeepEqual(got, []int64{16}) {
+		t.Fatalf("files = %v, want the tail [16]", got)
+	}
+	// Once sealed, the former tail is an ordinary droppable segment.
+	if err := l.Seal(16, 8); err != nil {
+		t.Fatal(err)
+	}
+	checkIndex(t, l)
+	dropAndCheck(t, l, 24)
+	if got := segFiles(t, dir); len(got) != 0 {
+		t.Fatalf("files = %v, want none", got)
+	}
+}
+
+func TestDropKeepsCorruptFooter(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	writeSegments(t, l, 4, 8, 0)
+	path := filepath.Join(dir, segFileName(8))
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := append([]byte(nil), good...)
+	bad[len(bad)-1] ^= 0xff // footer checksum
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The corrupt file stays; the valid files on both sides of it go.
+	dropAndCheck(t, l, 32)
+	if got := segFiles(t, dir); !reflect.DeepEqual(got, []int64{8}) {
+		t.Fatalf("files = %v, want [8]", got)
+	}
+	dropAndCheck(t, l, 32)
+	// It was kept in the index, not skipped past: once its footer is
+	// whole again, the next Drop removes it.
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dropAndCheck(t, l, 32)
+	if got := segFiles(t, dir); len(got) != 0 {
+		t.Fatalf("files = %v, want none", got)
+	}
+}
+
+func TestDropRetriesFailedRemove(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	writeSegments(t, l, 3, 8, 2) // sealed 0, 8, 16; tail at 24
+	fail := errors.New("injected remove failure")
+	if os.Geteuid() == 0 {
+		// Root ignores directory permissions: inject the failure instead.
+		removeFile = func(string) error { return fail }
+		defer func() { removeFile = os.Remove }()
+	} else {
+		if err := os.Chmod(dir, 0o555); err != nil {
+			t.Fatal(err)
+		}
+		defer os.Chmod(dir, 0o755)
+	}
+	if err := l.Drop(16); err == nil {
+		t.Fatal("Drop into an unwritable directory succeeded")
+	}
+	if got := segFiles(t, dir); !reflect.DeepEqual(got, []int64{0, 8, 16, 24}) {
+		t.Fatalf("files after failed Drop = %v, want all four", got)
+	}
+	checkIndex(t, l)
+
+	removeFile = os.Remove
+	if err := os.Chmod(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	dropAndCheck(t, l, 16)
+	if got := segFiles(t, dir); !reflect.DeepEqual(got, []int64{16, 24}) {
+		t.Fatalf("files after retried Drop = %v, want [16 24]", got)
+	}
+}
+
+func TestSealIndexesFileWhenCloseFails(t *testing.T) {
+	dir := t.TempDir()
+	l := openLog(t, dir)
+	writeSegments(t, l, 1, 8, 8) // sealed 0; tail at 8 holds a full segment
+	fail := errors.New("injected close failure")
+	closeFile = func(f *os.File) error {
+		f.Close()
+		return fail
+	}
+	defer func() { closeFile = (*os.File).Close }()
+	if err := l.Seal(8, 8); err != fail {
+		t.Fatalf("Seal = %v, want the close failure", err)
+	}
+	closeFile = (*os.File).Close
+	// Footer and fsync succeeded, so the file is complete: it is indexed
+	// like any sealed file and a later Drop removes it.
+	if want := []sealedFile{{0, 8}, {8, 8}}; !reflect.DeepEqual(l.sealed, want) {
+		t.Fatalf("sealed index = %v, want %v", l.sealed, want)
+	}
+	checkIndex(t, l)
+	dropAndCheck(t, l, 16)
+	if got := segFiles(t, dir); len(got) != 0 {
+		t.Fatalf("files = %v, want none", got)
 	}
 }
 

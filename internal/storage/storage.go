@@ -48,6 +48,8 @@ type Store interface {
 	// Drop discards every sealed segment whose rows all precede the
 	// absolute row offset below (base+rows <= below).
 	Drop(below int64) error
+	// Files reports how many segment files the store holds on disk.
+	Files() int
 	// Close releases the store's resources. The basket does not write
 	// after Close.
 	Close() error
@@ -72,6 +74,9 @@ func (Memory) Durable() bool { return false }
 
 // Drop is a no-op.
 func (Memory) Drop(int64) error { return nil }
+
+// Files reports 0: a memory store writes no files.
+func (Memory) Files() int { return 0 }
 
 // Close is a no-op.
 func (Memory) Close() error { return nil }
