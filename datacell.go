@@ -37,7 +37,8 @@
 //	dc.Pump() // or dc.Run() for a background scheduler
 //
 // The row-oriented Append and callback-style OnResult remain as
-// compatibility wrappers over the same core.
+// compatibility wrappers over the same core: every sink reads the query's
+// result log through a cursor.
 //
 // Queries run in one of two modes: Incremental (the paper's contribution,
 // default) or Reevaluation (the DataCellR baseline that recomputes every
@@ -364,35 +365,48 @@ func rowsToCols(rows [][]Value) ([]*vector.Vector, error) {
 
 // Query is a registered continuous query.
 //
-// Results leave a query through exactly one delivery mechanism at a time:
-// an OnResult callback, a Subscribe channel, a Results2 iterator, or — when
-// none is installed — an internal buffer drained by Results or replayed by
-// the next sink.
+// Its windows go into a result log — the paper's output basket — read
+// through cursors. One in-process cursor serves, one at a time, an OnResult
+// callback, a Subscribe channel, a Results2 iterator, or — when none is
+// installed — Results, and what it has not read waits for the next of
+// them. Query.Tap opens further cursors, as the serving tier does.
 type Query struct {
 	db *DB
 	cq *engine.ContinuousQuery
 
-	mu       sync.Mutex
-	handler  func(*Result)
-	sub      *subscription
-	buffered []*Result
+	log *resultLog
+	own *Cursor // the in-process cursor
 
-	// delivered and dropped accumulate across subscriptions (each new
-	// Subscribe wires the same counters), so Stats survives resubscribes.
+	mu      sync.Mutex
+	handler func(*Result)
+	sub     *subscription
+	handMu  sync.Mutex // serializes the handler's runs
+
+	// delivered and dropped accumulate across subscriptions, so Stats
+	// survives resubscribes.
 	delivered, dropped atomic.Int64
+}
+
+// newQuery returns a query with its result log and in-process cursor; the
+// caller sets cq.
+func newQuery(db *DB) *Query {
+	q := &Query{db: db, log: &resultLog{}, own: &Cursor{opts: unbounded}}
+	q.log.moved.L = &q.log.mu
+	q.log.open(q.own, nil)
+	return q
 }
 
 // Register compiles and installs a continuous query written in the
 // DataCell SQL dialect (see the package documentation and README).
 func (db *DB) Register(query string, opts Options) (*Query, error) {
-	q := &Query{db: db}
+	q := newQuery(db)
 	cq, err := db.eng.Register(query, engine.Options{
 		Mode:           opts.Mode,
 		AutoThreshold:  opts.AutoThreshold,
 		Chunks:         opts.Chunks,
 		AdaptiveChunks: opts.AdaptiveChunks,
 		Parallelism:    opts.Parallelism,
-		OnResult:       func(r *engine.Result) { q.deliver(newResult(r)) },
+		OnResult:       q.deliver,
 	})
 	if err != nil {
 		return nil, err
@@ -401,104 +415,75 @@ func (db *DB) Register(query string, opts Options) (*Query, error) {
 	return q, nil
 }
 
-// newResult converts an engine result to the public form.
-func newResult(r *engine.Result) *Result {
-	return &Result{
-		Window:           r.Window,
-		Table:            r.Table,
-		Latency:          time.Duration(r.Stats.TotalNS),
-		MainLatency:      time.Duration(r.Stats.MainNS),
-		PartitionLatency: time.Duration(r.Stats.PartitionNS),
-		MergeLatency:     time.Duration(r.Stats.MergeNS),
-	}
+// deliver appends one engine result to the log. It runs on the goroutine
+// executing the query step (a scheduler worker or the Pump caller), so a
+// Block cursor applies backpressure to the query itself.
+func (q *Query) deliver(er *engine.Result) {
+	q.log.append(&Result{
+		Window:           er.Window,
+		Table:            er.Table,
+		Latency:          time.Duration(er.Stats.TotalNS),
+		MainLatency:      time.Duration(er.Stats.MainNS),
+		PartitionLatency: time.Duration(er.Stats.PartitionNS),
+		MergeLatency:     time.Duration(er.Stats.MergeNS),
+	})
 }
 
-// deliver routes one result to the active sink — handler, subscription, or
-// the internal buffer. It runs on the goroutine executing the query step
-// (a scheduler worker or the Pump caller), so a Block-policy subscription
-// applies backpressure to the query itself.
-func (q *Query) deliver(r *Result) {
-	for {
-		q.mu.Lock()
-		h, s := q.handler, q.sub
-		if h == nil && s == nil {
-			q.buffered = append(q.buffered, r)
-			q.mu.Unlock()
-			return
-		}
-		q.mu.Unlock()
-		if h != nil {
-			h(r)
-			return
-		}
-		if s.deliver(r) {
-			return
-		}
-		// The subscription shut down mid-delivery (ctx cancelled / query
-		// closed). If it is still the installed sink, keep the result so
-		// the next sink replays it in order; if a new sink already took
-		// over, loop and deliver to that one instead (its backlog replay
-		// gate keeps r behind any older buffered results).
-		q.mu.Lock()
-		if q.handler == nil && (q.sub == nil || q.sub == s) {
-			q.buffered = append(q.buffered, r)
-			q.mu.Unlock()
-			return
-		}
-		q.mu.Unlock()
-	}
-}
-
-// OnResult installs the result handler; any results buffered before the
-// handler was installed are replayed first (in order). OnResult panics if
-// the query has an active Subscribe channel — a query has one delivery
-// mechanism at a time.
+// OnResult installs the result handler; results produced before it was
+// installed and not read yet are replayed first, in order. The handler is
+// the in-process cursor's wake hook, so it then runs on the step that
+// appended each window. OnResult panics if the query has an active
+// Subscribe channel — a query has one delivery mechanism at a time.
 func (q *Query) OnResult(h func(*Result)) {
 	q.mu.Lock()
-	for {
-		if old := q.sub; old != nil {
-			if !old.isClosed() {
-				q.mu.Unlock()
-				panic("datacell: OnResult on a query with an active subscription")
-			}
-			q.mu.Unlock()
-			// A cancelled predecessor may still be restoring its unsent
-			// backlog tail into q.buffered; wait so the replay below
-			// includes it (same discipline as Subscribe).
-			<-old.ready
-			q.mu.Lock()
-			if q.sub == old {
-				q.sub = nil
-			}
-			continue
-		}
-		backlog := q.buffered
-		q.buffered = nil
-		if len(backlog) == 0 {
-			// Only install the handler once the buffer is drained — a
-			// result produced mid-replay buffers and is replayed on the
-			// next pass, so h never runs concurrently with the replay and
-			// results keep their order.
-			q.handler = h
-			q.mu.Unlock()
-			return
-		}
+	q.settleLocked()
+	if q.sub != nil {
 		q.mu.Unlock()
-		for _, r := range backlog {
+		panic("datacell: OnResult on a query with an active subscription")
+	}
+	q.handler = h
+	q.mu.Unlock()
+	run := func() { // serialized, so the replay and live windows keep their order
+		q.handMu.Lock()
+		defer q.handMu.Unlock()
+		for r, ok := q.own.next(); ok; r, ok = q.own.next() {
 			h(r)
 		}
-		q.mu.Lock()
 	}
+	q.own.configure(CursorOptions{Limit: unbounded.Limit, Wake: run})
+	run()
 }
 
 // Results drains and returns the results buffered so far (only meaningful
-// when no OnResult handler is installed).
+// when no OnResult handler or subscription is installed).
 func (q *Query) Results() []*Result {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := q.buffered
-	q.buffered = nil
+	var out []*Result
+	if q.handler != nil || q.sub != nil {
+		return out
+	}
+	for r, ok := q.own.next(); ok; r, ok = q.own.next() {
+		out = append(out, r)
+	}
 	return out
+}
+
+// Tap opens a cursor on the query's result log. The first Tap of a query
+// with no in-process sink takes over the in-process cursor's unread
+// results — a recovered query's replay among them — and from then on the
+// in-process sinks see nothing; any other Tap starts at the newest window.
+// Close the cursor when done: an open cursor pins the log.
+func (q *Query) Tap(opts CursorOptions) *Cursor {
+	c := &Cursor{opts: opts}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	from := q.own
+	if q.handler != nil || q.sub != nil {
+		from = nil
+	}
+	q.log.open(c, from)
+	return c
 }
 
 // Windows reports how many window results have been produced.
@@ -562,6 +547,8 @@ type QueryStats struct {
 	// Delivered and Dropped count results handed to this query's
 	// subscription channels versus discarded by a DropOldest subscription.
 	Delivered, Dropped int64
+	// Backlog counts the results the slowest result-log reader has not read.
+	Backlog int
 }
 
 // Stats returns a snapshot of the query's cumulative runtime counters.
@@ -586,6 +573,7 @@ func (q *Query) Stats() QueryStats {
 		BuildsReused:  st.BuildsReused,
 		Delivered:     q.delivered.Load(),
 		Dropped:       q.dropped.Load(),
+		Backlog:       q.log.backlog(),
 	}
 }
 
@@ -598,15 +586,15 @@ func (db *DB) IngestDuration() time.Duration { return time.Duration(db.eng.LoadN
 // worker is stopped first (blocking until any in-flight step finishes).
 // Close may be called from inside the query's own OnResult callback —
 // e.g. to stop after the first result — in which case the in-flight step
-// finishes just after Close returns. An active Subscribe channel is closed
-// (which also ends a ranging Results2 iterator).
+// finishes just after Close returns. An active Subscribe channel closes
+// once its consumer has read what is left (ending a Results2 iterator).
 func (q *Query) Close() {
+	q.log.close()
 	q.mu.Lock()
-	s := q.sub
-	q.mu.Unlock()
-	if s != nil {
-		s.close()
+	if q.sub != nil {
+		q.sub.poke()
 	}
+	q.mu.Unlock()
 	q.db.eng.Deregister(q.cq)
 }
 

@@ -110,6 +110,11 @@ type ContinuousQuery struct {
 	// Deregister/Stop consult it to avoid self-deadlock when the callback
 	// itself tears the scheduler down (see stopWorker).
 	emitting bool
+	// gone is set by Deregister: no step fires after it. closeOwed is set
+	// when Deregister ran while a step was emitting — possibly on another
+	// goroutine, still reading through the cursors — so that step's pump
+	// closes them as it ends.
+	gone, closeOwed bool
 }
 
 // emit invokes the result callback with the emitting flag set.
@@ -401,12 +406,16 @@ func (e *Engine) Deregister(q *ContinuousQuery) {
 	delete(e.queries, q.ID) // no new Pump/Start picks the query up
 	e.mu.Unlock()
 	e.stopWorker(q)
-	if !q.isEmitting() {
+	q.statsMu.Lock()
+	q.gone, q.closeOwed = true, q.emitting
+	owed := q.closeOwed
+	q.statsMu.Unlock()
+	if !owed {
 		// Barrier against a concurrent synchronous Pump mid-step (a worker
-		// is already joined by stopWorker). Skipped when the call comes
-		// from inside the query's own OnResult callback — that step holds
-		// stepMu and waiting would self-deadlock; closed cursors read as
-		// empty, so the remainder of that step stays safe.
+		// is already joined by stopWorker); no step starts after it. Skipped
+		// while a step is emitting — the call may come from inside the
+		// query's own OnResult callback, which holds stepMu — and that
+		// step closes the cursors when its pump ends.
 		q.stepMu.Lock()
 		//lint:ignore SA2001 empty critical section is the join barrier
 		q.stepMu.Unlock()
@@ -425,8 +434,10 @@ func (e *Engine) Deregister(q *ContinuousQuery) {
 	if frag != nil {
 		frag.detach(q)
 	}
-	for _, qi := range q.inputs {
-		e.detachLocked(qi)
+	if !owed {
+		for _, qi := range q.inputs {
+			e.detachLocked(qi)
+		}
 	}
 	e.mu.Unlock()
 	// Drop the registration from the manifest so a restart does not
@@ -559,8 +570,15 @@ func (q *ContinuousQuery) pump() (int, error) { return q.pumpUntil(nil) }
 func (q *ContinuousQuery) pumpUntil(stop <-chan struct{}) (int, error) {
 	q.stepMu.Lock()
 	defer q.stepMu.Unlock()
+	defer q.closeOwedCursors()
 	steps := 0
 	for {
+		q.statsMu.Lock()
+		gone := q.gone
+		q.statsMu.Unlock()
+		if gone {
+			return steps, nil
+		}
 		if stop != nil {
 			select {
 			case <-stop:
@@ -576,6 +594,22 @@ func (q *ContinuousQuery) pumpUntil(stop <-chan struct{}) (int, error) {
 			return steps, nil
 		}
 		steps += n
+	}
+}
+
+// closeOwedCursors closes the cursors a Deregister that ran mid-step left
+// to this step. Caller holds stepMu.
+func (q *ContinuousQuery) closeOwedCursors() {
+	q.statsMu.Lock()
+	owed := q.closeOwed
+	q.closeOwed = false
+	q.statsMu.Unlock()
+	if owed {
+		q.eng.mu.Lock()
+		for _, qi := range q.inputs {
+			q.eng.detachLocked(qi)
+		}
+		q.eng.mu.Unlock()
 	}
 }
 

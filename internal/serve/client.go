@@ -25,8 +25,9 @@ var (
 type RegisterOptions struct {
 	// Mode is the continuous query's execution mode (default Incremental).
 	Mode datacell.Mode
-	// Policy is the server-side slow-consumer policy for this connection
-	// (default PolicyBlock).
+	// Policy is the slow-consumer policy (default PolicyBlock). Client-side,
+	// a full result channel drops its oldest under PolicyDropOldest; under
+	// the others it stalls every frame on the connection until read.
 	Policy Policy
 	// Buffer sizes both the server-side frame queue and the client-side
 	// result channel (0 = server/client defaults).
@@ -58,6 +59,7 @@ type Sub struct {
 
 	cl       *Client
 	ch       chan *SubResult
+	drop     bool // PolicyDropOldest: a full ch gives up its oldest result
 	gone     chan struct{}
 	goneOnce sync.Once
 }
@@ -289,6 +291,12 @@ func (cl *Client) readLoop(br *bufio.Reader) {
 				Latency: time.Duration(latency),
 				Table:   blk.Table(),
 			}
+			for sub.drop && len(sub.ch) == cap(sub.ch) {
+				select { // the reader is the only sender: once there is room, it stays
+				case <-sub.ch:
+				default:
+				}
+			}
 			select {
 			case sub.ch <- res:
 			case <-sub.gone:
@@ -428,6 +436,7 @@ func (cl *Client) Register(sql string, opts RegisterOptions) (*Sub, error) {
 	sub := &Sub{
 		cl:   cl,
 		ch:   make(chan *SubResult, buffer),
+		drop: opts.Policy == PolicyDropOldest,
 		gone: make(chan struct{}),
 	}
 	resp, err := cl.requestSub(MsgRegister, sub, func(seq uint32) []byte {

@@ -16,52 +16,50 @@
 // # Multiplexing and shared encode
 //
 // Each connection is served by two goroutines: a reader that executes
-// commands, and one writer that owns the socket — nothing else writes it.
+// commands, and one writer that owns the socket; a statement costs none.
 // Subscriptions are interned by statement: all clients registering the same
-// SQL text and mode attach to a single sharedSub owning one engine query and
-// one Query.Subscribe channel, and every window result is encoded exactly
-// once by that statement's fanout and queued, by reference, for each
-// attached subscription — one serialize, N frames. This extends the engine's
-// shared-plan fragment catalog (which shares pre-merge evaluation across
-// *different* statements with equal fragment fingerprints) one layer up:
-// identical statements also share the merge, the subscription, and the
-// wire encode.
+// SQL text and mode share one engine query, whose windows land in its
+// result log (the paper's output basket). Each subscription is a cursor on
+// that log, and a window's frame is encoded once, by the first cursor to
+// take it — one serialize, N frames: the shared-plan fragment catalog
+// carried one layer up. A statement's first cursor takes over the query's
+// unread windows (a recovered query's replay); later ones start at the
+// newest.
 //
-// Replies and every subscription's result frames enter the connection's
-// outbox in arrival order. The writer copies what is ready into a 64 KiB
-// buffer and flushes when the outbox is empty: the batch is whatever is ready
-// when it looks — no timer, no setting. A control frame (reply, append ack,
-// SUBSCRIBED, BYE) flushes at once. With more than one subscription on the
-// connection the writer yields the processor once before flushing results,
-// so the frames sibling fanouts emit for the same slide share a write; with
-// one, each frame is one prompt write. A subscription's frames enter the
-// outbox only behind its SUBSCRIBED.
+// Replies wait in the connection's outbox, result frames in the cursors,
+// whose wake hooks put their subscription on the connection's ready list.
+// The writer takes control frames first, each flushed at once, then one
+// frame at a time from the ready subscriptions into a 64 KiB buffer, and
+// flushes when none is ready — no timer, no setting. With more than one
+// subscription it yields the processor once before flushing results, so
+// sibling statements' frames for one slide share a write. A subscription
+// is ready only once its SUBSCRIBED is queued, so no frame overtakes it.
 //
 // # Backpressure
 //
-// The shared engine subscription runs SubOptions{OnOverflow: Block}, so
-// the engine never drops a window before the fanout saw it. Each
-// subscription has its own bounded queue of undelivered frames — the same
-// {buffer, overflow} shape as SubOptions — filled by the fanout and emptied
-// by the writer. When it is full:
+// Each cursor carries its subscription's {buffer, policy} — the shape of
+// SubOptions — and the log applies it on the step that appends a window.
+// When a cursor lags more than its buffer:
 //
-//   - PolicyBlock: that statement's fanout waits for the writer to take a
-//     frame (or the subscription to end) — the stall propagates through the
-//     Block subscription into that query's step and to nothing else.
-//   - PolicyDropOldest: the subscription's oldest undelivered frame gives
-//     way — bounded staleness; a slow or dead socket never stalls ingest,
-//     the engine, or other clients.
-//   - PolicyDisconnect: the connection is evicted — what it has queued is
-//     discarded, the writer sends BYE "slow client (policy disconnect)" and
-//     closes; a socket that takes no bytes for a second closes untold.
+//   - PolicyBlock: that query's step waits for the writer (or the
+//     subscription's end); the stall stays in that query.
+//   - PolicyDropOldest: the cursor skips its oldest window — bounded
+//     staleness; a dead socket never stalls ingest or other clients.
+//   - PolicyDisconnect: the log detaches the cursor and calls its eviction
+//     hook, which closes the connection's other cursors and ends it with
+//     BYE "slow client (policy disconnect)"; a socket that takes no bytes
+//     for a second closes untold. A writer stuck in a write cannot delay it.
+//
+// Lock order: Server.mu, conn.mu, sharedSub.mu or the query's and then its
+// result log's mutex. The log calls no hook with its mutex held, so hooks
+// may take conn.mu.
 //
 // # Drain
 //
-// Shutdown stops accepting, halts the scheduler, pumps owed windows
-// synchronously and closes the shared subscriptions (their channels drain
-// through the fanouts into the outboxes); each connection then accepts
-// nothing new, its writer empties the outbox, writes a BYE and closes — all
-// bounded by the caller's context deadline, after which connections are
-// force-closed. A connection's end is counted under the class of its first
-// cause: read, write, policy, drain, handshake, dispatch.
+// Shutdown stops accepting, halts the scheduler and pumps owed windows into
+// the result logs; each connection then accepts nothing new, and its writer
+// writes the queued replies, every frame its cursors owe, and a BYE, then
+// closes — bounded by the caller's context deadline, after which
+// connections are force-closed. A connection's end is counted under the
+// class of its first cause: read, write, policy, drain, handshake, dispatch.
 package serve

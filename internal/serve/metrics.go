@@ -47,6 +47,7 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 	fmt.Fprintf(sb, "datacell_serve_result_encodes_total %d\n", st.Encodes)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_result_frames_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_result_frames_total %d\n", st.ResultFrames)
+	fmt.Fprintf(sb, "# HELP datacell_serve_result_frames_dropped_total Result frames a DropOldest subscription skipped (in-process drops count under datacell_query_results_total).\n")
 	fmt.Fprintf(sb, "# TYPE datacell_serve_result_frames_dropped_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_result_frames_dropped_total %d\n", st.DroppedFrames)
 	fmt.Fprintf(sb, "# HELP datacell_serve_socket_writes_total Write calls on client sockets: one per reply, one per batch of result frames; result_frames_total over this is the frames a write carries.\n")
@@ -82,28 +83,19 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 		fmt.Fprintf(sb, "datacell_stream_segment_evictions_total{stream=%q} %d\n", name, ss.Evictions)
 	}
 
-	s.mu.Lock()
-	shared := make([]*sharedSub, 0, len(s.shared))
-	for _, ss := range s.shared {
-		shared = append(shared, ss)
-	}
-	s.mu.Unlock()
-	sort.Slice(shared, func(i, j int) bool { return shared[i].seq < shared[j].seq })
-
+	fmt.Fprintf(sb, "# HELP datacell_query_result_backlog Windows between the query's slowest result-log cursor and the newest.\n")
 	fmt.Fprintf(sb, "# HELP datacell_query_stage_seconds_total Cumulative per-stage step time (the query stage clock).\n")
-	for _, ss := range shared {
+	for _, ss := range s.sharedList() {
 		qs := ss.query.Stats()
-		ss.mu.Lock()
-		subscribers := len(ss.members)
-		ss.mu.Unlock()
 		id := ss.id
 		fp := ss.fp
 		if fp == "" {
 			fp = "none"
 		}
 		fmt.Fprintf(sb, "datacell_query_info{query=%q,mode=%q,fingerprint=%q} 1\n", id, ss.query.Mode().String(), fp)
-		fmt.Fprintf(sb, "datacell_query_subscribers{query=%q} %d\n", id, subscribers)
+		fmt.Fprintf(sb, "datacell_query_subscribers{query=%q} %d\n", id, ss.subscribers())
 		fmt.Fprintf(sb, "datacell_query_windows_total{query=%q} %d\n", id, qs.Windows)
+		fmt.Fprintf(sb, "datacell_query_result_backlog{query=%q} %d\n", id, qs.Backlog)
 		for _, stage := range []struct {
 			name string
 			sec  float64

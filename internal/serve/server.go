@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -18,68 +19,41 @@ import (
 	"datacell/internal/vector"
 )
 
-// Policy selects a connection's slow-consumer behavior — the serving-tier
-// extension of the engine's OverflowPolicy (Block, DropOldest) with one
-// wire-only addition, Disconnect.
+// Policy selects a subscription's slow-consumer behavior: the overflow
+// policy of its cursor on the statement's result log (see
+// datacell.OverflowPolicy), applied when a window is appended. Block
+// stalls only that query's step until the writer catches up; DropOldest
+// skips the oldest unsent frame, so a dead socket never stalls ingest or
+// other clients; Disconnect evicts the connection, with a BYE naming the
+// reason when its socket still takes writes.
 type Policy uint8
 
+// The wire policies, numbered as datacell's.
 const (
-	// PolicyBlock applies backpressure: the shared fanout blocks until
-	// this connection's writer drains, which stalls the query step through
-	// the engine-side Block subscription — SubOptions{OnOverflow: Block}
-	// semantics carried to the wire consumer.
-	PolicyBlock Policy = 0
-	// PolicyDropOldest drops the oldest undelivered result frame — the
-	// wire mapping of SubOptions{OnOverflow: DropOldest}: bounded
-	// staleness, and a dead socket can never stall ingest or other
-	// clients.
-	PolicyDropOldest Policy = 1
-	// PolicyDisconnect closes the connection when its queue is full: a
-	// slow client is evicted (with a BYE when its socket still takes
-	// writes) rather than slowed or fed stale results.
-	PolicyDisconnect Policy = 2
+	PolicyBlock      = Policy(datacell.Block)
+	PolicyDropOldest = Policy(datacell.DropOldest)
+	PolicyDisconnect = Policy(datacell.Disconnect)
 )
 
 // Config tunes a Server. The zero value is usable.
 type Config struct {
-	// SharedBuffer is the engine-side Subscribe buffer of each unique
-	// statement's shared subscription (default 64).
-	SharedBuffer int
-	// DefaultClientBuffer is the per-connection result queue capacity used
-	// when a Register asks for 0 (default 64).
+	// DefaultClientBuffer is a subscription's buffer — how many frames it
+	// may lag — when a Register asks for 0 (default 64).
 	DefaultClientBuffer int
-	// MaxClientBuffer caps the per-connection queue capacity a Register may
-	// request (default 65536). The request is clamped, not rejected — the
-	// field is client-supplied and must never size an allocation directly.
+	// MaxClientBuffer caps the buffer a Register may request (default
+	// 65536). The request is clamped, not rejected — the field is
+	// client-supplied.
 	MaxClientBuffer int
 	// DrainTimeout bounds Shutdown's graceful phase when the caller's
 	// context carries no deadline (default 5s).
 	DrainTimeout time.Duration
 }
 
-func (c Config) sharedBuffer() int {
-	if c.SharedBuffer > 0 {
-		return c.SharedBuffer
-	}
-	return 64
-}
-
 func (c Config) clientBuffer(req int) int {
 	if req <= 0 {
-		if c.DefaultClientBuffer > 0 {
-			req = c.DefaultClientBuffer
-		} else {
-			req = 64
-		}
+		req = cmp.Or(max(c.DefaultClientBuffer, 0), 64)
 	}
-	max := c.MaxClientBuffer
-	if max <= 0 {
-		max = 65536
-	}
-	if req > max {
-		req = max
-	}
-	return req
+	return min(req, cmp.Or(max(c.MaxClientBuffer, 0), 65536))
 }
 
 // Stats is a point-in-time snapshot of the server's wire counters.
@@ -95,7 +69,7 @@ type Stats struct {
 	// handshake, dispatch.
 	DisconnectsBy map[string]int64
 	// Encodes counts window results serialized; ResultFrames counts
-	// frames delivered to connection queues. With N subscribers sharing a
+	// windows logged for subscriptions. With N subscribers sharing a
 	// statement, one window bumps Encodes once and ResultFrames N times.
 	Encodes       int64
 	ResultFrames  int64
@@ -124,13 +98,12 @@ type Server struct {
 	conns       map[*conn]struct{}
 	shared      map[shareKey]*sharedSub
 	disconnects map[string]int64 // by teardown reason class
-	draining    bool
-	closed      bool
+	closed      bool             // Shutdown began: no new connections or subscriptions
 
 	nextSub   atomic.Uint32
 	nextQuery atomic.Int64
 
-	wg    sync.WaitGroup // connection readers and writers, fanouts
+	wg    sync.WaitGroup // connection readers and writers
 	stats serverStats
 }
 
@@ -161,7 +134,7 @@ func (s *Server) Serve(ln net.Listener) error {
 		c, err := ln.Accept()
 		if err != nil {
 			s.mu.Lock()
-			stopping := s.closed || s.draining
+			stopping := s.closed
 			s.mu.Unlock()
 			if stopping {
 				return nil
@@ -191,9 +164,7 @@ func (s *Server) Stats() Stats {
 	queries := len(s.shared)
 	subs := 0
 	for _, ss := range s.shared {
-		ss.mu.Lock()
-		subs += len(ss.members)
-		ss.mu.Unlock()
+		subs += ss.subscribers()
 	}
 	var disconnects int64
 	by := make(map[string]int64, len(s.disconnects))
@@ -221,6 +192,24 @@ func (s *Server) Stats() Stats {
 // QueryList renders the served continuous queries sorted by ID — the
 // QUERIES listing, deterministic by construction.
 func (s *Server) QueryList() string {
+	var sb strings.Builder
+	for _, ss := range s.sharedList() {
+		st := ss.query.Stats()
+		fp := ss.fp
+		if fp == "" {
+			fp = "-"
+		}
+		fmt.Fprintf(&sb, "%s [%s, %d windows, %d subscribers, fragment %s]: %s\n",
+			ss.id, ss.query.Mode(), st.Windows, ss.subscribers(), fp, ss.key.sql)
+	}
+	if sb.Len() == 0 {
+		return "(no queries)\n"
+	}
+	return sb.String()
+}
+
+// sharedList returns the interned statements sorted by ID.
+func (s *Server) sharedList() []*sharedSub {
 	s.mu.Lock()
 	shared := make([]*sharedSub, 0, len(s.shared))
 	for _, ss := range s.shared {
@@ -228,23 +217,7 @@ func (s *Server) QueryList() string {
 	}
 	s.mu.Unlock()
 	sort.Slice(shared, func(i, j int) bool { return shared[i].seq < shared[j].seq })
-	var sb strings.Builder
-	for _, ss := range shared {
-		ss.mu.Lock()
-		n := len(ss.members)
-		ss.mu.Unlock()
-		st := ss.query.Stats()
-		fp := ss.fp
-		if fp == "" {
-			fp = "-"
-		}
-		fmt.Fprintf(&sb, "%s [%s, %d windows, %d subscribers, fragment %s]: %s\n",
-			ss.id, ss.query.Mode(), st.Windows, n, fp, ss.key.sql)
-	}
-	if sb.Len() == 0 {
-		return "(no queries)\n"
-	}
-	return sb.String()
+	return shared
 }
 
 // --- shared subscriptions --------------------------------------------------
@@ -254,72 +227,48 @@ type shareKey struct {
 	sql  string
 }
 
-// sharedSub is one interned statement: a single engine query plus a
-// single Subscribe channel whose results are encoded once and fanned to
-// every attached connection.
+// sharedSub is one interned statement: a single engine query whose result
+// log every attached subscription reads through its own cursor.
 type sharedSub struct {
-	srv    *Server
-	key    shareKey
-	id     string
-	seq    int64
-	query  *datacell.Query
-	fp     string
-	cancel context.CancelFunc
-	done   chan struct{} // closed when the fanout goroutine exits
+	key   shareKey
+	id    string
+	seq   int64
+	query *datacell.Query
+	fp    string
 
 	mu      sync.Mutex
 	members map[uint32]*member
 	retired bool
 }
 
-// member is one connection's attachment to a sharedSub: a bounded queue of
-// undelivered frames (the wire-level SubOptions{Buffer, OnOverflow}) that
-// the statement's fanout fills and the connection's writer empties.
+func (ss *sharedSub) subscribers() int {
+	ss.mu.Lock()
+	defer ss.mu.Unlock()
+	return len(ss.members)
+}
+
+// member is one connection's subscription to a sharedSub: a cursor on the
+// statement's result log, with the wire-level {buffer, policy} as the
+// cursor's limit and policy. The connection's writer takes its frames.
 type member struct {
 	id     uint32
 	c      *conn
 	ss     *sharedSub
-	policy Policy
-	limit  int          // capacity of q
-	q      fifo[[]byte] // guarded by c.mu, as is acked
-	acked  bool         // SUBSCRIBED is in the outbox; only then do q's frames enter it
+	cur    *datacell.Cursor
+	acked  bool // SUBSCRIBED is in the outbox; only then may frames follow. Guarded by c.mu, as is queued.
+	queued bool // in c.ready
 }
 
-// fifo is a slice-backed queue; pop reclaims the consumed half as it goes,
-// so a queue that never quite drains does not grow.
-type fifo[T any] struct {
-	items []T
-	head  int
-}
-
-func (q *fifo[T]) len() int { return len(q.items) - q.head }
-
-func (q *fifo[T]) push(v T) { q.items = append(q.items, v) }
-
-func (q *fifo[T]) pop() (v T, ok bool) {
-	if q.head == len(q.items) {
-		return v, false
-	}
-	v = q.items[q.head]
-	if q.head++; 2*q.head >= len(q.items) {
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items, q.head = q.items[:n], 0
-	}
-	return v, true
-}
-
-// register interns (mode, sql) and attaches c, creating the engine query
-// and fanout on first use.
+// register interns (mode, sql) and attaches c, creating the engine query on
+// first use.
 func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy, buffer int) (*member, string, error) {
 	key := shareKey{mode: mode, sql: normalizeStmt(sql)}
 	s.mu.Lock()
-	if s.draining || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		return nil, "", errors.New("serve: server is draining")
 	}
 	ss := s.shared[key]
-	var results <-chan *datacell.Result // set when ss is new: its fan-out is still to start
 	if ss == nil {
 		// A matching query recovered from the data directory resumes —
 		// replay backlog and all — instead of registering a duplicate.
@@ -332,73 +281,51 @@ func (s *Server) register(c *conn, sql string, mode datacell.Mode, policy Policy
 				return nil, "", err
 			}
 		}
-		ctx, cancel := context.WithCancel(context.Background())
-		ch, err := q.Subscribe(ctx, datacell.SubOptions{Buffer: s.cfg.sharedBuffer()})
-		if err != nil {
-			cancel()
-			q.Close()
-			s.mu.Unlock()
-			return nil, "", err
-		}
 		seq := s.nextQuery.Add(1)
 		ss = &sharedSub{
-			srv:     s,
 			key:     key,
 			id:      fmt.Sprintf("s%d", seq),
 			seq:     seq,
 			query:   q,
 			fp:      q.Fingerprint(),
-			cancel:  cancel,
-			done:    make(chan struct{}),
 			members: map[uint32]*member{},
 		}
 		s.shared[key] = ss
-		results = ch
 	}
-	m := &member{
-		id:     s.nextSub.Add(1),
-		c:      c,
-		ss:     ss,
-		policy: policy,
-		limit:  s.cfg.clientBuffer(buffer),
-	}
+	m := &member{id: s.nextSub.Add(1), c: c, ss: ss}
 	// Attach to the connection and the statement in one c.mu section, gated
 	// on the closing mark: either the connection's teardown finds the member
 	// in c.subs and detaches it, or it came first and nothing is attached —
-	// never a member the statement holds and no connection reaches. All under
-	// s.mu still: retire takes it before marking, so an entry found in the map
-	// above cannot retire underneath us, and once the member is in it sees
-	// len(members) > 0 and bails. Lock order: s.mu, c.mu, ss.mu.
+	// never a cursor no connection reads. All under s.mu still: retire takes
+	// it before marking, so an entry found above cannot retire underneath us.
 	c.mu.Lock()
 	attached := c.closing == ""
 	if attached {
+		m.cur = ss.query.Tap(datacell.CursorOptions{
+			Limit:   s.cfg.clientBuffer(buffer),
+			Policy:  datacell.OverflowPolicy(policy),
+			Wake:    m.wake,
+			Evict:   m.evict,
+			Dropped: &s.stats.droppedFrames,
+		})
 		c.subs[m.id] = m
 		ss.mu.Lock()
 		ss.members[m.id] = m
 		ss.mu.Unlock()
 	}
 	c.mu.Unlock()
-	if results != nil {
-		// Start a new statement's fan-out only now that its first member is
-		// in: an adopted recovered query replays its backlog the moment the
-		// fan-out reads the channel, and windows fanned out to an empty
-		// member set would be lost.
-		s.wg.Add(1)
-		go ss.fanout(results)
-	}
 	s.mu.Unlock()
 	if !attached {
 		s.retire(ss) // no-op unless ss is memberless, as a new one is
 		return nil, "", errConnClosed
 	}
-	// The fanout fills m.q from here on; the frames enter the outbox only
-	// behind the MsgSubscribed the caller queues, so none can overtake it.
 	return m, ss.fp, nil
 }
 
-// detach removes m from its sharedSub, retiring the shared engine query
-// when the last member leaves.
+// detach closes m's cursor and removes m from its sharedSub, retiring the
+// shared engine query when the last member leaves.
 func (s *Server) detach(m *member) {
+	m.cur.Close()
 	ss := m.ss
 	ss.mu.Lock()
 	_, present := ss.members[m.id]
@@ -426,14 +353,15 @@ func (s *Server) retire(ss *sharedSub) {
 	}
 	ss.mu.Unlock()
 	s.mu.Unlock()
-	ss.cancel()
 	ss.query.Close()
 }
 
-// encodeSharedResult serializes the statement-shared part of a result
-// frame (everything after the per-member subID): window number, emit
-// wall-clock, step latency, and the columnar block.
-func encodeSharedResult(r *datacell.Result) []byte {
+// encode serializes the statement-shared part of a result frame
+// (everything after the per-member subID): window number, emit wall-clock,
+// step latency, and the columnar block. The log calls it once per window
+// per statement, for the first cursor that takes the window.
+func (s *Server) encode(r *datacell.Result) []byte {
+	s.stats.encodes.Add(1)
 	b := make([]byte, 0, 64+16*len(r.Table.Cols)*(1+r.Table.NumRows()))
 	b = appendU64(b, uint64(r.Window))
 	b = appendI64(b, time.Now().UnixMicro())
@@ -441,67 +369,51 @@ func encodeSharedResult(r *datacell.Result) []byte {
 	return AppendTable(b, r.Table)
 }
 
-// fanout consumes the shared subscription channel: one encode per window,
-// then per-member delivery under each member's policy. It exits when the
-// channel closes (retire or drain), after delivering everything buffered.
-func (ss *sharedSub) fanout(ch <-chan *datacell.Result) {
-	defer ss.srv.wg.Done()
-	defer close(ss.done)
-	var snapshot []*member
-	for r := range ch {
-		shared := encodeSharedResult(r)
-		ss.srv.stats.encodes.Add(1)
-		ss.mu.Lock()
-		snapshot = snapshot[:0]
-		for _, m := range ss.members {
-			snapshot = append(snapshot, m)
-		}
-		ss.mu.Unlock()
-		for _, m := range snapshot {
-			ss.deliver(m, shared)
-		}
+// wake is m's cursor hook: a window landed for m — a result frame, which
+// once m is acknowledged puts it on the writer's ready list. The log calls
+// it without its lock held.
+func (m *member) wake() {
+	m.c.srv.stats.resultFrames.Add(1)
+	m.c.mu.Lock()
+	m.readyLocked()
+	m.c.mu.Unlock()
+}
+
+// readyLocked queues m for the writer unless it is queued already or not
+// yet acknowledged. Caller holds c.mu.
+func (m *member) readyLocked() {
+	if m.acked && !m.queued {
+		m.queued = true
+		m.c.ready = append(m.c.ready, m)
+		m.c.moved.Broadcast()
 	}
 }
 
-// deliver queues one frame for m under its slow-consumer policy. The frame
-// bytes are shared across members — queues hold references, never copies.
-func (ss *sharedSub) deliver(m *member, shared []byte) {
-	c, st := m.c, &ss.srv.stats
+// evict is the Disconnect hook, run by the appending step once m's cursor
+// overflowed. An evicted client is owed the reason and nothing queued: its
+// other cursors close too, so the writer's next frame is the BYE, which a
+// socket taking no bytes within evictGrace never gets.
+func (m *member) evict() {
+	c := m.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for m.policy == PolicyBlock && m.q.len() >= m.limit && m.live() {
-		c.moved.Wait() // only this statement's fanout stalls
-	}
-	switch full := m.q.len() >= m.limit; {
-	case !m.live():
+	if c.closing != "" {
 		return
-	case full && m.policy == PolicyDisconnect:
-		// An evicted client is owed the reason and nothing queued; a socket that
-		// takes no bytes within evictGrace fails the write and closes untold.
-		const why = "slow client (policy disconnect)"
-		c.out, c.replies = fifo[outFrame]{}, 0
-		c.finish("policy: "+why, MsgBye, appendStr32(nil, why))
-		_ = c.c.SetWriteDeadline(time.Now().Add(evictGrace))
-		return
-	case full: // PolicyDropOldest: the dropped frame's outbox token now stands for the next-oldest
-		m.q.pop()
-		st.droppedFrames.Add(1)
-	case m.acked:
-		c.out.push(outFrame{m: m})
-		c.moved.Broadcast()
 	}
-	m.q.push(shared)
-	st.resultFrames.Add(1)
+	for _, o := range c.subs {
+		o.cur.Close()
+	}
+	const why = "slow client (policy disconnect)"
+	c.out = nil
+	c.finish("policy: "+why, MsgBye, appendStr32(nil, why))
+	_ = c.c.SetWriteDeadline(time.Now().Add(evictGrace))
 }
-
-// live: m is subscribed and its connection not ending. Caller holds c.mu.
-func (m *member) live() bool { return m.c.closing == "" && m.c.subs[m.id] == m }
 
 // --- connections -----------------------------------------------------------
 
 // conn is one client connection: handleConn reads it, writeLoop alone writes
-// it. Everything bound for the socket — dispatch's control frames and a token
-// per queued result frame — enters out in arrival order.
+// it. Control frames wait in out; result frames stay in the members'
+// cursors until the writer takes them, members with frames waiting in ready.
 type conn struct {
 	srv  *Server
 	c    net.Conn
@@ -512,16 +424,15 @@ type conn struct {
 
 	mu      sync.Mutex
 	subs    map[uint32]*member
-	out     fifo[outFrame]
-	replies int       // control frames in out
+	out     []outFrame // control frames
+	ready   []*member
 	closing string    // first "class: detail" reason the conn ends for; once set nothing new is accepted
-	moved   sync.Cond // on mu: a frame entered or left the outbox, a member left, or closing was set
+	bye     outFrame  // written once closing and nothing else is owed
+	moved   sync.Cond // on mu: the outbox or ready list changed, or closing was set
 }
 
-// outFrame is one outbox entry: a control frame (t, b), or with m set a
-// token for the oldest frame in m.q.
+// outFrame is one control frame.
 type outFrame struct {
-	m *member
 	t MsgType
 	b []byte
 }
@@ -547,64 +458,78 @@ func (c *conn) Write(p []byte) (int, error) {
 
 func (c *conn) send(t MsgType, payload []byte) error { return c.sendAck(t, payload, nil) }
 
-// sendAck queues a control frame behind whatever the outbox holds. For m's
-// MsgSubscribed, the same critical section lets m's frames in behind it.
+// sendAck queues a control frame. For m's MsgSubscribed, the same critical
+// section lets m's frames follow it: the writer takes control frames first.
 func (c *conn) sendAck(t MsgType, payload []byte, m *member) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for c.replies >= maxQueuedControl && c.closing == "" {
+	for len(c.out) >= maxQueuedControl && c.closing == "" {
 		c.moved.Wait()
 	}
 	if c.closing != "" {
 		return errConnClosed
 	}
-	c.replies++
-	c.out.push(outFrame{t: t, b: payload})
+	c.out = append(c.out, outFrame{t: t, b: payload})
+	c.moved.Broadcast()
 	if m != nil {
 		m.acked = true
-		for i := m.q.len(); i > 0; i-- {
-			c.out.push(outFrame{m: m})
-		}
+		m.readyLocked() // for the frames logged meanwhile, if any
 	}
-	c.moved.Broadcast()
 	return nil
 }
 
-// writeLoop owns the socket. It copies frames into bw as they become ready
-// and flushes when the outbox is empty, so frames queued close together
-// leave in one write. A control frame flushes at once, whatever is queued
-// behind it. With sibling subscriptions on the connection it yields once
-// before flushing results: the statements' fanouts emit the same slide
-// microseconds apart. Closing, with everything owed out, it tears down.
+// writeLoop owns the socket. A control frame is written and flushed at
+// once. Otherwise it takes one frame from the next ready member into bw,
+// and flushes when no member is ready, so frames that become ready close
+// together leave in one write. With sibling subscriptions on the
+// connection it yields once before flushing results: the statements' steps
+// emit the same slide microseconds apart. Closing, with every frame owed
+// out, it writes the farewell and tears down.
 func (c *conn) writeLoop() {
 	defer c.srv.wg.Done()
 	yielded := false
+	var again *member // took a frame last round and has more
 	for {
 		c.mu.Lock()
-		for c.out.len() == 0 && c.bw.Buffered() == 0 && c.closing == "" {
+		if again != nil {
+			again.readyLocked()
+			again = nil
+		}
+		for len(c.out) == 0 && len(c.ready) == 0 && c.bw.Buffered() == 0 && c.closing == "" {
 			c.moved.Wait()
 		}
-		f, ok := c.out.pop()
-		if ok {
-			if f.m == nil {
-				c.replies--
-			} else {
-				f.b, _ = f.m.q.pop() // a token always has its frame
-			}
+		var f outFrame
+		var m *member
+		ctrl := len(c.out) > 0
+		if ctrl {
+			f, c.out = c.out[0], c.out[1:]
 			c.moved.Broadcast()
+		} else if len(c.ready) > 0 {
+			m, c.ready = c.ready[0], c.ready[1:]
+			m.queued = false
 		}
-		siblings, closing := len(c.subs) > 1, c.closing
+		siblings, closing, bye := len(c.subs) > 1, c.closing, c.bye
 		c.mu.Unlock()
 		var err error
 		switch {
-		case ok && f.m != nil:
-			err = c.writeResult(f.m.id, f.b)
-		case ok:
+		case ctrl:
 			if err = WriteFrame(c.bw, f.t, f.b); err == nil {
 				err = c.bw.Flush()
 			}
 			yielded = false
+		case m != nil:
+			if frame, more, ok := m.cur.Next(c.srv.encode); ok {
+				err = c.writeResult(m.id, frame)
+				if more {
+					again = m
+				}
+			}
 		case c.bw.Buffered() == 0:
+			if bye.t != 0 {
+				if err = WriteFrame(c.bw, bye.t, bye.b); err == nil {
+					err = c.bw.Flush()
+				}
+			}
 			c.teardown(closing)
 			return
 		case siblings && !yielded:
@@ -638,15 +563,14 @@ func (c *conn) writeResult(subID uint32, shared []byte) error {
 }
 
 // finish is the orderly end; the caller holds c.mu. Nothing new is accepted
-// from here: writeLoop writes what the outbox holds, this farewell, and
-// tears down.
+// from here: writeLoop writes the control frames queued, the result frames
+// the cursors still owe, this farewell, and tears down.
 func (c *conn) finish(reason string, t MsgType, payload []byte) {
 	if c.closing != "" {
 		return
 	}
 	c.closing = reason
-	c.replies++
-	c.out.push(outFrame{t: t, b: payload})
+	c.bye = outFrame{t: t, b: payload}
 	c.moved.Broadcast()
 }
 
@@ -690,7 +614,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.wg.Add(1)
 	go c.writeLoop()
 	s.mu.Lock()
-	if s.draining || s.closed {
+	if s.closed {
 		s.mu.Unlock()
 		c.mu.Lock()
 		c.finish("drain: refused", MsgBye, appendStr32(nil, "server is draining"))
@@ -707,11 +631,11 @@ func (s *Server) handleConn(nc net.Conn) {
 	if err != nil || t != MsgHello || len(payload) != len(Magic)+1 ||
 		string(payload[:len(Magic)]) != Magic || payload[len(Magic)] != ProtocolVersion {
 		c.mu.Lock()
-		c.finish("handshake: bad hello", MsgError, encodeError(0, "serve: bad handshake"))
+		c.finish("handshake: bad hello", MsgError, encodeReply(0, "serve: bad handshake"))
 		c.mu.Unlock()
 		return
 	}
-	if err := c.send(MsgOK, encodeOK(0, "datacell")); err != nil {
+	if err := c.send(MsgOK, encodeReply(0, "datacell")); err != nil {
 		return
 	}
 	for {
@@ -730,12 +654,9 @@ func (s *Server) handleConn(nc net.Conn) {
 	}
 }
 
-func encodeOK(seq uint32, detail string) []byte {
-	return appendStr32(appendU32(nil, seq), detail)
-}
-
-func encodeError(seq uint32, msg string) []byte {
-	return appendStr32(appendU32(nil, seq), msg)
+// encodeReply is the payload of MsgOK and MsgError: u32 seq | str text.
+func encodeReply(seq uint32, text string) []byte {
+	return appendStr32(appendU32(nil, seq), text)
 }
 
 // dispatch executes one client frame. A returned error ends the reader: a
@@ -749,10 +670,10 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 	}
 	switch t {
 	case MsgPing:
-		return c.send(MsgOK, encodeOK(seq, "pong"))
+		return c.send(MsgOK, encodeReply(seq, "pong"))
 
 	case MsgQueries:
-		return c.send(MsgOK, encodeOK(seq, s.QueryList()))
+		return c.send(MsgOK, encodeReply(seq, s.QueryList()))
 
 	case MsgStmt:
 		sql := r.str32()
@@ -762,11 +683,11 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 		detail, tbl, err := ExecStatement(s.db, sql)
 		switch {
 		case err != nil:
-			return c.send(MsgError, encodeError(seq, err.Error()))
+			return c.send(MsgError, encodeReply(seq, err.Error()))
 		case tbl != nil:
 			return c.send(MsgTable, AppendTable(appendU32(nil, seq), tbl))
 		default:
-			return c.send(MsgOK, encodeOK(seq, detail))
+			return c.send(MsgOK, encodeReply(seq, detail))
 		}
 
 	case MsgRegister:
@@ -778,14 +699,14 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 			return r.err
 		}
 		if mode > datacell.Auto {
-			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown mode %d", mode)))
+			return c.send(MsgError, encodeReply(seq, fmt.Sprintf("serve: unknown mode %d", mode)))
 		}
 		if policy > PolicyDisconnect {
-			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown policy %d", policy)))
+			return c.send(MsgError, encodeReply(seq, fmt.Sprintf("serve: unknown policy %d", policy)))
 		}
 		m, fp, err := s.register(c, sql, mode, policy, buffer)
 		if err != nil {
-			return c.send(MsgError, encodeError(seq, err.Error()))
+			return c.send(MsgError, encodeReply(seq, err.Error()))
 		}
 		out := appendU32(appendU32(nil, seq), m.id)
 		return c.sendAck(MsgSubscribed, appendStr32(out, fp), m)
@@ -798,13 +719,12 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 		c.mu.Lock()
 		m := c.subs[subID]
 		delete(c.subs, subID)
-		c.moved.Broadcast() // a Block deliver may be waiting on m
 		c.mu.Unlock()
 		if m == nil {
-			return c.send(MsgError, encodeError(seq, fmt.Sprintf("serve: unknown subscription %d", subID)))
+			return c.send(MsgError, encodeReply(seq, fmt.Sprintf("serve: unknown subscription %d", subID)))
 		}
 		s.detach(m)
-		return c.send(MsgOK, encodeOK(seq, "unsubscribed"))
+		return c.send(MsgOK, encodeReply(seq, "unsubscribed"))
 
 	case MsgAppend:
 		kind := r.u8()
@@ -829,10 +749,10 @@ func (s *Server) dispatch(c *conn, t MsgType, payload []byte) error {
 			aerr = fmt.Errorf("serve: unknown append kind %d", kind)
 		}
 		if aerr != nil {
-			return c.send(MsgError, encodeError(seq, aerr.Error()))
+			return c.send(MsgError, encodeReply(seq, aerr.Error()))
 		}
 		s.stats.appendRows.Add(int64(blk.NumRows()))
-		return c.send(MsgOK, encodeOK(seq, fmt.Sprintf("%d rows", blk.NumRows())))
+		return c.send(MsgOK, encodeReply(seq, fmt.Sprintf("%d rows", blk.NumRows())))
 
 	default:
 		return fmt.Errorf("serve: unexpected message type 0x%02x", uint8(t))
@@ -913,11 +833,12 @@ func (s *Server) connList() []*conn {
 	return conns
 }
 
-// Shutdown drains the server: stop accepting, halt the scheduler, flush
-// owed windows through the shared subscriptions, let each connection's
-// writer empty its outbox, send its BYE frame and close. The graceful phase
-// is bounded by ctx (or Config.DrainTimeout when ctx has no deadline); past
-// the bound, connections are force-closed. Safe to call more than once.
+// Shutdown drains the server: stop accepting, halt the scheduler, pump the
+// windows the buffered data still owes into the result logs, then let each
+// connection's writer take what its cursors owe, send its BYE frame and
+// close. The graceful phase is bounded by ctx (or Config.DrainTimeout when
+// ctx has no deadline); past the bound, connections are force-closed.
+// Safe to call more than once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	if s.closed {
@@ -925,12 +846,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return nil
 	}
 	s.closed = true
-	s.draining = true
 	ln := s.ln
-	shared := make([]*sharedSub, 0, len(s.shared))
-	for _, ss := range s.shared {
-		shared = append(shared, ss)
-	}
 	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
@@ -949,25 +865,13 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// Flush owed windows: halt the workers, then one synchronous pump
-		// fires every window the buffered data still owes. Results flow
-		// through the live fanouts to the clients.
 		s.db.Stop()
 		if _, err := s.db.Pump(); err != nil {
 			pumpErr = err
 		}
-		// End the shared subscriptions; their channels close once the
-		// buffered results are consumed, so each fanout delivers
-		// everything before exiting.
-		for _, ss := range shared {
-			ss.query.Close()
-		}
-		for _, ss := range shared {
-			<-ss.done
-			ss.cancel()
-		}
-		// Every frame owed is in an outbox now: detach the members and let
-		// each writer empty its outbox, say goodbye and close.
+		// Every window owed is in a log now: each writer takes what its
+		// cursors hold, says goodbye and closes; the last member of each
+		// statement retires its query.
 		conns := s.connList()
 		for _, c := range conns {
 			c.mu.Lock()
@@ -984,14 +888,10 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		s.wg.Wait()
 		return pumpErr
 	case <-ctx.Done():
-		// Force: close every socket and detach every member — this
-		// unblocks stuck writes, Block-policy fanout waits, and the
-		// synchronous pump above.
+		// Force: close every socket and detach every member — this unblocks
+		// stuck writes and a pump stalled on a Block cursor.
 		for _, c := range s.connList() {
 			c.teardown("drain: timeout")
-		}
-		for _, ss := range shared {
-			ss.cancel()
 		}
 		<-done
 		s.wg.Wait()

@@ -142,7 +142,7 @@ func TestServeEndToEnd(t *testing.T) {
 	}
 }
 
-// TestServeSharedEncode pins the fanout contract: N subscribers to the
+// TestServeSharedEncode pins the shared-log contract: N subscribers to the
 // same statement cost one engine query and one encode per window, while
 // every subscriber still gets its own frame.
 func TestServeSharedEncode(t *testing.T) {
@@ -490,13 +490,12 @@ func TestRegisterBufferClamped(t *testing.T) {
 	}
 }
 
-// TestRecoveredReplayReachesFirstSubscriber pins the register/fan-out
-// order: a statement that adopts a RECOVERED query starts replaying its
-// backlog the moment its fan-out goroutine runs, so the registering
-// connection must already be a member by then. The first frame on the wire
-// has to be the first replayed window and the sequence gap-free. The race
-// window on the server is the member's construction — the large requested
-// queue widens it — hence the loop. (The client has the mirror-image
+// TestRecoveredReplayReachesFirstSubscriber pins the replay hand-off: a
+// statement that adopts a RECOVERED query holds its replayed backlog in the
+// query's result log, and the statement's first cursor must start at the
+// oldest unread window. The first frame on the wire has to be the first
+// replayed window and the sequence gap-free. The loop repeats the
+// register/replay interleaving, which once lost windows. (The client has the mirror-image
 // obligation: attach the subscription before reading the frame after the
 // acknowledgement.) Odd iterations read the wire by hand: the
 // acknowledgement itself must precede the backlog's first frame.
@@ -582,7 +581,7 @@ func TestRecoveredReplayReachesFirstSubscriber(t *testing.T) {
 // TestRegisterAfterTeardownDetaches pins the register/teardown race: a
 // registration that loses the race against connection teardown must be
 // detached (and its sharedSub retired), not leaked as an unreachable
-// member that would wedge a Block-policy fanout forever.
+// member whose Block-policy cursor would wedge the query forever.
 func TestRegisterAfterTeardownDetaches(t *testing.T) {
 	db := newIntDB(t)
 	srv := New(db, Config{})
@@ -608,7 +607,7 @@ func TestRegisterAfterTeardownDetaches(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("%d sharedSubs leaked after dead-conn register", leaked)
 	}
-	srv.wg.Wait() // the fanout goroutine exits once the query retires
+	srv.wg.Wait() // nothing per statement is left running once the query retires
 }
 
 // TestClientCloseDuringDelivery races Close against in-flight result
@@ -727,6 +726,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`datacell_serve_disconnects_by_class_total{class="policy"} 0`,
 		`datacell_query_info{query="s1"`,
 		`datacell_query_windows_total{query="s1"} 2`,
+		`datacell_query_result_backlog{query="s1"} 0`,
 		`stage="fragment"`,
 		`outcome="delivered"`,
 		`datacell_stream_durable{stream="s"} 0`,
@@ -767,5 +767,56 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if want := `datacell_stream_segment_files{stream="s"} 4`; !strings.Contains(string(raw), want) {
 		t.Errorf("durable metrics missing %q\n%s", want, raw)
+	}
+
+	// Drops count once: a DropOldest subscriber whose writer is held in a
+	// socket write misses k windows, and the two drop counters the
+	// benchmark sums move by exactly k.
+	gln := newGateListener(t)
+	gsrv, gaddr := serveOn(t, newIntDB(t), Config{}, gln)
+	drops := func() int64 {
+		var sb strings.Builder
+		gsrv.writeMetrics(&sb)
+		var n int64
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, "datacell_serve_result_frames_dropped_total ") ||
+				strings.HasPrefix(line, "datacell_query_results_total{") && strings.Contains(line, `outcome="dropped"`) {
+				var v int64
+				fmt.Sscan(line[strings.LastIndexByte(line, ' ')+1:], &v)
+				n += v
+			}
+		}
+		return n
+	}
+	slow, sbr := rawDial(t, gaddr) // raw: the client library would drop on its side too
+	g := <-gln.accepted
+	rawRegister(t, slow, 1, PolicyDropOldest, 1, `SELECT count(*) FROM s [RANGE 2 SLIDE 2]`)
+	if typ, _, _, err := ReadFrame(sbr, nil); err != nil || typ != MsgSubscribed {
+		t.Fatalf("register: type 0x%02x err %v", uint8(typ), err)
+	}
+	gfeed, _ := dialGated(t, gln, gaddr)
+	before := drops()
+	parked, release := g.hold()
+	if err := gfeed.Append("s", nil, intCols(0, 2)); err != nil {
+		t.Fatal(err)
+	}
+	<-parked // window 1 is in the socket write; the rest pile up in the log
+	const windows = 9
+	if err := gfeed.Append("s", nil, intCols(0, 2*(windows-1))); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "every window to land", func() bool { return gsrv.Stats().ResultFrames == windows })
+	release()
+	received := 0
+	slow.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for last := uint64(0); last < windows; received++ {
+		typ, payload, _, err := ReadFrame(sbr, nil)
+		if err != nil || typ != MsgResult {
+			t.Fatalf("after %d windows: type 0x%02x err %v", received, uint8(typ), err)
+		}
+		last = binary.BigEndian.Uint64(payload[4:])
+	}
+	if k := int64(windows - received); k == 0 || drops()-before != k {
+		t.Fatalf("received %d of %d windows, drop counters moved by %d", received, windows, drops()-before)
 	}
 }

@@ -130,7 +130,7 @@ func rawRegister(t *testing.T, nc net.Conn, seq uint32, policy Policy, buffer ui
 }
 
 // siblingStmt is the i-th of a family of distinct statements over newIntDB's
-// stream that all pass rows with x1 >= 64: one fanout each.
+// stream that all pass rows with x1 >= 64: one result log each.
 func siblingStmt(i int) string {
 	return fmt.Sprintf(`SELECT count(*) FROM s [RANGE 2 SLIDE 2] WHERE x1 >= %d`, i)
 }
@@ -236,17 +236,14 @@ func TestAckFlushesAheadOfQueuedResults(t *testing.T) {
 			c = sc
 		}
 	}
-	// outbox reports whether a control frame is queued and how many result
-	// tokens sit behind it.
+	// outbox reports whether a control frame is queued and, if so, how many
+	// result frames the subscription's log holds behind it.
 	outbox := func() (ctrl bool, behind int) {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		for _, f := range c.out.items[c.out.head:] {
-			switch {
-			case f.m == nil:
-				ctrl = true
-			case ctrl:
-				behind++
+		if ctrl = len(c.out) > 0; ctrl {
+			for _, m := range c.subs {
+				behind += m.ss.query.Stats().Backlog
 			}
 		}
 		return ctrl, behind
@@ -482,8 +479,8 @@ func TestPolicyDisconnectClosesAnUnreadSocket(t *testing.T) {
 }
 
 // TestPolicyBlockStallsOnlyItsStatement: an unread Block-policy socket
-// stalls the fanout of the statement it subscribes to — its queue never
-// holds more than its buffer — while another statement's subscriber on
+// stalls the query of the statement it subscribes to — its cursor never
+// lags more than its buffer and the stalled window — while another statement's subscriber on
 // another connection receives every window.
 func TestPolicyBlockStallsOnlyItsStatement(t *testing.T) {
 	srv, addr := startServer(t, newEvDB(), Config{})
@@ -528,7 +525,7 @@ func TestPolicyBlockStallsOnlyItsStatement(t *testing.T) {
 	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	// Receive until the unread socket has stalled its fanout, then 30
+	// Receive until the unread socket has stalled its query, then 30
 	// windows more: the stall is not contagious.
 	after := 0
 	for want := 1; after < 30; want++ {
@@ -538,13 +535,13 @@ func TestPolicyBlockStallsOnlyItsStatement(t *testing.T) {
 		if r, err := healthy.Recv(ctx); err != nil || r.Window != want {
 			t.Fatalf("healthy client at window %d: %v %v", want, r, err)
 		}
-		m.c.mu.Lock()
-		queued := m.q.len()
-		m.c.mu.Unlock()
-		if queued > buffer {
-			t.Fatalf("blocked member queues %d frames, buffer is %d", queued, buffer)
+		// The stalled step's own window is logged while it waits: the cursor,
+		// its statement's only one, lags at most one past its buffer.
+		queued := m.ss.query.Stats().Backlog
+		if queued > buffer+1 {
+			t.Fatalf("blocked member lags %d frames, buffer is %d", queued, buffer)
 		}
-		if queued == buffer || after > 0 { // full: the writer is stuck in the socket, the fanout waits
+		if queued > buffer || after > 0 { // full: the writer is stuck in the socket, the step waits
 			after++
 		}
 	}
@@ -568,7 +565,8 @@ func goroutinesIn(fn string) int {
 }
 
 // TestConnGoroutines is the accounting: a connection costs one reader and
-// one writer however many subscriptions it holds, and closing the client,
+// one writer however many subscriptions it holds, a statement costs no
+// goroutine, and closing the client,
 // unsubscribing and shutting down leave no goroutine behind.
 func TestConnGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -604,7 +602,6 @@ func TestConnGoroutines(t *testing.T) {
 	for fn, want := range map[string]int{
 		"serve.(*Server).handleConn": 1,
 		"serve.(*conn).writeLoop":    1,
-		"serve.(*sharedSub).fanout":  n,
 	} {
 		if got := goroutinesIn(fn); got != want {
 			t.Errorf("%d goroutines in %s, want %d", got, fn, want)
@@ -632,11 +629,11 @@ func TestConnGoroutines(t *testing.T) {
 	}
 }
 
-// BenchmarkConnWriter drives the connection writer alone — no engine: one
-// goroutine per subscription delivers a small frame per "slide", as the
-// statement fanouts do, over loopback TCP to a reader that waits for the
-// whole slide. It fails if sibling frames stop sharing writes or a lone
-// subscription's frame stops being one prompt write.
+// BenchmarkConnWriter drives the connection writer through the result logs:
+// per "slide" every subscribed statement appends one small window, over
+// loopback TCP to a reader that waits for the whole slide. It fails if
+// sibling frames stop sharing writes or a lone subscription's frame stops
+// being one prompt write.
 func BenchmarkConnWriter(b *testing.B) {
 	const slidesPerOp = 64
 	for _, n := range []int{1, 64} {
@@ -670,33 +667,20 @@ func BenchmarkConnWriter(b *testing.B) {
 					b.Fatalf("setup frame %d: type 0x%02x err %v", i, uint8(typ), err)
 				}
 			}
-			var members []*member
-			srv.mu.Lock()
-			for _, ss := range srv.shared {
-				for _, m := range ss.members {
-					members = append(members, m)
-				}
-			}
-			srv.mu.Unlock()
-			frame := make([]byte, 256) // about one agg_fanout result
-			slide := make([]chan struct{}, n)
-			var workers sync.WaitGroup
-			for i, m := range members {
-				slide[i] = make(chan struct{})
-				workers.Add(1)
-				go func(m *member, slide <-chan struct{}) {
-					defer workers.Done()
-					for range slide {
-						m.ss.deliver(m, frame)
-					}
-				}(m, slide[i])
-			}
+			// Drive the logs from this goroutine: each slide is two rows
+			// every statement passes, pumped synchronously, so each of the
+			// n queries appends one window and wakes the writer.
+			db.Stop()
+			slide := []datacell.Value{datacell.Int(64), datacell.Int(1)}
 			st0 := srv.Stats()
 			var buf []byte
 			b.ResetTimer()
 			for i := 0; i < b.N*slidesPerOp; i++ {
-				for _, ch := range slide {
-					ch <- struct{}{}
+				if err := db.Append("s", slide, slide); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := db.Pump(); err != nil {
+					b.Fatal(err)
 				}
 				for f := 0; f < n; f++ {
 					if _, _, buf, err = ReadFrame(br, buf); err != nil {
@@ -716,10 +700,6 @@ func BenchmarkConnWriter(b *testing.B) {
 			if n > 1 && perWrite < 1.5 {
 				b.Errorf("%d subscriptions: %.2f frames/write — the writer flushes per frame", n, perWrite)
 			}
-			for _, ch := range slide {
-				close(ch)
-			}
-			workers.Wait()
 			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 			defer cancel()
 			if err := srv.Shutdown(ctx); err != nil {

@@ -32,8 +32,9 @@ type StorageStats = basket.StorageStats
 // replays any previous run: stream and table definitions, stream data up
 // to the last durable record, and standing queries. Recovered queries are
 // listed by RecoveredQueries and re-emit every window of the crashed run
-// before continuing — reattach sinks via AdoptRecovered (or Query.Subscribe
-// / OnResult) and decide there what to do with windows already seen.
+// before continuing — the replay waits in each query's result log for the
+// first sink, attached via AdoptRecovered (or Query.Subscribe / OnResult /
+// Tap), which decides what to do with windows already seen.
 func Open(dir string) (*DB, error) {
 	return OpenConfig(dir, StoreConfig{})
 }
@@ -55,8 +56,8 @@ func OpenConfig(dir string, cfg StoreConfig) (*DB, error) {
 		return nil, fmt.Errorf("datacell: open %s: %w", dir, err)
 	}
 	for _, def := range defs {
-		q := &Query{db: db}
-		cq, err := eng.RegisterRecovered(def, func(r *engine.Result) { q.deliver(newResult(r)) })
+		q := newQuery(db)
+		cq, err := eng.RegisterRecovered(def, q.deliver)
 		if err != nil {
 			_ = d.Close()
 			return nil, fmt.Errorf("datacell: open %s: re-register %q: %w", dir, def.SQL, err)

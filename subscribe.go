@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"sync"
-	"sync/atomic"
 )
 
 // Delivery errors returned by Subscribe.
@@ -19,8 +17,8 @@ var (
 	ErrHasHandler = errors.New("datacell: query already has an OnResult handler")
 )
 
-// OverflowPolicy says what a subscription does when its channel buffer is
-// full and the producer has another result.
+// OverflowPolicy says what a reader of a query's results gets when it
+// falls more than its buffer behind the newest window.
 type OverflowPolicy uint8
 
 const (
@@ -30,144 +28,38 @@ const (
 	Block OverflowPolicy = iota
 	// DropOldest discards the oldest undelivered result to make room for
 	// the newest — bounded staleness instead of backpressure. With an
-	// unbuffered channel (Buffer 0) a result is dropped whenever no
-	// receiver is ready.
+	// unbuffered subscription (Buffer 0) only the newest result waits.
 	DropOldest
+	// Disconnect detaches the reader instead (Query.Tap cursors only;
+	// Subscribe rejects it).
+	Disconnect
 )
 
 // SubOptions configure a subscription.
 type SubOptions struct {
-	// Buffer is the result channel capacity (0 = unbuffered).
+	// Buffer is how many results may wait unread (0 = unbuffered).
 	Buffer int
 	// OnOverflow selects the full-buffer behavior (default Block).
 	OnOverflow OverflowPolicy
 }
 
-// subscription is the channel-delivery sink behind Subscribe, Results2 and
-// Drain. Senders serialize on sendMu, which close also takes before
-// closing the channel — so a close can never race a send — while the
-// closed flag is a separate atomic so isClosed never blocks behind a
-// backpressured send. A blocking send selects on ctx.Done and stop, so
-// both cancellation and Query.Close unblock it (and release sendMu)
-// promptly.
+// subscription is the channel sink behind Subscribe, Results2 and Drain:
+// the query's in-process cursor, read by one emitter goroutine that hands
+// each result to the channel and only then advances the cursor, so a
+// result the consumer never took stays in the log for the next sink.
 type subscription struct {
-	ch     chan *Result
-	policy OverflowPolicy
-	ctx    context.Context
-	stop   chan struct{} // closed by close()
-	ready  chan struct{} // closed once the pre-subscribe backlog replayed
-	once   sync.Once
-	closed atomic.Bool
-	sendMu sync.Mutex
-
-	// delivered/dropped point at the owning Query's cumulative counters
-	// (nil for detached uses), so /metrics sees delivery totals across
-	// resubscribes.
-	delivered, dropped *atomic.Int64
-}
-
-// countDelivered bumps the owning query's delivered counter (if wired).
-func (s *subscription) countDelivered() {
-	if s.delivered != nil {
-		s.delivered.Add(1)
-	}
-}
-
-// countDropped bumps the owning query's dropped counter (if wired).
-func (s *subscription) countDropped() {
-	if s.dropped != nil {
-		s.dropped.Add(1)
-	}
-}
-
-// close shuts the subscription down (idempotent) and closes the result
-// channel. Any in-flight blocking send observes stop and gives up first,
-// releasing sendMu so the channel close cannot race it.
-func (s *subscription) close() {
-	s.once.Do(func() {
-		s.closed.Store(true)
-		close(s.stop)
-		s.sendMu.Lock()
-		close(s.ch)
-		s.sendMu.Unlock()
-	})
-}
-
-func (s *subscription) isClosed() bool { return s.closed.Load() }
-
-// deliver hands a live result to the consumer, after the backlog replay
-// has finished (so pre-subscribe results keep their order). It reports
-// whether the result was accepted by the subscription; false means the
-// caller should keep it for the next sink.
-func (s *subscription) deliver(r *Result) bool {
-	select {
-	case <-s.ready:
-	case <-s.stop:
-		return false
-	}
-	return s.send(r)
-}
-
-// send pushes r into the channel under the subscription's policy.
-func (s *subscription) send(r *Result) bool {
-	s.sendMu.Lock()
-	defer s.sendMu.Unlock()
-	if s.closed.Load() {
-		return false
-	}
-	select {
-	case <-s.ctx.Done():
-		// Already cancelled but not yet torn down: refuse the result so the
-		// caller re-buffers it instead of racing the channel close.
-		return false
-	case <-s.stop:
-		return false
-	default:
-	}
-	if s.policy == DropOldest {
-		for {
-			select {
-			case s.ch <- r:
-				s.countDelivered()
-				return true
-			default:
-			}
-			select {
-			case <-s.ch: // drop the oldest queued result, retry the send
-				s.countDropped()
-			default:
-				if cap(s.ch) == 0 {
-					// Unbuffered and no receiver ready: the policy drops r
-					// itself — consumed per the policy, not lost by error.
-					s.countDropped()
-					return true
-				}
-				// Buffered channel momentarily drained by the consumer
-				// between the two selects: the retried send will succeed.
-			}
-			if s.closed.Load() {
-				return false
-			}
-		}
-	}
-	select {
-	case s.ch <- r:
-		s.countDelivered()
-		return true
-	case <-s.ctx.Done():
-		return false
-	case <-s.stop:
-		return false
-	}
+	ch   chan *Result
+	ctx  context.Context
+	wake chan struct{} // poked when an entry landed or was dropped, or the log closed
+	done chan struct{} // closed once the emitter has detached
 }
 
 // Subscribe returns a channel of window results with explicit cancellation
 // and backpressure — the channel-native alternative to OnResult. Results
-// buffered before the call (including anything a cancelled predecessor
-// left undelivered) are replayed first, in order. The channel is closed
-// when ctx is cancelled or the query is Closed; results the consumer never
-// read are discarded on cancellation, while results produced after the
-// cancellation buffer again for the next sink.
+// produced before the call and not read by an earlier sink come first, in
+// order. The channel is closed when ctx is cancelled, or once the query is
+// Closed and its remaining results were read; results the consumer never
+// read stay buffered for the next sink.
 //
 // A query has one delivery mechanism at a time: Subscribe fails with
 // ErrHasHandler if OnResult was installed and ErrSubscribed if another
@@ -182,84 +74,77 @@ func (q *Query) Subscribe(ctx context.Context, opts SubOptions) (<-chan *Result,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	for {
-		q.mu.Lock()
-		if q.handler != nil {
-			q.mu.Unlock()
-			return nil, ErrHasHandler
-		}
-		old := q.sub
-		if old == nil {
-			break // q.mu stays held
-		}
-		if !old.isClosed() {
-			q.mu.Unlock()
-			return nil, ErrSubscribed
-		}
-		q.mu.Unlock()
-		// Wait for the dead subscription's replay goroutine to finish —
-		// it may still be restoring an unsent backlog tail into
-		// q.buffered, which must be part of the snapshot below, ahead of
-		// anything newer. Only detach it afterwards, so a concurrent
-		// Subscribe cannot find q.sub == nil and skip this wait.
-		<-old.ready
-		q.mu.Lock()
-		if q.sub == old {
-			q.sub = nil
-		}
-		q.mu.Unlock()
+	q.mu.Lock()
+	q.settleLocked()
+	defer q.mu.Unlock()
+	switch {
+	case q.handler != nil:
+		return nil, ErrHasHandler
+	case q.sub != nil:
+		return nil, ErrSubscribed
 	}
 	s := &subscription{
-		ch:        make(chan *Result, opts.Buffer),
-		policy:    opts.OnOverflow,
-		ctx:       ctx,
-		stop:      make(chan struct{}),
-		ready:     make(chan struct{}),
-		delivered: &q.delivered,
-		dropped:   &q.dropped,
+		ch:   make(chan *Result),
+		ctx:  ctx,
+		wake: make(chan struct{}, 1),
+		done: make(chan struct{}),
 	}
-	backlog := q.buffered
-	q.buffered = nil
 	q.sub = s
-	q.mu.Unlock()
-
-	// Replay the backlog off the caller's goroutine (a Block-policy replay
-	// longer than the buffer must wait for the consumer, and the consumer
-	// only exists once Subscribe returned the channel). Live deliveries
-	// gate on ready, so order is preserved.
-	go func() {
-		for i, r := range backlog {
-			if !s.send(r) {
-				// The subscription died mid-replay: keep the unsent tail
-				// (ahead of anything re-buffered since) for the next sink.
-				q.mu.Lock()
-				q.buffered = append(append([]*Result(nil), backlog[i:]...), q.buffered...)
-				q.mu.Unlock()
-				break
-			}
-		}
-		close(s.ready)
-	}()
-	// Watch for cancellation; detach the subscription once it is dead so
-	// later results buffer again and a new Subscribe is allowed. Detach
-	// only after the replay goroutine finished (closing stop aborts any
-	// blocked send, so ready closes promptly): detaching earlier would let
-	// a concurrent Subscribe find q.sub == nil and snapshot q.buffered
-	// before the unsent backlog tail is restored.
-	go func() {
-		select {
-		case <-ctx.Done():
-		case <-s.stop:
-		}
-		s.close()
-		<-s.ready
-		q.mu.Lock()
-		if q.sub == s {
-			q.sub = nil
-		}
-		q.mu.Unlock()
-	}()
+	q.own.configure(CursorOptions{Limit: opts.Buffer, Policy: opts.OnOverflow, Wake: s.poke, Dropped: &q.dropped})
+	go q.emit(s)
 	return s.ch, nil
+}
+
+// poke wakes the emitter without blocking.
+func (s *subscription) poke() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// settleLocked waits out a cancelled subscription that is still detaching,
+// so the next sink starts where it left off. Caller holds q.mu, which is
+// released while waiting.
+func (q *Query) settleLocked() {
+	for q.sub != nil && q.sub.ctx.Err() != nil {
+		done := q.sub.done
+		q.mu.Unlock()
+		<-done
+		q.mu.Lock()
+	}
+}
+
+// emit is a subscription's emitter: it hands the entry at the in-process
+// cursor to the consumer and advances past it once taken. A wake while the
+// send waits means the log moved — the entry may have been dropped — so it
+// looks again. It detaches before closing the channel, so a closed channel
+// means a new sink may attach.
+func (q *Query) emit(s *subscription) {
+	for s.ctx.Err() == nil {
+		e, at, end := q.own.peek()
+		if end {
+			break
+		}
+		var ch chan *Result // nil while there is nothing to send: wait for a wake
+		var r *Result
+		if e != nil {
+			ch, r = s.ch, e.r
+		}
+		select {
+		case ch <- r:
+			q.own.advance(at)
+			q.delivered.Add(1)
+		case <-s.wake:
+		case <-s.ctx.Done():
+		}
+	}
+	q.mu.Lock()
+	q.sub = nil
+	q.own.configure(unbounded)
+	q.mu.Unlock()
+	close(s.done)
+	close(s.ch)
 }
 
 // Results2 returns a Go 1.23 range-over-func iterator over the query's
