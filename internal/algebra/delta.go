@@ -59,8 +59,10 @@ type deltaSlot struct {
 }
 
 // Delta is the persistent state of one delta-maintained grouped merge
-// block. It is private to one runtime: it copies what it needs out of the
-// partials it is shown and never writes to them.
+// block. It copies what it needs out of the partials it is shown and never
+// writes to them, so the partials may be shared. It is not safe for
+// concurrent use: a merge tail's runtimes share one, and the owner
+// (core.TailState) serializes them.
 type Delta struct {
 	keyTyp  vector.Type
 	aggTyps []vector.Type

@@ -166,11 +166,17 @@ func fileSnapshot(f SlotFile) string {
 
 // TestDeltaMergeLeaderFollower models the engine's catalog: two look-alike
 // runtimes consume the SAME slot files (one EvalFragments, as the fragment
-// catalog hands them out) and exchange merge heads with leadership flipping
-// between them per window. The follower skips the emission but must still
-// advance its state — it leads the very next window — so both must track a
-// private Baseline runtime bit for bit. Published heads must be fresh and
-// stay immutable, and the shared slot files must never be written.
+// catalog hands them out), are handed one shared TailState, and exchange
+// merge heads with leadership flipping between them per window. Only the
+// runtime that merges a window touches the state: an adopting follower
+// performs no add and no expire, and the next window's leader — whichever
+// runtime it is — advances the state from where the last one left it, so
+// there is exactly one rebuild besides those forced by an aborted leader
+// (then the follower merges the window again itself and, finding the state
+// already past it, rebuilds). Both runtimes must track a private Baseline
+// runtime bit for bit and never allocate a private state. Published heads
+// must be fresh and stay immutable, and the shared slot files must never
+// be written.
 func TestDeltaMergeLeaderFollower(t *testing.T) {
 	const n, slides, rows = 5, 60, 96
 	ipA := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 480 SLIDE 96] GROUP BY x1 HAVING count(*) > 1`, n, false)
@@ -182,6 +188,7 @@ func TestDeltaMergeLeaderFollower(t *testing.T) {
 	refs := []*Runtime{NewRuntimeOpts(ipA, Options{Baseline: true}), NewRuntimeOpts(ipB, Options{Baseline: true})}
 	inputs := make([]exec.Input, 1)
 	rng := rand.New(rand.NewSource(5))
+	state := &TailState{}
 
 	type published struct {
 		head *MergeHead
@@ -190,6 +197,7 @@ func TestDeltaMergeLeaderFollower(t *testing.T) {
 	var heads []published
 	var files []SlotFile
 	var fileSnaps []string
+	wantRebuilds := 0
 	for sl := 0; sl < slides; sl++ {
 		bw := genGroupedBW(rng, rows, 40)
 		if sl%9 == 4 {
@@ -203,20 +211,45 @@ func TestDeltaMergeLeaderFollower(t *testing.T) {
 		files = append(files, shared[0][0])
 		fileSnaps = append(fileSnaps, fileSnapshot(shared[0][0]))
 
-		// Leadership flips in runs of varying length.
+		// Leadership flips in runs of varying length; every seventh window
+		// the follower finds its leader aborted and merges privately.
 		leader := (sl / (1 + sl%3)) % 2
+		aborted := sl%7 == 5
 		var head *MergeHead
 		order := []int{leader, 1 - leader}
 		for _, who := range order {
-			tx := &TailExchange{}
+			tx := &TailExchange{State: state, Prev: int64(sl), End: int64(sl + 1)}
 			if who == leader {
 				tx.Publish = func(h *MergeHead, err error) { head = h }
 			} else {
-				tx.Fetch = func() (*MergeHead, error) { return head, nil }
+				tx.Fetch = func() (*MergeHead, error) {
+					if aborted {
+						return nil, fmt.Errorf("leader aborted")
+					}
+					return head, nil
+				}
 			}
+			before := state.Stats()
 			res, err := rts[who].Apply(shared, []int64{0}, inputs, []*TailExchange{tx})
 			if err != nil {
 				t.Fatal(err)
+			}
+			after := state.Stats()
+			switch {
+			case sl < n-1:
+				if after != before {
+					t.Fatalf("slide %d: a filling window touched the state: %+v -> %+v", sl, before, after)
+				}
+			case who == leader && sl > n-1:
+				if after.Adds != before.Adds+1 || after.Expires != before.Expires+1 || after.Rebuilds != before.Rebuilds {
+					t.Fatalf("slide %d: leader did not step the state once: %+v -> %+v", sl, before, after)
+				}
+			case who != leader && !aborted:
+				if after.Adds != before.Adds || after.Expires != before.Expires || after.Rebuilds != before.Rebuilds {
+					t.Fatalf("slide %d: adopting follower touched the state: %+v -> %+v", sl, before, after)
+				}
+			case who != leader:
+				wantRebuilds++
 			}
 			want, _, err := refs[who].Step(bw, inputs)
 			if err != nil {
@@ -252,14 +285,22 @@ func TestDeltaMergeLeaderFollower(t *testing.T) {
 		if st := rt.DeltaState(); st.Blocks != 1 {
 			t.Fatalf("runtime %d left the delta path: %+v", i, st)
 		}
+		if rt.own != nil {
+			t.Fatalf("runtime %d allocated a private delta state", i)
+		}
+	}
+	// One rebuild when the window first fills, one per aborted leader.
+	if st := state.Stats(); st.Rebuilds != 1+wantRebuilds || st.Adds != slides-n || st.Expires != slides-n {
+		t.Fatalf("shared state %+v, want %d rebuilds and %d adds and expires", st, 1+wantRebuilds, slides-n)
 	}
 }
 
 // TestDeltaMergeRebuildsAfterError makes a slide fail after slot rotation
 // (the residual tail divides by a group total that is zero in exactly one
-// window): the half-advanced state must be dropped and rebuilt from the
-// slot ring, so every later window again matches a Baseline runtime that
-// saw the same error.
+// window). The error comes after the block's merge, which had already
+// brought the totals to that window and tagged them so; every later window
+// must again match a Baseline runtime that saw the same error, stepping
+// the state once per slide: the only rebuild is the one that first fills it.
 func TestDeltaMergeRebuildsAfterError(t *testing.T) {
 	const n = 3
 	ip := deltaPlan(t, `SELECT x1, sum(x2), count(*) % sum(x2) FROM s [RANGE 12 SLIDE 4] GROUP BY x1`, n, false)
@@ -286,16 +327,13 @@ func TestDeltaMergeRebuildsAfterError(t *testing.T) {
 		}
 		if gotErr != nil {
 			failed++
-			if rt.deltaSynced {
-				t.Fatalf("slide %d: errored slide left the state marked in sync", sl)
-			}
 			continue
 		}
 		if tblKey(got) != tblKey(want) {
 			t.Fatalf("slide %d (after %d failed slides): diverges from Baseline:\n%s\nvs\n%s", sl, failed, tblKey(got), tblKey(want))
 		}
-		if !rt.deltaSynced || rt.DeltaState().Blocks != 1 {
-			t.Fatalf("slide %d: state not back in sync: synced=%v %+v", sl, rt.deltaSynced, rt.DeltaState())
+		if st := rt.DeltaState(); sl >= n-1 && (st.Blocks != 1 || st.Rebuilds != 1 || st.Adds != sl-(n-1)) {
+			t.Fatalf("slide %d: %+v, want 1 rebuild and %d adds", sl, st, sl-(n-1))
 		}
 	}
 	if failed == 0 {

@@ -47,27 +47,33 @@
 //     shard count, including float accumulation order.
 //   - Blocks whose compensating aggregates are all invertible (integer
 //     Sum on one integer key, one windowed source, not landmark — see
-//     IncPlan.MergeKernel) are not re-grouped at all: the Runtime keeps
-//     their per-key totals across slides (algebra.Delta) and at slot
-//     rotation adds the new basic window's partial and subtracts the
-//     expired one. That state is private to the Runtime. Slot files are
-//     only ever read — they may be shared with other queries — so every
-//     per-row side array (next-occurrence links, first-row flags, running
-//     totals) lives in the Runtime's own arena, never in a slot vector.
-//     The state advances on every applied slide, including slides whose
-//     MergeHead is adopted (only the emission is skipped: leadership flips
-//     between queries), emitted columns are freshly allocated so published
-//     heads stay immutable, and a slide that errors after rotation drops
-//     the state, which the next slide rebuilds from the slot ring.
+//     IncPlan.MergeKernel) are not re-grouped at all: their per-key
+//     totals (algebra.Delta) are kept across slides in a TailState, and
+//     the merge adds the new basic window's partial and subtracts the
+//     expired one. The TailState belongs to the merge tail — the engine
+//     hands one per tail per slide phase to every member through
+//     TailExchange — or, without one, to the Runtime. Only a runtime that
+//     merges a window itself touches it (deltaMerge): it steps the totals
+//     when their tag is the previous window's end, rebuilds them from its
+//     own slot ring otherwise, tags them with this window's end and emits;
+//     a runtime that adopts a MergeHead never reads or allocates it. Slot
+//     files are only ever read — they may be shared with other queries —
+//     so every per-row side array (next-occurrence links, first-row flags,
+//     running totals) lives in the state's arena, never in a slot vector,
+//     and emitted columns are freshly allocated so published heads stay
+//     immutable.
 //   - Slot files must survive basket reclamation: values that alias log
 //     storage (bind registers, unflattened views) are cloned/materialized
 //     by runPerBW before entering a slot. The Runtime owns its slots and
 //     cells exclusively; callers serialize EvalFragments/Apply/PushChunk
 //     (the engine does so via its per-query step mutex).
 //
-// The Runtime itself takes no locks: it relies on its caller for step
-// serialization and on the basket's immutability rules for unlocked view
-// reads.
+// The Runtime takes one lock: a TailState's mutex, held inside the merge
+// while a delta block is stepped or rebuilt and emitted, because other
+// members of the merge tail may be merging neighbouring windows through
+// the same state. It never waits on anything while holding it. For the
+// rest it relies on its caller for step serialization and on the basket's
+// immutability rules for unlocked view reads.
 //
 // # Fragment canonicalization and the split step
 //

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"time"
 
 	"datacell/internal/algebra"
@@ -98,12 +99,62 @@ type MergeHead struct {
 //     the block's outputs were not capturable. The engine maps a nil head
 //     to an abort for waiting followers.
 //
+// State is the tail's delta state for this slide's phase, and Prev and End
+// are the absolute ends of the previous and of this window: a runtime that
+// merges the window itself (the leader, or a follower whose leader aborted)
+// brings State from Prev to End; one that adopts a head never touches it.
+// A nil State merges through the runtime's own state.
+//
 // The engine guarantees deadlock freedom by acquiring leadership per
 // absolute window end and processing slides in ascending end order: a
 // leader waiting in Fetch can only wait on strictly smaller ends.
 type TailExchange struct {
-	Fetch   func() (*MergeHead, error)
-	Publish func(*MergeHead, error)
+	Fetch     func() (*MergeHead, error)
+	Publish   func(*MergeHead, error)
+	State     *TailState
+	Prev, End int64
+}
+
+// TailState is the delta state of one merge tail: the per-key totals of
+// its delta-maintained grouped merge blocks (algebra.Delta), each tagged
+// with the absolute window end it reflects. Every runtime of a tail reads
+// bit-identical slot rings, so whichever of them merges a window brings
+// the totals there — one expire and one add from the previous end, a
+// rebuild from its own ring from anywhere else — and the others adopt the
+// head. A runtime without a shared one owns a TailState tagged by its
+// slide count. The zero value is ready to use; storage is allocated on the
+// first merge. Safe for concurrent use: the runtime holds mu while it
+// advances and emits, and waits on nothing while holding it.
+type TailState struct {
+	mu                      sync.Mutex
+	blocks                  []tailBlock // indexed like Runtime.deltas
+	adds, expires, rebuilds int
+}
+
+// tailBlock is one delta block's totals and the window end they reflect.
+type tailBlock struct {
+	d      *algebra.Delta
+	tag    int64
+	tagged bool
+}
+
+// Stats reports the state's footprint and its cumulative step counts;
+// Blocks is the number of blocks holding totals.
+func (ts *TailState) Stats() DeltaState {
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	st := DeltaState{Adds: ts.adds, Expires: ts.expires, Rebuilds: ts.rebuilds}
+	for _, tb := range ts.blocks {
+		if tb.d == nil {
+			continue
+		}
+		st.Blocks++
+		st.Groups += tb.d.Groups()
+		st.Rows += tb.d.Rows()
+		st.TableCap += tb.d.TableCap()
+		st.ArenaCap += tb.d.ArenaCap()
+	}
+	return st
 }
 
 // Options tune runtime execution. They never change plan semantics:
@@ -198,13 +249,14 @@ type Runtime struct {
 
 	// deltas are the delta-maintained grouped merge blocks (MergeDelta), in
 	// plan order; deltaAt indexes them by their start instruction like
-	// groupMergeAt. deltaSynced says their state mirrors the slot ring: it
-	// is dropped for the duration of every slide, so a slide that errors
-	// after rotation leaves it false and the next one rebuilds from the
-	// ring instead of trusting a half-advanced state.
-	deltas      []*deltaBlock
-	deltaAt     map[int]*deltaBlock
-	deltaSynced bool
+	// groupMergeAt. Their totals live in a TailState: the slide's shared
+	// one, else own (allocated on the first merge that needs it).
+	deltas  []*deltaBlock
+	deltaAt map[int]*deltaBlock
+	own     *TailState
+	// evicted holds, per source, the slot file the current slide rotated
+	// out of the ring, until its merge has expired it from the totals.
+	evicted []regFile
 	// deltaCat maps a concatenation's destination to the delta block that
 	// is its only reader; merge skips those concatenations (the block emits
 	// from its own state).
@@ -485,10 +537,10 @@ func (rt *Runtime) EvalFragments(slides [][][]vector.View, inputs []exec.Input) 
 // relies on that to keep the tail exchange deadlock-free (ascending window
 // ends).
 func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input, tails []*TailExchange) ([]StepResult, error) {
-	rt.steps += len(files)
 	rt.runStatic(inputs)
 	out := make([]StepResult, len(files))
 	for sl := range files {
+		rt.steps++ // tags the runtime's own delta state
 		var tx *TailExchange
 		if sl < len(tails) {
 			tx = tails[sl]
@@ -506,8 +558,6 @@ func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input
 // applyOne is one slide of Apply; it adds its stage times to stats.
 func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, error) {
 	t1 := time.Now()
-	synced := rt.deltaSynced
-	rt.deltaSynced = false // until this slide completes without error
 	var deltaNS int64
 	evicted := false
 	for j, s := range rt.srcIdx {
@@ -517,22 +567,23 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 			file = rt.combineChunks(s, chunks)
 			rt.pending[s] = nil
 		}
-		var old regFile
 		if !rt.ip.Landmark && len(rt.slots[s]) == rt.ip.N {
-			// Transition phase: expire the oldest basic window.
-			old = rt.slots[s][0]
+			// Transition phase: expire the oldest basic window. A delta
+			// block's merge still has to subtract it.
+			if rt.deltas != nil {
+				rt.evicted[s] = rt.slots[s][0]
+			}
 			rt.slots[s] = rt.slots[s][1:]
 			evicted = true
 		}
 		rt.slots[s] = append(rt.slots[s], file)
-		if len(rt.deltas) > 0 {
-			// The delta-maintained blocks advance with the ring on every
-			// slide, whether or not this runtime goes on to merge it.
+		if rt.deltas != nil {
 			td := time.Now()
-			rt.advanceDeltas(s, old, file, synced)
+			rt.admitDeltas(s, file)
 			deltaNS += time.Since(td).Nanoseconds()
 		}
 	}
+	defer clear(rt.evicted) // don't pin expired slot files past the merge
 	if rt.ip.HasJoin {
 		tj := time.Now()
 		if err := rt.updateCells(evicted, inputs, stats); err != nil {
@@ -549,7 +600,6 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 			// The window is still filling: nothing merged, nothing to adopt.
 			tx.Publish(nil, nil)
 		}
-		rt.deltaSynced = true
 		return nil, nil
 	}
 	t2 := time.Now()
@@ -564,7 +614,6 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 	// the slide's concatenations and result columns past this firing.
 	clear(env)
 	stats.MergeNS += time.Since(t2).Nanoseconds() - stats.ScatterNS - stats.PartitionNS - stats.StitchNS
-	rt.deltaSynced = true
 	stats.Emitted = true
 	stats.ResultRows = tbl.NumRows()
 	return tbl, nil
@@ -1021,7 +1070,7 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			continue // the adopted head already filled the block's outputs
 		}
 		if spec, ok := rt.groupMergeAt[idx]; ok {
-			handled, err := rt.mergeGrouped(spec, env, stats)
+			handled, err := rt.mergeGrouped(spec, env, tx, stats)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -1076,8 +1125,8 @@ func (rt *Runtime) mergeShards(rows int) int {
 // kernels implement it (MergeKernel says which a block gets):
 //
 //   - the delta-maintained kernel (single int64/timestamp key, integer
-//     Sum partials from one windowed source): the block's totals were kept
-//     current by advanceDeltas at slot rotation, so merging is one
+//     Sum partials from one windowed source): the block's totals are kept
+//     across slides (deltaMerge), so merging is one expire, one add and one
 //     sequential emission — no re-group, no scatter, at any Parallelism;
 //   - the fused scatter/shard/tree-stitch kernel (single int64/timestamp
 //     key, Sum/Min/Max over int64/float64 partials): grouping and
@@ -1089,9 +1138,9 @@ func (rt *Runtime) mergeShards(rows int) int {
 // For the re-grouping kernels P degrades to 1 (reusing the hashtable,
 // skipping scatter and stitch) when parallelism is off or the block is too
 // small to shard profitably.
-func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (handled bool, err error) {
+func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *TailExchange, stats *StepStats) (handled bool, err error) {
 	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
-		keyVec, aggVecs := b.d.Emit()
+		keyVec, aggVecs := rt.deltaMerge(b, tx)
 		env[spec.KeyOuts[0]] = exec.VecDatum(keyVec)
 		for i, ag := range spec.Aggs {
 			env[ag.Out] = exec.VecDatum(aggVecs[i])
@@ -1165,13 +1214,13 @@ func (rt *Runtime) MergeKernels() []string {
 	return out
 }
 
-// deltaBlock is the runtime-private state of one delta-maintained grouped
-// merge block: the kernel state plus where its key and aggregate partials
-// sit in the feeding source's slot files. Slot files may be shared with
-// other queries through the fragment catalog and are only ever read here —
-// every per-row side array lives inside d.
+// deltaBlock is the runtime's view of one delta-maintained grouped merge
+// block: where its key and aggregate partials sit in the feeding source's
+// slot files, and its index into a TailState's blocks. Slot files may be
+// shared with other queries through the fragment catalog and are only ever
+// read here — every per-row side array lives in the TailState's Delta.
 type deltaBlock struct {
-	d      *algebra.Delta
+	idx    int
 	src    int
 	keyPos int
 	aggPos []int
@@ -1208,11 +1257,12 @@ func (rt *Runtime) initDeltas() {
 		if !ok {
 			continue
 		}
-		b.d = algebra.NewDelta(b.keyTyp, b.aggTyp)
 		if rt.deltaAt == nil {
 			rt.deltaAt = map[int]*deltaBlock{}
 			rt.deltaCat = map[plan.Reg]*deltaBlock{}
+			rt.evicted = make([]regFile, len(ip.Prog.Sources))
 		}
+		b.idx = len(rt.deltas)
 		rt.deltaAt[spec.Start] = b
 		rt.deltas = append(rt.deltas, b)
 		// The block's concatenations need not be bound unless a residual
@@ -1251,47 +1301,71 @@ func (b *deltaBlock) columns(file regFile) (keys []int64, vals [][]int64, ok boo
 	return keys, b.vals, true
 }
 
-// advanceDeltas moves every delta block fed by source s one slide forward:
-// old (nil while the window is filling) left the slot ring, file entered
-// it. A block that was not in sync with the ring — first slide, or a
-// previous slide errored after rotation — is rebuilt from the ring.
-func (rt *Runtime) advanceDeltas(s int, old, file regFile, synced bool) {
+// admitDeltas checks the slot file source s just pushed into its ring
+// against every delta block it feeds, and retires a block for good when
+// the file lacks the statically derived shape. It runs at rotation, before
+// merge decides which concatenations the delta blocks let it skip, so a
+// retired block's fused fallback finds its inputs bound. Every file in the
+// ring of a live block has therefore passed it.
+func (rt *Runtime) admitDeltas(s int, file regFile) {
 	for _, b := range rt.deltas {
-		if b.src != s || b.off {
-			continue
+		if b.src == s && !b.off {
+			_, _, ok := b.columns(file)
+			b.off = !ok
+			clear(b.vals)
 		}
-		if synced && rt.advanceDelta(b, old, file) {
-			continue
-		}
-		b.d.Reset()
-		for _, f := range rt.slots[s] {
-			keys, vals, ok := b.columns(f)
-			if !ok {
-				b.off = true
-				break
-			}
-			b.d.Add(keys, vals)
-		}
-		clear(b.vals)
 	}
 }
 
-// advanceDelta is the steady-state step: subtract the expired basic
-// window's partial, add the new one. It reports false when the state and
-// the ring disagree, which sends the block through a rebuild.
-func (rt *Runtime) advanceDelta(b *deltaBlock, old, file regFile) bool {
+// deltaMerge is the one function that advances, rebuilds or emits delta
+// state. Under the state's lock it brings block b's totals to this
+// window: from the previous window's end, it expires the slot file this
+// slide evicted and adds the new one; from anywhere else (first merge, a
+// window merged by another runtime at a later end, a slide that failed
+// before its merge), it rebuilds them from this runtime's slot ring. Then
+// it tags them with this window's end and emits. The state is tx's, shared
+// by the merge tail at this slide's phase, or else the runtime's own,
+// tagged by slide count.
+func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange) (*vector.Vector, []*vector.Vector) {
+	ts, prev, end := rt.own, int64(rt.steps-1), int64(rt.steps)
+	if tx != nil && tx.State != nil {
+		ts, prev, end = tx.State, tx.Prev, tx.End
+	} else if ts == nil {
+		ts = &TailState{}
+		rt.own = ts
+	}
+	ts.mu.Lock()
+	defer ts.mu.Unlock()
+	for len(ts.blocks) <= b.idx {
+		ts.blocks = append(ts.blocks, tailBlock{})
+	}
+	tb := &ts.blocks[b.idx]
+	if tb.d == nil {
+		tb.d = algebra.NewDelta(b.keyTyp, b.aggTyp)
+	}
 	defer clear(b.vals) // don't pin slot vectors
-	if old != nil {
-		keys, vals, ok := b.columns(old)
-		if !ok || !b.d.Expire(keys, vals) {
-			return false
+	// admitDeltas vetted every file in the ring, so columns cannot fail.
+	ring := rt.slots[b.src]
+	advanced := false
+	if old := rt.evicted[b.src]; old != nil && tb.tagged && tb.tag == prev {
+		keys, vals, _ := b.columns(old)
+		if advanced = tb.d.Expire(keys, vals); advanced {
+			keys, vals, _ = b.columns(ring[len(ring)-1])
+			tb.d.Add(keys, vals)
+			ts.expires++
+			ts.adds++
 		}
 	}
-	keys, vals, ok := b.columns(file)
-	if ok {
-		b.d.Add(keys, vals)
+	if !advanced {
+		tb.d.Reset()
+		for _, f := range ring {
+			keys, vals, _ := b.columns(f)
+			tb.d.Add(keys, vals)
+		}
+		ts.rebuilds++
 	}
-	return ok
+	tb.tag, tb.tagged = end, true
+	return tb.d.Emit()
 }
 
 // datumCol reports the column type and row count of a merge input that is
@@ -1658,25 +1732,29 @@ func (rt *Runtime) MemorySlots() int {
 
 // DeltaState is the footprint of the delta-maintained merge blocks, summed
 // over the blocks in use: live groups and partial rows, and the allocated
-// capacity of the key tables and row arenas holding them.
+// capacity of the key tables and row arenas holding them. Adds and Expires
+// count the steady-state steps (one partial each) and Rebuilds the
+// rebuilds from a slot ring, cumulative over the state's life.
 type DeltaState struct {
 	Blocks, Groups, Rows, TableCap, ArenaCap int
+	Adds, Expires, Rebuilds                  int
 }
 
 // DeltaState reports the delta-maintained merge state, for observability
-// and the bounded-state tests. Blocks is zero when no block of the plan
-// takes the delta path.
+// and the bounded-state tests: Blocks counts the plan's blocks on the
+// delta path (zero when none takes it), everything else is read from the
+// runtime's own TailState — zero while it has merged only through shared
+// ones (TailState.Stats reports those).
 func (rt *Runtime) DeltaState() DeltaState {
 	var st DeltaState
+	if rt.own != nil {
+		st = rt.own.Stats()
+	}
+	st.Blocks = 0
 	for _, b := range rt.deltas {
-		if b.off {
-			continue
+		if !b.off {
+			st.Blocks++
 		}
-		st.Blocks++
-		st.Groups += b.d.Groups()
-		st.Rows += b.d.Rows()
-		st.TableCap += b.d.TableCap()
-		st.ArenaCap += b.d.ArenaCap()
 	}
 	return st
 }

@@ -39,6 +39,9 @@ func newShareRegistry() *shareRegistry {
 // Partials are keyed by the absolute position where the window ENDS: a head
 // re-groups the whole window (the window length is part of the tail's
 // canonical key), so only queries merging the exact same row range adopt it.
+// A tail also owns the delta state its delta-maintained block is merged
+// through, one per slide phase (deltas): one add and one expire per phase
+// per slide, however many queries share the tail.
 type (
 	sharedFragment = partialCache[core.SlotFile]
 	sharedTail     = partialCache[*core.MergeHead]
@@ -79,6 +82,18 @@ type partialCache[V any] struct {
 	// keeping the per-firing bookkeeping O(1) amortized at high fanout
 	// while still bounding the cache to ~two rounds of partials.
 	consumes int
+	// deltas are a merge tail's delta states (nil for fragments), one per
+	// slide phase — absolute window end mod slide — that some subscriber
+	// merges at. Look-alike queries registered a non-multiple of the slide
+	// apart share the tail but never a window end: one state between them
+	// would be rebuilt on every slide.
+	deltas map[int64]*phaseDelta
+}
+
+// phaseDelta is one phase's delta state and its subscriber count.
+type phaseDelta struct {
+	state *core.TailState
+	subs  int
 }
 
 // partial is one position's shared value. val and err are written exactly
@@ -127,6 +142,43 @@ func (c *partialCache[V]) detach(q *ContinuousQuery) {
 	c.pruneLocked()
 	c.mu.Unlock()
 	c.reg.mu.Unlock()
+}
+
+// holdDelta subscribes one more query to the delta state of phase,
+// creating it on first use; dropDelta releases it, and the last release
+// frees the state.
+func (c *partialCache[V]) holdDelta(phase int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.deltas == nil {
+		c.deltas = map[int64]*phaseDelta{}
+	}
+	pd := c.deltas[phase]
+	if pd == nil {
+		pd = &phaseDelta{state: &core.TailState{}}
+		c.deltas[phase] = pd
+	}
+	pd.subs++
+}
+
+func (c *partialCache[V]) dropDelta(phase int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pd := c.deltas[phase]; pd != nil {
+		if pd.subs--; pd.subs == 0 {
+			delete(c.deltas, phase)
+		}
+	}
+}
+
+// deltaAt returns the delta state of phase (nil once released).
+func (c *partialCache[V]) deltaAt(phase int64) *core.TailState {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if pd := c.deltas[phase]; pd != nil {
+		return pd.state
+	}
+	return nil
 }
 
 // acquire claims the partial at absolute position pos (singleflight).

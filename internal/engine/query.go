@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -105,7 +106,10 @@ type ContinuousQuery struct {
 	// races a late synchronous pump.
 	frag *sharedFragment
 	tail *sharedTail
-	err  error
+	// tailPhase is the slide phase (absolute window end mod slide) of the
+	// query's windows: it picks the tail's delta state. Fixed at Register.
+	tailPhase int64
+	err       error
 	// emitting is true while the query's OnResult callback is running.
 	// Deregister/Stop consult it to avoid self-deadlock when the callback
 	// itself tears the scheduler down (see stopWorker).
@@ -362,6 +366,9 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 				q.frag = attach[core.SlotFile](si.shares, fragKey(fragCanon), fragFP, q, pos)
 				if tailCanon != "" {
 					q.tail = attach[*core.MergeHead](si.shares, tailKey(tailCanon), tailFP, q, pos)
+					// A count window's ends sit whole slides past the cursor.
+					q.tailPhase = pos % src.Window.SlideRows
+					q.tail.holdDelta(q.tailPhase)
 				}
 			}
 			// Publish a fresh subscriber snapshot (copy-on-write) so
@@ -429,6 +436,7 @@ func (e *Engine) Deregister(q *ContinuousQuery) {
 	q.frag, q.tail = nil, nil
 	q.statsMu.Unlock()
 	if tail != nil {
+		tail.dropDelta(q.tailPhase)
 		tail.detach(q)
 	}
 	if frag != nil {
@@ -531,15 +539,26 @@ func (q *ContinuousQuery) Explain() string {
 			s += fmt.Sprintf("join: build=right|left per cell (greedy, exact cardinalities), tables reused×%d\n", q.Stats().BuildsReused)
 		}
 	}
-	if frag, tail := q.sharing(); frag != nil {
-		s += fmt.Sprintf("fragment sharing: fingerprint %s shared×%d\n", frag.fp, frag.subscribers())
+	frag, tail := q.sharing()
+	// Who owns the delta state of a delta-maintained block: the merge tail
+	// (one per phase, advanced by whichever member merges), or the runtime.
+	delta := ""
+	if slices.Contains(q.MergeKernels(), core.MergeDelta) {
+		delta = ", delta state private"
 		if tail != nil {
-			s += fmt.Sprintf("merge tail: fingerprint %s merge shared×%d\n", tail.fp, tail.subscribers())
-		} else {
-			s += "merge tail: private\n"
+			delta = ", delta state shared"
 		}
+	}
+	if frag != nil {
+		s += fmt.Sprintf("fragment sharing: fingerprint %s shared×%d\n", frag.fp, frag.subscribers())
 	} else if q.Mode == Incremental {
 		s += "fragment sharing: off (private evaluation)\n"
+	}
+	switch {
+	case tail != nil:
+		s += fmt.Sprintf("merge tail: fingerprint %s merge shared×%d%s\n", tail.fp, tail.subscribers(), delta)
+	case frag != nil || delta != "":
+		s += "merge tail: private" + delta + "\n"
 	}
 	return s
 }
@@ -885,7 +904,9 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 
 	// Merge-tail sharing: claim the head of every window this batch closes.
 	// Leaders publish from inside the merge (the Publish hook) the moment
-	// the grouped block completes; followers block in Fetch.
+	// the grouped block completes; followers block in Fetch. Whoever merges
+	// a window itself advances the tail's delta state for our phase from
+	// the previous window's end (where this slide starts) to this one's.
 	var tails []*core.TailExchange
 	var tailWait []int64           // per-slide adoption wait (ns), written in Fetch
 	var tailAdopted, tailLed int64 // window merges adopted vs led
@@ -893,20 +914,24 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 		tails = make([]*core.TailExchange, k)
 		tailWait = make([]int64, k)
 		owed := make([]*partial[*core.MergeHead], 0, k)
+		state := tail.deltaAt(q.tailPhase)
 		for sl := range tails {
-			p, led := tail.acquire(base+int64(ends[sl]), 0)
+			end := base + int64(ends[sl])
+			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end}
+			tails[sl] = tx
+			p, led := tail.acquire(end, 0)
 			if led {
 				owed = append(owed, p)
-				tails[sl] = &core.TailExchange{Publish: func(h *core.MergeHead, err error) {
+				tx.Publish = func(h *core.MergeHead, err error) {
 					if h == nil && err == nil {
 						// Nothing merged (window still filling) or the head
 						// was not capturable: followers merge privately.
 						err = errPartialAborted
 					}
 					p.publish(h, err)
-				}}
+				}
 			} else {
-				tails[sl] = &core.TailExchange{Fetch: func() (*core.MergeHead, error) {
+				tx.Fetch = func() (*core.MergeHead, error) {
 					tw := time.Now()
 					p.wait()
 					tailWait[sl] = time.Since(tw).Nanoseconds()
@@ -914,7 +939,7 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 						tailAdopted++
 					}
 					return p.val, p.err
-				}}
+				}
 			}
 		}
 		tailLed = int64(len(owed))
