@@ -6,9 +6,7 @@ import (
 	"testing"
 
 	"datacell"
-	"datacell/internal/algebra"
 	"datacell/internal/bench"
-	"datacell/internal/vector"
 )
 
 // Figure benchmarks: each regenerates one of the paper's tables/figures
@@ -308,53 +306,6 @@ func BenchmarkFanout(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// TestMergeKernelSteadyStateAllocs asserts the per-firing merge kernels
-// reuse their buffers: after one warm-up round, a full
-// Split + GroupWithKeys + GroupedAggInto + StitchShardsInto cycle over the
-// int64 key path performs zero heap allocations. This pins the
-// steady-state behaviour the incremental runtime relies on — group id
-// vectors, per-shard aggregate vectors and stitch buffers all persist
-// across firings.
-func TestMergeKernelSteadyStateAllocs(t *testing.T) {
-	const n, shardsP, domain = 4096, 4, 64
-	rng := rand.New(rand.NewSource(9))
-	keyData := make([]int64, n)
-	valData := make([]int64, n)
-	for i := range keyData {
-		keyData[i] = rng.Int63n(domain)
-		valData[i] = rng.Int63n(1000)
-	}
-	keys := []*vector.Vector{vector.FromInt64(keyData)}
-	vals := vector.FromInt64(valData)
-	pt := algebra.NewPartitioner()
-	aggs := make([]*vector.Vector, shardsP)
-	shards := make([]*algebra.Groups, shardsP)
-	var order []algebra.ShardRef
-	var repr vector.Sel
-	round := func() {
-		pt.Reset(shardsP)
-		pt.Split(keys)
-		rowKeys := pt.RowKeys() // nil on this int64 fast path
-		for s := 0; s < shardsP; s++ {
-			sel := pt.Shard(s)
-			tbl := pt.Table(s)
-			tbl.Reset(domain)
-			g := algebra.GroupWithKeys(tbl, keys, sel, rowKeys)
-			aggs[s] = algebra.GroupedAggInto(algebra.AggSum, vals, sel, g, aggs[s])
-			shards[s] = g
-		}
-		order, repr = algebra.StitchShardsInto(shards, order, repr)
-		pt.ReleaseKeys()
-	}
-	round() // warm up: all buffers reach their steady-state capacity here
-	if got := testing.AllocsPerRun(10, round); got != 0 {
-		t.Errorf("steady-state grouped merge round allocates %.1f objects, want 0", got)
-	}
-	if len(order) == 0 || len(repr) != len(order) {
-		t.Fatalf("stitch produced %d/%d refs", len(order), len(repr))
 	}
 }
 

@@ -377,10 +377,10 @@ type Query struct {
 	log *resultLog
 	own *Cursor // the in-process cursor
 
-	mu      sync.Mutex
-	handler func(*Result)
-	sub     *subscription
-	handMu  sync.Mutex // serializes the handler's runs
+	mu         sync.Mutex
+	handler    func(*Result)
+	delivering bool // a step is running the handler; guarded by mu
+	sub        *subscription
 
 	// delivered and dropped accumulate across subscriptions, so Stats
 	// survives resubscribes.
@@ -432,8 +432,11 @@ func (q *Query) deliver(er *engine.Result) {
 // OnResult installs the result handler; results produced before it was
 // installed and not read yet are replayed first, in order. The handler is
 // the in-process cursor's wake hook, so it then runs on the step that
-// appended each window. OnResult panics if the query has an active
-// Subscribe channel — a query has one delivery mechanism at a time.
+// appended each window. Called while a delivery is running — from inside
+// the handler, say — OnResult swaps the handler and returns; that delivery
+// hands every later window to the new one. OnResult panics if the query
+// has an active Subscribe channel — a query has one delivery mechanism at
+// a time.
 func (q *Query) OnResult(h func(*Result)) {
 	q.mu.Lock()
 	q.settleLocked()
@@ -443,15 +446,29 @@ func (q *Query) OnResult(h func(*Result)) {
 	}
 	q.handler = h
 	q.mu.Unlock()
-	run := func() { // serialized, so the replay and live windows keep their order
-		q.handMu.Lock()
-		defer q.handMu.Unlock()
-		for r, ok := q.own.next(); ok; r, ok = q.own.next() {
-			h(r)
-		}
+	q.own.configure(CursorOptions{Limit: unbounded.Limit, Wake: q.runHandler})
+	q.runHandler()
+}
+
+// runHandler hands the in-process cursor's unread windows to the current
+// handler, in order. One delivery runs at a time: a wake that finds one
+// running leaves its window to it. Checking the cursor and ending the
+// delivery happen under one hold of q.mu, so no window is left behind.
+func (q *Query) runHandler() {
+	q.mu.Lock()
+	if q.delivering {
+		q.mu.Unlock()
+		return
 	}
-	q.own.configure(CursorOptions{Limit: unbounded.Limit, Wake: run})
-	run()
+	q.delivering = true
+	for r, ok := q.own.next(); ok; r, ok = q.own.next() {
+		h := q.handler
+		q.mu.Unlock()
+		h(r)
+		q.mu.Lock()
+	}
+	q.delivering = false
+	q.mu.Unlock()
 }
 
 // Results drains and returns the results buffered so far (only meaningful

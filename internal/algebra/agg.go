@@ -231,110 +231,6 @@ func GroupedAgg(kind AggKind, v *vector.Vector, sel vector.Sel, g *Groups) *vect
 	panic("algebra: GroupedAgg " + kind.String())
 }
 
-// GroupedAggInto is GroupedAgg accumulating into a caller-owned scratch
-// vector, so per-shard aggregation stops allocating an output vector per
-// firing: dst is retyped and refilled in place and returned. A nil dst
-// (or a kind/type combination without an in-place kernel — extremes over
-// strings and bools) falls back to the allocating GroupedAgg. Results are
-// bit-identical to GroupedAgg: the accumulation visits rows in the same
-// order, so float sums run the exact same summation sequence.
-func GroupedAggInto(kind AggKind, v *vector.Vector, sel vector.Sel, g *Groups, dst *vector.Vector) *vector.Vector {
-	if dst == nil {
-		return GroupedAgg(kind, v, sel, g)
-	}
-	switch kind {
-	case AggCount:
-		dst.ResetAs(vector.Int64)
-		dst.AppendZeros(g.K)
-		counts := dst.Int64s()
-		for _, id := range g.IDs {
-			counts[id]++
-		}
-		return dst
-	case AggSum:
-		switch v.Type() {
-		case vector.Int64, vector.Timestamp:
-			// groupedSum emits an Int64 vector even for Timestamp inputs
-			// (FromInt64); match it exactly.
-			vals := v.Int64s()
-			dst.ResetAs(vector.Int64)
-			dst.AppendZeros(g.K)
-			sums := dst.Int64s()
-			if sel == nil {
-				for row, id := range g.IDs {
-					sums[id] += vals[row]
-				}
-			} else {
-				for row, id := range g.IDs {
-					sums[id] += vals[sel[row]]
-				}
-			}
-			return dst
-		case vector.Float64:
-			vals := v.Float64s()
-			dst.ResetAs(vector.Float64)
-			dst.AppendZeros(g.K)
-			sums := dst.Float64s()
-			if sel == nil {
-				for row, id := range g.IDs {
-					sums[id] += vals[row]
-				}
-			} else {
-				for row, id := range g.IDs {
-					sums[id] += vals[sel[row]]
-				}
-			}
-			return dst
-		}
-	case AggMin, AggMax:
-		wantMin := kind == AggMin
-		switch v.Type() {
-		case vector.Int64, vector.Timestamp:
-			vals := v.Int64s()
-			dst.ResetAs(v.Type())
-			dst.AppendZeros(g.K)
-			out := dst.Int64s()
-			// Seed each group from its representative row — the group's
-			// first member in visit order, exactly the value the boxed
-			// path initializes with.
-			for id, pos := range g.Repr {
-				out[id] = vals[pos]
-			}
-			for row, id := range g.IDs {
-				pos := row
-				if sel != nil {
-					pos = int(sel[row])
-				}
-				x := vals[pos]
-				if (wantMin && x < out[id]) || (!wantMin && x > out[id]) {
-					out[id] = x
-				}
-			}
-			return dst
-		case vector.Float64:
-			vals := v.Float64s()
-			dst.ResetAs(vector.Float64)
-			dst.AppendZeros(g.K)
-			out := dst.Float64s()
-			for id, pos := range g.Repr {
-				out[id] = vals[pos]
-			}
-			for row, id := range g.IDs {
-				pos := row
-				if sel != nil {
-					pos = int(sel[row])
-				}
-				x := vals[pos]
-				if (wantMin && x < out[id]) || (!wantMin && x > out[id]) {
-					out[id] = x
-				}
-			}
-			return dst
-		}
-	}
-	return GroupedAgg(kind, v, sel, g)
-}
-
 func groupedSum(v *vector.Vector, sel vector.Sel, g *Groups) *vector.Vector {
 	switch v.Type() {
 	case vector.Int64, vector.Timestamp:

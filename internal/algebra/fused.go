@@ -7,9 +7,9 @@ import (
 )
 
 // This file is the fused merge kernel: scatter -> shard group+aggregate ->
-// tree stitch, the single-int64-key fast path of the incremental grouped
-// merge. It differs from the index-based Partitioner path in two ways that
-// matter for the merge stage's Amdahl floor:
+// tree stitch, the re-grouping kernel of the incremental grouped merge for
+// single-int64-key blocks (every other shape runs the block's instructions
+// as written). Two choices keep the merge stage's Amdahl floor low:
 //
 //   - The scatter pass copies row payloads (position, key, aggregate
 //     inputs) into per-worker x per-shard cells instead of recording row
@@ -202,6 +202,18 @@ func (f *Fused) Begin(p, workers int, rows int, keyTyp vector.Type, aggs []Fused
 	for len(f.leaves) < p {
 		f.leaves = append(f.leaves, fusedGroups{})
 	}
+}
+
+// partitionMul is a distinct odd multiplier (not intHashMul) so the shard
+// assignment never correlates with the bucket choice of the per-shard
+// GroupTable — correlated hashes would funnel each shard's keys into a few
+// buckets.
+const partitionMul = 0xBF58476D1CE4E5B9
+
+// shardOfInt64 assigns key k to one of p shards by key value alone, so
+// shard contents never depend on the worker schedule.
+func shardOfInt64(k int64, p int) int {
+	return int((uint64(k) * partitionMul >> 17) % uint64(p))
 }
 
 // ScatterRange hashes rows [lo, hi) of one contiguous key part into worker

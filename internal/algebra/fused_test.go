@@ -180,79 +180,6 @@ func TestFusedDifferentialAdversarialSkew(t *testing.T) {
 	}
 }
 
-// TestPartitionerScatterDifferential checks the index-based parallel
-// scatter against the serial Split: per-shard selections (and the generic
-// row-key cache) must be identical at every worker count, for both the
-// int64 fast path and the generic multi-column path.
-func TestPartitionerScatterDifferential(t *testing.T) {
-	const rows = 2000
-	rng := rand.New(rand.NewSource(11))
-	intKeys := make([]int64, rows)
-	strKeys := make([]string, rows)
-	for i := range intKeys {
-		intKeys[i] = rng.Int63n(50)
-		strKeys[i] = fmt.Sprintf("k%d", rng.Intn(37))
-	}
-	intCol := []*vector.Vector{vector.FromInt64(intKeys)}
-	genCols := []*vector.Vector{vector.FromInt64(intKeys), vector.FromStr(strKeys)}
-
-	for _, p := range []int{2, 4, 7} {
-		for _, generic := range []bool{false, true} {
-			keys := intCol
-			if generic {
-				keys = genCols
-			}
-			want := NewPartitioner()
-			want.Reset(p)
-			want.Split(keys)
-			wantRowKeys := append([]string(nil), want.RowKeys()...)
-
-			for _, workers := range []int{1, 2, 4, 7} {
-				got := NewPartitioner()
-				got.Reset(p)
-				got.BeginScatter(workers, rows, generic)
-				w := got.scatterW // BeginScatter may clamp
-				for i := 0; i < w; i++ {
-					lo, hi := i*rows/w, (i+1)*rows/w
-					if generic {
-						got.ScatterGenericRange(i, keys, lo, hi)
-					} else {
-						got.ScatterIntRange(i, keys[0].Int64s(), lo, hi)
-					}
-				}
-				for s := 0; s < p; s++ {
-					got.FinishShard(s)
-				}
-				for s := 0; s < p; s++ {
-					a, b := want.Shard(s), got.Shard(s)
-					if len(a) != len(b) {
-						t.Fatalf("p=%d generic=%v workers=%d: shard %d has %d rows, want %d",
-							p, generic, workers, s, len(b), len(a))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							t.Fatalf("p=%d generic=%v workers=%d: shard %d row %d = %d, want %d",
-								p, generic, workers, s, i, b[i], a[i])
-						}
-					}
-				}
-				gotRowKeys := got.RowKeys()
-				if len(gotRowKeys) != len(wantRowKeys) {
-					t.Fatalf("p=%d generic=%v workers=%d: row-key cache length %d, want %d",
-						p, generic, workers, len(gotRowKeys), len(wantRowKeys))
-				}
-				for i := range wantRowKeys {
-					if gotRowKeys[i] != wantRowKeys[i] {
-						t.Fatalf("p=%d generic=%v workers=%d: row key %d diverges", p, generic, workers, i)
-					}
-				}
-				got.ReleaseKeys()
-			}
-			want.ReleaseKeys()
-		}
-	}
-}
-
 // TestMergeKernelSteadyStateAllocs pins the steady-state allocation
 // behavior of the merge kernels after warm-up: the scatter cells, shard
 // hashtables and stitch-tree node pools persist across firings, so a full
@@ -307,23 +234,6 @@ func TestMergeKernelSteadyStateAllocs(t *testing.T) {
 		if avg := testing.AllocsPerRun(10, fire); avg != 0 {
 			t.Errorf("p=%d workers=%d: %v allocs per parallel firing before Finish, want 0", cfg.p, cfg.workers, avg)
 		}
-	}
-
-	// The index-based scatter: per-worker sub-selections persist too.
-	pt := NewPartitioner()
-	scatter := func() {
-		pt.Reset(4)
-		pt.BeginScatter(4, rows, false)
-		for w := 0; w < 4; w++ {
-			pt.ScatterIntRange(w, keys, w*rows/4, (w+1)*rows/4)
-		}
-		for s := 0; s < 4; s++ {
-			pt.FinishShard(s)
-		}
-	}
-	scatter()
-	if avg := testing.AllocsPerRun(10, scatter); avg != 0 {
-		t.Errorf("partitioner scatter: %v allocs per firing, want 0", avg)
 	}
 
 	deltaSteadyStateAllocs(t)

@@ -66,8 +66,7 @@ func groupInt64(g *Groups, vals []int64, sel vector.Sel) {
 }
 
 // genericKey encodes the key values of one row as a collision-free string,
-// the shared key form of the generic (multi-column / non-integer) grouping
-// paths in Group, GroupWith and Partitioner.Split.
+// the key form of Group's generic (multi-column / non-integer) path.
 func genericKey(keys []*vector.Vector, pos int32) string {
 	s := ""
 	for _, k := range keys {

@@ -65,24 +65,16 @@ func BuildInt(v *vector.Vector, sel vector.Sel) *IntTable {
 // Len returns the number of build rows.
 func (t *IntTable) Len() int { return len(t.keys) }
 
-// GroupTable is a reusable grouping hashtable: the key -> dense group id
-// index behind GroupWith. Unlike the throwaway maps inside Group, a
-// GroupTable survives across calls via Reset, so steady-state consumers —
-// the incremental merge stage re-grouping concatenated partials every
-// slide, and the Partitioner's per-shard tables — stop allocating per
-// firing. Int64/Timestamp single-key grouping runs on an open-addressing
-// table; every other key shape falls back to a reused string-keyed map.
+// GroupTable is a reusable int64 grouping hashtable: the key -> dense
+// group id index behind the fused merge kernel. Unlike the throwaway maps
+// inside Group, a GroupTable survives across calls via Reset, so the
+// incremental merge stage re-grouping concatenated partials every slide
+// stops allocating per firing.
 type GroupTable struct {
 	mask  uint64
 	slots []groupSlot // interleaved key+id+epoch; one cache line per probe
 	epoch uint32      // slots with a different epoch read as empty
 	used  int         // occupied slots; drives load-factor growth
-	// generic (multi-column / non-integer) keys
-	strIDs map[string]int32
-	// groups is the table-owned result of the latest GroupWith: IDs and
-	// Repr are reused across firings, so a steady-state caller that holds
-	// the result only until its next grouping allocates nothing per call.
-	groups Groups
 }
 
 // groupSlot interleaves the key with its dense id so a probe touches one
@@ -123,9 +115,6 @@ func (t *GroupTable) Reset(expectedKeys int) {
 		}
 	}
 	t.used = 0
-	if t.strIDs != nil {
-		clear(t.strIDs)
-	}
 }
 
 // grow doubles the open-addressing array and rehashes the occupied
@@ -178,91 +167,6 @@ func (t *GroupTable) insertInt64(k int64, nextID int32) (id int32, found bool) {
 		}
 		h = (h + 1) & t.mask
 	}
-}
-
-// GroupWith computes dense group ids exactly like Group — rows visited in
-// selection order, ids in first-appearance order — but through a reusable
-// GroupTable instead of throwaway maps. The caller must Reset the table
-// with a key-count hint before each use; rows restricted to sel keep their
-// original positions in g.Repr, so shard-local groupings retain globally
-// meaningful representative row ids.
-//
-// The returned Groups is owned by the table and reused: it stays valid
-// only until the table's next GroupWith or Reset.
-func GroupWith(t *GroupTable, keys []*vector.Vector, sel vector.Sel) *Groups {
-	return GroupWithKeys(t, keys, sel, nil)
-}
-
-// GroupWithKeys is GroupWith with optionally precomputed generic row keys:
-// when rowKeys is non-nil, rowKeys[pos] must hold genericKey(keys, pos)
-// for every visited global row position, letting a caller that already
-// built the key strings (Partitioner.Split's generic scan) skip building
-// them a second time. Integer single-key grouping ignores rowKeys.
-func GroupWithKeys(t *GroupTable, keys []*vector.Vector, sel vector.Sel, rowKeys []string) *Groups {
-	if len(keys) == 0 {
-		panic("algebra: GroupWith with no keys")
-	}
-	n := keys[0].Len()
-	if sel != nil {
-		n = len(sel)
-	}
-	g := &t.groups
-	g.IDs = g.IDs[:0]
-	g.Repr = g.Repr[:0]
-	g.K = 0
-	if cap(g.IDs) < n {
-		g.IDs = make([]int32, 0, n)
-	}
-	if len(keys) == 1 && vector.IntKind(keys[0].Type()) {
-		vals := keys[0].Int64s()
-		visit := func(pos int32, v int64) {
-			id, found := t.insertInt64(v, int32(g.K))
-			if !found {
-				g.K++
-				g.Repr = append(g.Repr, pos)
-			}
-			g.IDs = append(g.IDs, id)
-		}
-		if sel == nil {
-			for i, v := range vals {
-				visit(int32(i), v)
-			}
-		} else {
-			for _, i := range sel {
-				visit(i, vals[i])
-			}
-		}
-		return g
-	}
-	if t.strIDs == nil {
-		t.strIDs = make(map[string]int32, 64)
-	}
-	visit := func(pos int32) {
-		var ks string
-		if rowKeys != nil {
-			ks = rowKeys[pos]
-		} else {
-			ks = genericKey(keys, pos)
-		}
-		id, ok := t.strIDs[ks]
-		if !ok {
-			id = int32(g.K)
-			t.strIDs[ks] = id
-			g.K++
-			g.Repr = append(g.Repr, pos)
-		}
-		g.IDs = append(g.IDs, id)
-	}
-	if sel == nil {
-		for i := 0; i < n; i++ {
-			visit(int32(i))
-		}
-	} else {
-		for _, i := range sel {
-			visit(i)
-		}
-	}
-	return g
 }
 
 // Probe joins probe rows of v (restricted to sel) against the table,

@@ -122,6 +122,101 @@ func TestHashJoinAgreesWithBuildProbe(t *testing.T) {
 	}
 }
 
+// groupWithTable groups vals (restricted to sel when non-nil) through the
+// reusable int64 GroupTable, in the shape Group returns: dense ids in
+// first-appearance order and one representative row position per group.
+func groupWithTable(tbl *GroupTable, vals []int64, sel vector.Sel) *Groups {
+	g := &Groups{}
+	visit := func(pos int32) {
+		id, found := tbl.insertInt64(vals[pos], int32(g.K))
+		if !found {
+			g.K++
+			g.Repr = append(g.Repr, pos)
+		}
+		g.IDs = append(g.IDs, id)
+	}
+	if sel != nil {
+		for _, pos := range sel {
+			visit(pos)
+		}
+		return g
+	}
+	for i := range vals {
+		visit(int32(i))
+	}
+	return g
+}
+
+// skewedKeys draws n keys from [0, domain) with a heavy skew toward low
+// ids (roughly zipf-shaped).
+func skewedKeys(rng *rand.Rand, n int, domain int64) []int64 {
+	out := make([]int64, n)
+	for i := range out {
+		k := rng.Int63n(domain)
+		if rng.Intn(3) > 0 { // 2/3 of rows collapse onto a small hot set
+			k = rng.Int63n(1 + domain/16)
+		}
+		out[i] = k
+	}
+	return out
+}
+
+// TestGroupWithMatchesGroup checks grouping with the reusable int64
+// GroupTable against the map-based Group on random (skewed) keys and
+// random selections, and reuses one table across all trials to exercise
+// Reset by epoch bump.
+func TestGroupWithMatchesGroup(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	tbl := NewGroupTable()
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(400)
+		vals := skewedKeys(rng, n, 1+rng.Int63n(300))
+		var sel vector.Sel
+		if trial%2 == 1 {
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+		}
+		want := Group([]*vector.Vector{vector.FromInt64(vals)}, sel)
+		tbl.Reset(n)
+		assertGroupsEqual(t, trial, groupWithTable(tbl, vals, sel), want)
+	}
+}
+
+// TestGroupWithGrowsPastHint pins the GroupTable's load-factor growth: a
+// Reset hint far below the distinct-key count must cost a rehash, not a
+// hang, and the assigned ids must survive growth unchanged.
+func TestGroupWithGrowsPastHint(t *testing.T) {
+	n := 5000
+	vals := make([]int64, n)
+	for i := range vals {
+		vals[i] = int64(i * 7)
+	}
+	tbl := NewGroupTable()
+	tbl.Reset(4) // 16 slots for 5000 distinct keys
+	want := Group([]*vector.Vector{vector.FromInt64(vals)}, nil)
+	assertGroupsEqual(t, 0, groupWithTable(tbl, vals, nil), want)
+}
+
+func assertGroupsEqual(t *testing.T, trial int, got, want *Groups) {
+	t.Helper()
+	if got.K != want.K || len(got.IDs) != len(want.IDs) {
+		t.Fatalf("trial %d: K=%d/%d rows=%d/%d", trial, got.K, want.K, len(got.IDs), len(want.IDs))
+	}
+	for i := range want.IDs {
+		if got.IDs[i] != want.IDs[i] {
+			t.Fatalf("trial %d: id[%d]=%d want %d", trial, i, got.IDs[i], want.IDs[i])
+		}
+	}
+	for i := range want.Repr {
+		if got.Repr[i] != want.Repr[i] {
+			t.Fatalf("trial %d: repr[%d]=%d want %d", trial, i, got.Repr[i], want.Repr[i])
+		}
+	}
+}
+
 func BenchmarkBuildInt(b *testing.B) {
 	vals := make([]int64, 10000)
 	rng := rand.New(rand.NewSource(1))

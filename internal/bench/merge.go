@@ -49,7 +49,7 @@ var mergeShapes = []struct{ Aggs, Query string }{
 // Baseline marks the seed-style serial-merge run (grouped-merge kernels
 // disabled) that anchors the speedup columns of its shape and key domain.
 // Kernel is the merge kernel the run's grouped block actually took
-// (core.MergeDelta, MergeFused, MergeIndex or MergeInstruction).
+// (core.MergeDelta, MergeFused or MergeInstruction).
 type MergePoint struct {
 	Aggs         string  `json:"aggs"`
 	Kernel       string  `json:"kernel"`

@@ -106,7 +106,7 @@ func TestDeltaMergeEligibility(t *testing.T) {
 		{sql: `SELECT x1, min(x2) FROM s [RANGE 100 SLIDE 10] GROUP BY x1`, n: 10, kernel: MergeFused, reason: "min/max"},
 		{sql: `SELECT x1, sum(x2 * 0.5) FROM s [RANGE 100 SLIDE 10] GROUP BY x1`, n: 10, kernel: MergeFused, reason: "float sum"},
 		{sql: `SELECT x1, avg(x2) FROM s [RANGE 100 SLIDE 10] GROUP BY x1`, n: 10, kernel: MergeDelta},
-		{sql: `SELECT x1, x2, count(*) FROM s [RANGE 100 SLIDE 10] GROUP BY x1, x2`, n: 10, kernel: MergeIndex, reason: "generic key"},
+		{sql: `SELECT x1, x2, count(*) FROM s [RANGE 100 SLIDE 10] GROUP BY x1, x2`, n: 10, kernel: MergeInstruction, reason: "generic key"},
 		{sql: `SELECT s.x1, count(*) FROM s [RANGE 20 SLIDE 10], s2 [RANGE 20 SLIDE 10] WHERE s.x2 = s2.x2 GROUP BY s.x1`, n: 2, nSources: 2, kernel: MergeFused, reason: "join-fed"},
 	} {
 		ip := deltaPlan(t, tc.sql, tc.n, tc.landmark)
@@ -121,7 +121,10 @@ func TestDeltaMergeEligibility(t *testing.T) {
 		rt := NewRuntimeOpts(ip, opts)
 		text := rt.Explain()
 		wantText := "kernel=" + tc.kernel
-		if tc.reason != "" {
+		switch {
+		case tc.kernel == MergeInstruction:
+			wantText += ": block runs as written (not delta: " + tc.reason + ")"
+		case tc.reason != "":
 			wantText = "not delta: " + tc.reason
 		}
 		if !strings.Contains(text, wantText) || strings.Contains(text, "partition-parallel eligible") {

@@ -39,12 +39,14 @@
 //   - Options.Parallelism bounds the worker pool; workers deposit slot
 //     files into indexed positions and the transition stage stays
 //     single-threaded, so results are bit-identical at every setting.
-//   - The merge stage is serial except for its grouped-aggregation blocks
-//     (IncPlan.GroupMerges): those re-group the concatenated partials via
-//     hash-partitioned shards on the same worker pool (mergeGrouped),
-//     with reusable per-shard hashtables and a stitch that reproduces the
-//     exact serial group order — bit-identical results at any worker or
-//     shard count, including float accumulation order.
+//   - The merge stage is serial except for its single-integer-key
+//     grouped-aggregation blocks (IncPlan.GroupMerges): those re-group the
+//     concatenated partials via the fused kernel's hash-partitioned shards
+//     on the same worker pool (mergeGrouped), with reusable per-shard
+//     hashtables and a stitch that reproduces the exact serial group
+//     order — bit-identical results at any worker or shard count,
+//     including float accumulation order. Other grouped blocks run their
+//     instructions as written.
 //   - Blocks whose compensating aggregates are all invertible (integer
 //     Sum on one integer key, one windowed source, not landmark — see
 //     IncPlan.MergeKernel) are not re-grouped at all: their per-key

@@ -225,17 +225,8 @@ type Runtime struct {
 	srcIdx []int
 
 	// groupMergeAt indexes the plan's grouped merge blocks by their start
-	// instruction; partitioner and the shard scratch below are the reusable
-	// state of the partition-parallel merge path (hashtables survive across
-	// slides via Reset, so steady-state grouped queries allocate no tables
-	// per firing).
+	// instruction.
 	groupMergeAt map[int]*GroupMergeSpec
-	partitioner  *algebra.Partitioner
-	shardGroups  []*algebra.Groups
-	shardAggs    [][]*vector.Vector
-	mergeKeys    []*vector.Vector
-	stitchOrder  []algebra.ShardRef
-	stitchRepr   vector.Sel
 
 	// fused is the scatter/shard/tree-stitch kernel state of the
 	// single-int64-key grouped merge fast path; the scratch below carries
@@ -348,7 +339,6 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 		for i := range ip.GroupMerges {
 			rt.groupMergeAt[ip.GroupMerges[i].Start] = &ip.GroupMerges[i]
 		}
-		rt.partitioner = algebra.NewPartitioner()
 		rt.fused = algebra.NewFused()
 		rt.initDeltas()
 		// Landmark plans compact merge outputs back into slots, which must
@@ -979,10 +969,10 @@ type fusedPart struct {
 // window result plus the merge environment (used for landmark compaction);
 // sharded grouped re-groups add their scatter / partition / stitch times to
 // stats.
-// Grouped-aggregation blocks execute through mergeGrouped — fused and
-// partitioned across the worker pool when the partials are large enough —
-// instead of instruction-by-instruction; results are bit-identical either
-// way. Multi-part concatenations bind as views when the plan allows it, so
+// Grouped-aggregation blocks of the delta and fused shapes execute through
+// mergeGrouped — the fused kernel partitioned across the worker pool when
+// the partials are large enough — instead of instruction-by-instruction;
+// results are bit-identical either way. Multi-part concatenations bind as views when the plan allows it, so
 // the grouped kernel reads slot partials in place and a fresh
 // concatenation is only materialized for consumers that need one (vec()
 // caches it in the register on first use).
@@ -1121,8 +1111,8 @@ func (rt *Runtime) mergeShards(rows int) int {
 }
 
 // mergeGrouped executes one grouped-aggregation compensation block,
-// bit-identical to the plain instruction path at any configuration. Three
-// kernels implement it (MergeKernel says which a block gets):
+// bit-identical to the plain instruction path at any configuration. Two
+// kernels take a block over (MergeKernel says which a block gets):
 //
 //   - the delta-maintained kernel (single int64/timestamp key, integer
 //     Sum partials from one windowed source): the block's totals are kept
@@ -1131,13 +1121,13 @@ func (rt *Runtime) mergeShards(rows int) int {
 //   - the fused scatter/shard/tree-stitch kernel (single int64/timestamp
 //     key, Sum/Min/Max over int64/float64 partials): grouping and
 //     aggregation run in one pass per shard over scattered row payloads,
-//     and shards stitch back pairwise up a binary tree;
-//   - the index-based Partitioner kernel for every other shape (generic
-//     multi-column keys, non-numeric aggregates), unchanged from PR 5.
+//     and shards stitch back pairwise up a binary tree. P degrades to 1
+//     (reusing the hashtable, skipping scatter and stitch) when parallelism
+//     is off or the block is too small to shard profitably.
 //
-// For the re-grouping kernels P degrades to 1 (reusing the hashtable,
-// skipping scatter and stitch) when parallelism is off or the block is too
-// small to shard profitably.
+// Every other shape (multi-column or non-integer keys, aggregates the
+// fused kernel does not support) reports handled == false and runs the
+// block's instructions as written — the same code the Baseline oracle runs.
 func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *TailExchange, stats *StepStats) (handled bool, err error) {
 	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
 		keyVec, aggVecs := rt.deltaMerge(b, tx)
@@ -1147,17 +1137,13 @@ func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *Tail
 		}
 		return true, nil
 	}
-	if ok, err := rt.mergeFused(spec, env, stats); ok || err != nil {
-		return ok, err
-	}
-	return rt.mergeGroupedIndex(spec, env, stats)
+	return rt.mergeFused(spec, env, stats)
 }
 
 // Merge kernel names, as MergeKernel and Explain report them.
 const (
 	MergeDelta       = "delta"
 	MergeFused       = "fused"
-	MergeIndex       = "index"
 	MergeInstruction = "instruction"
 )
 
@@ -1171,12 +1157,12 @@ func (ip *IncPlan) MergeKernel(i int, opts Options) (kernel, reason string) {
 		return MergeInstruction, "baseline"
 	}
 	singleIntKey := len(spec.KeyTypes) == 1 && vector.IntKind(spec.KeyTypes[0])
-	kernel = MergeIndex
+	kernel = MergeInstruction
 	if singleIntKey {
 		kernel = MergeFused
 		for _, ag := range spec.Aggs {
 			if !(algebra.FusedAgg{Kind: ag.Kind, Typ: ag.Typ}).Fusible() {
-				kernel = MergeIndex
+				kernel = MergeInstruction
 			}
 		}
 	}
@@ -1418,7 +1404,7 @@ func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, stats *Ste
 	// Align the key and aggregate columns part-for-part. All columns of
 	// one block concatenate the same slot ring, so their part layouts
 	// coincide; any mismatch (impossible today, cheap to verify) falls
-	// back to the index kernel over dense columns.
+	// back to the block's instructions.
 	keyParts := datumParts(keyD)
 	parts := rt.fusedParts[:0]
 	base := int32(0)
@@ -1528,154 +1514,6 @@ func (rt *Runtime) scatterWorkers(rows int) int {
 		w = 1
 	}
 	return w
-}
-
-// mergeGroupedIndex is the index-based grouped kernel: partition row ids,
-// re-group each shard through GroupWithKeys, stitch serially by ascending
-// representative. It handles every key/aggregate shape the fused kernel
-// does not.
-func (rt *Runtime) mergeGroupedIndex(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (handled bool, err error) {
-	t0 := time.Now()
-	sharded := false
-	var scat int64
-	defer func() {
-		if handled && sharded {
-			stats.ScatterNS += scat
-			stats.PartitionNS += time.Since(t0).Nanoseconds() - scat
-		}
-	}()
-	// This kernel gathers random rows, so it needs dense columns;
-	// materialize any lazily bound views once (vec() semantics: the dense
-	// copy is cached back into the register).
-	for _, r := range spec.CatKeys {
-		if d := env[r]; d.Kind == exec.KindView {
-			env[r] = exec.VecDatum(d.View.Vector())
-		}
-	}
-	for _, ag := range spec.Aggs {
-		if d := env[ag.Cat]; d.Kind == exec.KindView {
-			env[ag.Cat] = exec.VecDatum(d.View.Vector())
-		}
-	}
-	if cap(rt.mergeKeys) < len(spec.CatKeys) {
-		rt.mergeKeys = make([]*vector.Vector, len(spec.CatKeys))
-	}
-	keys := rt.mergeKeys[:len(spec.CatKeys)]
-	for i, r := range spec.CatKeys {
-		d := env[r]
-		if d.Kind != exec.KindVec {
-			return false, nil // fall back to the plain instruction path
-		}
-		keys[i] = d.Vec
-	}
-	rows := keys[0].Len()
-	p := rt.mergeShards(rows)
-	pt := rt.partitioner
-	if p == 1 {
-		// Single shard: group on the reusable hashtable, skip the partition
-		// scan and the stitch/gather copies (order is already global).
-		tbl := pt.Table0()
-		tbl.Reset(rows)
-		g := algebra.GroupWith(tbl, keys, nil)
-		for i, r := range spec.KeyOuts {
-			env[r] = exec.VecDatum(keys[i].Take(g.Repr))
-		}
-		for _, ag := range spec.Aggs {
-			d := env[ag.Cat]
-			if d.Kind != exec.KindVec {
-				return false, fmt.Errorf("core: grouped merge r%d holds non-vector partials", ag.Cat)
-			}
-			env[ag.Out] = exec.VecDatum(algebra.GroupedAgg(ag.Kind, d.Vec, nil, g))
-		}
-		clear(keys) // don't pin the slide's concatenated key columns
-		return true, nil
-	}
-	sharded = true
-	pt.Reset(p)
-	ts := time.Now()
-	if workers := rt.scatterWorkers(rows); workers > 1 {
-		// Parallel scatter: each worker hashes a contiguous ascending row
-		// range into private per-worker x per-shard sub-selections, then
-		// the shards concatenate their cells in worker order — shard
-		// contents identical to the serial Split scan at any worker count.
-		generic := !(len(keys) == 1 && vector.IntKind(keys[0].Type()))
-		pt.BeginScatter(workers, rows, generic)
-		if scErr := rt.forEach(workers, func(w int, _ *workerEnv) error {
-			lo, hi := w*rows/workers, (w+1)*rows/workers
-			if generic {
-				pt.ScatterGenericRange(w, keys, lo, hi)
-			} else {
-				pt.ScatterIntRange(w, keys[0].Int64s(), lo, hi)
-			}
-			return nil
-		}); scErr != nil {
-			return false, scErr
-		}
-		if fErr := rt.forEach(p, func(s int, _ *workerEnv) error {
-			pt.FinishShard(s)
-			return nil
-		}); fErr != nil {
-			return false, fErr
-		}
-	} else {
-		pt.Split(keys)
-	}
-	scat = time.Since(ts).Nanoseconds()
-	rowKeys := pt.RowKeys() // generic keys built once in the Split scan
-
-	if cap(rt.shardGroups) < p {
-		rt.shardGroups = make([]*algebra.Groups, p)
-		rt.shardAggs = make([][]*vector.Vector, p)
-	}
-	shards := rt.shardGroups[:p]
-	aggs := rt.shardAggs[:p]
-	poolErr := rt.forEach(p, func(s int, _ *workerEnv) error {
-		sel := pt.Shard(s)
-		hint := rows
-		if sel != nil {
-			hint = len(sel)
-		}
-		tbl := pt.Table(s)
-		tbl.Reset(hint)
-		g := algebra.GroupWithKeys(tbl, keys, sel, rowKeys)
-		shards[s] = g
-		if cap(aggs[s]) < len(spec.Aggs) {
-			aggs[s] = make([]*vector.Vector, len(spec.Aggs))
-		} else {
-			aggs[s] = aggs[s][:len(spec.Aggs)]
-		}
-		for ai, ag := range spec.Aggs {
-			d := env[ag.Cat]
-			if d.Kind != exec.KindVec {
-				return fmt.Errorf("core: grouped merge r%d holds non-vector partials", ag.Cat)
-			}
-			// The per-shard accumulator vectors live in rt.shardAggs across
-			// firings; GroupedAggInto refills them in place.
-			aggs[s][ai] = algebra.GroupedAggInto(ag.Kind, d.Vec, sel, g, aggs[s][ai])
-		}
-		return nil
-	})
-	if poolErr != nil {
-		return false, poolErr
-	}
-	rt.stitchOrder, rt.stitchRepr = algebra.StitchShardsInto(shards, rt.stitchOrder, rt.stitchRepr)
-	order, repr := rt.stitchOrder, rt.stitchRepr
-	for i, r := range spec.KeyOuts {
-		env[r] = exec.VecDatum(keys[i].Take(repr))
-	}
-	for ai, ag := range spec.Aggs {
-		cols := make([]*vector.Vector, p)
-		for s := 0; s < p; s++ {
-			cols[s] = aggs[s][ai]
-		}
-		env[ag.Out] = exec.VecDatum(algebra.GatherShards(cols, order))
-	}
-	for s := range shards {
-		shards[s] = nil // the table-owned groups stay with their tables
-	}
-	pt.ReleaseKeys()
-	clear(keys) // don't pin the slide's concatenated key columns
-	return true, nil
 }
 
 func (rt *Runtime) gather(spec ConcatSpec) ([]*vector.Vector, error) {

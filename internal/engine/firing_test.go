@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"datacell/internal/core"
 	"datacell/internal/vector"
 )
 
@@ -27,7 +28,9 @@ import (
 // a delta-maintained merge state only survives if it advances on adopted
 // slides too. Every grouped shape also asserts the merge kernel it ran: the
 // invertible single-key blocks took the delta path in the default arms and
-// only there; float sums, min/max and join-fed blocks never did. It
+// only there; float sums, min/max and join-fed blocks never did; the
+// multi-column-key block ran its instructions as written (kernel
+// instruction). It
 // subsumes the arms of the former per-feature suites that only toggled a
 // since-deleted opt-out switch: shared vs private time windows, shared vs
 // private merge tails, greedy vs written-order grouped joins.
@@ -36,10 +39,11 @@ func TestOneFiringPathDifferential(t *testing.T) {
 	shapes := []struct {
 		name, sql string
 		chunks    int
-		timed     bool // time window: slides close by watermark
-		sorted    bool // row order is unspecified against re-evaluation
-		shares    bool // eligible for the shared-plan catalog
-		delta     bool // the grouped merge block is delta-maintained by default
+		timed     bool   // time window: slides close by watermark
+		sorted    bool   // row order is unspecified against re-evaluation
+		shares    bool   // eligible for the shared-plan catalog
+		delta     bool   // the grouped merge block is delta-maintained by default
+		kernel    string // the grouped merge block's kernel in the default arms
 	}{
 		{name: "scalar", shares: true,
 			sql: `SELECT count(*), sum(x2), min(x2), max(x2) FROM s [RANGE 32 SLIDE 8] WHERE x1 > 3`},
@@ -51,6 +55,8 @@ func TestOneFiringPathDifferential(t *testing.T) {
 			sql: `SELECT x1, sum(x2 * 0.5), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1`},
 		{name: "grouped-max", shares: true,
 			sql: `SELECT x1, max(x2), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1`},
+		{name: "grouped-multi-key", shares: true, kernel: core.MergeInstruction,
+			sql: `SELECT x1, x2, count(*), sum(x1) FROM s [RANGE 32 SLIDE 8] WHERE x2 < 30 GROUP BY x1, x2`},
 		{name: "grouped-join-fed", sorted: true, // groups follow matrix-cell order
 			sql: `SELECT s.x1, count(*), sum(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 GROUP BY s.x1`},
 		{name: "stream-stream-join",
@@ -228,6 +234,9 @@ func TestOneFiringPathDifferential(t *testing.T) {
 				for i, q := range qs {
 					if got, want := q.rt.DeltaState().Blocks > 0, sh.delta && !a.opts.Baseline; got != want {
 						t.Fatalf("%s: query %d delta-maintained merge = %v, want %v\n%s", a.name, i, got, want, q.Explain())
+					}
+					if got := q.rt.MergeKernels(); sh.kernel != "" && !a.opts.Baseline && fmt.Sprint(got) != fmt.Sprint([]string{sh.kernel}) {
+						t.Fatalf("%s: query %d merge kernels %v, want [%s]", a.name, i, got, sh.kernel)
 					}
 				}
 				if a.flip && sh.shares {

@@ -323,40 +323,6 @@ func (v *Vector) Truncate(n int) {
 	}
 }
 
-// ResetAs empties the vector in place and retypes it to t, keeping
-// whatever payload capacity matches the new type. The reuse primitive
-// behind allocation-flat grouped aggregation: a scratch vector can serve
-// an Int64 sum on one firing and a Float64 sum on the next without
-// reallocating either payload.
-func (v *Vector) ResetAs(t Type) {
-	v.Truncate(0)
-	v.typ = t
-}
-
-// AppendZeros appends n zero values (0, 0.0, "", false by type) in place,
-// allocation-free once the payload has capacity. Used to size grouped
-// aggregation accumulators before the accumulation scan.
-func (v *Vector) AppendZeros(n int) {
-	switch v.typ {
-	case Int64, Timestamp:
-		for i := 0; i < n; i++ {
-			v.i64 = append(v.i64, 0)
-		}
-	case Float64:
-		for i := 0; i < n; i++ {
-			v.f64 = append(v.f64, 0)
-		}
-	case Str:
-		for i := 0; i < n; i++ {
-			v.str = append(v.str, "")
-		}
-	case Bool:
-		for i := 0; i < n; i++ {
-			v.bs = append(v.bs, false)
-		}
-	}
-}
-
 // DeleteHead removes the first n values in place (used when stream tuples
 // expire from a basket). It shifts the payload down to keep it dense.
 func (v *Vector) DeleteHead(n int) {

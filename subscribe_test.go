@@ -3,6 +3,7 @@ package datacell
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -202,6 +203,41 @@ func TestSubscribeHandlerExclusion(t *testing.T) {
 		}()
 		q2.OnResult(func(*Result) {})
 	}()
+}
+
+// TestOnResultReentrant swaps the handler from inside the handler: the
+// nested OnResult returns at once, and the windows after the one being
+// handled go to the new handler, in order.
+func TestOnResultReentrant(t *testing.T) {
+	db, q := subDB(t)
+	var got []string
+	second := func(r *Result) { got = append(got, fmt.Sprintf("second:%d", r.Window)) }
+	q.OnResult(func(r *Result) {
+		got = append(got, fmt.Sprintf("first:%d", r.Window))
+		q.OnResult(second)
+	})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; i < 4; i++ {
+			if err := db.Append("s", []Value{Int(1), Int(1)}); err != nil {
+				done <- err
+				return
+			}
+		}
+		_, err := db.Pump()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("OnResult called from inside the handler deadlocked")
+	}
+	if want := []string{"first:1", "second:2"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
 }
 
 func TestSubscribeOptionValidation(t *testing.T) {
