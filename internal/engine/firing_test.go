@@ -20,7 +20,10 @@ import (
 // plus two default arms drained by PumpParallel and one that pumps the
 // twins one slide at a time in alternating order, and every arm must emit
 // the identical window sequence, bit for bit and in row order, equal to
-// Mode: Reevaluation. Each arm registers the statement twice on one stream,
+// the oracle arm: Mode: Reevaluation with the seal threshold above the
+// whole feed, so every window is one part and runs exec.Run on the plan
+// as written, independent of core.Rewrite's fragment/merge split that the
+// segment-spanning re-evaluation arm shares with incremental mode. Each arm registers the statement twice on one stream,
 // so the default arms of the shareable shapes exercise leader and follower
 // (the Baseline arms must share nothing); under PumpParallel the twins race
 // for every slide and window end, and in the alternating arm fragment and
@@ -78,8 +81,12 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		perSlide bool
 		pumpPar  int  // > 0: drain with PumpParallel(pumpPar) instead of Pump
 		flip     bool // pump the twins directly, the other one first each slide
+		sealRows int  // basket seal threshold; 0 means 20, so slides span segments
 	}
-	arms := []arm{{name: "reevaluation", opts: Options{Mode: Reevaluation}}}
+	arms := []arm{
+		{name: "reevaluation-monolithic", opts: Options{Mode: Reevaluation}, sealRows: 1 << 20},
+		{name: "reevaluation", opts: Options{Mode: Reevaluation}},
+	}
 	for _, baseline := range []bool{false, true} {
 		for _, par := range []int{1, 4} {
 			for _, perSlide := range []bool{true, false} {
@@ -132,12 +139,16 @@ func TestOneFiringPathDifferential(t *testing.T) {
 
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {
-			var want []string // the re-evaluation arm's window sequence
+			var want []string // the oracle arm's window sequence
 			var wantExact []string
 			for ai, a := range arms {
 				e := newTestEngine(t)
-				e.streamLog("s").SetSealRows(20) // slides span segment boundaries
-				e.streamLog("s2").SetSealRows(20)
+				sealRows := 20
+				if a.sealRows > 0 {
+					sealRows = a.sealRows
+				}
+				e.streamLog("s").SetSealRows(sealRows)
+				e.streamLog("s2").SetSealRows(sealRows)
 				keys := make([]int64, 8)
 				vals := make([]int64, 8)
 				for i := range keys {
@@ -193,6 +204,9 @@ func TestOneFiringPathDifferential(t *testing.T) {
 						if r.Window != w+1 {
 							t.Fatalf("%s: query %d emitted window %d at position %d", a.name, i, r.Window, w+1)
 						}
+						if a.sealRows > 0 && r.Stats.MergeNS != 0 {
+							t.Fatalf("%s: window %d ran the split plan", a.name, r.Window)
+						}
 						got[w] = tableKey(r.Table, sh.sorted)
 						exact[w] = tableKey(r.Table, false)
 					}
@@ -204,7 +218,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 						continue
 					}
 					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s: query %d diverges from re-evaluation:\n got %v\nwant %v", a.name, i, got, want)
+						t.Fatalf("%s: query %d diverges from monolithic re-evaluation:\n got %v\nwant %v", a.name, i, got, want)
 					}
 					// Among the incremental arms even unspecified row order
 					// must agree: they are the same computation.

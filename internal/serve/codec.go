@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"datacell/internal/exec"
 	"datacell/internal/vector"
@@ -13,19 +12,16 @@ import (
 // cross the wire as *blocks* — whole columns appended as raw payload runs,
 // encoded straight from vector.Vector payloads or multi-part vector.View
 // parts. There is no per-row marshalling and no Value boxing anywhere on
-// the path; a string column is the only per-value walk (each string needs
-// its length).
+// the path.
 //
-// Block layout:
+// Block layout (framing integers big-endian):
 //
 //	u32 rows | u16 ncols
 //	per column:
 //	  u8 type | u16 namelen | name bytes | payload
-//	payload by type:
-//	  Int64/Timestamp  rows × 8 bytes little-endian
-//	  Float64          rows × 8 bytes little-endian IEEE-754 bits
-//	  Bool             rows × 1 byte (0/1)
-//	  Str              rows × (u32 len | bytes)
+//
+// The payload is the column codec of internal/vector/codec.go, the same
+// bytes a segment record holds for the column.
 
 // --- append-side primitives ------------------------------------------------
 
@@ -50,27 +46,6 @@ func appendStr32(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// appendInt64s bulk-appends a little-endian int64 run. grow-once, then a
-// straight store loop — the hot path for BIGINT/TIMESTAMP columns.
-func appendInt64s(b []byte, xs []int64) []byte {
-	off := len(b)
-	b = append(b, make([]byte, 8*len(xs))...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[off+8*i:], uint64(x))
-	}
-	return b
-}
-
-// appendFloat64s bulk-appends a little-endian IEEE-754 run.
-func appendFloat64s(b []byte, xs []float64) []byte {
-	off := len(b)
-	b = append(b, make([]byte, 8*len(xs))...)
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(b[off+8*i:], math.Float64bits(x))
-	}
-	return b
-}
-
 // AppendBlockHeader starts a block of rows × ncols; exactly ncols
 // column appends must follow, each carrying rows values.
 func AppendBlockHeader(b []byte, rows, ncols int) []byte {
@@ -82,35 +57,18 @@ func AppendBlockHeader(b []byte, rows, ncols int) []byte {
 // view, part at a time — a boundary-spanning window column is encoded
 // without flattening. The view's length must equal the block's row count.
 func AppendViewCol(b []byte, name string, v vector.View) []byte {
-	b = append(b, byte(v.Type()))
-	b = appendU16(b, uint16(len(name)))
-	b = append(b, name...)
-	for _, p := range v.Parts() {
-		switch v.Type() {
-		case vector.Int64, vector.Timestamp:
-			b = appendInt64s(b, p.Int64s())
-		case vector.Float64:
-			b = appendFloat64s(b, p.Float64s())
-		case vector.Bool:
-			for _, x := range p.Bools() {
-				if x {
-					b = append(b, 1)
-				} else {
-					b = append(b, 0)
-				}
-			}
-		case vector.Str:
-			for _, s := range p.Strs() {
-				b = appendStr32(b, s)
-			}
-		}
-	}
-	return b
+	return vector.AppendPayload(appendColHeader(b, name, v.Type()), v)
 }
 
 // AppendVectorCol appends one named single-part column.
 func AppendVectorCol(b []byte, name string, v *vector.Vector) []byte {
-	return AppendViewCol(b, name, vector.ViewOf(v))
+	return vector.AppendVectorPayload(appendColHeader(b, name, v.Type()), v)
+}
+
+func appendColHeader(b []byte, name string, t vector.Type) []byte {
+	b = append(b, byte(t))
+	b = appendU16(b, uint16(len(name)))
+	return append(b, name...)
 }
 
 // AppendTable appends an exec.Table as a block. All columns must share
@@ -118,7 +76,7 @@ func AppendVectorCol(b []byte, name string, v *vector.Vector) []byte {
 func AppendTable(b []byte, t *exec.Table) []byte {
 	b = AppendBlockHeader(b, t.NumRows(), len(t.Cols))
 	for i, col := range t.Cols {
-		b = AppendViewCol(b, t.Names[i], vector.ViewOf(col))
+		b = AppendVectorCol(b, t.Names[i], col)
 	}
 	return b
 }
@@ -246,19 +204,13 @@ func (b *Block) Table() *exec.Table {
 }
 
 // decodeBlock reads one block from r. Column payloads are validated
-// against the header row count; any shortfall (a truncated or corrupt
-// frame) fails with ErrTruncated rather than producing a ragged block.
+// against the header row count before any column grows; any shortfall (a
+// truncated or corrupt frame) fails with ErrTruncated rather than
+// producing a ragged block.
 func decodeBlock(r *byteReader) (*Block, error) {
 	rows := int(r.u32())
 	ncols := int(r.u16())
 	if r.err != nil {
-		return nil, r.err
-	}
-	// Sanity floor: a column needs at least 1 byte/row (Bool); reject row
-	// counts the remaining payload cannot possibly hold so corrupt headers
-	// fail fast instead of allocating rows of scratch.
-	if ncols > 0 && rows > r.rest() {
-		r.fail(fmt.Sprintf("%d rows × %d cols", rows, ncols))
 		return nil, r.err
 	}
 	blk := &Block{Names: make([]string, ncols), Cols: make([]*vector.Vector, ncols)}
@@ -271,56 +223,18 @@ func decodeBlock(r *byteReader) (*Block, error) {
 			return nil, r.err
 		}
 		blk.Names[c] = r.str16()
-		// Bounds-check the column payload against the remaining bytes
-		// BEFORE vector.New preallocates rows of capacity — the sanity
-		// floor above only guarantees 1 byte/row, so a fixed-width type
-		// must not size an allocation off an unvalidated row count.
-		var col *vector.Vector
-		switch typ {
-		case vector.Int64, vector.Timestamp:
-			raw := r.take(8 * rows)
-			if raw == nil {
-				return nil, r.err
-			}
-			col = vector.New(typ, rows)
-			for i := 0; i < rows; i++ {
-				col.AppendInt64(int64(binary.LittleEndian.Uint64(raw[8*i:])))
-			}
-		case vector.Float64:
-			raw := r.take(8 * rows)
-			if raw == nil {
-				return nil, r.err
-			}
-			col = vector.New(typ, rows)
-			for i := 0; i < rows; i++ {
-				col.AppendFloat64(math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
-			}
-		case vector.Bool:
-			raw := r.take(rows)
-			if raw == nil {
-				return nil, r.err
-			}
-			col = vector.New(typ, rows)
-			for i := 0; i < rows; i++ {
-				col.AppendBool(raw[i] != 0)
-			}
-		case vector.Str:
-			// Each string needs at least its u32 length prefix.
-			if r.rest() < 4*rows {
-				r.fail(fmt.Sprintf("%d string rows", rows))
-				return nil, r.err
-			}
-			col = vector.New(typ, rows)
-			for i := 0; i < rows; i++ {
-				col.AppendStr(r.str32())
-			}
-			if r.err != nil {
-				return nil, r.err
-			}
+		if r.err != nil {
+			return nil, r.err
 		}
+		col := vector.New(typ, 0)
+		n, err := vector.DecodePayload(col, r.b[r.off:], rows)
+		if err != nil {
+			return nil, fmt.Errorf("%w: column %q at offset %d: %w", ErrTruncated, blk.Names[c], r.off, err)
+		}
+		r.off += n
 		blk.Cols[c] = col
 	}
-	return blk, r.err
+	return blk, nil
 }
 
 // DecodeBlock decodes a standalone block payload, rejecting trailing

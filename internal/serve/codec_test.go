@@ -6,9 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"datacell/internal/catalog"
+	"datacell/internal/storage"
 	"datacell/internal/vector"
 )
 
@@ -108,6 +112,50 @@ func TestMultiPartViewEncode(t *testing.T) {
 				t.Fatalf("type %v cut %d: multi-part encode differs from flat", col.Type(), cut)
 			}
 		}
+	}
+}
+
+// TestWirePayloadMatchesSegmentRecord pins the one column codec: the
+// column bytes a segment record holds on disk are, column for column, the
+// payload bytes an append block carries on the wire.
+func TestWirePayloadMatchesSegmentRecord(t *testing.T) {
+	names, cols := mkCols(9)
+	schema := catalog.Schema{}
+	var wire []byte
+	for i, c := range cols {
+		schema.Cols = append(schema.Cols, catalog.Column{Name: names[i], Type: c.Type()})
+		wire = append(wire, AppendVectorCol(nil, "", c)[3:]...) // drop u8 type | u16 namelen
+	}
+	dir := t.TempDir()
+	d, err := storage.OpenDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := d.Stream("s", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := make([]int64, cols[0].Len())
+	if err := l.AppendChunk(0, cols, ts); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "streams", "*", "*.seg"))
+	if len(files) != 1 {
+		t.Fatalf("segment files: %v", files)
+	}
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// record = u32 bodyLen | u32 crc | u32 rows | column payloads | ts payload
+	if len(raw) < 12+8*len(ts) {
+		t.Fatalf("%d-byte segment", len(raw))
+	}
+	if rec := raw[12 : len(raw)-8*len(ts)]; !bytes.Equal(rec, wire) {
+		t.Fatalf("segment column bytes differ from wire payload:\n disk %x\n wire %x", rec, wire)
 	}
 }
 

@@ -13,7 +13,7 @@ const (
 	// Magic opens every connection's HELLO payload.
 	Magic = "DCL1"
 	// ProtocolVersion is bumped on incompatible layout changes.
-	ProtocolVersion = 1
+	ProtocolVersion = 2
 	// HeaderSize is the fixed frame header length.
 	HeaderSize = 5
 	// MaxFrame caps a payload; readers reject larger lengths before

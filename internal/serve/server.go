@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -771,22 +772,21 @@ func (s *Server) appendStream(stream string, blk *Block) error {
 	if len(blk.Cols) != len(defs) {
 		return fmt.Errorf("serve: stream %q wants %d columns, block has %d", stream, len(defs), len(blk.Cols))
 	}
+	used := make([]bool, len(defs))
 	for i, col := range blk.Cols {
 		name := blk.Names[i]
 		if name == "" {
 			name = defs[i].Name
 		}
-		var want datacell.Type
-		found := false
-		for _, d := range defs {
-			if d.Name == name {
-				want, found = d.Type, true
-				break
-			}
-		}
-		if !found {
+		j := slices.IndexFunc(defs, func(d datacell.ColumnDef) bool { return d.Name == name })
+		if j < 0 {
 			return fmt.Errorf("serve: stream %q has no column %q", stream, name)
 		}
+		if used[j] {
+			return fmt.Errorf("serve: block names column %q twice", name)
+		}
+		used[j] = true
+		want := defs[j].Type
 		if col.Type() != want && !(vector.IntKind(col.Type()) && vector.IntKind(want)) {
 			return fmt.Errorf("serve: column %q is %s, block sends %s", name, want, col.Type())
 		}

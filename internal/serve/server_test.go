@@ -671,6 +671,52 @@ func TestServeRejectsBadHandshake(t *testing.T) {
 	}
 }
 
+// TestServeRejectsOldProtocolVersion: a version-1 client would send
+// big-endian string lengths inside column payloads, so its HELLO is
+// refused rather than its blocks misread.
+func TestServeRejectsOldProtocolVersion(t *testing.T) {
+	_, addr := startServer(t, datacell.New(), Config{})
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	if err := WriteFrame(raw, MsgHello, append([]byte(Magic), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if typ, _, _, err := ReadFrame(raw, nil); err != nil || typ != MsgError {
+		t.Fatalf("want MsgError, got type %d err %v", typ, err)
+	}
+}
+
+// TestAppendRejectsBadBlocks: a block that does not fit the stream's
+// schema is refused with an error naming the problem, and the connection
+// stays usable.
+func TestAppendRejectsBadBlocks(t *testing.T) {
+	_, addr := startServer(t, newIntDB(t), Config{})
+	cl := dialT(t, addr)
+	str := vector.FromStr([]string{"a", "b", "c", "d"})
+	for _, tc := range []struct {
+		names []string
+		cols  []*vector.Vector
+		want  string
+	}{
+		{nil, intCols(0, 4)[:1], "wants 2 columns, block has 1"},
+		{[]string{"x1", "nope"}, intCols(0, 4), `no column "nope"`},
+		{[]string{"x1", "x2"}, []*vector.Vector{intCols(0, 4)[0], str}, `column "x2" is BIGINT, block sends VARCHAR`},
+		{[]string{"x1", "x1"}, intCols(0, 4), `block names column "x1" twice`},
+		{[]string{"", "x1"}, intCols(0, 4), `block names column "x1" twice`},
+	} {
+		err := cl.Append("s", tc.names, tc.cols)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("names %q: err %v, want %q", tc.names, err, tc.want)
+		}
+	}
+	if err := cl.Append("s", []string{"x2", "x1"}, intCols(0, 4)); err != nil {
+		t.Fatalf("well-formed block after rejects: %v", err)
+	}
+}
+
 func TestMetricsEndpoint(t *testing.T) {
 	db := newIntDB(t)
 	srv, addr := startServer(t, db, Config{})

@@ -41,9 +41,9 @@
 //	footer: "DCSEGFTR" | u32 version | u64 base | u32 rows | u32 records |
 //	        u32 schemaHash | u32 crc32c(previous 32 bytes)
 //
-// Column payloads are little-endian: 8 bytes per value for
-// BIGINT/TIMESTAMP/DOUBLE, 1 byte per BOOLEAN, u32 length + bytes per
-// VARCHAR value.
+// Column payloads, and the arrival timestamps after them, use the one
+// column codec defined in internal/vector/codec.go, which the wire block
+// shares.
 //
 // # Crash consistency
 //

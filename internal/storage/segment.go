@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,16 +15,16 @@ import (
 	"datacell/internal/vector"
 )
 
-// Segment file byte layout (all integers little-endian unless noted):
+// Segment file byte layout (all integers little-endian):
 //
 //	file   = record* footer?
 //	record = u32 bodyLen | u32 crc32c(body) | body
-//	body   = u32 rows | payload[col0] .. payload[colN-1] | rows × i64 ts
+//	body   = u32 rows | payload[col0] .. payload[colN-1] | payload[ts]
 //	footer = "DCSEGFTR" | u32 version | u64 base | u32 rows |
 //	         u32 records | u32 schemaHash | u32 crc32c(first 32 bytes)
 //
-// Payloads: BIGINT/TIMESTAMP = rows × i64; DOUBLE = rows × u64 (IEEE-754
-// bits); BOOLEAN = rows × u8 (0/1); VARCHAR = rows × (u32 len | bytes).
+// Payloads are the column codec of internal/vector/codec.go; the arrival
+// timestamps are one more TIMESTAMP payload.
 const (
 	footerMagic   = "DCSEGFTR"
 	footerVersion = 1
@@ -93,54 +92,20 @@ func SchemaHash(schema catalog.Schema) uint32 {
 
 // encodeRecord serializes one append chunk. Cols hold exactly the chunk's
 // rows (the basket slices the batch at seal boundaries before calling).
+// The buffer is sized exactly up front: one allocation per record.
 func encodeRecord(cols []*vector.Vector, ts []int64) []byte {
-	rows := len(ts)
-	size := 4
+	tv := vector.FromTimestamp(ts)
+	size := 4 + vector.PayloadLen(tv)
 	for _, c := range cols {
-		switch c.Type() {
-		case vector.Int64, vector.Timestamp, vector.Float64:
-			size += 8 * rows
-		case vector.Bool:
-			size += rows
-		case vector.Str:
-			for _, s := range c.Strs() {
-				size += 4 + len(s)
-			}
-		}
+		size += vector.PayloadLen(c)
 	}
-	size += 8 * rows
-
 	buf := make([]byte, recordHdrSize, recordHdrSize+size)
 	binary.LittleEndian.PutUint32(buf, uint32(size)) // crc patched into buf[4:] below
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ts)))
 	for _, c := range cols {
-		switch c.Type() {
-		case vector.Int64, vector.Timestamp:
-			for _, v := range c.Int64s() {
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-			}
-		case vector.Float64:
-			for _, v := range c.Float64s() {
-				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-			}
-		case vector.Bool:
-			for _, v := range c.Bools() {
-				if v {
-					buf = append(buf, 1)
-				} else {
-					buf = append(buf, 0)
-				}
-			}
-		case vector.Str:
-			for _, s := range c.Strs() {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(s)))
-				buf = append(buf, s...)
-			}
-		}
+		buf = vector.AppendVectorPayload(buf, c)
 	}
-	for _, v := range ts {
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-	}
+	buf = vector.AppendVectorPayload(buf, tv)
 	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(buf[recordHdrSize:], castagnoli))
 	return buf
 }
@@ -154,61 +119,19 @@ func decodeRecordBody(body []byte, schema catalog.Schema, cols []*vector.Vector,
 	}
 	rows := int(binary.LittleEndian.Uint32(body))
 	body = body[4:]
-	// Reject absurd row counts before any per-row loop: every row costs at
-	// least 8 ts bytes, so rows is bounded by the body size.
-	if rows < 0 || rows > len(body)/8 {
-		return ts, fmt.Errorf("storage: record claims %d rows in %d bytes", rows, len(body))
-	}
 	for i, col := range schema.Cols {
-		switch col.Type {
-		case vector.Int64, vector.Timestamp:
-			if len(body) < 8*rows {
-				return ts, fmt.Errorf("storage: truncated %s payload", col.Name)
-			}
-			for r := 0; r < rows; r++ {
-				cols[i].AppendInt64(int64(binary.LittleEndian.Uint64(body[8*r:])))
-			}
-			body = body[8*rows:]
-		case vector.Float64:
-			if len(body) < 8*rows {
-				return ts, fmt.Errorf("storage: truncated %s payload", col.Name)
-			}
-			for r := 0; r < rows; r++ {
-				cols[i].AppendFloat64(math.Float64frombits(binary.LittleEndian.Uint64(body[8*r:])))
-			}
-			body = body[8*rows:]
-		case vector.Bool:
-			if len(body) < rows {
-				return ts, fmt.Errorf("storage: truncated %s payload", col.Name)
-			}
-			for r := 0; r < rows; r++ {
-				cols[i].AppendBool(body[r] != 0)
-			}
-			body = body[rows:]
-		case vector.Str:
-			for r := 0; r < rows; r++ {
-				if len(body) < 4 {
-					return ts, fmt.Errorf("storage: truncated %s payload", col.Name)
-				}
-				n := int(binary.LittleEndian.Uint32(body))
-				body = body[4:]
-				if n < 0 || n > len(body) {
-					return ts, fmt.Errorf("storage: string length %d exceeds record", n)
-				}
-				cols[i].AppendStr(string(body[:n]))
-				body = body[n:]
-			}
-		default:
-			return ts, fmt.Errorf("storage: unsupported column type %s", col.Type)
+		n, err := vector.DecodePayload(cols[i], body, rows)
+		if err != nil {
+			return ts, fmt.Errorf("storage: column %s: %w", col.Name, err)
 		}
+		body = body[n:]
 	}
 	if len(body) != 8*rows {
 		return ts, fmt.Errorf("storage: record has %d trailing bytes, want %d ts bytes", len(body), 8*rows)
 	}
-	for r := 0; r < rows; r++ {
-		ts = append(ts, int64(binary.LittleEndian.Uint64(body[8*r:])))
-	}
-	return ts, nil
+	tv := vector.FromTimestamp(ts)
+	_, err := vector.DecodePayload(tv, body, rows)
+	return tv.Int64s(), err
 }
 
 // StreamLog is the disk store for one stream: a directory of segment

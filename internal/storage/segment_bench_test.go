@@ -100,3 +100,42 @@ func (a *sealHistoryArm) median() time.Duration {
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	return s[len(s)/2]
 }
+
+// BenchmarkRecordCodec encodes and decodes one 4096-row record of two
+// BIGINT columns, the shape of a benchmark ingest chunk. It fails if
+// encodeRecord allocates more than once per record: the buffer is sized
+// exactly before the first payload byte is written.
+func BenchmarkRecordCodec(b *testing.B) {
+	const rows = 4096
+	xs, ys, ts := make([]int64, rows), make([]int64, rows), make([]int64, rows)
+	for i := range xs {
+		xs[i], ys[i], ts[i] = int64(i%64), int64(i), int64(1_700_000_000_000_000+i)
+	}
+	cols := []*vector.Vector{vector.FromInt64(xs), vector.FromInt64(ys)}
+	schema := catalog.NewSchema(catalog.Column{Name: "k", Type: vector.Int64}, catalog.Column{Name: "v", Type: vector.Int64})
+	if allocs := testing.AllocsPerRun(10, func() { encodeRecord(cols, ts) }); allocs > 1 {
+		b.Fatalf("encodeRecord: %v allocs per record, want 1", allocs)
+	}
+	rec := encodeRecord(cols, ts)
+	dst := []*vector.Vector{vector.New(vector.Int64, rows), vector.New(vector.Int64, rows)}
+	dts := make([]int64, 0, rows)
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(rec)))
+		for b.Loop() {
+			encodeRecord(cols, ts)
+		}
+	})
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		b.SetBytes(int64(len(rec)))
+		for b.Loop() {
+			for _, c := range dst {
+				c.Truncate(0)
+			}
+			if _, err := decodeRecordBody(rec[recordHdrSize:], schema, dst, dts[:0]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
@@ -82,6 +83,44 @@ func checkSeg(t *testing.T, seg SegmentData, wantBase int64, wantRows int) {
 		}
 		if seg.TS[i] != int64(v)*7 {
 			t.Fatalf("row %d: arrival ts = %d, want %d", i, seg.TS[i], int64(v)*7)
+		}
+	}
+}
+
+// TestRecordBytesGolden pins the on-disk record layout: the bytes below
+// were written by the segment encoder before the column payload codec
+// moved into internal/vector, so existing data directories still recover.
+func TestRecordBytesGolden(t *testing.T) {
+	cols := []*vector.Vector{
+		vector.FromInt64([]int64{1, -2, math.MaxInt64}),
+		vector.FromFloat64([]float64{1.5, math.Copysign(0, -1), math.Inf(1)}),
+		vector.FromBool([]bool{true, false, true}),
+		vector.FromStr([]string{"a", "", "héllo"}),
+	}
+	const want = "620000003f0bd651030000000100000000000000feffffffffffffffffffffffffffff7f" +
+		"000000000000f83f0000000000000080000000000000f07f0100010100000061000000000600" +
+		"000068c3a96c6c6f6400000000000000c8000000000000002c01000000000000"
+	rec := encodeRecord(cols, []int64{100, 200, 300})
+	if got := hex.EncodeToString(rec); got != want {
+		t.Fatalf("record bytes changed:\n got %s\nwant %s", got, want)
+	}
+	schema := catalog.NewSchema(
+		catalog.Column{Name: "i", Type: vector.Int64},
+		catalog.Column{Name: "f", Type: vector.Float64},
+		catalog.Column{Name: "b", Type: vector.Bool},
+		catalog.Column{Name: "s", Type: vector.Str},
+	)
+	dst := make([]*vector.Vector, len(schema.Cols))
+	for i, c := range schema.Cols {
+		dst[i] = vector.New(c.Type, 0)
+	}
+	ts, err := decodeRecordBody(rec[recordHdrSize:], schema, dst, nil)
+	if err != nil || !reflect.DeepEqual(ts, []int64{100, 200, 300}) {
+		t.Fatalf("decode: ts %v err %v", ts, err)
+	}
+	for i := range cols {
+		if got, want := dst[i].String(), cols[i].String(); got != want {
+			t.Fatalf("col %d: got %s want %s", i, got, want)
 		}
 	}
 }

@@ -27,4 +27,8 @@
 //   - Sel is a list of int32 row positions; nil conventionally means "all
 //     rows". Filter outputs are ascending, which View.Take exploits with a
 //     single monotonic part walk.
+//   - codec.go is the one definition of a column's payload bytes, which
+//     the wire block (internal/serve) and the segment record
+//     (internal/storage) share; its decoder checks every length before
+//     growing a column.
 package vector
