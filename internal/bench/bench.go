@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"strings"
 
 	"datacell/internal/basket"
@@ -227,10 +228,18 @@ func avg(ns []int64) int64 {
 	return s / int64(len(ns))
 }
 
-// steadyAvg averages all but the first window (the preface-heavy one).
-func steadyAvg(ns []int64) int64 {
+// steadyMedian is the median of all but the first window (the
+// preface-heavy one); one scheduler stall in a few windows moves a mean,
+// not the median. An even count averages the middle two.
+func steadyMedian(ns []int64) int64 {
 	if len(ns) <= 1 {
 		return avg(ns)
 	}
-	return avg(ns[1:])
+	s := slices.Clone(ns[1:])
+	slices.Sort(s)
+	m := len(s) / 2
+	if len(s)%2 == 0 {
+		return (s[m-1] + s[m]) / 2
+	}
+	return s[m]
 }

@@ -81,7 +81,7 @@ func TestRunFig5b(t *testing.T) {
 }
 
 func TestRunFig6a(t *testing.T) {
-	tbl, err := RunFig6a(Config{Scale: 8192, Windows: 3})
+	tbl, err := RunFig6a(Config{Scale: 8192, Windows: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,10 +211,15 @@ func TestConfigHelpers(t *testing.T) {
 	if DefaultConfig().Scale != 64 {
 		t.Error("default scale")
 	}
-	if avg(nil) != 0 || steadyAvg(nil) != 0 {
+	if avg(nil) != 0 || steadyMedian(nil) != 0 {
 		t.Error("avg of empty")
 	}
-	if steadyAvg([]int64{100}) != 100 || steadyAvg([]int64{100, 10, 20}) != 15 {
-		t.Error("steadyAvg")
+	if steadyMedian([]int64{100}) != 100 || steadyMedian([]int64{100, 10, 20}) != 15 {
+		t.Error("steadyMedian")
+	}
+	// One stalled window moves the mean of the steady windows, not the
+	// median.
+	if steadyMedian([]int64{100, 10, 9000, 20}) != 20 {
+		t.Error("steadyMedian of a stalled window")
 	}
 }

@@ -29,8 +29,8 @@ func RunFig5a(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(selPct),
-			ms(steadyAvg(ree.ResponseNS)),
-			ms(steadyAvg(inc.ResponseNS)),
+			ms(steadyMedian(ree.ResponseNS)),
+			ms(steadyMedian(inc.ResponseNS)),
 		})
 	}
 	return t, nil
@@ -62,8 +62,8 @@ func RunFig5b(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0e", sel*100),
-			ms(steadyAvg(ree.ResponseNS)),
-			ms(steadyAvg(inc.ResponseNS)),
+			ms(steadyMedian(ree.ResponseNS)),
+			ms(steadyMedian(inc.ResponseNS)),
 		})
 	}
 	return t, nil

@@ -30,8 +30,8 @@ func RunFig6a(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(W),
-			ms(steadyAvg(ree.ResponseNS)),
-			ms(steadyAvg(inc.ResponseNS)),
+			ms(steadyMedian(ree.ResponseNS)),
+			ms(steadyMedian(inc.ResponseNS)),
 		})
 	}
 	return t, nil

@@ -33,10 +33,10 @@ func RunFig7a(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(nbw),
-			ms(steadyAvg(ree.ResponseNS)),
-			ms(steadyAvg(inc.ResponseNS)),
-			ms(steadyAvg(inc.MainNS)),
-			ms(steadyAvg(inc.MergeNS)),
+			ms(steadyMedian(ree.ResponseNS)),
+			ms(steadyMedian(inc.ResponseNS)),
+			ms(steadyMedian(inc.MainNS)),
+			ms(steadyMedian(inc.MergeNS)),
 		})
 	}
 	return t, nil
@@ -72,10 +72,10 @@ func RunFig7b(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(nbw),
-			ms(steadyAvg(ree.ResponseNS)),
-			ms(steadyAvg(inc.ResponseNS)),
-			ms(steadyAvg(inc.MainNS)),
-			ms(steadyAvg(inc.MergeNS)),
+			ms(steadyMedian(ree.ResponseNS)),
+			ms(steadyMedian(inc.ResponseNS)),
+			ms(steadyMedian(inc.MainNS)),
+			ms(steadyMedian(inc.MergeNS)),
 		})
 	}
 	return t, nil

@@ -57,6 +57,9 @@ func (ip *IncPlan) explain(opts Options) string {
 		fmt.Fprintf(&sb, "join planning: greedy per-cell build side from exact post-filter cardinalities (r%d vs r%d), interned per-bw build tables, empty sides zero their cells\n",
 			ip.Join.LeftIn, ip.Join.RightIn)
 	}
+	if ip.HasJoin {
+		ip.explainPanes(&sb, opts)
+	}
 
 	if len(ip.Concats) > 0 {
 		sb.WriteString("merge inputs:\n")
@@ -100,4 +103,50 @@ func (ip *IncPlan) explain(opts Options) string {
 		fmt.Fprintf(&sb, "slots per matrix cell: %v\n", ip.CellRegs)
 	}
 	return sb.String()
+}
+
+// explainPanes writes the join plan's matrix-panes line: the scalar
+// aggregates folded through panes, then every cell concatenation left on
+// the instruction path and why.
+func (ip *IncPlan) explainPanes(sb *strings.Builder, opts Options) {
+	var paned, left []string
+	covered := map[plan.Reg]bool{}
+	for i, p := range ip.Panes {
+		covered[p.Cat] = true
+		name := fmt.Sprintf("r%d %s", p.Out, p.Kind)
+		if ok, why := ip.Pane(i, opts); ok {
+			paned = append(paned, name)
+		} else {
+			left = append(left, fmt.Sprintf("%s (%s)", name, why))
+		}
+	}
+	grouped := map[plan.Reg]bool{}
+	for _, gm := range ip.GroupMerges {
+		for _, r := range gm.CatKeys {
+			grouped[r] = true
+		}
+		for _, a := range gm.Aggs {
+			grouped[a.Cat] = true
+		}
+	}
+	for _, c := range ip.Concats {
+		if c.Kind != ConcatCell || covered[c.Dst] {
+			continue
+		}
+		why := "join rows"
+		if grouped[c.Dst] {
+			why = "grouped"
+		}
+		left = append(left, fmt.Sprintf("r%d (%s)", c.Src, why))
+	}
+	sb.WriteString("matrix panes: ")
+	if len(paned) == 0 {
+		sb.WriteString("none")
+	} else {
+		fmt.Fprintf(sb, "%s (%d panes folded per slide; +new cells, -expired pane)", strings.Join(paned, ", "), ip.N)
+	}
+	if len(left) > 0 {
+		fmt.Fprintf(sb, "; instruction path: %s", strings.Join(left, ", "))
+	}
+	sb.WriteByte('\n')
 }

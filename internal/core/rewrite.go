@@ -73,6 +73,19 @@ type GroupMergeAgg struct {
 	Typ vector.Type
 }
 
+// PaneSpec is one scalar aggregate over the join matrix: the merge
+// instruction Out := Kind(Cat), where Cat concatenates the partials of the
+// cell register Out across every live cell. A runtime may instead keep the
+// partials pre-aggregated in one pane per basic window that expires them
+// and fold the N panes into Out (panes.go).
+type PaneSpec struct {
+	Cat, Out plan.Reg
+	Kind     algebra.AggKind
+	// Typ is the partial column's type (untyped when the rewriter could not
+	// derive it).
+	Typ vector.Type
+}
+
 // untyped marks a key or aggregate column whose type the rewriter could
 // not derive statically; such a block never qualifies for a typed kernel.
 const untyped = vector.Type(0xFF)
@@ -127,6 +140,10 @@ type IncPlan struct {
 	// GroupMerges lists the grouped-aggregation blocks inside Merge that
 	// are eligible for partition-parallel execution, by ascending Start.
 	GroupMerges []GroupMergeSpec
+	// Panes lists the scalar aggregates over the join matrix, in merge
+	// order. IncPlan.Pane says which of them a runtime folds through
+	// matrix panes.
+	Panes []PaneSpec
 
 	// SlotRegs[s] lists the per-basic-window registers of source s whose
 	// values the runtime must retain across steps.
@@ -670,6 +687,9 @@ func (rw *rewriter) getGlobal(r plan.Reg) (plan.Reg, error) {
 		// compensating kind (count -> sum).
 		c := rw.newReg()
 		rw.addConcat(c, r)
+		if rw.classes[r] == ClassCell {
+			rw.ip.Panes = append(rw.ip.Panes, PaneSpec{Cat: c, Out: r, Kind: kind.MergeKind(), Typ: rw.typeOf(r)})
+		}
 		rw.ip.Merge = append(rw.ip.Merge, plan.Instr{
 			Op: plan.OpAgg, Agg: kind.MergeKind(), In: []plan.Reg{c}, Out: []plan.Reg{r},
 		})

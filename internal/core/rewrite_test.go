@@ -10,7 +10,7 @@ import (
 	"datacell/internal/vector"
 )
 
-func testCatalog(t *testing.T) *catalog.Catalog {
+func testCatalog(t testing.TB) *catalog.Catalog {
 	t.Helper()
 	cat := catalog.New()
 	for _, src := range []*catalog.Source{
@@ -34,7 +34,7 @@ func testCatalog(t *testing.T) *catalog.Catalog {
 	return cat
 }
 
-func compile(t *testing.T, q string) *plan.Program {
+func compile(t testing.TB, q string) *plan.Program {
 	t.Helper()
 	prog, err := plan.Compile(q, testCatalog(t))
 	if err != nil {

@@ -41,6 +41,8 @@ type StepStats struct {
 	// JoinNS is the join-matrix update cost of the slide — planning, build
 	// tables, cell evaluation — on both the adaptive and the written-order
 	// path, so the two are directly comparable. It is a subset of MainNS.
+	// Folding new cells into matrix panes and expiring them is merge work,
+	// counted in MergeNS.
 	JoinNS int64
 	// BuildsReused counts the slide's join-matrix cells served by an
 	// interned build table instead of building one: probing cells minus
@@ -253,6 +255,14 @@ type Runtime struct {
 	// from its own state).
 	deltaCat map[plan.Reg]*deltaBlock
 
+	// panes are the pane-backed scalar aggregates over the join matrix
+	// (panes.go); paneHead is the ring position of the pane the next
+	// eviction clears. paneCat maps each one's concatenation destination to
+	// it: merge skips the concatenation and emits the fold of the panes.
+	panes    []*paneAgg
+	paneHead int
+	paneCat  map[plan.Reg]*paneAgg
+
 	// mergeEnv is the reusable merge-stage register file; its entries are
 	// cleared after every firing so it never pins a slide's vectors.
 	mergeEnv []exec.Datum
@@ -354,6 +364,7 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 		}
 	}
 	rt.initJoinPlanner(opts)
+	rt.initPanes()
 	return rt
 }
 
@@ -548,7 +559,7 @@ func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input
 // applyOne is one slide of Apply; it adds its stage times to stats.
 func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, error) {
 	t1 := time.Now()
-	var deltaNS int64
+	var stateNS int64 // merge-state upkeep: delta blocks and matrix panes
 	evicted := false
 	for j, s := range rt.srcIdx {
 		file := newFiles[j]
@@ -570,20 +581,22 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 		if rt.deltas != nil {
 			td := time.Now()
 			rt.admitDeltas(s, file)
-			deltaNS += time.Since(td).Nanoseconds()
+			stateNS += time.Since(td).Nanoseconds()
 		}
 	}
 	defer clear(rt.evicted) // don't pin expired slot files past the merge
 	if rt.ip.HasJoin {
 		tj := time.Now()
-		if err := rt.updateCells(evicted, inputs, stats); err != nil {
+		paneNS, err := rt.updateCells(evicted, inputs, stats)
+		if err != nil {
 			return nil, err
 		}
-		stats.JoinNS = time.Since(tj).Nanoseconds()
+		stats.JoinNS = time.Since(tj).Nanoseconds() - paneNS
+		stateNS += paneNS
 	}
-	// Maintaining merge state is merge work, not fragment work.
-	stats.MainNS += time.Since(t1).Nanoseconds() - deltaNS
-	stats.MergeNS += deltaNS
+	// Maintaining merge state is merge work, not fragment or join work.
+	stats.MainNS += time.Since(t1).Nanoseconds() - stateNS
+	stats.MergeNS += stateNS
 
 	if !rt.ready() {
 		if tx != nil && tx.Publish != nil {
@@ -708,13 +721,22 @@ func (rt *Runtime) combineChunks(s int, chunks []regFile) regFile {
 // assignment back into the matrix is serial and index-ordered. On the
 // adaptive path planJoin first decides each new cell's fate — zeroed,
 // probe an interned left table, probe an interned right table — from the
-// exact post-filter cardinalities of the slide.
-func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepStats) error {
+// exact post-filter cardinalities of the slide. The matrix panes expire
+// and fold in lockstep with the cells — expiry with the eviction, folding
+// with the serial assignment, which runs only once every new cell has
+// succeeded — so a slide that fails leaves panes and matrix consistent.
+// paneNS is the time spent on the panes, which is merge work.
+func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepStats) (paneNS int64, err error) {
 	ls, rs := rt.ip.CellSources[0], rt.ip.CellSources[1]
 	if evicted && len(rt.cells) > 0 {
 		rt.cells = rt.cells[1:]
 		for i := range rt.cells {
 			rt.cells[i] = rt.cells[i][1:]
+		}
+		if rt.panes != nil {
+			tp := time.Now()
+			rt.expirePanes()
+			paneNS += time.Since(tp).Nanoseconds()
 		}
 	}
 	if evicted && rt.joinAdaptive {
@@ -746,14 +768,14 @@ func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepSta
 	coords := rt.cellIdx
 	if rt.joinAdaptive {
 		if err := rt.planJoin(coords, stats); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if cap(rt.cellFiles) < len(coords) {
 		rt.cellFiles = make([]regFile, len(coords))
 	}
 	cfiles := rt.cellFiles[:len(coords)]
-	err := rt.forEach(len(coords), func(t int, w *workerEnv) error {
+	err = rt.forEach(len(coords), func(t int, w *workerEnv) error {
 		d := joinWritten
 		if rt.joinAdaptive {
 			d = rt.joinPlans[t]
@@ -767,7 +789,7 @@ func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepSta
 		return err
 	})
 	if err != nil {
-		return err
+		return 0, err
 	}
 	for t, c := range coords {
 		rt.cells[c[0]][c[1]] = cfiles[t]
@@ -780,7 +802,14 @@ func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepSta
 		}
 		cfiles[t] = nil
 	}
-	return nil
+	if rt.panes != nil {
+		tp := time.Now()
+		for _, c := range coords {
+			rt.foldPanes(min(c[0], c[1]), rt.cells[c[0]][c[1]])
+		}
+		paneNS += time.Since(tp).Nanoseconds()
+	}
+	return paneNS, nil
 }
 
 // joinKeyRows returns the post-filter cardinality of side k's basic window
@@ -975,7 +1004,9 @@ type fusedPart struct {
 // results are bit-identical either way. Multi-part concatenations bind as views when the plan allows it, so
 // the grouped kernel reads slot partials in place and a fresh
 // concatenation is only materialized for consumers that need one (vec()
-// caches it in the register on first use).
+// caches it in the register on first use). A scalar aggregate over the
+// join matrix that has panes neither gathers nor concatenates its cells:
+// its register is the fold of the live panes (panes.go).
 func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, []exec.Datum, error) {
 	env := rt.mergeEnv
 	clear(env) // stale entries from an errored firing must not leak in
@@ -1029,6 +1060,9 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			if b := rt.deltaCat[spec.Dst]; b != nil && !b.off {
 				continue
 			}
+			if p := rt.paneCat[spec.Dst]; p != nil && !p.off {
+				continue
+			}
 			vecs, err := rt.gather(spec)
 			if err != nil {
 				return nil, nil, err
@@ -1070,6 +1104,12 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			}
 		}
 		in := rt.ip.Merge[idx]
+		if in.Op == plan.OpAgg && len(in.In) == 1 {
+			if p := rt.paneCat[in.In[0]]; p != nil && !p.off {
+				env[in.Out[0]] = exec.VecDatum(p.emit())
+				continue
+			}
+		}
 		if in.Op == plan.OpResult {
 			tbl, err := exec.BuildResult(in, env)
 			if err != nil {

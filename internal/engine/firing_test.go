@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"datacell/internal/core"
@@ -47,6 +48,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		shares    bool   // eligible for the shared-plan catalog
 		delta     bool   // the grouped merge block is delta-maintained by default
 		kernel    string // the grouped merge block's kernel in the default arms
+		panes     string // the Explain matrix-panes line in the default arms
 	}{
 		{name: "scalar", shares: true,
 			sql: `SELECT count(*), sum(x2), min(x2), max(x2) FROM s [RANGE 32 SLIDE 8] WHERE x1 > 3`},
@@ -64,6 +66,12 @@ func TestOneFiringPathDifferential(t *testing.T) {
 			sql: `SELECT s.x1, count(*), sum(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 GROUP BY s.x1`},
 		{name: "stream-stream-join",
 			sql: `SELECT count(*), sum(s.x1), max(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2`},
+		{name: "join-min-empty-cells", // whole cells emptied: the cached empty cell file
+			sql:   `SELECT count(*), sum(s.x1), min(s.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 AND s.x1 < 2`,
+			panes: "matrix panes: r9 sum, r10 sum, r11 min (4 panes folded per slide; +new cells, -expired pane)\n"},
+		{name: "join-float-sum",
+			sql:   `SELECT count(*), sum(s.x1 * 0.5) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2`,
+			panes: "matrix panes: r6 sum (4 panes folded per slide; +new cells, -expired pane); instruction path: r8 sum (float)\n"},
 		{name: "stream-stream-join-raw", sorted: true,
 			sql: `SELECT s.x1, s2.x1 FROM s [RANGE 16 SLIDE 8], s2 [RANGE 16 SLIDE 8] WHERE s.x2 = s2.x2 AND s.x1 < 4`},
 		{name: "stream-table-join",
@@ -248,6 +256,9 @@ func TestOneFiringPathDifferential(t *testing.T) {
 				for i, q := range qs {
 					if got, want := q.rt.DeltaState().Blocks > 0, sh.delta && !a.opts.Baseline; got != want {
 						t.Fatalf("%s: query %d delta-maintained merge = %v, want %v\n%s", a.name, i, got, want, q.Explain())
+					}
+					if ex := q.Explain(); sh.panes != "" && !a.opts.Baseline && !strings.Contains(ex, sh.panes) {
+						t.Fatalf("%s: query %d Explain lacks %q:\n%s", a.name, i, sh.panes, ex)
 					}
 					if got := q.rt.MergeKernels(); sh.kernel != "" && !a.opts.Baseline && fmt.Sprint(got) != fmt.Sprint([]string{sh.kernel}) {
 						t.Fatalf("%s: query %d merge kernels %v, want [%s]", a.name, i, got, sh.kernel)
