@@ -244,21 +244,53 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 	return true
 }
 
+// EmitBuf is reusable storage for the columns Emit writes. A runtime
+// whose heads nobody else reads keeps one per block, so a steady-state
+// emission allocates nothing in proportion to the group count.
+type EmitBuf struct {
+	keys []int64
+	aggs [][]int64
+}
+
+// grown returns b resized to n elements, reallocating only when its
+// capacity is short — with a quarter spare when asked, so a reused buffer
+// is not regrown every time the group count edges up. The contents are
+// garbage; Emit overwrites them.
+func grown(b []int64, n int, spare bool) []int64 {
+	switch {
+	case cap(b) >= n:
+		return b[:n]
+	case spare:
+		return make([]int64, n, n+n/4)
+	}
+	return make([]int64, n)
+}
+
 // Emit returns the merged key column and one column per aggregate, in
-// first-occurrence order over the concatenated live partials. The columns
-// are freshly allocated (they escape into result tables and shared merge
-// heads); nothing else is.
-func (d *Delta) Emit() (*vector.Vector, []*vector.Vector) {
+// first-occurrence order over the concatenated live partials. With a nil
+// buf the columns are freshly allocated and immutable afterwards: they may
+// escape into result tables and shared merge heads. Otherwise they are
+// views over buf's storage, grown as needed, and valid only until the
+// next Emit into the same buf.
+func (d *Delta) Emit(buf *EmitBuf) (*vector.Vector, []*vector.Vector) {
+	reused := buf != nil
+	if !reused {
+		buf = &EmitBuf{}
+	}
 	// The scan below is branch-free: every record is copied to output
 	// position j, and j advances only past flagged rows — whether a row is
 	// its key's first occurrence is close to a coin flip, which a branch
 	// would mispredict. That can write one record past the last group, so
-	// the columns carry one spare element until they are wrapped.
+	// the columns carry one spare element.
 	k := d.groups
-	keys := make([]int64, k+1)
-	cols := make([][]int64, len(d.aggTyps))
+	keys := grown(buf.keys, k+1, reused)
+	buf.keys = keys
+	if len(buf.aggs) != len(d.aggTyps) {
+		buf.aggs = make([][]int64, len(d.aggTyps))
+	}
+	cols := buf.aggs
 	for a := range cols {
-		cols[a] = make([]int64, k+1)
+		cols[a] = grown(cols[a], k+1, reused)
 	}
 	st := d.stride
 	j := 0

@@ -57,7 +57,7 @@ func slide(t *testing.T, d *Delta, live []deltaPartial, n int, p deltaPartial) [
 func checkDelta(t *testing.T, ctx string, d *Delta, f *Fused, live []deltaPartial, naggs int) {
 	t.Helper()
 	wantK, wantA := fusedOver(f, live, naggs)
-	gotK, gotA := d.Emit()
+	gotK, gotA := d.Emit(nil)
 	if !vecEqual(gotK, wantK) {
 		t.Fatalf("%s: keys (or their order) differ:\n got %v\nwant %v", ctx, gotK.Int64s(), wantK.Int64s())
 	}
@@ -156,7 +156,7 @@ func TestDeltaSequenceWrap(t *testing.T) {
 		}
 		live = slide(t, d, live, 5, p)
 		wantK, wantA := fusedOver(f, live, 1)
-		gotK, gotA := d.Emit()
+		gotK, gotA := d.Emit(nil)
 		if gotK.Type() != vector.Timestamp || gotA[0].Type() != vector.Timestamp {
 			t.Fatalf("slide %d: output types %v/%v, want timestamps", sl, gotK.Type(), gotA[0].Type())
 		}
@@ -229,12 +229,12 @@ func TestDeltaExpireMismatch(t *testing.T) {
 	if d.Expire([]int64{1, 2}, nil) {
 		t.Fatal("Expire accepted a partial without its aggregate columns")
 	}
-	k, a := d.Emit()
+	k, a := d.Emit(nil)
 	if fmt.Sprint(k.Int64s(), a[0].Int64s()) != "[1 2] [10 25]" {
 		t.Fatalf("state changed by refused Expire: %v %v", k.Int64s(), a[0].Int64s())
 	}
 	d.Reset()
-	if k, _ := d.Emit(); k.Len() != 0 || d.Rows() != 0 || d.Partials() != 0 {
+	if k, _ := d.Emit(nil); k.Len() != 0 || d.Rows() != 0 || d.Partials() != 0 {
 		t.Fatal("Reset left state behind")
 	}
 }
@@ -272,8 +272,19 @@ func deltaSteadyStateAllocs(t *testing.T) {
 	}
 	// 2 output vectors' payloads + headers + the column slices; the point
 	// is that it does not scale with rows or groups.
-	if avg := testing.AllocsPerRun(10, func() { d.Emit() }); avg > 10 {
+	if avg := testing.AllocsPerRun(10, func() { d.Emit(nil) }); avg > 10 {
 		t.Errorf("Emit: %v allocs, want a constant handful (the output columns)", avg)
+	}
+	// Into a warm buffer the payloads are reused: only the three vector
+	// headers and the aggregate slice are new, and the head is the same.
+	var buf EmitBuf
+	wantK, wantA := d.Emit(nil)
+	gotK, gotA := d.Emit(&buf)
+	if !vecEqual(gotK, wantK) || !vecEqual(gotA[0], wantA[0]) || !vecEqual(gotA[1], wantA[1]) {
+		t.Fatal("Emit into a buffer differs from a fresh Emit")
+	}
+	if avg := testing.AllocsPerRun(10, func() { d.Emit(&buf) }); avg > 4 {
+		t.Errorf("Emit into a warm buffer: %v allocs, want at most 4 (headers only)", avg)
 	}
 }
 
@@ -324,7 +335,7 @@ func BenchmarkDeltaVsFused(b *testing.B) {
 			d.Expire(old.keys, old.vals)
 			p := parts[(i+n)%len(parts)]
 			d.Add(p.keys, p.vals)
-			d.Emit()
+			d.Emit(nil)
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"sync"
+
 	"datacell/internal/vector"
 )
 
@@ -21,7 +23,9 @@ func (g *Groups) Len() int { return len(g.IDs) }
 // columns must have equal length; sel restricts the rows considered (nil =
 // all). Rows are visited in selection order, so group ids are assigned in
 // first-appearance order — a property the incremental merge relies on for
-// deterministic output ordering.
+// deterministic output ordering. A single Int64/Timestamp key groups on a
+// pooled GroupTable, so the only per-call allocations are the returned
+// ids and representatives.
 func Group(keys []*vector.Vector, sel vector.Sel) *Groups {
 	if len(keys) == 0 {
 		panic("algebra: Group with no keys")
@@ -34,7 +38,10 @@ func Group(keys []*vector.Vector, sel vector.Sel) *Groups {
 	if len(keys) == 1 {
 		k := keys[0]
 		if k.Type() == vector.Int64 || k.Type() == vector.Timestamp {
-			groupInt64(g, k.Int64s(), sel)
+			tbl := groupTables.Get().(*GroupTable)
+			tbl.Reset(n)
+			groupInt64(g, tbl, k.Int64s(), sel)
+			groupTables.Put(tbl)
 			return g
 		}
 	}
@@ -42,13 +49,17 @@ func Group(keys []*vector.Vector, sel vector.Sel) *Groups {
 	return g
 }
 
-func groupInt64(g *Groups, vals []int64, sel vector.Sel) {
-	seen := make(map[int64]int32, 64)
+// groupTables holds the tables behind Group's int64 path. Every
+// per-basic-window fragment, instruction merge and re-evaluation groups
+// through it, from whichever goroutine runs them.
+var groupTables = sync.Pool{New: func() any { return NewGroupTable() }}
+
+// groupInt64 groups vals (restricted to sel) on tbl, which the caller has
+// Reset.
+func groupInt64(g *Groups, tbl *GroupTable, vals []int64, sel vector.Sel) {
 	visit := func(pos int32, v int64) {
-		id, ok := seen[v]
-		if !ok {
-			id = int32(g.K)
-			seen[v] = id
+		id, found := tbl.insertInt64(v, int32(g.K))
+		if !found {
 			g.K++
 			g.Repr = append(g.Repr, pos)
 		}

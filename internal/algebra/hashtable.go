@@ -66,10 +66,10 @@ func BuildInt(v *vector.Vector, sel vector.Sel) *IntTable {
 func (t *IntTable) Len() int { return len(t.keys) }
 
 // GroupTable is a reusable int64 grouping hashtable: the key -> dense
-// group id index behind the fused merge kernel. Unlike the throwaway maps
-// inside Group, a GroupTable survives across calls via Reset, so the
-// incremental merge stage re-grouping concatenated partials every slide
-// stops allocating per firing.
+// group id index behind Group's int64 path (through a pool) and the fused
+// merge kernel. It survives across calls via Reset, so grouping a basic
+// window or re-grouping concatenated partials every slide allocates no
+// table per call.
 type GroupTable struct {
 	mask  uint64
 	slots []groupSlot // interleaved key+id+epoch; one cache line per probe

@@ -1,7 +1,9 @@
 package algebra
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -122,14 +124,18 @@ func TestHashJoinAgreesWithBuildProbe(t *testing.T) {
 	}
 }
 
-// groupWithTable groups vals (restricted to sel when non-nil) through the
-// reusable int64 GroupTable, in the shape Group returns: dense ids in
-// first-appearance order and one representative row position per group.
-func groupWithTable(tbl *GroupTable, vals []int64, sel vector.Sel) *Groups {
+// naiveGroup is the reference for Group's int64 path: the seed's map
+// grouping, written out with no shared code. Ids are assigned in
+// first-appearance order over the visited rows; Repr holds each group's
+// first row position.
+func naiveGroup(vals []int64, sel vector.Sel) *Groups {
 	g := &Groups{}
+	seen := map[int64]int32{}
 	visit := func(pos int32) {
-		id, found := tbl.insertInt64(vals[pos], int32(g.K))
-		if !found {
+		id, ok := seen[vals[pos]]
+		if !ok {
+			id = int32(g.K)
+			seen[vals[pos]] = id
 			g.K++
 			g.Repr = append(g.Repr, pos)
 		}
@@ -162,7 +168,7 @@ func skewedKeys(rng *rand.Rand, n int, domain int64) []int64 {
 }
 
 // TestGroupWithMatchesGroup checks grouping with the reusable int64
-// GroupTable against the map-based Group on random (skewed) keys and
+// GroupTable against the naive map reference on random (skewed) keys and
 // random selections, and reuses one table across all trials to exercise
 // Reset by epoch bump.
 func TestGroupWithMatchesGroup(t *testing.T) {
@@ -179,9 +185,10 @@ func TestGroupWithMatchesGroup(t *testing.T) {
 				}
 			}
 		}
-		want := Group([]*vector.Vector{vector.FromInt64(vals)}, sel)
 		tbl.Reset(n)
-		assertGroupsEqual(t, trial, groupWithTable(tbl, vals, sel), want)
+		got := &Groups{}
+		groupInt64(got, tbl, vals, sel)
+		assertGroupsEqual(t, trial, got, naiveGroup(vals, sel))
 	}
 }
 
@@ -196,8 +203,91 @@ func TestGroupWithGrowsPastHint(t *testing.T) {
 	}
 	tbl := NewGroupTable()
 	tbl.Reset(4) // 16 slots for 5000 distinct keys
-	want := Group([]*vector.Vector{vector.FromInt64(vals)}, nil)
-	assertGroupsEqual(t, 0, groupWithTable(tbl, vals, nil), want)
+	got := &Groups{}
+	groupInt64(got, tbl, vals, nil)
+	assertGroupsEqual(t, 0, got, naiveGroup(vals, nil))
+}
+
+// TestGroupMatchesNaiveMap checks Group itself — the grouping every
+// differential arm shares, Baseline included — against the naive map
+// reference: random keys drawn around the int64 extremes and zero, with
+// and without a selection, an empty input, and a pooled table that a
+// large call grew being reused by small ones and vice versa.
+func TestGroupMatchesNaiveMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	edges := []int64{0, -1, 1, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
+	for trial := 0; trial < 200; trial++ {
+		n := rng.Intn(600)
+		if trial%25 == 0 {
+			n = 20000 + rng.Intn(5000) // grow a pooled table well past the usual size
+		}
+		domain := 1 + rng.Int63n(int64(n)+1)
+		vals := make([]int64, n)
+		for i := range vals {
+			switch rng.Intn(4) {
+			case 0:
+				vals[i] = edges[rng.Intn(len(edges))]
+			case 1:
+				vals[i] = -rng.Int63n(domain)
+			default:
+				vals[i] = rng.Int63n(domain)
+			}
+		}
+		var sel vector.Sel
+		if trial%2 == 1 {
+			sel = vector.Sel{}
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) > 0 {
+					sel = append(sel, int32(i))
+				}
+			}
+		}
+		typ := vector.Int64
+		if trial%3 == 0 {
+			typ = vector.Timestamp
+		}
+		key := vector.FromInt64(vals)
+		if typ == vector.Timestamp {
+			key = vector.FromTimestamp(vals)
+		}
+		assertGroupsEqual(t, trial, Group([]*vector.Vector{key}, sel), naiveGroup(vals, sel))
+	}
+	for _, sel := range []vector.Sel{nil, {}} {
+		g := Group([]*vector.Vector{vector.FromInt64(nil)}, sel)
+		if g.K != 0 || len(g.IDs) != 0 || len(g.Repr) != 0 {
+			t.Fatalf("empty input (sel %v): K=%d ids=%v repr=%v", sel, g.K, g.IDs, g.Repr)
+		}
+	}
+}
+
+// TestGroupSteadyStateBytes pins what the pooled table buys: once warm,
+// grouping one basic window of merge_wide's shape (2048 rows over ~2000
+// keys) allocates at most half the bytes of the map reference — only the
+// returned ids and representatives.
+func TestGroupSteadyStateBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	vals := make([]int64, 2048)
+	for i := range vals {
+		vals[i] = rng.Int63n(65536)
+	}
+	key := []*vector.Vector{vector.FromInt64(vals)}
+	perCall := func(fn func()) float64 {
+		fn() // warm the pool
+		var a, b runtime.MemStats
+		const calls = 50
+		runtime.ReadMemStats(&a)
+		for i := 0; i < calls; i++ {
+			fn()
+		}
+		runtime.ReadMemStats(&b)
+		return float64(b.TotalAlloc-a.TotalAlloc) / calls
+	}
+	got := perCall(func() { Group(key, nil) })
+	ref := perCall(func() { naiveGroup(vals, nil) })
+	t.Logf("bytes per call: Group %.0f, map reference %.0f", got, ref)
+	if 2*got > ref {
+		t.Fatalf("Group allocates %.0f bytes per call, more than half the map reference's %.0f", got, ref)
+	}
 }
 
 func assertGroupsEqual(t *testing.T, trial int, got, want *Groups) {

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -384,5 +385,149 @@ func TestDeltaMergeBoundedState(t *testing.T) {
 	}
 	if rt.MemorySlots() != n {
 		t.Fatalf("%d slot files held, want %d", rt.MemorySlots(), n)
+	}
+}
+
+// TestDeltaHeadScratch pins the head-lifetime rule of a delta block. A
+// plan whose residual only selects over and takes from the head emits it
+// into the runtime's scratch — one storage, reused by the next merge —
+// when no other query can adopt it: no tail exchange, a follower merging
+// privately, or a solo leader, which publishes nil. A leader with
+// co-subscribers publishes a fresh head, and a plan that binds the head
+// into its result gets a fresh one whatever the exchange.
+func TestDeltaHeadScratch(t *testing.T) {
+	const n, rows = 4, 128
+	having := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING count(*) > 1`, n, false)
+	bound := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1`, n, false)
+	if !having.HeadInScratch(0) || bound.HeadInScratch(0) {
+		t.Fatalf("HeadInScratch: HAVING plan %v, result-bound plan %v; want true, false",
+			having.HeadInScratch(0), bound.HeadInScratch(0))
+	}
+	if ex := having.Explain(); !strings.Contains(ex, "head in per-query scratch") {
+		t.Errorf("Explain misses the scratch rule:\n%s", ex)
+	}
+	if ex := bound.Explain(); !strings.Contains(ex, "fresh head every slide") {
+		t.Errorf("Explain misses the fresh-head rule:\n%s", ex)
+	}
+	noTx := func(**MergeHead) *TailExchange { return nil }
+	follower := func(**MergeHead) *TailExchange {
+		return &TailExchange{Fetch: func() (*MergeHead, error) { return nil, fmt.Errorf("aborted") }}
+	}
+	leader := func(solo bool) func(**MergeHead) *TailExchange {
+		return func(published **MergeHead) *TailExchange {
+			return &TailExchange{Publish: func(h *MergeHead, _ error) { *published = h }, Solo: solo}
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		ip      *IncPlan
+		tx      func(published **MergeHead) *TailExchange
+		scratch bool
+	}{
+		{"no exchange", having, noTx, true},
+		{"private follower", having, follower, true},
+		{"solo leader", having, leader(true), true},
+		{"shared leader", having, leader(false), false},
+		{"result-bound", bound, noTx, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := NewRuntimeOpts(tc.ip, Options{})
+			inputs := make([]exec.Input, 1)
+			rng := rand.New(rand.NewSource(9))
+			for sl := 0; sl < n; sl++ {
+				if _, _, err := rt.Step(genGroupedBW(rng, rows, 300), inputs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// headAt merges the full window again and returns where the
+			// head's key column lives.
+			headAt := func() *int64 {
+				var published *MergeHead
+				tx := tc.tx(&published)
+				_, env, err := rt.merge(inputs, tx, &StepStats{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer clear(env)
+				if tx != nil && tx.Publish != nil && (published == nil) != tx.Solo {
+					t.Fatalf("solo=%v leader published %v", tx.Solo, published)
+				}
+				return &env[tc.ip.GroupMerges[0].KeyOuts[0]].Vec.Int64s()[0]
+			}
+			first, second := headAt(), headAt()
+			if (first == second) != tc.scratch {
+				t.Fatalf("two merges share the head's storage: %v; want %v", first == second, tc.scratch)
+			}
+		})
+	}
+}
+
+// BenchmarkGroupedHead merges merge_wide's shape — GROUP BY x1 HAVING
+// count(*) > 4 over 32 basic windows of 2048 rows — at 4 096 and 65 536
+// keys and reports the merge stage's bytes per slide: runtime.MemStats
+// around Apply (slot rotation, one expire and one add, the merge and its
+// residual), with the fragment evaluated beforehand. At 65 536 keys the
+// HAVING clause keeps a few hundred of the live groups; at 4 096 it keeps
+// nearly all of them. It fails if the larger domain allocates more: a
+// merge must not allocate in proportion to the groups its result drops.
+func BenchmarkGroupedHead(b *testing.B) {
+	const n, rows = 32, 2048
+	bytes := map[int64]float64{}
+	for _, domain := range []int64{4096, 65536} {
+		b.Run(fmt.Sprintf("keys=%d", domain), func(b *testing.B) {
+			ip, err := Rewrite(compile(b, fmt.Sprintf(`SELECT x1, sum(x2), count(*) FROM s [RANGE %d SLIDE %d] GROUP BY x1 HAVING count(*) > 4`, n*rows, rows)), n, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rt := NewRuntime(ip)
+			in := make([]exec.Input, 1)
+			rng := rand.New(rand.NewSource(1))
+			fragment := func() [][]SlotFile {
+				x1, x2 := make([]int64, rows), make([]int64, rows)
+				for i := range x1 {
+					x1[i], x2[i] = rng.Int63n(domain), rng.Int63n(1000)
+				}
+				bw := [][]vector.View{{vector.ViewOf(vector.FromInt64(x1)), vector.ViewOf(vector.FromInt64(x2))}}
+				files, _, err := rt.EvalFragments([][][]vector.View{bw}, in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return files
+			}
+			apply := func(files [][]SlotFile) StepStats {
+				res, err := rt.Apply(files, []int64{0}, in, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res[0].Stats
+			}
+			for sl := 0; sl < 2*n; sl++ {
+				apply(fragment()) // fill the window, then let the state and scratch settle
+			}
+			b.ResetTimer()
+			var mergeNS int64
+			for i := 0; i < b.N; i++ {
+				mergeNS += apply(fragment()).MergeNS
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(mergeNS)/float64(b.N), "merge-ns/slide")
+			const slides = 5
+			var total uint64
+			for i := 0; i < slides; i++ {
+				files := fragment()
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				apply(files)
+				runtime.ReadMemStats(&after)
+				total += after.TotalAlloc - before.TotalAlloc
+			}
+			bytes[domain] = float64(total) / slides
+			b.ReportMetric(bytes[domain], "merge-B/slide")
+		})
+	}
+	small, ranSmall := bytes[4096]
+	large, ranLarge := bytes[65536]
+	if ranSmall && ranLarge && large > small {
+		b.Fatalf("a merge allocates %.0f B at 65536 keys but %.0f B at 4096: the head is materialized for rows the HAVING clause drops", large, small)
 	}
 }

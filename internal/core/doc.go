@@ -61,9 +61,12 @@
 //     a runtime that adopts a MergeHead never reads or allocates it. Slot
 //     files are only ever read — they may be shared with other queries —
 //     so every per-row side array (next-occurrence links, first-row flags,
-//     running totals) lives in the state's arena, never in a slot vector,
-//     and emitted columns are freshly allocated so published heads stay
-//     immutable.
+//     running totals) lives in the state's arena, never in a slot vector.
+//     A head that may be published is emitted into fresh columns, so
+//     published heads stay immutable; one nobody can adopt (no tail, a
+//     private follower, a solo leader — TailExchange.Solo) whose residual
+//     only selects over and takes from it (IncPlan.HeadInScratch) is
+//     emitted into the block's reusable scratch.
 //   - Slot files must survive basket reclamation: values that alias log
 //     storage (bind registers, unflattened views) are cloned/materialized
 //     by runPerBW before entering a slot. The Runtime owns its slots and

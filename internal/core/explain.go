@@ -85,6 +85,11 @@ func (ip *IncPlan) explain(opts Options) string {
 		switch kernel {
 		case MergeDelta:
 			kernel += ": per-key totals maintained across slides (+new basic window, -expired), emitted without re-grouping"
+			if ip.HeadInScratch(i) {
+				kernel += "; head in per-query scratch when no other query can adopt it (the residual copies only the rows it keeps)"
+			} else {
+				kernel += "; fresh head every slide (the residual reads it beyond select/take)"
+			}
 		case MergeInstruction:
 			kernel += fmt.Sprintf(": block runs as written (not delta: %s)", why)
 		default:

@@ -79,10 +79,10 @@ type StepResult struct {
 
 // MergeHead is the output of a plan's grouped merge block — the merged key
 // columns (KeyOuts order) and the compensating aggregate columns (Aggs
-// order). It is the unit of merge-tail sharing: every column is freshly
-// allocated by the block and immutable afterwards, so queries with equal
-// MergeTailKeys at the same absolute window end can adopt one head
-// read-only and run only their residual tail over it.
+// order). It is the unit of merge-tail sharing: a published head's columns
+// are freshly allocated by the block and immutable afterwards, so queries
+// with equal MergeTailKeys at the same absolute window end can adopt one
+// head read-only and run only their residual tail over it.
 type MergeHead struct {
 	Keys []*vector.Vector
 	Aggs []*vector.Vector
@@ -101,6 +101,11 @@ type MergeHead struct {
 //     the block's outputs were not capturable. The engine maps a nil head
 //     to an abort for waiting followers.
 //
+// Solo says that no other query subscribes to the tail, so none can adopt
+// this slide's head: a solo leader publishes nil instead, which lets a
+// delta block emit its head into the runtime's reusable scratch. A query
+// that subscribes meanwhile finds the abort and merges privately.
+//
 // State is the tail's delta state for this slide's phase, and Prev and End
 // are the absolute ends of the previous and of this window: a runtime that
 // merges the window itself (the leader, or a follower whose leader aborted)
@@ -113,6 +118,7 @@ type MergeHead struct {
 type TailExchange struct {
 	Fetch     func() (*MergeHead, error)
 	Publish   func(*MergeHead, error)
+	Solo      bool
 	State     *TailState
 	Prev, End int64
 }
@@ -172,7 +178,7 @@ type Options struct {
 	// single-threaded.
 	Parallelism int
 	// Baseline evaluates as the seed did: grouped compensation blocks run
-	// through the plain instruction path (one throwaway map-based grouping
+	// through the plain instruction path (one algebra.Group re-grouping
 	// per firing) instead of the grouped-merge kernel, and join-matrix
 	// cells evaluate in written order with the right side building a fresh
 	// hash table per cell instead of being planned greedily. Results are
@@ -1034,6 +1040,10 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			return
 		}
 		published = true
+		if tx.Solo {
+			tx.Publish(nil, nil) // nobody to adopt it; the head may be scratch
+			return
+		}
 		head := &MergeHead{
 			Keys: make([]*vector.Vector, len(tailSpec.KeyOuts)),
 			Aggs: make([]*vector.Vector, len(tailSpec.Aggs)),
@@ -1170,7 +1180,15 @@ func (rt *Runtime) mergeShards(rows int) int {
 // block's instructions as written — the same code the Baseline oracle runs.
 func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *TailExchange, stats *StepStats) (handled bool, err error) {
 	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
-		keyVec, aggVecs := rt.deltaMerge(b, tx)
+		// The head goes to the block's scratch when nothing can read it
+		// after this slide: the residual copies what it keeps (scratch,
+		// checked statically) and no other query can adopt it (no tail,
+		// a follower merging privately, or a solo leader).
+		var buf *algebra.EmitBuf
+		if b.scratch && (tx == nil || tx.Publish == nil || tx.Solo) {
+			buf = &b.head
+		}
+		keyVec, aggVecs := rt.deltaMerge(b, tx, buf)
 		env[spec.KeyOuts[0]] = exec.VecDatum(keyVec)
 		for i, ag := range spec.Aggs {
 			env[ag.Out] = exec.VecDatum(aggVecs[i])
@@ -1227,6 +1245,33 @@ func (ip *IncPlan) MergeKernel(i int, opts Options) (kernel, reason string) {
 	return MergeDelta, ""
 }
 
+// HeadInScratch reports whether every instruction outside grouped merge
+// block i that reads one of the block's outputs is an OpSelect or takes
+// it as the column of an OpTake. Both produce fresh data, so nothing
+// downstream aliases the head, and a delta block may emit it into the
+// runtime's reusable scratch whenever no other query can adopt it.
+func (ip *IncPlan) HeadInScratch(i int) bool {
+	spec := &ip.GroupMerges[i]
+	outs := map[plan.Reg]bool{}
+	for _, r := range spec.KeyOuts {
+		outs[r] = true
+	}
+	for _, ag := range spec.Aggs {
+		outs[ag.Out] = true
+	}
+	for idx, in := range ip.Merge {
+		if idx >= spec.Start && idx < spec.Start+spec.Len {
+			continue
+		}
+		for j, r := range in.In {
+			if outs[r] && (j > 0 || in.Op != plan.OpSelect && in.Op != plan.OpTake) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // MergeKernels names the kernel this runtime runs each grouped merge block
 // of its plan through, in plan order.
 func (rt *Runtime) MergeKernels() []string {
@@ -1253,6 +1298,11 @@ type deltaBlock struct {
 	keyTyp vector.Type
 	aggTyp []vector.Type
 	vals   [][]int64 // scratch: one slot file's aggregate columns
+	// scratch says the plan's residual only selects over and takes from the
+	// block's outputs (IncPlan.HeadInScratch), so head — the runtime's
+	// reusable key and aggregate columns — may hold a head nobody adopts.
+	scratch bool
+	head    algebra.EmitBuf
 	// off retires the block to the re-grouping kernels for good: a slot
 	// file did not have the statically derived shape.
 	off bool
@@ -1271,7 +1321,8 @@ func (rt *Runtime) initDeltas() {
 			continue
 		}
 		spec := &ip.GroupMerges[i]
-		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs))}
+		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs)),
+			scratch: ip.HeadInScratch(i)}
 		pos, ok := rt.slotPos[b.src][catSrc[spec.CatKeys[0]]]
 		b.keyPos = pos
 		for _, ag := range spec.Aggs {
@@ -1349,10 +1400,10 @@ func (rt *Runtime) admitDeltas(s int, file regFile) {
 // slide evicted and adds the new one; from anywhere else (first merge, a
 // window merged by another runtime at a later end, a slide that failed
 // before its merge), it rebuilds them from this runtime's slot ring. Then
-// it tags them with this window's end and emits. The state is tx's, shared
-// by the merge tail at this slide's phase, or else the runtime's own,
-// tagged by slide count.
-func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange) (*vector.Vector, []*vector.Vector) {
+// it tags them with this window's end and emits, into buf when it is not
+// nil. The state is tx's, shared by the merge tail at this slide's phase,
+// or else the runtime's own, tagged by slide count.
+func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange, buf *algebra.EmitBuf) (*vector.Vector, []*vector.Vector) {
 	ts, prev, end := rt.own, int64(rt.steps-1), int64(rt.steps)
 	if tx != nil && tx.State != nil {
 		ts, prev, end = tx.State, tx.Prev, tx.End
@@ -1391,7 +1442,7 @@ func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange) (*vector.Vector, 
 		ts.rebuilds++
 	}
 	tb.tag, tb.tagged = end, true
-	return tb.d.Emit()
+	return tb.d.Emit(buf)
 }
 
 // datumCol reports the column type and row count of a merge input that is

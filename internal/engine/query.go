@@ -915,9 +915,12 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 		tailWait = make([]int64, k)
 		owed := make([]*partial[*core.MergeHead], 0, k)
 		state := tail.deltaAt(q.tailPhase)
+		// Alone on the tail, this query's heads have no reader: it leads
+		// without publishing, and its delta blocks may emit into scratch.
+		solo := tail.subscribers() == 1
 		for sl := range tails {
 			end := base + int64(ends[sl])
-			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end}
+			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end, Solo: solo}
 			tails[sl] = tx
 			p, led := tail.acquire(end, 0)
 			if led {

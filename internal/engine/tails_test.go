@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -277,6 +278,76 @@ func TestTailDeltaLateLeader(t *testing.T) {
 	}
 	if sum, states := tailDeltas(e.sharesOf("f")); states != 1 || sum.Adds == 0 {
 		t.Fatalf("%d delta states, %+v", states, sum)
+	}
+}
+
+// TestSoloTailHeadInScratch registers one grouped query whose HAVING keeps
+// a few of ~14 000 live groups. Alone on its merge tail it has nobody to
+// hand a head to, so its delta block emits into the runtime's scratch and
+// a slide allocates well under one head. Once a look-alike subscribes the
+// leader publishes fresh heads again, and the follower adopts them.
+func TestSoloTailHeadInScratch(t *testing.T) {
+	e := New()
+	col := func(n string) catalog.Column { return catalog.Column{Name: n, Type: vector.Int64} }
+	if err := e.RegisterStream("s", catalog.NewSchema(col("k"), col("v"))); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT k, sum(v), count(*) FROM s [RANGE 16384 SLIDE 512] GROUP BY k HAVING count(*) > %d"
+	q1, err := e.Register(fmt.Sprintf(sql, 4), Options{Mode: Incremental})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tail := q1.sharing()
+	if tail == nil {
+		t.Fatal("the query must subscribe to a merge tail")
+	}
+	rng := rand.New(rand.NewSource(2))
+	// pumpBytes appends and pumps slides one at a time and returns the
+	// bytes allocated per Pump.
+	pumpBytes := func(slides int) float64 {
+		var total uint64
+		for i := 0; i < slides; i++ {
+			k, v := make([]int64, 512), make([]int64, 512)
+			for j := range k {
+				k[j], v[j] = rng.Int63n(65536), rng.Int63n(1000)
+			}
+			if err := e.AppendColumns("s", []*vector.Vector{vector.FromInt64(k), vector.FromInt64(v)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := e.Pump(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			total += after.TotalAlloc - before.TotalAlloc
+		}
+		return float64(total) / float64(slides)
+	}
+	pumpBytes(64) // fill the window, let the state and scratch settle
+	// One head is the key column and two totals per live group.
+	head := float64(24 * tail.deltaAt(q1.tailPhase).Stats().Groups)
+	solo := pumpBytes(8)
+	t.Logf("solo: %.0f B per slide, one head %.0f B", solo, head)
+	if 2*solo > head {
+		t.Fatalf("a solo tail allocates %.0f B per slide, over half a head (%.0f B): the head is not in scratch", solo, head)
+	}
+
+	q2, err := e.Register(fmt.Sprintf(sql, 5), Options{Mode: Incremental})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, t2 := q2.sharing(); t2 != tail || q2.tailPhase != q1.tailPhase {
+		t.Fatal("the look-alike must share the tail and its phase")
+	}
+	pumpBytes(40)
+	shared := pumpBytes(8)
+	t.Logf("shared: %.0f B per slide", shared)
+	if shared < head {
+		t.Fatalf("a shared tail allocates %.0f B per slide, under one head (%.0f B): heads are not published fresh", shared, head)
+	}
+	if q1.Stats().AdoptedTails+q2.Stats().AdoptedTails == 0 {
+		t.Fatal("no head was adopted once the tail was shared")
 	}
 }
 

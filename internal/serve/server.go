@@ -363,7 +363,13 @@ func (s *Server) retire(ss *sharedSub) {
 // per statement, for the first cursor that takes the window.
 func (s *Server) encode(r *datacell.Result) []byte {
 	s.stats.encodes.Add(1)
-	b := make([]byte, 0, 64+16*len(r.Table.Cols)*(1+r.Table.NumRows()))
+	// Reserve the exact frame: window, emit time, latency, the block
+	// header (rows, columns), then per column its type, name and payload.
+	n := 8 + 8 + 8 + 4 + 2
+	for i, col := range r.Table.Cols {
+		n += 1 + 2 + len(r.Table.Names[i]) + vector.PayloadLen(col)
+	}
+	b := make([]byte, 0, n)
 	b = appendU64(b, uint64(r.Window))
 	b = appendI64(b, time.Now().UnixMicro())
 	b = appendI64(b, int64(r.Latency))

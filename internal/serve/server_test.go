@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"datacell"
+	"datacell/internal/exec"
 	"datacell/internal/vector"
 )
 
@@ -864,5 +865,27 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if k := int64(windows - received); k == 0 || drops()-before != k {
 		t.Fatalf("received %d of %d windows, drop counters moved by %d", received, windows, drops()-before)
+	}
+}
+
+// TestEncodeReservesExactFrame pins the result frame's reservation: encode
+// sizes its buffer to the exact frame for every column type (int, float,
+// string, bool, timestamp), so the frame is neither regrown nor left with
+// unused capacity pinned in the result log.
+func TestEncodeReservesExactFrame(t *testing.T) {
+	s := &Server{}
+	for _, rows := range []int{0, 1, 37} {
+		names, cols := mkCols(rows)
+		for i := range cols {
+			frame := s.encode(&datacell.Result{Window: 3, Latency: time.Millisecond,
+				Table: &exec.Table{Names: names[i : i+1], Cols: cols[i : i+1]}})
+			if len(frame) != cap(frame) {
+				t.Errorf("%s column, %d rows: frame len %d, cap %d", cols[i].Type(), rows, len(frame), cap(frame))
+			}
+		}
+		frame := s.encode(&datacell.Result{Table: &exec.Table{Names: names, Cols: cols}})
+		if len(frame) != cap(frame) {
+			t.Errorf("all columns, %d rows: frame len %d, cap %d", rows, len(frame), cap(frame))
+		}
 	}
 }

@@ -252,38 +252,47 @@ func (v *Vector) Take(sel Sel) *Vector {
 	if sel == nil {
 		return v.Clone()
 	}
-	out := New(v.typ, len(sel))
+	out := sized(v.typ, len(sel))
+	out.gather(0, v, sel, 0)
+	return out
+}
+
+// sized returns a vector of type t holding n zero values.
+func sized(t Type, n int) *Vector {
+	v := &Vector{typ: t}
+	switch t {
+	case Int64, Timestamp:
+		v.i64 = make([]int64, n)
+	case Float64:
+		v.f64 = make([]float64, n)
+	case Str:
+		v.str = make([]string, n)
+	case Bool:
+		v.bs = make([]bool, n)
+	}
+	return v
+}
+
+// gather writes src's rows sel[i]-base to v's rows at+i. The vectors share
+// a payload type and v has room.
+func (v *Vector) gather(at int, src *Vector, sel Sel, base int32) {
 	switch v.typ {
 	case Int64, Timestamp:
-		src := v.i64
-		dst := make([]int64, len(sel))
-		for i, s := range sel {
-			dst[i] = src[s]
-		}
-		out.i64 = dst
+		gatherInto(v.i64[at:], src.i64, sel, base)
 	case Float64:
-		src := v.f64
-		dst := make([]float64, len(sel))
-		for i, s := range sel {
-			dst[i] = src[s]
-		}
-		out.f64 = dst
+		gatherInto(v.f64[at:], src.f64, sel, base)
 	case Str:
-		src := v.str
-		dst := make([]string, len(sel))
-		for i, s := range sel {
-			dst[i] = src[s]
-		}
-		out.str = dst
+		gatherInto(v.str[at:], src.str, sel, base)
 	case Bool:
-		src := v.bs
-		dst := make([]bool, len(sel))
-		for i, s := range sel {
-			dst[i] = src[s]
-		}
-		out.bs = dst
+		gatherInto(v.bs[at:], src.bs, sel, base)
 	}
-	return out
+}
+
+func gatherInto[T any](dst, src []T, sel Sel, base int32) {
+	dst = dst[:len(sel)]
+	for i, s := range sel {
+		dst[i] = src[s-base]
+	}
 }
 
 // Concat materializes the concatenation of vs into one fresh vector.

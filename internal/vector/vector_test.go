@@ -140,6 +140,34 @@ func TestTake(t *testing.T) {
 	}
 }
 
+// TestTakeAllocs pins Take to two allocations — the output header and
+// its one payload — for every column type, and for an ascending Take
+// across the parts of a view.
+func TestTakeAllocs(t *testing.T) {
+	sel := Sel{0, 2, 3, 5, 7}
+	for _, v := range []*Vector{
+		FromInt64([]int64{1, 2, 3, 4, 5, 6, 7, 8}),
+		FromFloat64([]float64{1, 2, 3, 4, 5, 6, 7, 8}),
+		FromStr([]string{"a", "b", "c", "d", "e", "f", "g", "h"}),
+		FromBool([]bool{true, false, true, false, true, false, true, false}),
+		FromTimestamp([]int64{1, 2, 3, 4, 5, 6, 7, 8}),
+	} {
+		if got := testing.AllocsPerRun(20, func() { v.Take(sel) }); got != 2 {
+			t.Errorf("%s Take: %v allocs, want 2", v.Type(), got)
+		}
+		view := NewView(v.Type(), v.Slice(0, 3), v.Slice(3, 4), v.Slice(4, 8))
+		if got := testing.AllocsPerRun(20, func() { view.Take(sel) }); got != 2 {
+			t.Errorf("%s View.Take over 3 parts: %v allocs, want 2", v.Type(), got)
+		}
+		want, got := v.Take(sel), view.Take(sel)
+		for i := range sel {
+			if want.Get(i) != got.Get(i) {
+				t.Fatalf("%s row %d: view Take %v, vector Take %v", v.Type(), i, got.Get(i), want.Get(i))
+			}
+		}
+	}
+}
+
 func TestConcat(t *testing.T) {
 	a := FromInt64([]int64{1, 2})
 	b := FromInt64([]int64{3})

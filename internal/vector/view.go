@@ -105,8 +105,8 @@ func (v View) ForEachPart(f func(base int, p *Vector)) {
 
 // Take materializes the rows of v named by sel (logical row ids) into a
 // fresh vector; a nil sel copies the whole view. Ascending selections —
-// the output of every filter — are gathered with a single monotonic walk
-// over the parts, so a boundary-spanning view is never flattened just to
+// the output of every filter — are gathered part by part straight into
+// the one output, so a boundary-spanning view is never flattened just to
 // project the surviving rows. Unsorted selections fall back to flattening.
 func (v View) Take(sel Sel) *Vector {
 	if sel == nil {
@@ -120,24 +120,20 @@ func (v View) Take(sel Sel) *Vector {
 			return v.Vector().Take(sel)
 		}
 	}
-	out := New(v.typ, len(sel))
+	out := sized(v.typ, len(sel))
 	pi, base := 0, 0
-	local := make(Sel, 0, len(sel))
-	flush := func() {
-		if len(local) > 0 {
-			out.AppendVector(v.parts[pi].Take(local))
-			local = local[:0]
-		}
-	}
-	for _, s := range sel {
-		for int(s)-base >= v.parts[pi].Len() {
-			flush()
+	for at := 0; at < len(sel); {
+		for int(sel[at])-base >= v.parts[pi].Len() {
 			base += v.parts[pi].Len()
 			pi++
 		}
-		local = append(local, s-int32(base))
+		end, limit := at+1, int32(base+v.parts[pi].Len())
+		for end < len(sel) && sel[end] < limit {
+			end++
+		}
+		out.gather(at, v.parts[pi], sel[at:end], int32(base))
+		at = end
 	}
-	flush()
 	return out
 }
 
