@@ -27,6 +27,19 @@ func (g *Groups) Len() int { return len(g.IDs) }
 // pooled GroupTable, so the only per-call allocations are the returned
 // ids and representatives.
 func Group(keys []*vector.Vector, sel vector.Sel) *Groups {
+	return group(keys, sel, true)
+}
+
+// GroupMap is Group as the seed ran it: a single Int64/Timestamp key
+// groups on a fresh map per call. Ids and representatives are identical
+// to Group's. Options.Baseline's merge stage re-groups through it, so the
+// seed-style serial merge that anchors the merge speedup gates keeps the
+// seed's cost.
+func GroupMap(keys []*vector.Vector, sel vector.Sel) *Groups {
+	return group(keys, sel, false)
+}
+
+func group(keys []*vector.Vector, sel vector.Sel, pooled bool) *Groups {
 	if len(keys) == 0 {
 		panic("algebra: Group with no keys")
 	}
@@ -38,6 +51,10 @@ func Group(keys []*vector.Vector, sel vector.Sel) *Groups {
 	if len(keys) == 1 {
 		k := keys[0]
 		if k.Type() == vector.Int64 || k.Type() == vector.Timestamp {
+			if !pooled {
+				groupInt64Map(g, k.Int64s(), sel)
+				return g
+			}
 			tbl := groupTables.Get().(*GroupTable)
 			tbl.Reset(n)
 			groupInt64(g, tbl, k.Int64s(), sel)
@@ -60,6 +77,30 @@ func groupInt64(g *Groups, tbl *GroupTable, vals []int64, sel vector.Sel) {
 	visit := func(pos int32, v int64) {
 		id, found := tbl.insertInt64(v, int32(g.K))
 		if !found {
+			g.K++
+			g.Repr = append(g.Repr, pos)
+		}
+		g.IDs = append(g.IDs, id)
+	}
+	if sel == nil {
+		for i, v := range vals {
+			visit(int32(i), v)
+		}
+	} else {
+		for _, i := range sel {
+			visit(i, vals[i])
+		}
+	}
+}
+
+// groupInt64Map is groupInt64 on a throwaway map: GroupMap's int64 path.
+func groupInt64Map(g *Groups, vals []int64, sel vector.Sel) {
+	seen := make(map[int64]int32, 64)
+	visit := func(pos int32, v int64) {
+		id, ok := seen[v]
+		if !ok {
+			id = int32(g.K)
+			seen[v] = id
 			g.K++
 			g.Repr = append(g.Repr, pos)
 		}

@@ -1,6 +1,8 @@
 package algebra
 
 import (
+	"math/bits"
+
 	"datacell/internal/vector"
 )
 
@@ -20,8 +22,15 @@ type IntTable struct {
 
 const intHashMul = 0x9E3779B97F4A7C15
 
+// hashInt64 maps k to a slot of a power-of-two table with the given mask
+// (Fibonacci hashing): the product's top log2(mask+1) bits, which depend
+// on every bit of k. Low or middle product bits would not — keys sharing
+// their low bits (say i<<32, or multiples of 2^20) would pile onto a few
+// slots and make linear probing quadratic. Every table has at least 16
+// slots, so mask > 0 and the shift stays below 64 (the & 63 only spares
+// the compiler's over-wide-shift check).
 func hashInt64(k int64, mask uint64) uint64 {
-	return (uint64(k) * intHashMul) >> 16 & mask
+	return (uint64(k) * intHashMul) >> (uint(bits.LeadingZeros64(mask)) & 63)
 }
 
 // BuildInt builds a table over the rows of v (restricted to sel; nil = all

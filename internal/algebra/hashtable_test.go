@@ -124,33 +124,33 @@ func TestHashJoinAgreesWithBuildProbe(t *testing.T) {
 	}
 }
 
-// naiveGroup is the reference for Group's int64 path: the seed's map
-// grouping, written out with no shared code. Ids are assigned in
-// first-appearance order over the visited rows; Repr holds each group's
-// first row position.
+// naiveGroup is the reference for Group's int64 path: GroupMap, the
+// seed's map grouping, which shares no table code with Group.
 func naiveGroup(vals []int64, sel vector.Sel) *Groups {
-	g := &Groups{}
-	seen := map[int64]int32{}
-	visit := func(pos int32) {
-		id, ok := seen[vals[pos]]
-		if !ok {
-			id = int32(g.K)
-			seen[vals[pos]] = id
-			g.K++
-			g.Repr = append(g.Repr, pos)
+	return GroupMap([]*vector.Vector{vector.FromInt64(vals)}, sel)
+}
+
+// structuredKeys returns n distinct keys in arithmetic progressions,
+// most agreeing in their low bits — the shapes a multiply-and-take-
+// middle-bits hash piles onto a few slots.
+func structuredKeys(n int) map[string][]int64 {
+	shapes := map[string][]int64{}
+	for name, f := range map[string]func(i int64) int64{
+		"i*1000": func(i int64) int64 { return i * 1000 },
+		"i<<4":   func(i int64) int64 { return i << 4 },
+		"i<<20":  func(i int64) int64 { return i << 20 },
+		"i<<32":  func(i int64) int64 { return i << 32 },
+		"i<<48":  func(i int64) int64 { return i << 48 },
+		"-i<<32": func(i int64) int64 { return -i << 32 },
+		"i*2^16": func(i int64) int64 { return i * 65536 },
+	} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = f(int64(i))
 		}
-		g.IDs = append(g.IDs, id)
+		shapes[name] = vals
 	}
-	if sel != nil {
-		for _, pos := range sel {
-			visit(pos)
-		}
-		return g
-	}
-	for i := range vals {
-		visit(int32(i))
-	}
-	return g
+	return shapes
 }
 
 // skewedKeys draws n keys from [0, domain) with a heavy skew toward low
@@ -252,10 +252,42 @@ func TestGroupMatchesNaiveMap(t *testing.T) {
 		}
 		assertGroupsEqual(t, trial, Group([]*vector.Vector{key}, sel), naiveGroup(vals, sel))
 	}
+	for name, vals := range structuredKeys(4096) {
+		vals = append(vals, vals[:1000]...) // repeats find their groups
+		assertGroupsEqual(t, 0, Group([]*vector.Vector{vector.FromInt64(vals)}, nil), naiveGroup(vals, nil))
+		if t.Failed() {
+			t.Fatalf("keys %s", name)
+		}
+	}
 	for _, sel := range []vector.Sel{nil, {}} {
 		g := Group([]*vector.Vector{vector.FromInt64(nil)}, sel)
 		if g.K != 0 || len(g.IDs) != 0 || len(g.Repr) != 0 {
 			t.Fatalf("empty input (sel %v): K=%d ids=%v repr=%v", sel, g.K, g.IDs, g.Repr)
+		}
+	}
+}
+
+// TestGroupTableStructuredKeys bounds linear probing on keys that share
+// their low bits: the slot must come from bits every key bit reaches, or
+// n such keys land on one slot and grouping a basic window costs ~n²/2
+// probes. At 50% load a random hash averages half a probe past the home
+// slot per key, and multiplicative hashing of a progression up to about
+// two; the bound allows 4.
+func TestGroupTableStructuredKeys(t *testing.T) {
+	const n = 32768
+	tbl := NewGroupTable()
+	for name, vals := range structuredKeys(n) {
+		tbl.Reset(n)
+		groupInt64(&Groups{}, tbl, vals, nil)
+		displaced := 0
+		for j, s := range tbl.slots {
+			if s.epoch == tbl.epoch {
+				displaced += int((uint64(j) - hashInt64(s.key, tbl.mask)) & tbl.mask)
+			}
+		}
+		t.Logf("keys %s: %.2f probes past home per key", name, float64(displaced)/n)
+		if displaced > 4*n {
+			t.Errorf("keys %s: %d probes past the home slot for %d keys", name, displaced, n)
 		}
 	}
 }

@@ -16,11 +16,11 @@ import (
 
 // This file measures the grouped merge stage (not a paper figure): one
 // grouped continuous query drains a buffered backlog while the merge stage
-// runs through the seed-style serial instruction path (one re-grouping
-// of the concatenated partials per firing; the baseline), or through the
-// kernel the runtime picks for the query's shape at 1..N workers. Two
-// query shapes are swept, because they take different kernels and every
-// point is tagged with the one that ran:
+// runs through the seed-style serial instruction path (throwaway map
+// grouping per firing; the baseline), or through the kernel the runtime
+// picks for the query's shape at 1..N workers. Two query shapes are swept,
+// because they take different kernels and every point is tagged with the
+// one that ran:
 //
 //   - sum, count(*): every compensating aggregate is invertible, so the
 //     block is delta-maintained — per-key totals kept across slides, no

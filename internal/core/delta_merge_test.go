@@ -392,7 +392,7 @@ func TestDeltaMergeBoundedState(t *testing.T) {
 // plan whose residual only selects over and takes from the head emits it
 // into the runtime's scratch — one storage, reused by the next merge —
 // when no other query can adopt it: no tail exchange, a follower merging
-// privately, or a solo leader, which publishes nil. A leader with
+// privately, or a solo leader, whose Publish the engine leaves nil. A leader with
 // co-subscribers publishes a fresh head, and a plan that binds the head
 // into its result gets a fresh one whatever the exchange.
 func TestDeltaHeadScratch(t *testing.T) {
@@ -413,10 +413,9 @@ func TestDeltaHeadScratch(t *testing.T) {
 	follower := func(**MergeHead) *TailExchange {
 		return &TailExchange{Fetch: func() (*MergeHead, error) { return nil, fmt.Errorf("aborted") }}
 	}
-	leader := func(solo bool) func(**MergeHead) *TailExchange {
-		return func(published **MergeHead) *TailExchange {
-			return &TailExchange{Publish: func(h *MergeHead, _ error) { *published = h }, Solo: solo}
-		}
+	solo := func(**MergeHead) *TailExchange { return &TailExchange{} }
+	leader := func(published **MergeHead) *TailExchange {
+		return &TailExchange{Publish: func(h *MergeHead, _ error) { *published = h }}
 	}
 	for _, tc := range []struct {
 		name    string
@@ -426,8 +425,8 @@ func TestDeltaHeadScratch(t *testing.T) {
 	}{
 		{"no exchange", having, noTx, true},
 		{"private follower", having, follower, true},
-		{"solo leader", having, leader(true), true},
-		{"shared leader", having, leader(false), false},
+		{"solo leader", having, solo, true},
+		{"shared leader", having, leader, false},
 		{"result-bound", bound, noTx, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -449,8 +448,8 @@ func TestDeltaHeadScratch(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer clear(env)
-				if tx != nil && tx.Publish != nil && (published == nil) != tx.Solo {
-					t.Fatalf("solo=%v leader published %v", tx.Solo, published)
+				if tx != nil && tx.Publish != nil && published == nil {
+					t.Fatal("shared leader published no head")
 				}
 				return &env[tc.ip.GroupMerges[0].KeyOuts[0]].Vec.Int64s()[0]
 			}

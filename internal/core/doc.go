@@ -64,7 +64,7 @@
 //     running totals) lives in the state's arena, never in a slot vector.
 //     A head that may be published is emitted into fresh columns, so
 //     published heads stay immutable; one nobody can adopt (no tail, a
-//     private follower, a solo leader — TailExchange.Solo) whose residual
+//     private follower, a solo leader — TailExchange.Publish nil) whose residual
 //     only selects over and takes from it (IncPlan.HeadInScratch) is
 //     emitted into the block's reusable scratch.
 //   - Slot files must survive basket reclamation: values that alias log

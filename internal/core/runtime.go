@@ -101,10 +101,9 @@ type MergeHead struct {
 //     the block's outputs were not capturable. The engine maps a nil head
 //     to an abort for waiting followers.
 //
-// Solo says that no other query subscribes to the tail, so none can adopt
-// this slide's head: a solo leader publishes nil instead, which lets a
-// delta block emit its head into the runtime's reusable scratch. A query
-// that subscribes meanwhile finds the abort and merges privately.
+// With neither set, nothing can adopt this slide's head (the engine
+// leaves a solo leader's Publish nil), so a delta block may emit it into
+// the runtime's reusable scratch.
 //
 // State is the tail's delta state for this slide's phase, and Prev and End
 // are the absolute ends of the previous and of this window: a runtime that
@@ -118,7 +117,6 @@ type MergeHead struct {
 type TailExchange struct {
 	Fetch     func() (*MergeHead, error)
 	Publish   func(*MergeHead, error)
-	Solo      bool
 	State     *TailState
 	Prev, End int64
 }
@@ -178,7 +176,7 @@ type Options struct {
 	// single-threaded.
 	Parallelism int
 	// Baseline evaluates as the seed did: grouped compensation blocks run
-	// through the plain instruction path (one algebra.Group re-grouping
+	// through the plain instruction path (one throwaway map-based grouping
 	// per firing) instead of the grouped-merge kernel, and join-matrix
 	// cells evaluate in written order with the right side building a fresh
 	// hash table per cell instead of being planned greedily. Results are
@@ -1040,10 +1038,6 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			return
 		}
 		published = true
-		if tx.Solo {
-			tx.Publish(nil, nil) // nobody to adopt it; the head may be scratch
-			return
-		}
 		head := &MergeHead{
 			Keys: make([]*vector.Vector, len(tailSpec.KeyOuts)),
 			Aggs: make([]*vector.Vector, len(tailSpec.Aggs)),
@@ -1128,7 +1122,15 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 			result = tbl
 			continue
 		}
-		if err := exec.ExecInstr(in, env, inputs); err != nil {
+		var err error
+		if in.Op == plan.OpGroup && rt.opts.Baseline {
+			// Baseline re-groups on a fresh map, as the seed did: its
+			// serial merge anchors the merge speedup gates.
+			err = exec.ExecGroupMap(in, env)
+		} else {
+			err = exec.ExecInstr(in, env, inputs)
+		}
+		if err != nil {
 			return nil, nil, fmt.Errorf("core: merge stage: %w", err)
 		}
 	}
@@ -1183,9 +1185,10 @@ func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *Tail
 		// The head goes to the block's scratch when nothing can read it
 		// after this slide: the residual copies what it keeps (scratch,
 		// checked statically) and no other query can adopt it (no tail,
-		// a follower merging privately, or a solo leader).
+		// a follower merging privately, or a solo leader, whose Publish
+		// the engine leaves nil).
 		var buf *algebra.EmitBuf
-		if b.scratch && (tx == nil || tx.Publish == nil || tx.Solo) {
+		if b.scratch && (tx == nil || tx.Publish == nil) {
 			buf = &b.head
 		}
 		keyVec, aggVecs := rt.deltaMerge(b, tx, buf)

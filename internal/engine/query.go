@@ -915,16 +915,22 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 		tailWait = make([]int64, k)
 		owed := make([]*partial[*core.MergeHead], 0, k)
 		state := tail.deltaAt(q.tailPhase)
-		// Alone on the tail, this query's heads have no reader: it leads
-		// without publishing, and its delta blocks may emit into scratch.
 		solo := tail.subscribers() == 1
 		for sl := range tails {
 			end := base + int64(ends[sl])
-			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end, Solo: solo}
+			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end}
 			tails[sl] = tx
 			p, led := tail.acquire(end, 0)
 			if led {
 				owed = append(owed, p)
+				if solo {
+					// Alone on the tail, this query's heads have no
+					// reader: release the window now (a query that
+					// subscribes meanwhile merges privately) and leave
+					// Publish nil, so delta blocks may emit into scratch.
+					p.publish(nil, errPartialAborted)
+					continue
+				}
 				tx.Publish = func(h *core.MergeHead, err error) {
 					if h == nil && err == nil {
 						// Nothing merged (window still filling) or the head

@@ -318,15 +318,7 @@ func ExecInstr(in plan.Instr, regs []Datum, inputs []Input) error {
 		regs[in.Out[1]] = SelDatum(j.Right)
 
 	case plan.OpGroup:
-		keys := make([]*vector.Vector, len(in.In))
-		for i, r := range in.In {
-			v, err := vec(regs, r)
-			if err != nil {
-				return err
-			}
-			keys[i] = v
-		}
-		regs[in.Out[0]] = GroupsDatum(algebra.Group(keys, nil))
+		return execGroup(in, regs, algebra.Group)
 
 	case plan.OpRepr:
 		g, err := groups(regs, in.In[0])
@@ -437,6 +429,25 @@ func aggType(kind algebra.AggKind, in vector.Type) vector.Type {
 		return vector.Int64
 	}
 	return in
+}
+
+// ExecGroupMap executes an OpGroup as the seed did, on a fresh map per
+// call (algebra.GroupMap) instead of Group's pooled table.
+func ExecGroupMap(in plan.Instr, regs []Datum) error {
+	return execGroup(in, regs, algebra.GroupMap)
+}
+
+func execGroup(in plan.Instr, regs []Datum, group func([]*vector.Vector, vector.Sel) *algebra.Groups) error {
+	keys := make([]*vector.Vector, len(in.In))
+	for i, r := range in.In {
+		v, err := vec(regs, r)
+		if err != nil {
+			return err
+		}
+		keys[i] = v
+	}
+	regs[in.Out[0]] = GroupsDatum(group(keys, nil))
+	return nil
 }
 
 func vec(regs []Datum, r plan.Reg) (*vector.Vector, error) {

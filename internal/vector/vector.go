@@ -64,17 +64,20 @@ type Vector struct {
 }
 
 // New returns an empty vector of type t with room for capHint values.
-func New(t Type, capHint int) *Vector {
+func New(t Type, capHint int) *Vector { return alloc(t, 0, capHint) }
+
+// alloc returns a vector of type t holding n zero values, with room for c.
+func alloc(t Type, n, c int) *Vector {
 	v := &Vector{typ: t}
 	switch t {
 	case Int64, Timestamp:
-		v.i64 = make([]int64, 0, capHint)
+		v.i64 = make([]int64, n, c)
 	case Float64:
-		v.f64 = make([]float64, 0, capHint)
+		v.f64 = make([]float64, n, c)
 	case Str:
-		v.str = make([]string, 0, capHint)
+		v.str = make([]string, n, c)
 	case Bool:
-		v.bs = make([]bool, 0, capHint)
+		v.bs = make([]bool, n, c)
 	}
 	return v
 }
@@ -252,25 +255,9 @@ func (v *Vector) Take(sel Sel) *Vector {
 	if sel == nil {
 		return v.Clone()
 	}
-	out := sized(v.typ, len(sel))
+	out := alloc(v.typ, len(sel), len(sel))
 	out.gather(0, v, sel, 0)
 	return out
-}
-
-// sized returns a vector of type t holding n zero values.
-func sized(t Type, n int) *Vector {
-	v := &Vector{typ: t}
-	switch t {
-	case Int64, Timestamp:
-		v.i64 = make([]int64, n)
-	case Float64:
-		v.f64 = make([]float64, n)
-	case Str:
-		v.str = make([]string, n)
-	case Bool:
-		v.bs = make([]bool, n)
-	}
-	return v
 }
 
 // gather writes src's rows sel[i]-base to v's rows at+i. The vectors share

@@ -120,7 +120,7 @@ func (v View) Take(sel Sel) *Vector {
 			return v.Vector().Take(sel)
 		}
 	}
-	out := sized(v.typ, len(sel))
+	out := alloc(v.typ, len(sel), len(sel))
 	pi, base := 0, 0
 	for at := 0; at < len(sel); {
 		for int(sel[at])-base >= v.parts[pi].Len() {
