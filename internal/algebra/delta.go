@@ -1,6 +1,9 @@
 package algebra
 
 import (
+	"math"
+	"math/bits"
+
 	"datacell/internal/vector"
 )
 
@@ -34,6 +37,17 @@ import (
 // Rows are addressed by a 31-bit sequence number that wraps; the arena
 // capacity is a power of two, so seq & mask stays consistent across the
 // wrap and only equality of sequence numbers is ever tested.
+//
+// A block whose residual only filters the head (HAVING) can have the state
+// keep the filter's verdict instead of emitting every group for the
+// residual to drop (EmitFiltered). Each registered filter owns one bit per
+// arena position, set iff the record there is a live group head whose
+// totals pass the filter. Add and Expire list the heads they touch — a new
+// group, changed totals, a head moved to the next occurrence — and the
+// next emit re-evaluates only those, with the kernel's own Select, before
+// it gathers the set bits in arena order. A steady-state filtered emit
+// therefore visits O(touched + capacity/64 + kept) records, not every live
+// row.
 
 const (
 	// deltaFlag is the high bit of a record's link word (the row is its
@@ -82,6 +96,59 @@ type Delta struct {
 	slots  []deltaSlot
 	tmask  uint64
 	groups int
+
+	// Filters (EmitFiltered). While one is registered, Add and Expire list
+	// the arena positions of the heads they touch in touched, deduplicated
+	// by the mark bitmap, and refresh re-evaluates just those. stale asks
+	// for every live head instead (after Reset or a relayout); advanced
+	// says the totals moved since the last refresh.
+	filters  []*deltaFilter
+	touched  []uint32
+	mark     []uint64
+	stale    bool
+	advanced bool
+	// Refresh scratch: gathered head positions, their columns (key first),
+	// and two selections the conjuncts alternate between.
+	gpos  []uint32
+	gcols [][]int64
+	gsel  [2]vector.Sel
+	// visited counts the records filters have read: gathered heads,
+	// verdict words scanned and kept rows copied.
+	visited int
+}
+
+// Conjunct is one comparison of a delta filter: column Col of the merged
+// head (0 the key, 1+a aggregate a) compared by Cmp against Val, exactly as
+// Select compares.
+type Conjunct struct {
+	Col int
+	Cmp CmpOp
+	Val vector.Value
+}
+
+func sameConjuncts(a, b []Conjunct) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Col != y.Col || x.Cmp != y.Cmp || x.Val.Typ != y.Val.Typ || x.Val.I != y.Val.I ||
+			math.Float64bits(x.Val.F) != math.Float64bits(y.Val.F) || x.Val.S != y.Val.S || x.Val.B != y.Val.B {
+			return false
+		}
+	}
+	return true
+}
+
+// deltaFilter is one registered conjunction and its verdicts: bit p of
+// bits is set iff arena position p holds a live group head whose totals
+// pass every conjunct; kept counts the set bits. used says an emit read
+// the filter since the last refresh — one that none did is dropped.
+type deltaFilter struct {
+	conj []Conjunct
+	bits []uint64
+	kept int
+	used bool
 }
 
 // Invertible reports whether the aggregate can be maintained by adding
@@ -116,6 +183,8 @@ func (d *Delta) Reset() {
 	d.lo, d.hi, d.rows = 0, 0, 0
 	d.sizeLo, d.sizeN = 0, 0
 	d.groups = 0
+	d.dropTouched()
+	d.stale, d.advanced = true, true
 }
 
 // Groups returns the number of live groups.
@@ -134,6 +203,13 @@ func (d *Delta) TableCap() int { return len(d.slots) }
 // ArenaCap reports the allocated capacity of the row arena, in records.
 func (d *Delta) ArenaCap() int { return int(d.amask) + 1 }
 
+// Filters returns the number of registered filters.
+func (d *Delta) Filters() int { return len(d.filters) }
+
+// Visited returns the cumulative number of records the filters have read:
+// heads re-evaluated, verdict words scanned and kept rows emitted.
+func (d *Delta) Visited() int { return d.visited }
+
 // Add appends a partial as the newest basic window: keys is its key
 // column, vals one column per aggregate aligned with keys. Duplicate keys
 // inside one partial (a basic window combined from chunks) are fine.
@@ -144,6 +220,8 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 	n := len(keys)
 	d.reserve(d.rows + n)
 	d.pushSize(n)
+	d.advanced = true
+	track := len(d.filters) > 0 && !d.stale
 	st := d.stride
 	for i, k := range keys {
 		s := d.hi
@@ -165,6 +243,9 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 				for a, col := range vals {
 					r[deltaRecTot+a] = col[i]
 				}
+				if track {
+					d.touch(s & d.amask)
+				}
 				break
 			}
 			if sl.key == k {
@@ -178,6 +259,9 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 				*link = int64(uint32(*link)&deltaFlag | s)
 				sl.tail = s
 				r[deltaRecLink] = int64(s)
+				if track {
+					d.touch(sl.head & d.amask)
+				}
 				break
 			}
 			h = (h + 1) & d.tmask
@@ -212,11 +296,16 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 	}
 	d.sizeLo = (d.sizeLo + 1) & (len(d.sizes) - 1)
 	d.sizeN--
+	d.advanced = true
+	track := len(d.filters) > 0 && !d.stale
 	st := d.stride
 	for i := 0; i < n; i++ {
 		s := d.lo
 		d.lo = (s + 1) & deltaSeqMask
 		r := d.rec[int(s&d.amask)*st:][:st]
+		if track {
+			d.unset(s & d.amask) // the record leaves the window
+		}
 		k := r[deltaRecKey]
 		// Every row of the oldest partial is its key's earliest live row by
 		// the time it is reached: any earlier occurrence sat in this same
@@ -239,6 +328,9 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 		}
 		nr[deltaRecLink] |= int64(deltaFlag)
 		d.slots[h].head = next | deltaFlag
+		if track {
+			d.touch(next & d.amask)
+		}
 	}
 	d.rows -= n
 	return true
@@ -273,6 +365,7 @@ func grown(b []int64, n int, spare bool) []int64 {
 // views over buf's storage, grown as needed, and valid only until the
 // next Emit into the same buf.
 func (d *Delta) Emit(buf *EmitBuf) (*vector.Vector, []*vector.Vector) {
+	d.refresh()
 	reused := buf != nil
 	if !reused {
 		buf = &EmitBuf{}
@@ -336,6 +429,233 @@ func (d *Delta) Emit(buf *EmitBuf) (*vector.Vector, []*vector.Vector) {
 	return intVector(d.keyTyp, keys[:k:k]), out
 }
 
+// EmitFiltered is Emit restricted to the groups that pass every conjunct
+// of conj: bit-identical, values and order, to Emit followed by one Select
+// per conjunct, each over the rows the previous one kept. The first call
+// with a conjunction registers it, evaluating every live head once; after
+// that each call re-evaluates only the heads the state's advance touched
+// and gathers the kept records by scanning the verdict bitmap in arena
+// order. A filter that no EmitFiltered call uses between two advances is
+// dropped, so registrations need no release.
+func (d *Delta) EmitFiltered(conj []Conjunct, buf *EmitBuf) (*vector.Vector, []*vector.Vector) {
+	f := d.filter(conj)
+	f.used = true
+	reused := buf != nil
+	if !reused {
+		buf = &EmitBuf{}
+	}
+	k := f.kept
+	keys := grown(buf.keys, k, reused)
+	buf.keys = keys
+	if len(buf.aggs) != len(d.aggTyps) {
+		buf.aggs = make([][]int64, len(d.aggTyps))
+	}
+	cols := buf.aggs
+	for a := range cols {
+		cols[a] = grown(cols[a], k, reused)
+	}
+	// Scan the words in ring order from lo: the bits at and above lo's
+	// position first, its wrapped remainder below it last.
+	st, start, nw := d.stride, d.lo&d.amask, len(f.bits)
+	w0, j := int(start>>6), 0
+	for i := 0; i <= nw; i++ {
+		wi := (w0 + i) & (nw - 1)
+		w := f.bits[wi]
+		switch i {
+		case 0:
+			w &= ^uint64(0) << (start & 63)
+		case nw:
+			w &= uint64(1)<<(start&63) - 1
+		}
+		for ; w != 0; w &= w - 1 {
+			r := d.rec[(wi<<6|bits.TrailingZeros64(w))*st:][:st]
+			keys[j] = r[deltaRecKey]
+			for a, c := range cols {
+				c[j] = r[deltaRecTot+a]
+			}
+			j++
+		}
+	}
+	if j != k {
+		panic("algebra: delta filter bits disagree with the kept count")
+	}
+	d.visited += nw + k
+	out := make([]*vector.Vector, len(cols))
+	for a, c := range cols {
+		out[a] = intVector(d.aggTyps[a], c[:k:k])
+	}
+	return intVector(d.keyTyp, keys[:k:k]), out
+}
+
+// filter returns the registered filter for conj after refreshing the
+// verdicts, registering and fully evaluating it when it is new.
+func (d *Delta) filter(conj []Conjunct) *deltaFilter {
+	for _, f := range d.filters {
+		if sameConjuncts(f.conj, conj) {
+			f.used = true // the caller emits it: refresh must not drop it
+			d.refresh()
+			return f
+		}
+	}
+	d.refresh()
+	words := bitWords(d.ArenaCap())
+	if len(d.mark) != words {
+		d.mark = make([]uint64, words)
+	}
+	f := &deltaFilter{conj: append([]Conjunct(nil), conj...), bits: make([]uint64, words)}
+	d.filters = append(d.filters, f)
+	d.evaluateAll(d.filters[len(d.filters)-1:])
+	return f
+}
+
+// refresh brings the filters' verdicts to the current totals once per
+// advance. It first drops every filter no emit used since the previous
+// refresh, then re-evaluates the heads the advance touched, or every live
+// head after a Reset or relayout.
+func (d *Delta) refresh() {
+	if !d.advanced {
+		return
+	}
+	d.advanced = false
+	live := d.filters[:0]
+	for _, f := range d.filters {
+		if f.used {
+			f.used = false
+			live = append(live, f)
+		}
+	}
+	clear(d.filters[len(live):])
+	d.filters = live
+	switch {
+	case len(live) == 0:
+		d.filters, d.mark, d.touched = nil, nil, d.touched[:0]
+		d.stale = false
+	case d.stale:
+		d.stale = false
+		d.dropTouched()
+		for _, f := range live {
+			clear(f.bits)
+			f.kept = 0
+		}
+		d.evaluateAll(live)
+	default:
+		// A touched position may since have expired (its bits are clear)
+		// or been reused by a row that is no head: only live heads count.
+		pos := d.gpos[:0]
+		for _, p := range d.touched {
+			if (p-d.lo)&d.amask < uint32(d.rows) && uint32(d.rec[int(p)*d.stride+deltaRecLink])&deltaFlag != 0 {
+				pos = append(pos, p)
+			}
+		}
+		d.gpos = pos
+		d.dropTouched()
+		d.evaluate(pos, live)
+	}
+}
+
+// evaluateAll recomputes the verdicts of filters at every live head, in
+// arena order.
+func (d *Delta) evaluateAll(filters []*deltaFilter) {
+	pos := d.gpos[:0]
+	st := d.stride
+	for s, i := d.lo, 0; i < d.rows; s, i = (s+1)&deltaSeqMask, i+1 {
+		if p := s & d.amask; uint32(d.rec[int(p)*st+deltaRecLink])&deltaFlag != 0 {
+			if pos = append(pos, p); len(pos) == deltaEvalBatch {
+				d.evaluate(pos, filters)
+				pos = pos[:0]
+			}
+		}
+	}
+	d.evaluate(pos, filters)
+	d.gpos = pos
+	d.visited += d.rows
+}
+
+// deltaEvalBatch bounds the heads evaluate gathers at once, so its scratch
+// stays small however many heads a rebuild re-evaluates.
+const deltaEvalBatch = 1024
+
+// evaluate recomputes the verdicts of filters at the given head positions:
+// a batch at a time, it gathers their columns and runs each conjunct as a
+// Select over the rows the previous conjuncts kept.
+func (d *Delta) evaluate(pos []uint32, filters []*deltaFilter) {
+	d.visited += len(pos)
+	if len(d.gcols) != 1+len(d.aggTyps) {
+		d.gcols = make([][]int64, 1+len(d.aggTyps))
+	}
+	st := d.stride
+	for len(pos) > 0 {
+		batch := pos[:min(len(pos), deltaEvalBatch)]
+		pos = pos[len(batch):]
+		n := len(batch)
+		for c := range d.gcols {
+			d.gcols[c] = grown(d.gcols[c], n, false)
+		}
+		for i, p := range batch {
+			r := d.rec[int(p)*st:][:st]
+			d.gcols[0][i] = r[deltaRecKey]
+			for a := 1; a < len(d.gcols); a++ {
+				d.gcols[a][i] = r[deltaRecTot+a-1]
+			}
+		}
+		for _, f := range filters {
+			var cand vector.Sel
+			for ci, c := range f.conj {
+				typ := d.keyTyp
+				if c.Col > 0 {
+					typ = d.aggTyps[c.Col-1]
+				}
+				cand = SelectInto(d.gsel[ci&1][:0], intVector(typ, d.gcols[c.Col][:n]), c.Cmp, c.Val, cand, 0)
+				d.gsel[ci&1] = cand
+				if len(cand) == 0 {
+					break
+				}
+			}
+			for _, p := range batch {
+				if b := uint64(1) << (p & 63); f.bits[p>>6]&b != 0 {
+					f.bits[p>>6] &^= b
+					f.kept--
+				}
+			}
+			for _, i := range cand {
+				p := batch[i]
+				f.bits[p>>6] |= uint64(1) << (p & 63)
+				f.kept++
+			}
+		}
+	}
+}
+
+// touch lists the head at arena position p for the next refresh, once.
+func (d *Delta) touch(p uint32) {
+	if b := uint64(1) << (p & 63); d.mark[p>>6]&b == 0 {
+		d.mark[p>>6] |= b
+		d.touched = append(d.touched, p)
+	}
+}
+
+// unset clears every filter's verdict at arena position p.
+func (d *Delta) unset(p uint32) {
+	b := uint64(1) << (p & 63)
+	for _, f := range d.filters {
+		if f.bits[p>>6]&b != 0 {
+			f.bits[p>>6] &^= b
+			f.kept--
+		}
+	}
+}
+
+// dropTouched empties the touched list and its marks.
+func (d *Delta) dropTouched() {
+	for _, p := range d.touched {
+		d.mark[p>>6] &^= uint64(1) << (p & 63)
+	}
+	d.touched = d.touched[:0]
+}
+
+// bitWords is the length of a bitmap over an arena of the given capacity.
+func bitWords(capacity int) int { return (capacity + 63) >> 6 }
+
 // pushSize records the newest partial's row count.
 func (d *Delta) pushSize(n int) {
 	if d.sizeN == len(d.sizes) {
@@ -374,6 +694,16 @@ func (d *Delta) relayout(capacity int) {
 		copy(rec[int(s&mask)*st:][:st], d.rec[int(s&d.amask)*st:][:st])
 	}
 	d.rec, d.amask = rec, mask
+	if len(d.filters) > 0 {
+		// Positions moved: the verdicts are recomputed at the next refresh.
+		words := bitWords(capacity)
+		d.mark = make([]uint64, words)
+		d.touched = d.touched[:0]
+		for _, f := range d.filters {
+			f.bits, f.kept = make([]uint64, words), 0
+		}
+		d.stale = true
+	}
 }
 
 // rehash moves the live keys into a table of the given power-of-two size.

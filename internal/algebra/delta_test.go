@@ -163,9 +163,172 @@ func TestDeltaSequenceWrap(t *testing.T) {
 		if fmt.Sprint(gotK.Int64s()) != fmt.Sprint(wantK.Int64s()) || fmt.Sprint(gotA[0].Int64s()) != fmt.Sprint(wantA[0].Int64s()) {
 			t.Fatalf("slide %d (lo=%d hi=%d): diverged across the sequence wrap", sl, d.lo, d.hi)
 		}
+		// The verdict bitmaps are indexed by arena position, which wraps
+		// with the sequence numbers.
+		ctx := fmt.Sprintf("slide %d (lo=%d hi=%d)", sl, d.lo, d.hi)
+		checkFiltered(t, ctx, d, []Conjunct{{Col: 1, Cmp: Gt, Val: vector.IntValue(150)}})
+		checkFiltered(t, ctx, d, []Conjunct{{Col: 0, Cmp: Le, Val: vector.IntValue(20)}, {Col: 1, Cmp: Ge, Val: vector.IntValue(100)}})
 	}
 	if d.hi > 1000 {
 		t.Fatalf("sequence never wrapped (hi=%d)", d.hi)
+	}
+}
+
+// filteredRef is the reference for EmitFiltered: the full head, then for
+// each conjunct a Select over the current columns and a Take of every
+// column by it — the select/take chain a HAVING conjunction lowers to.
+func filteredRef(d *Delta, conj []Conjunct) []*vector.Vector {
+	k, aggs := d.Emit(nil)
+	cols := append([]*vector.Vector{k}, aggs...)
+	for _, c := range conj {
+		sel := Select(cols[c.Col], c.Cmp, c.Val, nil)
+		for i := range cols {
+			cols[i] = cols[i].Take(sel)
+		}
+	}
+	return cols
+}
+
+// checkFiltered compares EmitFiltered with filteredRef, values and order,
+// and returns the number of rows kept.
+func checkFiltered(t *testing.T, ctx string, d *Delta, conj []Conjunct) int {
+	t.Helper()
+	want := filteredRef(d, conj)
+	k, aggs := d.EmitFiltered(conj, nil)
+	got := append([]*vector.Vector{k}, aggs...)
+	for c := range want {
+		if !vecEqual(got[c], want[c]) {
+			t.Fatalf("%s: filter %v column %d differs:\n got %v\nwant %v", ctx, conj, c, got[c].Int64s(), want[c].Int64s())
+		}
+	}
+	return want[0].Len()
+}
+
+// TestDeltaFilterMatchesSelect is the randomized differential of the
+// filtered emit against the full emit followed by the same select chain,
+// values and order, over random expire/add sequences: partial sizes that
+// burst and fall back (growth and shrink relayouts), periodic rebuilds
+// (Reset and re-add), several filters on one state that come and go, Eq
+// and Ne on the key, a float constant on an integer total, a filter that
+// keeps nothing, and a count threshold on a small domain so groups flip in
+// and out as their rows expire.
+func TestDeltaFilterMatchesSelect(t *testing.T) {
+	filters := [][]Conjunct{
+		{{Col: 2, Cmp: Gt, Val: vector.IntValue(2)}},
+		{{Col: 0, Cmp: Ne, Val: vector.IntValue(3)}, {Col: 1, Cmp: Lt, Val: vector.FloatValue(250.5)}},
+		{{Col: 0, Cmp: Eq, Val: vector.IntValue(5)}},
+		{{Col: 1, Cmp: Gt, Val: vector.IntValue(1 << 40)}},
+		{{Col: 1, Cmp: Ge, Val: vector.FloatValue(-10.25)}, {Col: 2, Cmp: Le, Val: vector.IntValue(6)}, {Col: 0, Cmp: Lt, Val: vector.IntValue(30)}},
+	}
+	for _, n := range []int{1, 3, 8} {
+		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(41 + n)))
+			d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
+			var live []deltaPartial
+			grew, shrank, rebuilt := false, false, 0
+			prevUsed := map[int]bool{}
+			for sl := 0; sl < 400; sl++ {
+				rows, domain := 1+rng.Intn(12), int64(8+rng.Intn(24))
+				if sl%50 >= 40 {
+					rows, domain = 100+rng.Intn(300), 2000 // a burst grows the arena
+				}
+				p := deltaPartial{keys: make([]int64, rows), vals: [][]int64{make([]int64, rows), make([]int64, rows)}}
+				for i := range p.keys {
+					p.keys[i], p.vals[0][i], p.vals[1][i] = rng.Int63n(domain), rng.Int63n(1000)-500, 1
+				}
+				before := d.ArenaCap()
+				live = slide(t, d, live, n, p)
+				grew = grew || d.ArenaCap() > before
+				shrank = shrank || d.ArenaCap() < before
+				if sl%23 == 22 {
+					d.Reset()
+					for _, q := range live {
+						d.Add(q.keys, q.vals)
+					}
+					rebuilt++
+				}
+				used := map[int]bool{0: true}
+				for f := 1; f < len(filters); f++ {
+					if rng.Intn(3) > 0 {
+						used[f] = true
+					}
+				}
+				for f := range filters {
+					if used[f] {
+						checkFiltered(t, fmt.Sprintf("slide %d", sl), d, filters[f])
+					}
+				}
+				// A filter survives only while emits keep using it: the
+				// first refresh after an advance it skipped drops it.
+				want := len(used)
+				for f := range prevUsed {
+					if !used[f] {
+						want++
+					}
+				}
+				if got := d.Filters(); got != want {
+					t.Fatalf("slide %d: %d filters registered, want %d (used now %v, before %v)", sl, got, want, used, prevUsed)
+				}
+				prevUsed = used
+			}
+			if !grew || !shrank || rebuilt == 0 {
+				t.Fatalf("sequence missed a case: grew %v shrank %v rebuilds %d", grew, shrank, rebuilt)
+			}
+		})
+	}
+}
+
+// TestDeltaFilterVisits pins the work of a steady-state filtered emit: per
+// slide the filters read at most the heads the slide touched (no more
+// than the distinct keys of the expired and the added partial), one
+// verdict word per 64 arena records, and the kept rows — not the live
+// rows, which outnumber the kept ones a hundredfold here.
+func TestDeltaFilterVisits(t *testing.T) {
+	const n, rows, domain = 16, 512, 1 << 14
+	rng := rand.New(rand.NewSource(5))
+	d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
+	conj := [][]Conjunct{
+		{{Col: 2, Cmp: Gt, Val: vector.IntValue(2)}},
+		{{Col: 1, Cmp: Gt, Val: vector.IntValue(2200)}},
+	}
+	var live []deltaPartial
+	distinct := func(keys []int64) int {
+		seen := map[int64]bool{}
+		for _, k := range keys {
+			seen[k] = true
+		}
+		return len(seen)
+	}
+	for sl := 0; sl < 6*n; sl++ {
+		p := deltaPartial{keys: make([]int64, rows), vals: [][]int64{make([]int64, rows), make([]int64, rows)}}
+		for i := range p.keys {
+			p.keys[i], p.vals[0][i], p.vals[1][i] = rng.Int63n(domain), rng.Int63n(1000), 1
+		}
+		touched := distinct(p.keys)
+		if len(live) == n {
+			touched += distinct(live[0].keys)
+		}
+		capBefore, v0 := d.ArenaCap(), d.Visited()
+		live = slide(t, d, live, n, p)
+		kept := 0
+		for _, c := range conj {
+			k, _ := d.EmitFiltered(c, nil)
+			kept += k.Len()
+		}
+		visited := d.Visited() - v0
+		if sl < 2*n || d.ArenaCap() != capBefore {
+			continue // registration and relayouts evaluate every live head
+		}
+		if bound := touched + len(conj)*d.ArenaCap()/64 + kept; visited > bound {
+			t.Fatalf("slide %d: %d records visited, over touched %d + %d x capacity/64 (%d) + kept %d",
+				sl, visited, touched, len(conj), d.ArenaCap()/64, kept)
+		}
+		if 20*kept > d.Rows() {
+			t.Fatalf("slide %d: the filters keep %d of %d live rows; the pin needs a selective filter", sl, kept, d.Rows())
+		}
+	}
+	for _, c := range conj {
+		checkFiltered(t, "final", d, c)
 	}
 }
 

@@ -35,11 +35,17 @@ func TestDeltaMergeMatchesBaseline(t *testing.T) {
 		name, sql string
 		n         int
 		domain    int64
+		kept      bool // the HAVING filter lives in the delta state
 	}{
-		{"sum-count", `SELECT x1, sum(x2), count(*) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1`, 4, 4096},
-		{"count-having", `SELECT x1, count(*) FROM s [RANGE 3584 SLIDE 512] GROUP BY x1 HAVING count(*) > 2`, 7, 300},
-		{"filtered", `SELECT x1, sum(x2) FROM s [RANGE 512 SLIDE 512] WHERE x2 > 0 GROUP BY x1`, 1, 64},
-		{"keys-only", `SELECT x1 FROM s [RANGE 1024 SLIDE 512] GROUP BY x1`, 2, 700},
+		{"sum-count", `SELECT x1, sum(x2), count(*) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1`, 4, 4096, false},
+		{"count-having", `SELECT x1, count(*) FROM s [RANGE 3584 SLIDE 512] GROUP BY x1 HAVING count(*) > 2`, 7, 300, true},
+		{"filtered", `SELECT x1, sum(x2) FROM s [RANGE 512 SLIDE 512] WHERE x2 > 0 GROUP BY x1`, 1, 64, false},
+		{"keys-only", `SELECT x1 FROM s [RANGE 1024 SLIDE 512] GROUP BY x1`, 2, 700, false},
+		{"having-key", `SELECT x1, sum(x2) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1 HAVING x1 <> 7 AND x1 >= 3`, 4, 40, true},
+		{"having-compound", `SELECT x1, sum(x2), count(*) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1 HAVING sum(x2) > 100 AND count(*) >= 3`, 4, 600, true},
+		{"having-float-const", `SELECT sum(x2), x1 FROM s [RANGE 2048 SLIDE 512] GROUP BY x1 HAVING count(*) > 2.5`, 4, 900, true},
+		{"having-avg", `SELECT x1, avg(x2) FROM s [RANGE 1536 SLIDE 512] GROUP BY x1 HAVING count(*) > 1`, 3, 2000, true},
+		{"having-modulo", `SELECT x1, sum(x2) FROM s [RANGE 1536 SLIDE 512] GROUP BY x1 HAVING sum(x2) % 7 > 2`, 3, 300, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ip := deltaPlan(t, tc.sql, tc.n, false)
@@ -78,6 +84,9 @@ func TestDeltaMergeMatchesBaseline(t *testing.T) {
 				st := rt.DeltaState()
 				if st.Blocks != 1 || st.Rows == 0 || st.Groups == 0 {
 					t.Fatalf("par %d: delta path not taken: %+v", par, st)
+				}
+				if kept := st.Filters == 1; kept != tc.kept {
+					t.Fatalf("par %d: %d filters kept in the delta state, want kept=%v\n%s", par, st.Filters, tc.kept, ip.Explain())
 				}
 				if rt.MemorySlots() != tc.n {
 					t.Fatalf("par %d: %d slots, want %d", par, rt.MemorySlots(), tc.n)
@@ -389,25 +398,34 @@ func TestDeltaMergeBoundedState(t *testing.T) {
 }
 
 // TestDeltaHeadScratch pins the head-lifetime rule of a delta block. A
-// plan whose residual only selects over and takes from the head emits it
-// into the runtime's scratch — one storage, reused by the next merge —
-// when no other query can adopt it: no tail exchange, a follower merging
-// privately, or a solo leader, whose Publish the engine leaves nil. A leader with
-// co-subscribers publishes a fresh head, and a plan that binds the head
-// into its result gets a fresh one whatever the exchange.
+// plan whose residual is a HAVING select/take chain over the head emits
+// only the groups it keeps into the runtime's scratch — one storage,
+// reused by the next merge — when no other query can adopt it: no tail
+// exchange, a follower merging privately, or a solo leader, whose Publish
+// the engine leaves nil. A leader with co-subscribers publishes a fresh
+// full head, and a plan that binds the head into its result gets a fresh
+// one whatever the exchange.
 func TestDeltaHeadScratch(t *testing.T) {
 	const n, rows = 4, 128
 	having := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING count(*) > 1`, n, false)
 	bound := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1`, n, false)
-	if !having.HeadInScratch(0) || bound.HeadInScratch(0) {
-		t.Fatalf("HeadInScratch: HAVING plan %v, result-bound plan %v; want true, false",
-			having.HeadInScratch(0), bound.HeadInScratch(0))
+	if ex := having.Explain(); !strings.Contains(ex, "; kept groups only (count(*) > 1) when the head goes to scratch (") {
+		t.Errorf("Explain misses the scratch rule and its kept-groups filter:\n%s", ex)
 	}
-	if ex := having.Explain(); !strings.Contains(ex, "head in per-query scratch") {
-		t.Errorf("Explain misses the scratch rule:\n%s", ex)
+	if ex := bound.Explain(); !strings.Contains(ex, "; fresh head every slide (the residual is not a select/take chain)\n") {
+		t.Errorf("Explain misses the fresh-head rule and why:\n%s", ex)
 	}
-	if ex := bound.Explain(); !strings.Contains(ex, "fresh head every slide") {
-		t.Errorf("Explain misses the fresh-head rule:\n%s", ex)
+	for _, tc := range []struct{ sql, pred, why string }{
+		{sql: `SELECT x1, sum(x2) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING x1 = 3 AND sum(x2) < 2.5`, pred: "sum(x2) < 2.5 AND x1 = 3"},
+		{sql: `SELECT x1 FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING count(*) > 4`, pred: "sum(r10) > 4"},
+		{sql: `SELECT x1, sum(x2) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING sum(x2) % 7 > 2`, why: "the residual is not a select/take chain"},
+		{sql: `SELECT x1, sum(x2) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING sum(x2) > 7 OR x1 = 2`, why: "the residual is not a select/take chain"},
+		{sql: `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1`, why: "the residual is not a select/take chain"},
+	} {
+		conj, pred, why := deltaPlan(t, tc.sql, n, false).HeadFilter(0)
+		if pred != tc.pred || why != tc.why || (conj != nil) != (why == "") {
+			t.Errorf("%s: HeadFilter %v %q (%q), want %q (%q)", tc.sql, conj, pred, why, tc.pred, tc.why)
+		}
 	}
 	noTx := func(**MergeHead) *TailExchange { return nil }
 	follower := func(**MergeHead) *TailExchange {
@@ -451,6 +469,11 @@ func TestDeltaHeadScratch(t *testing.T) {
 				if tx != nil && tx.Publish != nil && published == nil {
 					t.Fatal("shared leader published no head")
 				}
+				// A head in scratch holds only the groups HAVING keeps.
+				head, groups := env[tc.ip.GroupMerges[0].KeyOuts[0]].Vec.Len(), rt.DeltaState().Groups
+				if kept := head < groups; kept != tc.scratch {
+					t.Fatalf("head of %d rows over %d groups; want kept-only %v", head, groups, tc.scratch)
+				}
 				return &env[tc.ip.GroupMerges[0].KeyOuts[0]].Vec.Int64s()[0]
 			}
 			first, second := headAt(), headAt()
@@ -469,6 +492,11 @@ func TestDeltaHeadScratch(t *testing.T) {
 // HAVING clause keeps a few hundred of the live groups; at 4 096 it keeps
 // nearly all of them. It fails if the larger domain allocates more: a
 // merge must not allocate in proportion to the groups its result drops.
+// It also reports the records the HAVING filter kept in the delta state
+// reads per slide (visited/slide), and fails if at 65 536 keys that
+// exceeds the heads the slide touched — at most the added and the expired
+// partial's rows, 2 x 2048 — plus one verdict word per 64 arena records
+// plus the rows kept: a slide must not visit the groups its result drops.
 func BenchmarkGroupedHead(b *testing.B) {
 	const n, rows = 32, 2048
 	bytes := map[int64]float64{}
@@ -493,10 +521,15 @@ func BenchmarkGroupedHead(b *testing.B) {
 				}
 				return files
 			}
+			var bound int // touched + capacity/64 + kept, summed over the timed slides
 			apply := func(files [][]SlotFile) StepStats {
 				res, err := rt.Apply(files, []int64{0}, in, nil)
 				if err != nil {
 					b.Fatal(err)
+				}
+				bound += 2*rows + rt.DeltaState().ArenaCap/64
+				if res[0].Table != nil {
+					bound += res[0].Table.NumRows()
 				}
 				return res[0].Stats
 			}
@@ -505,11 +538,18 @@ func BenchmarkGroupedHead(b *testing.B) {
 			}
 			b.ResetTimer()
 			var mergeNS int64
+			bound = 0
+			visited := rt.DeltaState().Visited
 			for i := 0; i < b.N; i++ {
 				mergeNS += apply(fragment()).MergeNS
 			}
 			b.StopTimer()
+			visited = rt.DeltaState().Visited - visited
 			b.ReportMetric(float64(mergeNS)/float64(b.N), "merge-ns/slide")
+			b.ReportMetric(float64(visited)/float64(b.N), "visited/slide")
+			if domain == 65536 && visited > bound {
+				b.Fatalf("the HAVING filter visited %d records over %d slides, over touched + capacity/64 + kept (%d): the merge visits groups its result drops", visited, b.N, bound)
+			}
 			const slides = 5
 			var total uint64
 			for i := 0; i < slides; i++ {

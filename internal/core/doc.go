@@ -64,9 +64,15 @@
 //     running totals) lives in the state's arena, never in a slot vector.
 //     A head that may be published is emitted into fresh columns, so
 //     published heads stay immutable; one nobody can adopt (no tail, a
-//     private follower, a solo leader — TailExchange.Publish nil) whose residual
-//     only selects over and takes from it (IncPlan.HeadInScratch) is
-//     emitted into the block's reusable scratch.
+//     private follower, a solo leader — TailExchange.Publish nil) whose
+//     residual is a HAVING select/take chain over it (IncPlan.HeadFilter)
+//     is emitted into the block's reusable scratch, and holds only the
+//     groups the filter keeps: the state keeps the filter's verdict per
+//     group head, refreshed over the heads each advance touched
+//     (algebra.Delta.EmitFiltered), and the residual's selects then keep
+//     every row. Every other emit refreshes the registered filters and
+//     writes the full head; a filter no emit used between two advances is
+//     dropped.
 //   - Slot files must survive basket reclamation: values that alias log
 //     storage (bind registers, unflattened views) are cloned/materialized
 //     by runPerBW before entering a slot. The Runtime owns its slots and

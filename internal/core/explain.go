@@ -85,10 +85,10 @@ func (ip *IncPlan) explain(opts Options) string {
 		switch kernel {
 		case MergeDelta:
 			kernel += ": per-key totals maintained across slides (+new basic window, -expired), emitted without re-grouping"
-			if ip.HeadInScratch(i) {
-				kernel += "; head in per-query scratch when no other query can adopt it (the residual copies only the rows it keeps)"
+			if _, pred, why := ip.HeadFilter(i); why == "" {
+				kernel += fmt.Sprintf("; kept groups only (%s) when the head goes to scratch (no other query can adopt it; the residual copies the rows it keeps)", pred)
 			} else {
-				kernel += "; fresh head every slide (the residual reads it beyond select/take)"
+				kernel += fmt.Sprintf("; fresh head every slide (%s)", why)
 			}
 		case MergeInstruction:
 			kernel += fmt.Sprintf(": block runs as written (not delta: %s)", why)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -155,6 +156,8 @@ func (ts *TailState) Stats() DeltaState {
 			continue
 		}
 		st.Blocks++
+		st.Filters += tb.d.Filters()
+		st.Visited += tb.d.Visited()
 		st.Groups += tb.d.Groups()
 		st.Rows += tb.d.Rows()
 		st.TableCap += tb.d.TableCap()
@@ -1182,13 +1185,14 @@ func (rt *Runtime) mergeShards(rows int) int {
 // block's instructions as written — the same code the Baseline oracle runs.
 func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *TailExchange, stats *StepStats) (handled bool, err error) {
 	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
-		// The head goes to the block's scratch when nothing can read it
-		// after this slide: the residual copies what it keeps (scratch,
+		// The head goes to the block's scratch, holding only the groups
+		// the residual's filter keeps, when nothing can read it after this
+		// slide: the residual copies what it keeps (a select/take chain,
 		// checked statically) and no other query can adopt it (no tail,
 		// a follower merging privately, or a solo leader, whose Publish
 		// the engine leaves nil).
 		var buf *algebra.EmitBuf
-		if b.scratch && (tx == nil || tx.Publish == nil) {
+		if b.filter != nil && (tx == nil || tx.Publish == nil) {
 			buf = &b.head
 		}
 		keyVec, aggVecs := rt.deltaMerge(b, tx, buf)
@@ -1248,31 +1252,102 @@ func (ip *IncPlan) MergeKernel(i int, opts Options) (kernel, reason string) {
 	return MergeDelta, ""
 }
 
-// HeadInScratch reports whether every instruction outside grouped merge
-// block i that reads one of the block's outputs is an OpSelect or takes
-// it as the column of an OpTake. Both produce fresh data, so nothing
-// downstream aliases the head, and a delta block may emit it into the
-// runtime's reusable scratch whenever no other query can adopt it.
-func (ip *IncPlan) HeadInScratch(i int) bool {
+// HeadFilter returns the residual's filter over grouped merge block i as
+// conjuncts on the block's head, when every reader of the block's outputs
+// belongs to one filter chain: an OpSelect of a current column against a
+// constant, then OpTakes of current columns by that selection, which
+// become the current columns of the next link. Whatever reads the last
+// link's columns is unconstrained. That is what a HAVING conjunction
+// lowers to. Selects and takes produce fresh data, so nothing downstream
+// aliases the head, and the kernel's selects keep every row of a
+// pre-filtered head: a delta block may emit only the groups the filter
+// keeps into the runtime's reusable scratch whenever no other query can
+// adopt the head. pred renders the conjunction for Explain; when the check
+// refuses, conj is nil and why says what stands in the way.
+func (ip *IncPlan) HeadFilter(i int) (conj []algebra.Conjunct, pred, why string) {
 	spec := &ip.GroupMerges[i]
-	outs := map[plan.Reg]bool{}
-	for _, r := range spec.KeyOuts {
-		outs[r] = true
+	if len(spec.KeyOuts) != 1 {
+		return nil, "", "multi-column key"
 	}
-	for _, ag := range spec.Aggs {
-		outs[ag.Out] = true
+	cur := map[plan.Reg]int{spec.KeyOuts[0]: 0} // current link: register -> head column
+	for a, ag := range spec.Aggs {
+		cur[ag.Out] = 1 + a
 	}
+	var next map[plan.Reg]int
+	sel := plan.Reg(-1)
+	dead := map[plan.Reg]bool{} // spent links and their selections
+	retire := func() {
+		for r := range cur {
+			dead[r] = true
+		}
+		dead[sel] = true
+	}
+	done := false
+	const notChain = "the residual is not a select/take chain"
 	for idx, in := range ip.Merge {
 		if idx >= spec.Start && idx < spec.Start+spec.Len {
 			continue
 		}
-		for j, r := range in.In {
-			if outs[r] && (j > 0 || in.Op != plan.OpSelect && in.Op != plan.OpTake) {
-				return false
+		readsCur, readsNext := false, false
+		for _, r := range in.In {
+			if dead[r] {
+				return nil, "", notChain
+			}
+			_, c := cur[r]
+			_, n := next[r]
+			readsCur = readsCur || c || r == sel
+			readsNext = readsNext || n
+		}
+		switch {
+		case done:
+		case in.Op == plan.OpSelect && (readsCur && sel < 0 || readsNext && !readsCur):
+			if readsNext { // the next link begins
+				retire()
+				cur = next
+			}
+			conj = append(conj, algebra.Conjunct{Col: cur[in.In[0]], Cmp: in.Cmp, Val: in.Val})
+			sel, next = in.Out[0], map[plan.Reg]int{}
+		case in.Op == plan.OpTake && in.In[1] == sel && !readsNext:
+			c, ok := cur[in.In[0]]
+			if !ok {
+				return nil, "", notChain
+			}
+			next[in.Out[0]] = c
+		case readsCur:
+			return nil, "", notChain
+		case readsNext:
+			// The chain is complete: the last link's columns are the
+			// filtered head, free for any reader.
+			done = true
+			retire()
+		}
+	}
+	if len(conj) == 0 {
+		return nil, "", "no HAVING filter"
+	}
+	last := cur
+	if next != nil {
+		last = next
+	}
+	names := make([]string, 1+len(spec.Aggs))
+	names[0] = fmt.Sprintf("r%d", spec.KeyOuts[0])
+	for a, ag := range spec.Aggs {
+		names[1+a] = fmt.Sprintf("%s(r%d)", ag.Kind, ag.Cat)
+	}
+	for _, in := range ip.Merge {
+		if in.Op == plan.OpResult {
+			for j, r := range in.In {
+				if c, ok := last[r]; ok && j < len(in.Names) {
+					names[c] = in.Names[j]
+				}
 			}
 		}
 	}
-	return true
+	parts := make([]string, len(conj))
+	for j, c := range conj {
+		parts[j] = fmt.Sprintf("%s %s %s", names[c.Col], c.Cmp, c.Val)
+	}
+	return conj, strings.Join(parts, " AND "), ""
 }
 
 // MergeKernels names the kernel this runtime runs each grouped merge block
@@ -1301,11 +1376,12 @@ type deltaBlock struct {
 	keyTyp vector.Type
 	aggTyp []vector.Type
 	vals   [][]int64 // scratch: one slot file's aggregate columns
-	// scratch says the plan's residual only selects over and takes from the
-	// block's outputs (IncPlan.HeadInScratch), so head — the runtime's
-	// reusable key and aggregate columns — may hold a head nobody adopts.
-	scratch bool
-	head    algebra.EmitBuf
+	// filter is the residual's HAVING filter on the block's head
+	// (IncPlan.HeadFilter), nil when the residual is no select/take chain.
+	// With one, head — the runtime's reusable key and aggregate columns —
+	// may hold a head nobody adopts, and then holds only the kept groups.
+	filter []algebra.Conjunct
+	head   algebra.EmitBuf
 	// off retires the block to the re-grouping kernels for good: a slot
 	// file did not have the statically derived shape.
 	off bool
@@ -1324,8 +1400,8 @@ func (rt *Runtime) initDeltas() {
 			continue
 		}
 		spec := &ip.GroupMerges[i]
-		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs)),
-			scratch: ip.HeadInScratch(i)}
+		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs))}
+		b.filter, _, _ = ip.HeadFilter(i)
 		pos, ok := rt.slotPos[b.src][catSrc[spec.CatKeys[0]]]
 		b.keyPos = pos
 		for _, ag := range spec.Aggs {
@@ -1403,9 +1479,10 @@ func (rt *Runtime) admitDeltas(s int, file regFile) {
 // slide evicted and adds the new one; from anywhere else (first merge, a
 // window merged by another runtime at a later end, a slide that failed
 // before its merge), it rebuilds them from this runtime's slot ring. Then
-// it tags them with this window's end and emits, into buf when it is not
-// nil. The state is tx's, shared by the merge tail at this slide's phase,
-// or else the runtime's own, tagged by slide count.
+// it tags them with this window's end and emits: into buf, when it is not
+// nil, only the groups the block's filter keeps; else the full head, after
+// refreshing the state's registered filters. The state is tx's, shared by the merge tail at this slide's
+// phase, or else the runtime's own, tagged by slide count.
 func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange, buf *algebra.EmitBuf) (*vector.Vector, []*vector.Vector) {
 	ts, prev, end := rt.own, int64(rt.steps-1), int64(rt.steps)
 	if tx != nil && tx.State != nil {
@@ -1445,6 +1522,9 @@ func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange, buf *algebra.Emit
 		ts.rebuilds++
 	}
 	tb.tag, tb.tagged = end, true
+	if buf != nil {
+		return tb.d.EmitFiltered(b.filter, buf)
+	}
 	return tb.d.Emit(buf)
 }
 
@@ -1666,10 +1746,13 @@ func (rt *Runtime) MemorySlots() int {
 // over the blocks in use: live groups and partial rows, and the allocated
 // capacity of the key tables and row arenas holding them. Adds and Expires
 // count the steady-state steps (one partial each) and Rebuilds the
-// rebuilds from a slot ring, cumulative over the state's life.
+// rebuilds from a slot ring, cumulative over the state's life. Filters is
+// the number of HAVING filters the state keeps verdicts for, and Visited
+// the records those filters have read (algebra.Delta.Visited).
 type DeltaState struct {
 	Blocks, Groups, Rows, TableCap, ArenaCap int
 	Adds, Expires, Rebuilds                  int
+	Filters, Visited                         int
 }
 
 // DeltaState reports the delta-maintained merge state, for observability

@@ -18,8 +18,11 @@ import (
 //	{default, Baseline} x parallelism {1, 4} x {one slide per Pump, the
 //	whole 40-slide backlog drained in one Pump}
 //
-// plus two default arms drained by PumpParallel and one that pumps the
-// twins one slide at a time in alternating order, and every arm must emit
+// plus two default arms drained by PumpParallel, one that pumps the
+// twins one slide at a time in alternating order, and two solo arms at
+// parallelism 1 and 4 that register the statement once — alone on its
+// merge tail, a HAVING filter lives in the delta state and only the groups
+// it keeps are emitted — and every arm must emit
 // the identical window sequence, bit for bit and in row order, equal to
 // the oracle arm: Mode: Reevaluation with the seal threshold above the
 // whole feed, so every window is one part and runs exec.Run on the plan
@@ -47,13 +50,28 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		sorted    bool   // row order is unspecified against re-evaluation
 		shares    bool   // eligible for the shared-plan catalog
 		delta     bool   // the grouped merge block is delta-maintained by default
+		kept      bool   // a solo query keeps its HAVING filter in the delta state
 		kernel    string // the grouped merge block's kernel in the default arms
 		panes     string // the Explain matrix-panes line in the default arms
 	}{
 		{name: "scalar", shares: true,
 			sql: `SELECT count(*), sum(x2), min(x2), max(x2) FROM s [RANGE 32 SLIDE 8] WHERE x1 > 3`},
-		{name: "grouped-having", shares: true, delta: true,
+		{name: "grouped-having", shares: true, delta: true, kept: true,
 			sql: `SELECT x1, sum(x2), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) > 100`},
+		{name: "having-key", shares: true, delta: true, kept: true,
+			sql: `SELECT x1, sum(x2) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING x1 <> 3 AND x1 > 0`},
+		{name: "having-compound", shares: true, delta: true, kept: true,
+			sql: `SELECT x1, sum(x2), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) > 150 AND count(*) >= 3`},
+		{name: "having-float-const", shares: true, delta: true, kept: true,
+			sql: `SELECT count(*), x1 FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) < 250.5`},
+		// 16 rows over 8 keys: groups cross the threshold both ways as their
+		// rows expire.
+		{name: "having-flips", shares: true, delta: true, kept: true,
+			sql: `SELECT x1, count(*) FROM s [RANGE 16 SLIDE 8] GROUP BY x1 HAVING count(*) > 2`},
+		{name: "having-modulo", shares: true, delta: true,
+			sql: `SELECT x1, sum(x2) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) % 7 > 2`},
+		{name: "having-or", shares: true, delta: true,
+			sql: `SELECT x1, sum(x2) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) > 300 OR x1 = 2`},
 		{name: "grouped-one-bw", shares: true, delta: true,
 			sql: `SELECT x1, count(*) FROM s [RANGE 8 SLIDE 8] WHERE x2 > 20 GROUP BY x1`},
 		{name: "grouped-float-sum", shares: true,
@@ -89,6 +107,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		perSlide bool
 		pumpPar  int  // > 0: drain with PumpParallel(pumpPar) instead of Pump
 		flip     bool // pump the twins directly, the other one first each slide
+		solo     bool // register the statement once
 		sealRows int  // basket seal threshold; 0 means 20, so slides span segments
 	}
 	arms := []arm{
@@ -107,6 +126,8 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		arms = append(arms, arm{name: fmt.Sprintf("pump-parallel/perSlide=%v", perSlide), opts: Options{Mode: Incremental, Parallelism: 1}, perSlide: perSlide, pumpPar: 2})
 	}
 	arms = append(arms, arm{name: "alternating-leader", opts: Options{Mode: Incremental, Parallelism: 1}, perSlide: true, flip: true})
+	arms = append(arms, arm{name: "solo/par=1", opts: Options{Mode: Incremental, Parallelism: 1}, perSlide: true, solo: true},
+		arm{name: "solo/par=4", opts: Options{Mode: Incremental, Parallelism: 4}, solo: true})
 
 	// feed appends slide number sl (identical in every arm) to both streams.
 	// Time-window slides are bursty — ragged tuple counts, some periods
@@ -167,7 +188,11 @@ func TestOneFiringPathDifferential(t *testing.T) {
 				}
 				var cs [2]collector
 				var qs [2]*ContinuousQuery
-				for i := range cs {
+				twins := 2
+				if a.solo {
+					twins = 1
+				}
+				for i := 0; i < twins; i++ {
 					opts := a.opts
 					opts.OnResult = cs[i].add
 					if opts.Mode == Incremental {
@@ -205,7 +230,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 				}
 				pump(slides)
 
-				for i := range cs {
+				for i := 0; i < twins; i++ {
 					got := make([]string, len(cs[i].results))
 					exact := make([]string, len(cs[i].results))
 					for w, r := range cs[i].results {
@@ -243,7 +268,23 @@ func TestOneFiringPathDifferential(t *testing.T) {
 					continue
 				}
 				// The arm must have taken the path it claims.
-				s0, s1 := qs[0].Stats(), qs[1].Stats()
+				s0 := qs[0].Stats()
+				if a.solo {
+					// Alone on its tail, the query keeps its HAVING filter
+					// in the delta state exactly when the shape allows it.
+					st := qs[0].rt.DeltaState()
+					if _, tail := qs[0].sharing(); tail != nil {
+						st = tail.deltaAt(qs[0].tailPhase).Stats()
+					}
+					if got := st.Filters == 1; sh.delta && got != sh.kept {
+						t.Fatalf("%s: %d filters in the delta state, want kept=%v\n%s", a.name, st.Filters, sh.kept, qs[0].Explain())
+					}
+					if s0.AdoptedSlides+s0.AdoptedTails != 0 {
+						t.Fatalf("%s: a solo query adopted: %+v", a.name, s0)
+					}
+					continue
+				}
+				s1 := qs[1].Stats()
 				adopted := s0.AdoptedSlides + s1.AdoptedSlides
 				switch {
 				case a.opts.Baseline && (adopted != 0 || s0.LedSlides+s0.LedTails+s0.AdoptedTails != 0):
@@ -259,6 +300,9 @@ func TestOneFiringPathDifferential(t *testing.T) {
 					}
 					if ex := q.Explain(); sh.panes != "" && !a.opts.Baseline && !strings.Contains(ex, sh.panes) {
 						t.Fatalf("%s: query %d Explain lacks %q:\n%s", a.name, i, sh.panes, ex)
+					}
+					if ex := q.Explain(); sh.delta && !a.opts.Baseline && strings.Contains(ex, "; kept groups only (") != sh.kept {
+						t.Fatalf("%s: query %d Explain's kept-groups filter, want %v:\n%s", a.name, i, sh.kept, ex)
 					}
 					if got := q.rt.MergeKernels(); sh.kernel != "" && !a.opts.Baseline && fmt.Sprint(got) != fmt.Sprint([]string{sh.kernel}) {
 						t.Fatalf("%s: query %d merge kernels %v, want [%s]", a.name, i, got, sh.kernel)

@@ -351,6 +351,110 @@ func TestSoloTailHeadInScratch(t *testing.T) {
 	}
 }
 
+// TestTailDeltaFilterLifecycle follows the HAVING filter a solo query
+// keeps in its merge tail's delta state. Alone, the query registers its
+// filter; once a look-alike with another HAVING subscribes, heads are
+// published whole and the filter is dropped; when the look-alike leaves,
+// the filter comes back. Then 50 look-alikes with distinct HAVING
+// constants take turns on the same state — each registered before its
+// predecessor leaves, so the state lives throughout — and the state
+// still keeps one filter, not one per constant. Every query's windows
+// are bit-identical to a Baseline twin registered alongside it.
+func TestTailDeltaFilterLifecycle(t *testing.T) {
+	e := New()
+	col := func(n string) catalog.Column { return catalog.Column{Name: n, Type: vector.Int64} }
+	if err := e.RegisterStream("s", catalog.NewSchema(col("k"), col("v"))); err != nil {
+		t.Fatal(err)
+	}
+	type pair struct {
+		q, ref    *ContinuousQuery
+		got, want collector
+	}
+	register := func(having string) *pair {
+		p := &pair{}
+		sql := "SELECT k, sum(v), count(*) FROM s [RANGE 64 SLIDE 16] GROUP BY k HAVING " + having
+		var err error
+		if p.q, err = e.Register(sql, Options{Mode: Incremental, OnResult: p.got.add}); err != nil {
+			t.Fatal(err)
+		}
+		if p.ref, err = e.Register(sql, Options{Mode: Incremental, Baseline: true, OnResult: p.want.add}); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	leave := func(p *pair) {
+		e.Deregister(p.q)
+		e.Deregister(p.ref)
+	}
+	check := func(p *pair) {
+		t.Helper()
+		if len(p.got.results) != len(p.want.results) || len(p.got.results) == 0 {
+			t.Fatalf("%d windows, Baseline twin %d", len(p.got.results), len(p.want.results))
+		}
+		for w, r := range p.got.results {
+			if got, want := tableKey(r.Table, false), tableKey(p.want.results[w].Table, false); got != want {
+				t.Fatalf("window %d differs from the Baseline twin:\n got %s\nwant %s", w+1, got, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(45))
+	feed := func(slides int) {
+		t.Helper()
+		for i := 0; i < slides; i++ {
+			k, v := make([]int64, 16), make([]int64, 16)
+			for j := range k {
+				k[j], v[j] = rng.Int63n(12), rng.Int63n(100)
+			}
+			if err := e.AppendColumns("s", []*vector.Vector{vector.FromInt64(k), vector.FromInt64(v)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Pump(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	p1 := register("count(*) > 5")
+	_, tail := p1.q.sharing()
+	if tail == nil {
+		t.Fatal("the query must subscribe to a merge tail")
+	}
+	state := tail.deltaAt(p1.q.tailPhase)
+	filters := func(want int, when string) {
+		t.Helper()
+		if got := state.Stats().Filters; got != want {
+			t.Fatalf("%s: %d filters in the delta state, want %d", when, got, want)
+		}
+	}
+	feed(8)
+	filters(1, "solo")
+	p2 := register("count(*) > 6")
+	if _, t2 := p2.q.sharing(); t2 != tail || p2.q.tailPhase != p1.q.tailPhase {
+		t.Fatal("the look-alike must share the tail and its phase")
+	}
+	feed(8)
+	filters(0, "shared")
+	leave(p2)
+	feed(4)
+	filters(1, "solo again")
+	check(p1)
+	check(p2)
+
+	prev := p1
+	for i := 0; i < 50; i++ {
+		p := register(fmt.Sprintf("sum(v) > %d", 100+7*i))
+		feed(4)
+		leave(prev)
+		feed(4)
+		check(p)
+		prev = p
+	}
+	if tail.deltaAt(prev.q.tailPhase) != state {
+		t.Fatal("the churn replaced the tail's delta state")
+	}
+	filters(1, "after 50 look-alikes took turns")
+}
+
 // BenchmarkTailFanout drives the 64-query fan-out shape — 4 filters x 4
 // ranges x 4 HAVINGs over SLIDE 256 and 64 keys, 16 merge tails — through
 // Pump one slide at a time and reports the partials added per slide,

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"sort"
 	"strings"
 )
@@ -57,6 +58,28 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 	fmt.Fprintf(sb, "datacell_serve_bytes_written_total %d\n", st.BytesOut)
 	fmt.Fprintf(sb, "# TYPE datacell_serve_append_rows_total counter\n")
 	fmt.Fprintf(sb, "datacell_serve_append_rows_total %d\n", st.AppendRows)
+
+	// Go runtime work counters, read once per scrape: what the process
+	// allocated and how often it collected, whatever the clock says.
+	goStats := []metrics.Sample{
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(goStats)
+	for i, m := range []struct{ name, help string }{
+		{"datacell_go_alloc_bytes_total", "Bytes allocated on the Go heap."},
+		{"datacell_go_alloc_objects_total", "Objects allocated on the Go heap."},
+		{"datacell_go_gc_cycles_total", "Completed Go garbage-collection cycles."},
+	} {
+		var v uint64
+		if goStats[i].Value.Kind() == metrics.KindUint64 {
+			v = goStats[i].Value.Uint64()
+		}
+		fmt.Fprintf(sb, "# HELP %s %s\n", m.name, m.help)
+		fmt.Fprintf(sb, "# TYPE %s counter\n", m.name)
+		fmt.Fprintf(sb, "%s %d\n", m.name, v)
+	}
 
 	// Storage tier: per-stream segment residency (durable instances only
 	// report Durable=true; memory instances still export the counters so

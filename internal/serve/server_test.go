@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -715,6 +716,54 @@ func TestAppendRejectsBadBlocks(t *testing.T) {
 	}
 	if err := cl.Append("s", []string{"x2", "x1"}, intCols(0, 4)); err != nil {
 		t.Fatalf("well-formed block after rejects: %v", err)
+	}
+}
+
+// TestMetricsGoRuntimeCounters scrapes the Go runtime counters around an
+// allocation and a collection: all three are exported as counters, none
+// decreases, and the allocation and the collection show.
+func TestMetricsGoRuntimeCounters(t *testing.T) {
+	srv := New(newIntDB(t), Config{})
+	names := []string{"datacell_go_alloc_bytes_total", "datacell_go_alloc_objects_total", "datacell_go_gc_cycles_total"}
+	scrape := func() map[string]uint64 {
+		var sb strings.Builder
+		srv.writeMetrics(&sb)
+		text := sb.String()
+		got := map[string]uint64{}
+		for _, name := range names {
+			if !strings.Contains(text, "# TYPE "+name+" counter\n") {
+				t.Fatalf("%s is not exported as a counter:\n%s", name, text)
+			}
+			for _, line := range strings.Split(text, "\n") {
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					var n uint64
+					if _, err := fmt.Sscan(v, &n); err != nil {
+						t.Fatalf("%q: %v", line, err)
+					}
+					got[name] = n
+				}
+			}
+			if _, ok := got[name]; !ok {
+				t.Fatalf("%s has no sample:\n%s", name, text)
+			}
+		}
+		return got
+	}
+	before := scrape()
+	keep := make([][]byte, 64)
+	for i := range keep {
+		keep[i] = make([]byte, 16<<10)
+	}
+	runtime.GC()
+	after := scrape()
+	runtime.KeepAlive(keep)
+	for _, name := range names {
+		if after[name] < before[name] {
+			t.Errorf("%s decreased: %d -> %d", name, before[name], after[name])
+		}
+	}
+	if after[names[0]]-before[names[0]] < 1<<20 || after[names[1]]-before[names[1]] < 64 || after[names[2]] == before[names[2]] {
+		t.Errorf("1 MiB in 64 objects and one collection do not show: %v -> %v", before, after)
 	}
 }
 
