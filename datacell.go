@@ -561,6 +561,11 @@ type QueryStats struct {
 	// window build table instead of building one (see Query.Explain).
 	Join         time.Duration
 	BuildsReused int64
+	// JoinProbes and JoinHits count the window-level join index's work
+	// (queries whose join qualifies for it, see Query.Explain): new rows
+	// that probed the other side's index, one probe each, and the matching
+	// pairs they found.
+	JoinProbes, JoinHits int64
 	// Delivered and Dropped count results handed to this query's
 	// subscription channels versus discarded by a DropOldest subscription.
 	Delivered, Dropped int64
@@ -588,6 +593,8 @@ func (q *Query) Stats() QueryStats {
 		BatchedSlides: st.BatchedSlides,
 		Join:          time.Duration(st.JoinNS),
 		BuildsReused:  st.BuildsReused,
+		JoinProbes:    st.JoinProbes,
+		JoinHits:      st.JoinHits,
 		Delivered:     q.delivered.Load(),
 		Dropped:       q.dropped.Load(),
 		Backlog:       q.log.backlog(),

@@ -407,3 +407,46 @@ func TestValueConstructors(t *testing.T) {
 		t.Error("bad SQL should fail")
 	}
 }
+
+// TestJoinIndexStats: a two-stream join whose aggregates all fold through
+// matrix panes runs through the window-level join index, and QueryStats
+// counts its work: one probe per new post-filter row of either side, one
+// hit per matching pair of rows whose basic windows share a window.
+func TestJoinIndexStats(t *testing.T) {
+	db := newDB(t)
+	db.MustRegisterStream("s2", Col("x1", Int64), Col("x2", Int64))
+	q, err := db.Register(`SELECT count(*), sum(s.x1) FROM s [RANGE 4 SLIDE 2], s2 [RANGE 4 SLIDE 2] WHERE s.x2 = s2.x2 AND s.x1 > 0`, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int64
+	q.OnResult(func(r *Result) { counts = append(counts, r.Table.Cols[0].Get(0).I) })
+	// Four slides of two rows per stream, every row on key 1; the left
+	// filter drops one row of the third slide.
+	for i := 0; i < 8; i++ {
+		x1 := int64(i + 1)
+		if i == 4 {
+			x1 = 0
+		}
+		if err := db.Append("s", []Value{Int(x1), Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Append("s2", []Value{Int(int64(i)), Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := db.Pump(); err != nil {
+		t.Fatal(err)
+	}
+	// Left basic windows keep 2, 2, 1, 2 rows, right ones 2 each; a window
+	// holds two of each, so pairs join across basic windows at most one
+	// apart: 2·2 + 2·2 + 1·2 + 2·2 within a slide, 2·2 + 2·2 + 2·1 across
+	// (left older) and 2·2 + 1·2 + 2·2 across (right older).
+	st := q.Stats()
+	if st.JoinProbes != 7+8 || st.JoinHits != 14+10+10 {
+		t.Errorf("probes %d hits %d, want 15 and 34\n%s", st.JoinProbes, st.JoinHits, q.Explain())
+	}
+	if want := []int64{16, 12, 12}; len(counts) != len(want) || counts[0] != want[0] || counts[1] != want[1] || counts[2] != want[2] {
+		t.Errorf("window counts %v, want %v", counts, want)
+	}
+}

@@ -231,7 +231,7 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 		if (d.groups+1)*4 > len(d.slots)*3 {
 			d.rehash(2 * len(d.slots))
 		}
-		h := hashInt64(k, d.tmask)
+		h := HashInt64(k, d.tmask)
 		for {
 			sl := &d.slots[h]
 			if sl.head&deltaFlag == 0 {
@@ -310,7 +310,7 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 		// Every row of the oldest partial is its key's earliest live row by
 		// the time it is reached: any earlier occurrence sat in this same
 		// partial and has just handed the role over.
-		h := hashInt64(k, d.tmask)
+		h := HashInt64(k, d.tmask)
 		for d.slots[h].key != k || d.slots[h].head != s|deltaFlag {
 			if d.slots[h].head&deltaFlag == 0 {
 				panic("algebra: delta state lost a live key")
@@ -715,7 +715,7 @@ func (d *Delta) rehash(size int) {
 		if sl.head&deltaFlag == 0 {
 			continue
 		}
-		h := hashInt64(sl.key, d.tmask)
+		h := HashInt64(sl.key, d.tmask)
 		for d.slots[h].head&deltaFlag != 0 {
 			h = (h + 1) & d.tmask
 		}
@@ -737,7 +737,7 @@ func (d *Delta) deleteSlot(h uint64) {
 			if d.slots[j].head&deltaFlag == 0 {
 				return
 			}
-			home := hashInt64(d.slots[j].key, d.tmask)
+			home := HashInt64(d.slots[j].key, d.tmask)
 			// Entry j may fill the hole at i unless its home lies cyclically
 			// in (i, j] — then moving it would break its own probe chain.
 			if i <= j {

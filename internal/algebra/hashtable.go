@@ -22,14 +22,14 @@ type IntTable struct {
 
 const intHashMul = 0x9E3779B97F4A7C15
 
-// hashInt64 maps k to a slot of a power-of-two table with the given mask
+// HashInt64 maps k to a slot of a power-of-two table with the given mask
 // (Fibonacci hashing): the product's top log2(mask+1) bits, which depend
 // on every bit of k. Low or middle product bits would not — keys sharing
 // their low bits (say i<<32, or multiples of 2^20) would pile onto a few
 // slots and make linear probing quadratic. Every table has at least 16
 // slots, so mask > 0 and the shift stays below 64 (the & 63 only spares
 // the compiler's over-wide-shift check).
-func hashInt64(k int64, mask uint64) uint64 {
+func HashInt64(k int64, mask uint64) uint64 {
 	return (uint64(k) * intHashMul) >> (uint(bits.LeadingZeros64(mask)) & 63)
 }
 
@@ -64,7 +64,7 @@ func BuildInt(v *vector.Vector, sel vector.Sel) *IntTable {
 		}
 		t.keys[i] = key
 		t.rows[i] = row
-		h := hashInt64(key, t.mask)
+		h := HashInt64(key, t.mask)
 		t.next[i] = t.heads[h]
 		t.heads[h] = int32(i) + 1
 	}
@@ -145,7 +145,7 @@ func (t *GroupTable) grow() {
 		if s.epoch != epoch {
 			continue
 		}
-		h := hashInt64(s.key, t.mask)
+		h := HashInt64(s.key, t.mask)
 		for t.slots[h].epoch == epoch {
 			h = (h + 1) & t.mask
 		}
@@ -162,7 +162,7 @@ func (t *GroupTable) insertInt64(k int64, nextID int32) (id int32, found bool) {
 	if 2*t.used >= len(t.slots) {
 		t.grow()
 	}
-	h := hashInt64(k, t.mask)
+	h := HashInt64(k, t.mask)
 	epoch := t.epoch
 	for {
 		s := &t.slots[h]
@@ -192,7 +192,7 @@ func (t *IntTable) Probe(v *vector.Vector, sel vector.Sel) JoinResult {
 	vals := v.Int64s()
 	total := 0
 	countOne := func(key int64) {
-		for e := t.heads[hashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
+		for e := t.heads[HashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
 			if t.keys[e-1] == key {
 				total++
 			}
@@ -213,7 +213,7 @@ func (t *IntTable) Probe(v *vector.Vector, sel vector.Sel) JoinResult {
 	out.Left = make(vector.Sel, 0, total)
 	out.Right = make(vector.Sel, 0, total)
 	fillOne := func(pos int32, key int64) {
-		for e := t.heads[hashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
+		for e := t.heads[HashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
 			if t.keys[e-1] == key {
 				out.Left = append(out.Left, pos)
 				out.Right = append(out.Right, t.rows[e-1])
@@ -250,7 +250,7 @@ func (t *IntTable) ProbeFlipped(v *vector.Vector, sel vector.Sel) JoinResult {
 	cnt := make([]int32, n+1)
 	var denses, probes []int32
 	probeOne := func(pos int32, key int64) {
-		for e := t.heads[hashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
+		for e := t.heads[HashInt64(key, t.mask)]; e != 0; e = t.next[e-1] {
 			if t.keys[e-1] == key {
 				denses = append(denses, e-1)
 				probes = append(probes, pos)

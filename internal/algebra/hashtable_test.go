@@ -282,7 +282,7 @@ func TestGroupTableStructuredKeys(t *testing.T) {
 		displaced := 0
 		for j, s := range tbl.slots {
 			if s.epoch == tbl.epoch {
-				displaced += int((uint64(j) - hashInt64(s.key, tbl.mask)) & tbl.mask)
+				displaced += int((uint64(j) - HashInt64(s.key, tbl.mask)) & tbl.mask)
 			}
 		}
 		t.Logf("keys %s: %.2f probes past home per key", name, float64(displaced)/n)

@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"time"
@@ -28,8 +29,10 @@ import (
 
 // joinsQuery is the paper's Q2 shape with a selectivity knob on one input:
 // the s1.x1 < T filter runs before the join, so T sets the post-filter
-// cardinality asymmetry the planner sees.
-const joinsQuery = `SELECT count(*), sum(s1.x1) FROM s1 [RANGE %d SLIDE %d], s2 [RANGE %d SLIDE %d] WHERE s1.x2 = s2.x2 AND s1.x1 < %d`
+// cardinality asymmetry the planner sees. Its float sum keeps the join off
+// the window-level join index (core.IncPlan.JoinIndex), so both arms
+// evaluate matrix cells and the sweep times the greedy planner.
+const joinsQuery = `SELECT count(*), sum(s1.x1 * 0.5) FROM s1 [RANGE %d SLIDE %d], s2 [RANGE %d SLIDE %d] WHERE s1.x2 = s2.x2 AND s1.x1 < %d`
 
 // joinsX1Domain is the value domain of the filtered column; the skew-S
 // threshold joinsX1Domain/S keeps roughly 1/S of s1's rows.
@@ -91,6 +94,10 @@ func MeasureJoins(skew, workers, window, slide, slides int, baseline bool) (Join
 				case vector.Int64, vector.Timestamp:
 					for _, v := range col.Int64s() {
 						checksum = checksum*31 + v
+					}
+				case vector.Float64:
+					for _, v := range col.Float64s() {
+						checksum = checksum*31 + int64(math.Float64bits(v))
 					}
 				default:
 					for i := 0; i < col.Len(); i++ {

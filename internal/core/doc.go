@@ -78,6 +78,12 @@
 //     by runPerBW before entering a slot. The Runtime owns its slots and
 //     cells exclusively; callers serialize EvalFragments/Apply/PushChunk
 //     (the engine does so via its per-query step mutex).
+//   - A join plan whose matrix aggregates all fold through panes
+//     (IncPlan.JoinIndex) keeps no cells: one chained hash index per join
+//     side over the live basic windows takes the new rows, each new row
+//     probes the other side's index once, and each hit folds straight
+//     into the pane of its cell (joinindex.go). The index is serial and
+//     its folds are integer, so results stay bit-identical to the cells.
 //
 // The Runtime takes one lock: a TailState's mutex, held inside the merge
 // while a delta block is stepped or rebuilt and emitted, because other

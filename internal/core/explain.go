@@ -54,8 +54,12 @@ func (ip *IncPlan) explain(opts Options) string {
 	}
 	writeStage("per join-matrix cell", ip.Cell)
 	if ip.Join != nil {
-		fmt.Fprintf(&sb, "join planning: greedy per-cell build side from exact post-filter cardinalities (r%d vs r%d), interned per-bw build tables, empty sides zero their cells\n",
-			ip.Join.LeftIn, ip.Join.RightIn)
+		if ok, why := ip.JoinIndex(opts); ok {
+			sb.WriteString("join index: one probe per new row, hits fold into pane min(i,j)\n")
+		} else {
+			fmt.Fprintf(&sb, "join planning: greedy per-cell build side from exact post-filter cardinalities (r%d vs r%d), interned per-bw build tables, empty sides zero their cells (no join index: %s)\n",
+				ip.Join.LeftIn, ip.Join.RightIn, why)
+		}
 	}
 	if ip.HasJoin {
 		ip.explainPanes(&sb, opts)

@@ -65,8 +65,11 @@ func genJoinSlides(rng *rand.Rand, slides, rows int, skew string) []joinSlide {
 	return out
 }
 
+// queryForSkew is a Q2-shaped join with a selectivity knob. Its float sum
+// keeps it off the join index (the map after the join refuses it), so the
+// greedy planner and the cells it plans stay under test.
 func queryForSkew(skew string) string {
-	base := `SELECT count(*), sum(s.x1), sum(s2.x1) FROM s [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s.x2 = s2.x2`
+	base := `SELECT count(*), sum(s.x1 * 0.5), sum(s2.x1) FROM s [RANGE 40 SLIDE 10], s2 [RANGE 40 SLIDE 10] WHERE s.x2 = s2.x2`
 	switch skew {
 	case "selective-left":
 		return base + ` AND s.x1 < 1`
@@ -130,9 +133,10 @@ func TestAdaptiveJoinDifferential(t *testing.T) {
 
 // TestAdaptiveJoinInternedLifecycle: interned build tables are released as
 // their basic windows expire — across 10k slides the table count stays
-// bounded by the live windows — and steady-state slides reuse tables.
+// bounded by the live windows — and steady-state slides reuse tables. The
+// float sum keeps the plan on the cell path (no join index).
 func TestAdaptiveJoinInternedLifecycle(t *testing.T) {
-	prog := compile(t, `SELECT count(*) FROM s [RANGE 8 SLIDE 2], s2 [RANGE 8 SLIDE 2] WHERE s.x2 = s2.x2`)
+	prog := compile(t, `SELECT count(*), sum(s.x1 * 0.5) FROM s [RANGE 8 SLIDE 2], s2 [RANGE 8 SLIDE 2] WHERE s.x2 = s2.x2`)
 	ip, err := Rewrite(prog, 4, false)
 	if err != nil {
 		t.Fatal(err)
@@ -167,9 +171,10 @@ func TestAdaptiveJoinInternedLifecycle(t *testing.T) {
 
 // TestAdaptiveJoinEmptyCellCache: a plan whose cell stage is join+takes
 // caches one empty cell file and zeroes empty rows/columns without
-// evaluation or table builds.
+// evaluation or table builds. The float sum keeps the plan on the cell
+// path (no join index); a map over empty takes is empty-constant too.
 func TestAdaptiveJoinEmptyCellCache(t *testing.T) {
-	prog := compile(t, `SELECT count(*), sum(s2.x1) FROM s [RANGE 4 SLIDE 2], s2 [RANGE 4 SLIDE 2] WHERE s.x2 = s2.x2 AND s.x1 < 0`)
+	prog := compile(t, `SELECT count(*), sum(s2.x1 * 0.5) FROM s [RANGE 4 SLIDE 2], s2 [RANGE 4 SLIDE 2] WHERE s.x2 = s2.x2 AND s.x1 < 0`)
 	ip, err := Rewrite(prog, 2, false)
 	if err != nil {
 		t.Fatal(err)

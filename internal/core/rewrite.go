@@ -167,11 +167,13 @@ func (ip *IncPlan) ClassOf(r plan.Reg) Class { return ip.classes[r] }
 // registers LeftIn (source CellSources[0]) and RightIn (CellSources[1]) and
 // whose outputs are the aligned selections OutL/OutR. The runtime may
 // evaluate it through either build orientation — results are canonical
-// either way — and substitute interned per-bw build tables.
+// either way — and substitute interned per-bw build tables. IntKeys
+// reports that both key registers are known to hold integer columns.
 type JoinSpec struct {
 	LeftIn, RightIn plan.Reg
 	OutL, OutR      plan.Reg
 	At              int
+	IntKeys         bool
 }
 
 // cluster captures a grouped-aggregation pattern (group, repr, key takes,
@@ -475,6 +477,7 @@ func (rw *rewriter) classifyJoin(in plan.Instr) error {
 			OutL:    in.Out[0],
 			OutR:    in.Out[1],
 			At:      len(rw.ip.Cell) - 1,
+			IntKeys: rw.intKey(in.In[0]) && rw.intKey(in.In[1]),
 		}
 	case lc == ClassCell || rc == ClassCell:
 		return fmt.Errorf("core: joins over join results are not supported incrementally")

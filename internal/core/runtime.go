@@ -41,14 +41,19 @@ type StepStats struct {
 	TotalNS int64
 	// JoinNS is the join-matrix update cost of the slide — planning, build
 	// tables, cell evaluation — on both the adaptive and the written-order
-	// path, so the two are directly comparable. It is a subset of MainNS.
-	// Folding new cells into matrix panes and expiring them is merge work,
-	// counted in MergeNS.
+	// path, so the two are directly comparable; on the join index path it
+	// is inserting, probing and folding hits into panes. It is a subset of
+	// MainNS. Folding new cells into matrix panes and expiring panes is
+	// merge work, counted in MergeNS.
 	JoinNS int64
 	// BuildsReused counts the slide's join-matrix cells served by an
 	// interned build table instead of building one: probing cells minus
-	// tables built this slide. Zero on the written-order path.
+	// tables built this slide. Zero on the written-order and index paths.
 	BuildsReused int64
+	// JoinProbes and JoinHits count the join index's work: the new rows of
+	// both sides that probed the other side's index (one probe each) and
+	// the matching pairs they found. Zero off the index path.
+	JoinProbes, JoinHits int64
 	// Emitted reports whether this step produced a window result (false
 	// while the preface, i.e. the first window, is still filling).
 	Emitted bool
@@ -67,6 +72,8 @@ func (s *StepStats) Add(o StepStats) {
 	s.TotalNS += o.TotalNS
 	s.JoinNS += o.JoinNS
 	s.BuildsReused += o.BuildsReused
+	s.JoinProbes += o.JoinProbes
+	s.JoinHits += o.JoinHits
 	s.Emitted = s.Emitted || o.Emitted
 	s.ResultRows += o.ResultRows
 }
@@ -182,9 +189,9 @@ type Options struct {
 	// through the plain instruction path (one throwaway map-based grouping
 	// per firing) instead of the grouped-merge kernel, and join-matrix
 	// cells evaluate in written order with the right side building a fresh
-	// hash table per cell instead of being planned greedily. Results are
-	// identical; it exists because tests and internal/bench use that path
-	// as the reference.
+	// hash table per cell instead of being planned greedily or replaced by
+	// the join index. Results are identical; it exists because tests and
+	// internal/bench use that path as the reference.
 	Baseline bool
 }
 
@@ -269,6 +276,10 @@ type Runtime struct {
 	panes    []*paneAgg
 	paneHead int
 	paneCat  map[plan.Reg]*paneAgg
+	// index replaces the join matrix's cells when the plan qualifies
+	// (IncPlan.JoinIndex, joinindex.go): no cell is stored, no build table
+	// interned, and planJoin never runs.
+	index *joinIndex
 
 	// mergeEnv is the reusable merge-stage register file; its entries are
 	// cleared after every firing so it never pins a slide's vectors.
@@ -370,8 +381,10 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 			inputs: make([]exec.Input, len(ip.Prog.Sources)),
 		}
 	}
-	rt.initJoinPlanner(opts)
 	rt.initPanes()
+	if rt.initIndex(); rt.index == nil {
+		rt.initJoinPlanner(opts)
+	}
 	return rt
 }
 
@@ -440,6 +453,10 @@ func (rt *Runtime) Steps() int { return rt.steps }
 
 // AdaptiveJoin reports whether greedy adaptive join planning is active.
 func (rt *Runtime) AdaptiveJoin() bool { return rt.joinAdaptive }
+
+// JoinIndexed reports whether the join matrix runs through the join index
+// (IncPlan.JoinIndex).
+func (rt *Runtime) JoinIndexed() bool { return rt.index != nil }
 
 // Parallelism returns the configured fragment-worker bound (>= 1).
 func (rt *Runtime) Parallelism() int { return rt.par }
@@ -732,8 +749,12 @@ func (rt *Runtime) combineChunks(s int, chunks []regFile) regFile {
 // and fold in lockstep with the cells — expiry with the eviction, folding
 // with the serial assignment, which runs only once every new cell has
 // succeeded — so a slide that fails leaves panes and matrix consistent.
-// paneNS is the time spent on the panes, which is merge work.
+// paneNS is the time spent on the panes, which is merge work. A plan on
+// the join index (updateIndex) keeps no cells at all.
 func (rt *Runtime) updateCells(evicted bool, inputs []exec.Input, stats *StepStats) (paneNS int64, err error) {
+	if rt.index != nil {
+		return rt.updateIndex(evicted, stats)
+	}
 	ls, rs := rt.ip.CellSources[0], rt.ip.CellSources[1]
 	if evicted && len(rt.cells) > 0 {
 		rt.cells = rt.cells[1:]
@@ -1774,7 +1795,8 @@ func (rt *Runtime) DeltaState() DeltaState {
 	return st
 }
 
-// CellCount reports the number of live join-matrix cells.
+// CellCount reports the number of live join-matrix cells (zero on the
+// join index path, which stores none).
 func (rt *Runtime) CellCount() int {
 	total := 0
 	for _, row := range rt.cells {

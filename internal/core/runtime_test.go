@@ -122,8 +122,11 @@ func TestRuntimeLandmarkCompaction(t *testing.T) {
 	}
 }
 
+// TestRuntimeJoinMatrixLifecycle follows the cells of a 2x2 join matrix
+// across the preface and one slide. The float sum keeps the plan on the
+// cell path (no join index), which is the one that stores cells.
 func TestRuntimeJoinMatrixLifecycle(t *testing.T) {
-	prog := compile(t, `SELECT count(*) FROM s [RANGE 4 SLIDE 2], s2 [RANGE 4 SLIDE 2] WHERE s.x2 = s2.x2`)
+	prog := compile(t, `SELECT count(*), sum(s.x1 * 0.5) FROM s [RANGE 4 SLIDE 2], s2 [RANGE 4 SLIDE 2] WHERE s.x2 = s2.x2`)
 	ip, err := Rewrite(prog, 2, false)
 	if err != nil {
 		t.Fatal(err)

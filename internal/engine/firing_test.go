@@ -37,7 +37,9 @@ import (
 // invertible single-key blocks took the delta path in the default arms and
 // only there; float sums, min/max and join-fed blocks never did; the
 // multi-column-key block ran its instructions as written (kernel
-// instruction). It
+// instruction). Every join shape asserts its path too: the join index in
+// the default arms exactly where the plan qualifies, cells elsewhere and
+// under Baseline. It
 // subsumes the arms of the former per-feature suites that only toggled a
 // since-deleted opt-out switch: shared vs private time windows, shared vs
 // private merge tails, greedy vs written-order grouped joins.
@@ -53,6 +55,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 		kept      bool   // a solo query keeps its HAVING filter in the delta state
 		kernel    string // the grouped merge block's kernel in the default arms
 		panes     string // the Explain matrix-panes line in the default arms
+		index     string // a join's path in the default arms, "index" or "cells"
 	}{
 		{name: "scalar", shares: true,
 			sql: `SELECT count(*), sum(x2), min(x2), max(x2) FROM s [RANGE 32 SLIDE 8] WHERE x1 > 3`},
@@ -80,17 +83,17 @@ func TestOneFiringPathDifferential(t *testing.T) {
 			sql: `SELECT x1, max(x2), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1`},
 		{name: "grouped-multi-key", shares: true, kernel: core.MergeInstruction,
 			sql: `SELECT x1, x2, count(*), sum(x1) FROM s [RANGE 32 SLIDE 8] WHERE x2 < 30 GROUP BY x1, x2`},
-		{name: "grouped-join-fed", sorted: true, // groups follow matrix-cell order
+		{name: "grouped-join-fed", sorted: true, index: "cells", // groups follow matrix-cell order
 			sql: `SELECT s.x1, count(*), sum(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 GROUP BY s.x1`},
-		{name: "stream-stream-join",
+		{name: "stream-stream-join", index: "index",
 			sql: `SELECT count(*), sum(s.x1), max(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2`},
-		{name: "join-min-empty-cells", // whole cells emptied: the cached empty cell file
+		{name: "join-min-empty-cells", index: "index", // sparse hits: most cells join nothing
 			sql:   `SELECT count(*), sum(s.x1), min(s.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 AND s.x1 < 2`,
 			panes: "matrix panes: r9 sum, r10 sum, r11 min (4 panes folded per slide; +new cells, -expired pane)\n"},
-		{name: "join-float-sum",
+		{name: "join-float-sum", index: "cells",
 			sql:   `SELECT count(*), sum(s.x1 * 0.5) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2`,
 			panes: "matrix panes: r6 sum (4 panes folded per slide; +new cells, -expired pane); instruction path: r8 sum (float)\n"},
-		{name: "stream-stream-join-raw", sorted: true,
+		{name: "stream-stream-join-raw", sorted: true, index: "cells",
 			sql: `SELECT s.x1, s2.x1 FROM s [RANGE 16 SLIDE 8], s2 [RANGE 16 SLIDE 8] WHERE s.x2 = s2.x2 AND s.x1 < 4`},
 		{name: "stream-table-join",
 			sql: `SELECT sum(tab.val), count(*) FROM s [RANGE 32 SLIDE 8], tab WHERE s.x1 = tab.key`},
@@ -297,6 +300,14 @@ func TestOneFiringPathDifferential(t *testing.T) {
 				for i, q := range qs {
 					if got, want := q.rt.DeltaState().Blocks > 0, sh.delta && !a.opts.Baseline; got != want {
 						t.Fatalf("%s: query %d delta-maintained merge = %v, want %v\n%s", a.name, i, got, want, q.Explain())
+					}
+					// The join index runs exactly when the default arms'
+					// Explain says so, and never under Baseline.
+					if ex := q.Explain(); sh.index != "" {
+						want := sh.index == "index" && !a.opts.Baseline
+						if q.rt.JoinIndexed() != want || strings.Contains(ex, "join index: one probe per new row") != want {
+							t.Fatalf("%s: query %d join index = %v, want %v:\n%s", a.name, i, q.rt.JoinIndexed(), want, ex)
+						}
 					}
 					if ex := q.Explain(); sh.panes != "" && !a.opts.Baseline && !strings.Contains(ex, sh.panes) {
 						t.Fatalf("%s: query %d Explain lacks %q:\n%s", a.name, i, sh.panes, ex)

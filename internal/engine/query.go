@@ -533,9 +533,13 @@ func (q *ContinuousQuery) Explain() string {
 		s += q.rt.Explain()
 	}
 	if q.inc != nil && q.inc.HasJoin {
-		if q.rt == nil || !q.rt.AdaptiveJoin() {
+		switch {
+		case q.rt != nil && q.rt.JoinIndexed():
+			st := q.Stats()
+			s += fmt.Sprintf("join: one index per side, one probe per new row, hits fold into panes (probes×%d, hits×%d)\n", st.JoinProbes, st.JoinHits)
+		case q.rt == nil || !q.rt.AdaptiveJoin():
 			s += "join: written-order baseline, right side builds per cell\n"
-		} else {
+		default:
 			s += fmt.Sprintf("join: build=right|left per cell (greedy, exact cardinalities), tables reused×%d\n", q.Stats().BuildsReused)
 		}
 	}

@@ -135,6 +135,8 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 			fmt.Fprintf(sb, "datacell_query_stage_seconds_total{query=%q,stage=%q} %g\n", id, stage.name, stage.sec)
 		}
 		fmt.Fprintf(sb, "datacell_query_join_builds_reused_total{query=%q} %d\n", id, qs.BuildsReused)
+		fmt.Fprintf(sb, "datacell_query_join_probes_total{query=%q} %d\n", id, qs.JoinProbes)
+		fmt.Fprintf(sb, "datacell_query_join_hits_total{query=%q} %d\n", id, qs.JoinHits)
 		fmt.Fprintf(sb, "datacell_query_slides_total{query=%q,kind=\"adopted\"} %d\n", id, qs.AdoptedSlides)
 		fmt.Fprintf(sb, "datacell_query_slides_total{query=%q,kind=\"led\"} %d\n", id, qs.LedSlides)
 		fmt.Fprintf(sb, "datacell_query_slides_total{query=%q,kind=\"batched\"} %d\n", id, qs.BatchedSlides)

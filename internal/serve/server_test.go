@@ -823,6 +823,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`datacell_query_info{query="s1"`,
 		`datacell_query_windows_total{query="s1"} 2`,
 		`datacell_query_result_backlog{query="s1"} 0`,
+		`datacell_query_join_probes_total{query="s1"} 0`,
+		`datacell_query_join_hits_total{query="s1"} 0`,
 		`stage="fragment"`,
 		`outcome="delivered"`,
 		`datacell_stream_durable{stream="s"} 0`,
