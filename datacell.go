@@ -138,12 +138,11 @@ type Result struct {
 	Table *exec.Table
 	// Latency is the processing time of the step that emitted this window.
 	Latency time.Duration
-	// MainLatency, PartitionLatency and MergeLatency split Latency into the
-	// three runtime stages: fragment work (the original plan's per-basic-
-	// window / per-segment evaluation), the partitioned grouped re-group,
-	// and the serial merge remainder (incremental mode; re-evaluation
-	// reports the scan under Main and the combine under Merge).
-	MainLatency, PartitionLatency, MergeLatency time.Duration
+	// MainLatency and MergeLatency split Latency into the runtime stages:
+	// fragment work (the original plan's per-basic-window / per-segment
+	// evaluation) and the merge (incremental mode; re-evaluation reports
+	// the scan under Main and the combine under Merge).
+	MainLatency, MergeLatency time.Duration
 }
 
 // Table re-exports the result table type.
@@ -420,12 +419,11 @@ func (db *DB) Register(query string, opts Options) (*Query, error) {
 // Block cursor applies backpressure to the query itself.
 func (q *Query) deliver(er *engine.Result) {
 	q.log.append(&Result{
-		Window:           er.Window,
-		Table:            er.Table,
-		Latency:          time.Duration(er.Stats.TotalNS),
-		MainLatency:      time.Duration(er.Stats.MainNS),
-		PartitionLatency: time.Duration(er.Stats.PartitionNS),
-		MergeLatency:     time.Duration(er.Stats.MergeNS),
+		Window:       er.Window,
+		Table:        er.Table,
+		Latency:      time.Duration(er.Stats.TotalNS),
+		MainLatency:  time.Duration(er.Stats.MainNS),
+		MergeLatency: time.Duration(er.Stats.MergeNS),
 	})
 }
 
@@ -537,14 +535,15 @@ func (q *Query) Fingerprint() string { return q.cq.Fingerprint() }
 type QueryStats struct {
 	// Windows is the number of window results emitted.
 	Windows int
-	// Fragment, Shared, Scatter, Partition, Stitch, Merge and Total are the
-	// engine's cumulative stage clock: fragment work the query evaluated
-	// itself, time spent adopting shared work (fragment partials and merge
-	// heads) computed by other queries, the parallel hash-scatter feeding
-	// the shards, the partitioned grouped re-group, the tree stitch that
-	// restores serial group order, the serial merge remainder, and total
-	// step wall time.
-	Fragment, Shared, Scatter, Partition, Stitch, Merge, Total time.Duration
+	// Fragment, Shared, Merge and Total are the engine's cumulative stage
+	// clock: fragment work the query evaluated itself, time spent adopting
+	// shared work (fragment partials and merge heads) computed by other
+	// queries, the merge, and total step wall time.
+	Fragment, Shared, Merge, Total time.Duration
+	// Scatter, Partition and Stitch are always zero: the merge has no
+	// sharded stages. They are kept for callers that add them into the
+	// merge time.
+	Scatter, Partition, Stitch time.Duration
 	// AdoptedSlides and LedSlides count slides the query adopted from the
 	// shared-plan catalog versus evaluated itself and published.
 	AdoptedSlides, LedSlides int64
@@ -581,9 +580,6 @@ func (q *Query) Stats() QueryStats {
 		Windows:       st.Windows,
 		Fragment:      time.Duration(st.MainNS),
 		Shared:        time.Duration(st.SharedNS),
-		Scatter:       time.Duration(st.ScatterNS),
-		Partition:     time.Duration(st.PartitionNS),
-		Stitch:        time.Duration(st.StitchNS),
 		Merge:         time.Duration(st.MergeNS),
 		Total:         time.Duration(st.TotalNS),
 		AdoptedSlides: st.AdoptedSlides,

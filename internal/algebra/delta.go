@@ -9,16 +9,17 @@ import (
 
 // This file is the delta-maintained grouped merge: the incremental merge
 // stage's re-group of N concatenated partials, maintained across slides
-// instead of recomputed. When every compensating aggregate is invertible
-// (integer Sum, which is also what count lowers to) a slide changes the
+// instead of recomputed. When every compensating aggregate is an integer
+// Sum (which is also what count lowers to), Min or Max, a slide changes the
 // window by exactly two partials, so the per-key totals can be kept: the
-// new basic window's partial is added, the expired one subtracted, and
-// only those two partials' rows touch the hashtable. Emission is a
-// sequential scan, not a re-group.
+// new basic window's partial is added, the expired one taken out, and only
+// those two partials' rows touch the hashtable. Emission is a sequential
+// scan, not a re-group.
 //
-// The output is bit-identical to Fused over the concatenated live
-// partials — values AND row order. Fused emits groups in first-occurrence
-// order, so the state tracks, per group, its earliest live partial row:
+// The output is bit-identical to the block's own instructions (the
+// kernel's GROUP BY over the concatenated live partials) — values AND row
+// order. Those emit groups in first-occurrence order, so the state tracks,
+// per group, its earliest live partial row:
 //
 //   - Every live partial row has a record in one ring arena, in
 //     concatenation order (oldest partial first, rows in partial order).
@@ -30,6 +31,14 @@ import (
 //     the expired contribution) and the flag move to the linked next
 //     occurrence in O(1); a row with no next occurrence takes its group
 //     with it, and the key is deleted from the table.
+//   - Min and Max have no inverse, so a record that is not its group's
+//     head keeps its own value in the aggregate's total slot (unused
+//     otherwise), and the head keeps the extreme. An expiring head whose
+//     own value (the caller passes it back) differs from the extreme hands
+//     the extreme on unchanged; one whose value is the extreme has its
+//     successor rescan the chain to the tail — at most one record per
+//     live partial the key occurs in. Integer comparisons are order-free,
+//     so the result is exact.
 //
 // Emit therefore walks the arena once, front to back, and copies out the
 // flagged rows: first-occurrence order falls out of the arena order.
@@ -80,7 +89,9 @@ type deltaSlot struct {
 type Delta struct {
 	keyTyp  vector.Type
 	aggTyps []vector.Type
-	stride  int // int64 words per arena record
+	kinds   []AggKind
+	extreme bool // some aggregate is a Min or Max
+	stride  int  // int64 words per arena record
 
 	rec    []int64 // ring arena of live partial rows, capacity amask+1
 	amask  uint32
@@ -151,20 +162,18 @@ type deltaFilter struct {
 	used bool
 }
 
-// Invertible reports whether the aggregate can be maintained by adding
-// and subtracting partials: a Sum whose accumulator is a two's-complement
-// integer (float sums are order-sensitive, Min/Max have no inverse).
-func (a FusedAgg) Invertible() bool {
-	return a.Kind == AggSum && vector.IntKind(a.Typ)
-}
-
 // NewDelta returns an empty state for a block grouping on one
-// Int64/Timestamp key and summing the given Int64/Timestamp columns.
-func NewDelta(keyTyp vector.Type, aggTyps []vector.Type) *Delta {
+// Int64/Timestamp key whose aggregates fold Int64/Timestamp columns with
+// the given kinds (AggSum, AggMin or AggMax), aligned with aggTyps.
+func NewDelta(keyTyp vector.Type, aggTyps []vector.Type, kinds []AggKind) *Delta {
 	d := &Delta{
 		keyTyp:  keyTyp,
 		aggTyps: append([]vector.Type(nil), aggTyps...),
+		kinds:   append([]AggKind(nil), kinds...),
 		stride:  deltaRecTot + len(aggTyps),
+	}
+	for _, k := range kinds {
+		d.extreme = d.extreme || k == AggMin || k == AggMax
 	}
 	d.Reset()
 	return d
@@ -222,6 +231,7 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 	d.pushSize(n)
 	d.advanced = true
 	track := len(d.filters) > 0 && !d.stale
+	extreme := d.extreme
 	st := d.stride
 	for i, k := range keys {
 		s := d.hi
@@ -250,8 +260,12 @@ func (d *Delta) Add(keys []int64, vals [][]int64) {
 			}
 			if sl.key == k {
 				head := d.rec[int(sl.head&d.amask)*st:][:st]
-				for a, col := range vals {
-					head[deltaRecTot+a] += col[i]
+				if extreme {
+					d.fold(head, r, vals, i)
+				} else {
+					for a, col := range vals {
+						head[deltaRecTot+a] += col[i]
+					}
 				}
 				// Chain the previous latest occurrence to this row (keeping
 				// its first-row flag); a self-link means "no next yet".
@@ -298,6 +312,7 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 	d.sizeN--
 	d.advanced = true
 	track := len(d.filters) > 0 && !d.stale
+	extreme := d.extreme
 	st := d.stride
 	for i := 0; i < n; i++ {
 		s := d.lo
@@ -323,8 +338,12 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 			continue
 		}
 		nr := d.rec[int(next&d.amask)*st:][:st]
-		for a, col := range vals {
-			nr[deltaRecTot+a] = r[deltaRecTot+a] - col[i]
+		if extreme {
+			d.handOn(r, nr, next, vals, i)
+		} else {
+			for a, col := range vals {
+				nr[deltaRecTot+a] = r[deltaRecTot+a] - col[i]
+			}
 		}
 		nr[deltaRecLink] |= int64(deltaFlag)
 		d.slots[h].head = next | deltaFlag
@@ -334,6 +353,59 @@ func (d *Delta) Expire(keys []int64, vals [][]int64) bool {
 	}
 	d.rows -= n
 	return true
+}
+
+// fold adds row i of vals, whose record r is not its group's head, to the
+// head's totals: sums accumulate, extremes compare, and r keeps its own
+// Min/Max values for the rescan that may follow its head's expiry.
+func (d *Delta) fold(head, r []int64, vals [][]int64, i int) {
+	for a, col := range vals {
+		v, tot := col[i], &head[deltaRecTot+a]
+		switch d.kinds[a] {
+		case AggSum:
+			*tot += v
+			continue
+		case AggMin:
+			*tot = min(*tot, v)
+		case AggMax:
+			*tot = max(*tot, v)
+		}
+		r[deltaRecTot+a] = v
+	}
+}
+
+// handOn moves the totals of expiring head r, whose own values are row i
+// of vals, to its next occurrence nr at sequence number next. A Min/Max
+// extreme the expiring row did not set carries over; one it set (perhaps
+// tied) is recomputed from the own values of nr and its successors.
+func (d *Delta) handOn(r, nr []int64, next uint32, vals [][]int64, i int) {
+	for a, col := range vals {
+		tot := r[deltaRecTot+a]
+		switch {
+		case d.kinds[a] == AggSum:
+			tot -= col[i]
+		case col[i] == tot:
+			tot = d.rescan(next, a)
+		}
+		nr[deltaRecTot+a] = tot
+	}
+}
+
+// rescan returns the extreme of aggregate a over the own values of the
+// chain from the record at sequence number s to its group's tail.
+func (d *Delta) rescan(s uint32, a int) int64 {
+	st, isMin := d.stride, d.kinds[a] == AggMin
+	r := d.rec[int(s&d.amask)*st:][:st]
+	m := r[deltaRecTot+a]
+	for next := uint32(r[deltaRecLink]) & deltaSeqMask; next != s; next = uint32(r[deltaRecLink]) & deltaSeqMask {
+		s, r = next, d.rec[int(next&d.amask)*st:][:st]
+		if v := r[deltaRecTot+a]; isMin {
+			m = min(m, v)
+		} else {
+			m = max(m, v)
+		}
+	}
+	return m
 }
 
 // EmitBuf is reusable storage for the columns Emit writes. A runtime
@@ -752,4 +824,12 @@ func (d *Delta) deleteSlot(h uint64) {
 		d.slots[i] = d.slots[j]
 		i = j
 	}
+}
+
+// intVector wraps an int64 payload as an Int64 or Timestamp column.
+func intVector(t vector.Type, vals []int64) *vector.Vector {
+	if t == vector.Timestamp {
+		return vector.FromTimestamp(vals)
+	}
+	return vector.FromInt64(vals)
 }

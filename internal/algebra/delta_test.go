@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"datacell/internal/vector"
@@ -15,29 +16,66 @@ type deltaPartial struct {
 	vals [][]int64
 }
 
-// fusedOver is the reference: the fused kernel's serial grouping over the
-// concatenated live partials, read part by part exactly as core does.
-func fusedOver(f *Fused, live []deltaPartial, naggs int) (*vector.Vector, []*vector.Vector) {
-	aggs := make([]FusedAgg, naggs)
-	for a := range aggs {
-		aggs[a] = FusedAgg{Kind: AggSum, Typ: vector.Int64}
-	}
-	rows := 0
+// sums returns n AggSum kinds: the invertible state most tests drive.
+func sums(n int) []AggKind { return make([]AggKind, n) }
+
+// naiveFold is the reference: the live partials concatenated and grouped
+// row by row on a map, groups in first-occurrence order, each aggregate
+// folded by its kind — what the block's own GROUP BY instructions compute.
+func naiveFold(live []deltaPartial, kinds []AggKind) (keys []int64, aggs [][]int64) {
+	at := map[int64]int{}
+	aggs = make([][]int64, len(kinds))
 	for _, p := range live {
-		rows += len(p.keys)
-	}
-	f.Begin(1, 1, rows, vector.Int64, aggs)
-	for _, p := range live {
-		cols := make([]AggCol, naggs)
-		for a := range cols {
-			cols[a] = AggCol{I: p.vals[a]}
-			if p.vals[a] == nil {
-				cols[a].I = []int64{}
+		for i, k := range p.keys {
+			g, seen := at[k]
+			if !seen {
+				at[k] = len(keys)
+				keys = append(keys, k)
+				for a := range kinds {
+					aggs[a] = append(aggs[a], p.vals[a][i])
+				}
+				continue
+			}
+			for a, kind := range kinds {
+				v, tot := p.vals[a][i], &aggs[a][g]
+				switch kind {
+				case AggSum:
+					*tot += v
+				case AggMin:
+					*tot = min(*tot, v)
+				case AggMax:
+					*tot = max(*tot, v)
+				}
 			}
 		}
-		f.GroupRangeDirect(p.keys, cols, 0, len(p.keys))
 	}
-	return f.Finish()
+	return keys, aggs
+}
+
+// vecEqual is an exact (bit-level for floats) element-wise comparison;
+// Vector.String() truncates, so it cannot stand in for equality here.
+func vecEqual(a, b *vector.Vector) bool {
+	if a.Type() != b.Type() || a.Len() != b.Len() {
+		return false
+	}
+	switch a.Type() {
+	case vector.Int64, vector.Timestamp:
+		return slices.Equal(a.Int64s(), b.Int64s())
+	case vector.Float64:
+		x, y := a.Float64s(), b.Float64s()
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	for i := 0; i < a.Len(); i++ {
+		if a.Get(i) != b.Get(i) {
+			return false
+		}
+	}
+	return true
 }
 
 // slide advances a Delta and its mirror of live partials by one basic
@@ -54,32 +92,57 @@ func slide(t *testing.T, d *Delta, live []deltaPartial, n int, p deltaPartial) [
 	return append(live, p)
 }
 
-func checkDelta(t *testing.T, ctx string, d *Delta, f *Fused, live []deltaPartial, naggs int) {
+// checkDelta compares Emit with naiveFold over live — keys, their order,
+// every aggregate and the column types — and the state's accounting.
+func checkDelta(t *testing.T, ctx string, d *Delta, live []deltaPartial) {
 	t.Helper()
-	wantK, wantA := fusedOver(f, live, naggs)
+	wantK, wantA := naiveFold(live, d.kinds)
 	gotK, gotA := d.Emit(nil)
-	if !vecEqual(gotK, wantK) {
-		t.Fatalf("%s: keys (or their order) differ:\n got %v\nwant %v", ctx, gotK.Int64s(), wantK.Int64s())
+	if gotK.Type() != d.keyTyp || !slices.Equal(gotK.Int64s(), wantK) {
+		t.Fatalf("%s: keys (or their order) differ:\n got %v %v\nwant %v", ctx, gotK.Type(), gotK.Int64s(), wantK)
 	}
 	for a := range wantA {
-		if !vecEqual(gotA[a], wantA[a]) {
-			t.Fatalf("%s: agg %d differs:\n got %v\nwant %v", ctx, a, gotA[a].Int64s(), wantA[a].Int64s())
+		if gotA[a].Type() != d.aggTyps[a] || !slices.Equal(gotA[a].Int64s(), wantA[a]) {
+			t.Fatalf("%s: %s agg %d differs:\n got %v %v\nwant %v", ctx, d.kinds[a], a, gotA[a].Type(), gotA[a].Int64s(), wantA[a])
 		}
 	}
 	rows := 0
 	for _, p := range live {
 		rows += len(p.keys)
 	}
-	if d.Groups() != wantK.Len() || d.Rows() != rows || d.Partials() != len(live) {
+	if d.Groups() != len(wantK) || d.Rows() != rows || d.Partials() != len(live) {
 		t.Fatalf("%s: accounting groups=%d rows=%d partials=%d, want %d %d %d",
-			ctx, d.Groups(), d.Rows(), d.Partials(), wantK.Len(), rows, len(live))
+			ctx, d.Groups(), d.Rows(), d.Partials(), len(wantK), rows, len(live))
 	}
 }
 
+// adversarialKeys are key sequences the state's hashtable and chains must
+// survive: every row in one group, one row per group, keys stepping by a
+// large power of two (after the hash multiply these walk aliased bucket
+// sequences, forcing long probe chains), and plain random domains.
+func adversarialKeys(rows int, rng *rand.Rand) map[string][]int64 {
+	sets := map[string][]int64{}
+	for _, name := range []string{"all-rows-one-key", "one-row-per-group", "hash-collision-chains", "random-small-domain", "random-large-domain"} {
+		sets[name] = make([]int64, rows)
+	}
+	for i := 0; i < rows; i++ {
+		sets["all-rows-one-key"][i] = 42
+		sets["one-row-per-group"][i] = int64(i * 7)
+		sets["hash-collision-chains"][i] = int64(i%17) << 47
+		sets["random-small-domain"][i] = rng.Int63n(13)
+		sets["random-large-domain"][i] = rng.Int63n(1 << 40)
+	}
+	return sets
+}
+
 // TestDeltaMatchesFused is the randomized differential of the
-// delta-maintained merge against the fused kernel over the concatenated
-// live partials: values, keys and row order, on every slide, including
-// while the window is still filling.
+// delta-maintained merge against naiveFold over the concatenated live
+// partials: values, keys and row order, on every slide, including while
+// the window is still filling. (The name is kept from when the reference
+// was the re-grouping kernel this fold reproduces.) Min and Max shapes
+// cover ascending and descending values, under which every expiry of a
+// group's head rescans its chain, extremes tied across partials, and the
+// int64 limits; the adversarial key sets run sum, min and max together.
 func TestDeltaMatchesFused(t *testing.T) {
 	type gen func(rng *rand.Rand, slide int) deltaPartial
 	mk := func(naggs int, keyOf func(rng *rand.Rand, slide, i int) int64, rowsOf func(rng *rand.Rand, slide int) int, valOf func(rng *rand.Rand) int64) gen {
@@ -100,40 +163,65 @@ func TestDeltaMatchesFused(t *testing.T) {
 	}
 	small := func(rng *rand.Rand) int64 { return rng.Int63n(1000) - 500 }
 	fixed := func(n int) func(*rand.Rand, int) int { return func(*rand.Rand, int) int { return n } }
+	// counter yields values that only rise (or, negated, only fall) across
+	// the whole feed, so the oldest row of a group holds its min (max).
+	counter := func(step int64) func(*rand.Rand) int64 {
+		var v int64
+		return func(rng *rand.Rand) int64 { v += step * (1 + rng.Int63n(3)); return v }
+	}
+	extremes := []AggKind{AggMin, AggMax, AggSum}
 	shapes := []struct {
 		name  string
-		naggs int
+		kinds []AggKind
 		gen   gen
 	}{
-		{"random-domain", 2, mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(40) }, fixed(24), small)},
+		{"random-domain", sums(2), mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(40) }, fixed(24), small)},
 		// Each key lives for a few slides, vanishes, and comes back later.
-		{"vanishing-reappearing", 1, mk(1, func(rng *rand.Rand, sl, _ int) int64 { return int64((sl/3)%4)*10 + rng.Int63n(4) }, fixed(6), small)},
-		{"all-rows-one-key", 2, mk(2, func(*rand.Rand, int, int) int64 { return 42 }, fixed(9), small)},
+		{"vanishing-reappearing", sums(1), mk(1, func(rng *rand.Rand, sl, _ int) int64 { return int64((sl/3)%4)*10 + rng.Int63n(4) }, fixed(6), small)},
+		{"all-rows-one-key", sums(2), mk(2, func(*rand.Rand, int, int) int64 { return 42 }, fixed(9), small)},
 		// Duplicate keys inside one partial: the chunk-combined basic window.
-		{"duplicates-in-partial", 1, mk(1, func(rng *rand.Rand, _, i int) int64 { return int64(i%3) + rng.Int63n(2)*100 }, fixed(12), small)},
-		{"empty-and-ragged-partials", 2, mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(12) },
+		{"duplicates-in-partial", sums(1), mk(1, func(rng *rand.Rand, _, i int) int64 { return int64(i%3) + rng.Int63n(2)*100 }, fixed(12), small)},
+		{"empty-and-ragged-partials", sums(2), mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(12) },
 			func(rng *rand.Rand, sl int) int {
 				if sl%3 == 1 {
 					return 0
 				}
 				return rng.Intn(20)
 			}, small)},
-		{"wrap-around-sums", 2, mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(5) }, fixed(8),
+		{"wrap-around-sums", sums(2), mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(5) }, fixed(8),
 			func(rng *rand.Rand) int64 { return math.MaxInt64 - rng.Int63n(3) })},
-		{"drifting-domain", 1, mk(1, func(_ *rand.Rand, sl, i int) int64 { return int64(sl*5 + i) }, fixed(7), small)},
-		{"zero-key-no-aggs", 0, mk(0, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(3) }, fixed(4), small)},
+		{"drifting-domain", sums(1), mk(1, func(_ *rand.Rand, sl, i int) int64 { return int64(sl*5 + i) }, fixed(7), small)},
+		{"zero-key-no-aggs", nil, mk(0, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(3) }, fixed(4), small)},
+		{"min-max-random", extremes, mk(3, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(30) }, fixed(16), small)},
+		{"ascending-values", extremes, mk(3, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(6) }, fixed(10), counter(1))},
+		{"descending-values", extremes, mk(3, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(6) }, fixed(10), counter(-1))},
+		// Values from {0, 1}: the extreme is tied across many partials.
+		{"tied-extremes", extremes, mk(3, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(4) }, fixed(8), func(rng *rand.Rand) int64 { return rng.Int63n(2) })},
+		{"int64-limits", []AggKind{AggMin, AggMax}, mk(2, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(5) }, fixed(6), func(rng *rand.Rand) int64 {
+			return []int64{math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1, 0, -1}[rng.Intn(6)]
+		})},
+		{"empty-partials-max", []AggKind{AggMax}, mk(1, func(rng *rand.Rand, _, _ int) int64 { return rng.Int63n(5) },
+			func(rng *rand.Rand, sl int) int { return (sl % 3) * rng.Intn(6) }, counter(-7))},
+	}
+	const advRows = 3000
+	for name, keys := range adversarialKeys(advRows, rand.New(rand.NewSource(7))) {
+		shapes = append(shapes, struct {
+			name  string
+			kinds []AggKind
+			gen   gen
+		}{name: "adversarial-" + name, kinds: []AggKind{AggSum, AggMin, AggMax},
+			gen: mk(3, func(_ *rand.Rand, sl, i int) int64 { return keys[(sl*97+i)%advRows] }, fixed(97),
+				func(rng *rand.Rand) int64 { return rng.Int63n(1_000_000) - 500_000 })})
 	}
 	for _, sh := range shapes {
 		for _, n := range []int{1, 2, 7, 32} {
 			t.Run(fmt.Sprintf("%s/N=%d", sh.name, n), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(2013 + n)))
-				typs := make([]vector.Type, sh.naggs)
-				d := NewDelta(vector.Int64, typs)
-				f := NewFused()
+				d := NewDelta(vector.Int64, make([]vector.Type, len(sh.kinds)), sh.kinds)
 				var live []deltaPartial
 				for sl := 0; sl < 5*n+20; sl++ {
 					live = slide(t, d, live, n, sh.gen(rng, sl))
-					checkDelta(t, fmt.Sprintf("slide %d", sl), d, f, live, sh.naggs)
+					checkDelta(t, fmt.Sprintf("slide %d", sl), d, live)
 				}
 			})
 		}
@@ -141,33 +229,29 @@ func TestDeltaMatchesFused(t *testing.T) {
 }
 
 // TestDeltaSequenceWrap runs the differential across the 31-bit sequence
-// wrap: links, heads and arena positions must stay consistent when row
-// numbers restart at zero mid-window.
+// wrap: links, heads, min/max rescans along the chains and arena positions
+// must stay consistent when row numbers restart at zero mid-window. Every
+// column is a Timestamp.
 func TestDeltaSequenceWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	d := NewDelta(vector.Timestamp, []vector.Type{vector.Timestamp})
+	ts := []vector.Type{vector.Timestamp, vector.Timestamp, vector.Timestamp}
+	d := NewDelta(vector.Timestamp, ts, []AggKind{AggSum, AggMax, AggMin})
 	d.lo, d.hi = deltaSeqMask-100, deltaSeqMask-100
-	f := NewFused()
 	var live []deltaPartial
 	for sl := 0; sl < 60; sl++ {
-		p := deltaPartial{keys: make([]int64, 13), vals: [][]int64{make([]int64, 13)}}
+		p := deltaPartial{keys: make([]int64, 13), vals: [][]int64{make([]int64, 13), make([]int64, 13), make([]int64, 13)}}
 		for i := range p.keys {
-			p.keys[i], p.vals[0][i] = rng.Int63n(30), rng.Int63n(100)
+			v := rng.Int63n(100)
+			p.keys[i], p.vals[0][i], p.vals[1][i], p.vals[2][i] = rng.Int63n(30), v, v, v
 		}
 		live = slide(t, d, live, 5, p)
-		wantK, wantA := fusedOver(f, live, 1)
-		gotK, gotA := d.Emit(nil)
-		if gotK.Type() != vector.Timestamp || gotA[0].Type() != vector.Timestamp {
-			t.Fatalf("slide %d: output types %v/%v, want timestamps", sl, gotK.Type(), gotA[0].Type())
-		}
-		if fmt.Sprint(gotK.Int64s()) != fmt.Sprint(wantK.Int64s()) || fmt.Sprint(gotA[0].Int64s()) != fmt.Sprint(wantA[0].Int64s()) {
-			t.Fatalf("slide %d (lo=%d hi=%d): diverged across the sequence wrap", sl, d.lo, d.hi)
-		}
+		ctx := fmt.Sprintf("slide %d (lo=%d hi=%d)", sl, d.lo, d.hi)
+		checkDelta(t, ctx, d, live)
 		// The verdict bitmaps are indexed by arena position, which wraps
 		// with the sequence numbers.
-		ctx := fmt.Sprintf("slide %d (lo=%d hi=%d)", sl, d.lo, d.hi)
 		checkFiltered(t, ctx, d, []Conjunct{{Col: 1, Cmp: Gt, Val: vector.IntValue(150)}})
 		checkFiltered(t, ctx, d, []Conjunct{{Col: 0, Cmp: Le, Val: vector.IntValue(20)}, {Col: 1, Cmp: Ge, Val: vector.IntValue(100)}})
+		checkFiltered(t, ctx, d, []Conjunct{{Col: 2, Cmp: Ge, Val: vector.IntValue(90)}, {Col: 3, Cmp: Lt, Val: vector.IntValue(30)}})
 	}
 	if d.hi > 1000 {
 		t.Fatalf("sequence never wrapped (hi=%d)", d.hi)
@@ -209,9 +293,11 @@ func checkFiltered(t *testing.T, ctx string, d *Delta, conj []Conjunct) int {
 // values and order, over random expire/add sequences: partial sizes that
 // burst and fall back (growth and shrink relayouts), periodic rebuilds
 // (Reset and re-add), several filters on one state that come and go, Eq
-// and Ne on the key, a float constant on an integer total, a filter that
-// keeps nothing, and a count threshold on a small domain so groups flip in
-// and out as their rows expire.
+// and Ne on the key, a float constant on an integer total, a filter on a
+// max, a filter that keeps nothing, and a count threshold on a small
+// domain so groups flip in and out as their rows expire. The full emit is
+// checked against naiveFold on every slide, so the relayouts move the
+// max's own values and extremes correctly too.
 func TestDeltaFilterMatchesSelect(t *testing.T) {
 	filters := [][]Conjunct{
 		{{Col: 2, Cmp: Gt, Val: vector.IntValue(2)}},
@@ -219,11 +305,12 @@ func TestDeltaFilterMatchesSelect(t *testing.T) {
 		{{Col: 0, Cmp: Eq, Val: vector.IntValue(5)}},
 		{{Col: 1, Cmp: Gt, Val: vector.IntValue(1 << 40)}},
 		{{Col: 1, Cmp: Ge, Val: vector.FloatValue(-10.25)}, {Col: 2, Cmp: Le, Val: vector.IntValue(6)}, {Col: 0, Cmp: Lt, Val: vector.IntValue(30)}},
+		{{Col: 3, Cmp: Gt, Val: vector.IntValue(400)}},
 	}
 	for _, n := range []int{1, 3, 8} {
 		t.Run(fmt.Sprintf("N=%d", n), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(41 + n)))
-			d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
+			d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64, vector.Int64}, []AggKind{AggSum, AggSum, AggMax})
 			var live []deltaPartial
 			grew, shrank, rebuilt := false, false, 0
 			prevUsed := map[int]bool{}
@@ -232,9 +319,10 @@ func TestDeltaFilterMatchesSelect(t *testing.T) {
 				if sl%50 >= 40 {
 					rows, domain = 100+rng.Intn(300), 2000 // a burst grows the arena
 				}
-				p := deltaPartial{keys: make([]int64, rows), vals: [][]int64{make([]int64, rows), make([]int64, rows)}}
+				p := deltaPartial{keys: make([]int64, rows), vals: [][]int64{make([]int64, rows), make([]int64, rows), make([]int64, rows)}}
 				for i := range p.keys {
 					p.keys[i], p.vals[0][i], p.vals[1][i] = rng.Int63n(domain), rng.Int63n(1000)-500, 1
+					p.vals[2][i] = p.vals[0][i]
 				}
 				before := d.ArenaCap()
 				live = slide(t, d, live, n, p)
@@ -247,6 +335,7 @@ func TestDeltaFilterMatchesSelect(t *testing.T) {
 					}
 					rebuilt++
 				}
+				checkDelta(t, fmt.Sprintf("slide %d", sl), d, live)
 				used := map[int]bool{0: true}
 				for f := 1; f < len(filters); f++ {
 					if rng.Intn(3) > 0 {
@@ -286,7 +375,7 @@ func TestDeltaFilterMatchesSelect(t *testing.T) {
 func TestDeltaFilterVisits(t *testing.T) {
 	const n, rows, domain = 16, 512, 1 << 14
 	rng := rand.New(rand.NewSource(5))
-	d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
+	d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64}, sums(2))
 	conj := [][]Conjunct{
 		{{Col: 2, Cmp: Gt, Val: vector.IntValue(2)}},
 		{{Col: 1, Cmp: Gt, Val: vector.IntValue(2200)}},
@@ -338,7 +427,7 @@ func TestDeltaFilterVisits(t *testing.T) {
 // expired rows) would grow without bound.
 func TestDeltaBoundedState(t *testing.T) {
 	const n, rows, slides = 8, 64, 10000
-	d := NewDelta(vector.Int64, []vector.Type{vector.Int64})
+	d := NewDelta(vector.Int64, []vector.Type{vector.Int64}, sums(1))
 	var live []deltaPartial
 	maxTable, maxArena := 0, 0
 	for sl := 0; sl < slides; sl++ {
@@ -380,7 +469,7 @@ func TestDeltaBoundedState(t *testing.T) {
 // TestDeltaExpireMismatch pins the divergence contract: a partial that
 // is not the oldest one is refused and the state is left intact.
 func TestDeltaExpireMismatch(t *testing.T) {
-	d := NewDelta(vector.Int64, []vector.Type{vector.Int64})
+	d := NewDelta(vector.Int64, []vector.Type{vector.Int64}, sums(1))
 	if d.Expire(nil, [][]int64{nil}) {
 		t.Fatal("Expire on an empty state must fail")
 	}
@@ -402,103 +491,69 @@ func TestDeltaExpireMismatch(t *testing.T) {
 	}
 }
 
-// deltaSteadyStateAllocs is the delta kernel's arm of
-// TestMergeKernelSteadyStateAllocs: once warm, advancing the state by one
-// slide allocates nothing; only Emit's escaping output columns are fresh.
-func deltaSteadyStateAllocs(t *testing.T) {
+// TestMergeKernelSteadyStateAllocs pins the steady-state allocation
+// behavior of the delta-maintained merge: once warm, advancing the state
+// by one slide allocates nothing, for a sum-only state and for one with a
+// min and a max whose values rise, so every expiry of a group's head
+// rescans the min; only Emit's escaping output columns are fresh.
+func TestMergeKernelSteadyStateAllocs(t *testing.T) {
 	const n, rows = 8, 512
-	rng := rand.New(rand.NewSource(3))
-	parts := make([]deltaPartial, 4*n)
-	for i := range parts {
-		p := deltaPartial{keys: make([]int64, rows), vals: [][]int64{make([]int64, rows), make([]int64, rows)}}
-		for j := range p.keys {
-			p.keys[j], p.vals[0][j], p.vals[1][j] = rng.Int63n(3000), rng.Int63n(1000), 1
-		}
-		parts[i] = p
-	}
-	d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
-	at := 0
-	step := func() {
-		if at >= n {
-			old := parts[(at-n)%len(parts)]
-			d.Expire(old.keys, old.vals)
-		}
-		p := parts[at%len(parts)]
-		d.Add(p.keys, p.vals)
-		at++
-	}
-	for i := 0; i < 3*n; i++ {
-		step()
-	}
-	if avg := testing.AllocsPerRun(100, step); avg != 0 {
-		t.Errorf("steady-state expire+add: %v allocs per slide, want 0", avg)
-	}
-	// 2 output vectors' payloads + headers + the column slices; the point
-	// is that it does not scale with rows or groups.
-	if avg := testing.AllocsPerRun(10, func() { d.Emit(nil) }); avg > 10 {
-		t.Errorf("Emit: %v allocs, want a constant handful (the output columns)", avg)
-	}
-	// Into a warm buffer the payloads are reused: only the three vector
-	// headers and the aggregate slice are new, and the head is the same.
-	var buf EmitBuf
-	wantK, wantA := d.Emit(nil)
-	gotK, gotA := d.Emit(&buf)
-	if !vecEqual(gotK, wantK) || !vecEqual(gotA[0], wantA[0]) || !vecEqual(gotA[1], wantA[1]) {
-		t.Fatal("Emit into a buffer differs from a fresh Emit")
-	}
-	if avg := testing.AllocsPerRun(10, func() { d.Emit(&buf) }); avg > 4 {
-		t.Errorf("Emit into a warm buffer: %v allocs, want at most 4 (headers only)", avg)
-	}
-}
-
-// BenchmarkDeltaVsFused measures one slide of merge_wide's shape (32
-// basic windows of 2048 rows over a 65536-key domain, sum + count) through
-// both kernels.
-func BenchmarkDeltaVsFused(b *testing.B) {
-	const n, rows, domain = 32, 2048, 65536
-	rng := rand.New(rand.NewSource(1))
-	parts := make([]deltaPartial, 4*n)
-	for i := range parts {
-		seen := map[int64]int{}
-		var p deltaPartial
-		p.vals = make([][]int64, 2)
-		for j := 0; j < rows; j++ {
-			k := rng.Int63n(domain)
-			at, ok := seen[k]
-			if !ok {
-				at = len(p.keys)
-				seen[k] = at
-				p.keys = append(p.keys, k)
-				p.vals[0] = append(p.vals[0], 0)
-				p.vals[1] = append(p.vals[1], 0)
+	for _, kinds := range [][]AggKind{{AggSum, AggSum}, {AggSum, AggMin, AggMax}} {
+		rng := rand.New(rand.NewSource(3))
+		naggs := len(kinds)
+		parts := make([]deltaPartial, 4*n)
+		rising := int64(0)
+		for i := range parts {
+			p := deltaPartial{keys: make([]int64, rows), vals: make([][]int64, naggs)}
+			for a := range p.vals {
+				p.vals[a] = make([]int64, rows)
 			}
-			p.vals[0][at] += rng.Int63n(1000)
-			p.vals[1][at]++
-		}
-		parts[i] = p
-	}
-	b.Run("fused", func(b *testing.B) {
-		f := NewFused()
-		for i := 0; i < b.N; i++ {
-			live := make([]deltaPartial, n)
-			for j := range live {
-				live[j] = parts[(i+j)%len(parts)]
+			for j := range p.keys {
+				rising += rng.Int63n(3)
+				p.keys[j] = rng.Int63n(3000)
+				for a := range p.vals {
+					p.vals[a][j] = rising
+				}
 			}
-			fusedOver(f, live, 2)
+			parts[i] = p
 		}
-	})
-	b.Run("delta", func(b *testing.B) {
-		d := NewDelta(vector.Int64, []vector.Type{vector.Int64, vector.Int64})
-		for j := 0; j < n; j++ {
-			d.Add(parts[j].keys, parts[j].vals)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			old := parts[i%len(parts)]
-			d.Expire(old.keys, old.vals)
-			p := parts[(i+n)%len(parts)]
+		d := NewDelta(vector.Int64, make([]vector.Type, naggs), kinds)
+		at := 0
+		step := func() {
+			if at >= n {
+				old := parts[(at-n)%len(parts)]
+				d.Expire(old.keys, old.vals)
+			}
+			p := parts[at%len(parts)]
 			d.Add(p.keys, p.vals)
-			d.Emit(nil)
+			at++
 		}
-	})
+		for i := 0; i < 3*n; i++ {
+			step()
+		}
+		if avg := testing.AllocsPerRun(100, step); avg != 0 {
+			t.Errorf("%v: steady-state expire+add: %v allocs per slide, want 0", kinds, avg)
+		}
+		// The output vectors' payloads + headers + the column slices; the
+		// point is that it does not scale with rows or groups.
+		if avg := testing.AllocsPerRun(10, func() { d.Emit(nil) }); avg > float64(4+3*naggs) {
+			t.Errorf("%v: Emit: %v allocs, want a constant handful (the output columns)", kinds, avg)
+		}
+		// Into a warm buffer the payloads are reused: only the vector
+		// headers and the aggregate slice are new, and the head is the same.
+		var buf EmitBuf
+		wantK, wantA := d.Emit(nil)
+		gotK, gotA := d.Emit(&buf)
+		if !vecEqual(gotK, wantK) {
+			t.Fatalf("%v: Emit into a buffer differs from a fresh Emit", kinds)
+		}
+		for a := range wantA {
+			if !vecEqual(gotA[a], wantA[a]) {
+				t.Fatalf("%v: Emit into a buffer differs from a fresh Emit", kinds)
+			}
+		}
+		if avg := testing.AllocsPerRun(10, func() { d.Emit(&buf) }); avg > float64(2+naggs) {
+			t.Errorf("%v: Emit into a warm buffer: %v allocs, want at most %d (headers only)", kinds, avg, 2+naggs)
+		}
+	}
 }

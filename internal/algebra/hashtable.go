@@ -75,10 +75,9 @@ func BuildInt(v *vector.Vector, sel vector.Sel) *IntTable {
 func (t *IntTable) Len() int { return len(t.keys) }
 
 // GroupTable is a reusable int64 grouping hashtable: the key -> dense
-// group id index behind Group's int64 path (through a pool) and the fused
-// merge kernel. It survives across calls via Reset, so grouping a basic
-// window or re-grouping concatenated partials every slide allocates no
-// table per call.
+// group id index behind Group's int64 path, drawn from a pool. It survives
+// across calls via Reset, so grouping a basic window or re-grouping
+// concatenated partials every slide allocates no table per call.
 type GroupTable struct {
 	mask  uint64
 	slots []groupSlot // interleaved key+id+epoch; one cache line per probe

@@ -175,9 +175,8 @@ type windowTimer struct {
 
 func (wt *windowTimer) onResult(r *engine.Result) {
 	st := wt.q.Stats()
-	// The paper's two-stage form: the merge lump includes the scatter, the
-	// partitioned re-group and the stitch shares.
-	main, merge, tot := st.MainNS, st.ScatterNS+st.PartitionNS+st.StitchNS+st.MergeNS, st.TotalNS
+	// The paper's two-stage form: fragment and merge.
+	main, merge, tot := st.MainNS, st.MergeNS, st.TotalNS
 	wt.ResponseNS = append(wt.ResponseNS, tot-wt.lastTot)
 	wt.MainNS = append(wt.MainNS, main-wt.lastMain)
 	wt.MergeNS = append(wt.MergeNS, merge-wt.lastMrg)

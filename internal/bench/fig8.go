@@ -69,7 +69,7 @@ func RunFig8(cfg Config) (*Table, error) {
 		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(i + 1), fmt.Sprint(m),
-			ms(r.Stats.MainNS + r.Stats.PartitionNS + r.Stats.MergeNS), reeMS,
+			ms(r.Stats.MainNS + r.Stats.MergeNS), reeMS,
 		})
 	}
 	t.Notes = fmt.Sprintf("controller settled on m=%d (frozen=%v)", ch.M(), ch.Frozen())

@@ -19,17 +19,14 @@ import (
 // runs through the seed-style serial instruction path (throwaway map
 // grouping per firing; the baseline), or through the kernel the runtime
 // picks for the query's shape at 1..N workers. Two query shapes are swept,
-// because they take different kernels and every point is tagged with the
-// one that ran:
+// and every point is tagged with the kernel that ran:
 //
-//   - sum, count(*): every compensating aggregate is invertible, so the
-//     block is delta-maintained — per-key totals kept across slides, no
-//     re-group, no scatter or stitch at any worker count;
-//   - sum, count(*), max: max has no inverse, so the block re-groups the
-//     concatenated partials every slide through the fused kernel
-//     (reusable hashtables, hash-partitioned across the worker pool when
-//     the host has schedulable CPUs to overlap shards on) — the arm that
-//     keeps the parallel scatter/shard/stitch numbers measured.
+//   - sum, count(*): every compensating aggregate is an integer sum, so
+//     the block is delta-maintained — per-key totals kept across slides,
+//     no re-group at any worker count;
+//   - sum, count(*), max: the integer max is delta-maintained too, its
+//     extreme rescanned along a group's live partials only when the row
+//     that set it expires — the arm that keeps that rescan measured.
 //
 // The sweep crosses key-domain sizes with worker counts: small domains
 // keep the merge cheap (fragments dominate), large domains make the merge
@@ -49,7 +46,7 @@ var mergeShapes = []struct{ Aggs, Query string }{
 // Baseline marks the seed-style serial-merge run (grouped-merge kernels
 // disabled) that anchors the speedup columns of its shape and key domain.
 // Kernel is the merge kernel the run's grouped block actually took
-// (core.MergeDelta, MergeFused or MergeInstruction).
+// (core.MergeDelta or MergeInstruction).
 type MergePoint struct {
 	Aggs         string  `json:"aggs"`
 	Kernel       string  `json:"kernel"`
@@ -60,9 +57,6 @@ type MergePoint struct {
 	Tuples       int     `json:"tuples"`
 	WallMS       float64 `json:"wall_ms"`
 	FragmentMS   float64 `json:"fragment_ms"`
-	ScatterMS    float64 `json:"scatter_ms"`
-	PartitionMS  float64 `json:"partition_ms"`
-	StitchMS     float64 `json:"stitch_ms"`
 	MergeMS      float64 `json:"merge_ms"`
 	MergeSpeedup float64 `json:"merge_speedup_vs_serial"`
 	Speedup      float64 `json:"speedup_vs_serial"`
@@ -71,22 +65,12 @@ type MergePoint struct {
 }
 
 // MeasureMerge registers one grouped incremental query of the given shape
-// (an index into the sweep's two shapes: 0 invertible, 1 with max) with the
+// (an index into the sweep's two shapes: 0 sum-only, 1 with max) with the
 // given worker count and key domain, buffers the whole backlog, and
 // measures the single Pump that drains it, splitting time by stage (the
 // query stage clock).
 func MeasureMerge(shape, workers, keys, window, slide, slides int, baseline bool) (MergePoint, error) {
 	p := MergePoint{Aggs: mergeShapes[shape].Aggs, Keys: keys, Workers: workers, Baseline: baseline}
-	// The runtime caps shard counts at GOMAXPROCS (shards beyond schedulable
-	// CPUs only add stitch overhead), so raise it to the measured worker
-	// count for the duration — on small hosts the sweep then still
-	// exercises the scatter/stitch machinery, and the checksum cross-check
-	// against the serial baseline keeps it honest (results are
-	// bit-identical at any worker count by construction).
-	if prev := runtime.GOMAXPROCS(0); workers > prev {
-		runtime.GOMAXPROCS(workers)
-		defer runtime.GOMAXPROCS(prev)
-	}
 	e := engine.New()
 	if err := e.RegisterStream("s", intSchema()); err != nil {
 		return p, err
@@ -145,9 +129,6 @@ func MeasureMerge(shape, workers, keys, window, slide, slides int, baseline bool
 	p.Tuples = total
 	p.WallMS = float64(elapsed.Nanoseconds()) / 1e6
 	p.FragmentMS = float64(st.MainNS) / 1e6
-	p.ScatterMS = float64(st.ScatterNS) / 1e6
-	p.PartitionMS = float64(st.PartitionNS) / 1e6
-	p.StitchMS = float64(st.StitchNS) / 1e6
 	p.MergeMS = float64(st.MergeNS) / 1e6
 	p.ResultSum = checksum
 	p.AllocPerStep = float64(m1.Mallocs-m0.Mallocs) / float64(steps)
@@ -155,9 +136,8 @@ func MeasureMerge(shape, workers, keys, window, slide, slides int, baseline bool
 }
 
 // MergeWorkerCounts returns the merge sweep's worker counts: 1, 2, 4 and 8
-// plus NumCPU when larger. Counts above NumCPU are still measured —
-// MeasureMerge raises GOMAXPROCS for the run, so the scatter/stitch
-// machinery is exercised (and checksum-verified) even on small hosts.
+// plus NumCPU when larger. Counts above NumCPU are still measured and
+// checksum-verified; they bound the fragment workers only.
 func MergeWorkerCounts() []int {
 	counts := []int{1, 2, 4, 8}
 	if ncpu := runtime.NumCPU(); ncpu > 8 {
@@ -205,8 +185,8 @@ func MeasureMergeSweep(window, slide, slides int) ([]MergePoint, error) {
 						pt.Aggs, keys, pt.Workers, pt.ResultSum, base.ResultSum)
 				}
 				pt.Speedup = base.WallMS / pt.WallMS
-				if m := pt.ScatterMS + pt.PartitionMS + pt.StitchMS + pt.MergeMS; m > 0 {
-					pt.MergeSpeedup = (base.PartitionMS + base.MergeMS) / m
+				if pt.MergeMS > 0 {
+					pt.MergeSpeedup = base.MergeMS / pt.MergeMS
 				}
 				points = append(points, pt)
 			}
@@ -239,8 +219,8 @@ func MergeTable(points []MergePoint, window, slide, slides int) *Table {
 		Figure: "Merge",
 		Title: fmt.Sprintf("grouped merge kernels: |W|=%d, |w|=%d, %d-slide backlog, shapes x key domains x workers",
 			window, slide, slides),
-		Header: []string{"aggs", "kernel", "keys", "workers", "wall_ms", "fragment_ms", "scatter_ms", "partition_ms", "stitch_ms", "merge_ms", "merge_speedup", "speedup", "allocs_per_step"},
-		Notes:  "(serial = seed-style instruction merge, the speedup anchor of its shape and domain; merge_speedup compares the merge stage — scatter + partition + stitch + serial remainder — against it; kernel = what the grouped block ran: delta keeps per-key totals across slides and never shards, fused re-groups every slide; checksums verified identical across every cell of a shape)",
+		Header: []string{"aggs", "kernel", "keys", "workers", "wall_ms", "fragment_ms", "merge_ms", "merge_speedup", "speedup", "allocs_per_step"},
+		Notes:  "(serial = seed-style instruction merge, the speedup anchor of its shape and domain; merge_speedup compares the merge stage against it; kernel = what the grouped block ran: delta keeps per-key totals across slides, instruction re-groups every slide; checksums verified identical across every cell of a shape)",
 	}
 	for _, p := range points {
 		workers := fmt.Sprint(p.Workers)
@@ -254,9 +234,6 @@ func MergeTable(points []MergePoint, window, slide, slides int) *Table {
 			workers,
 			fmt.Sprintf("%.1f", p.WallMS),
 			fmt.Sprintf("%.1f", p.FragmentMS),
-			fmt.Sprintf("%.1f", p.ScatterMS),
-			fmt.Sprintf("%.1f", p.PartitionMS),
-			fmt.Sprintf("%.1f", p.StitchMS),
 			fmt.Sprintf("%.1f", p.MergeMS),
 			fmt.Sprintf("%.2f", p.MergeSpeedup),
 			fmt.Sprintf("%.2f", p.Speedup),

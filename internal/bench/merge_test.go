@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"runtime"
 	"testing"
 
 	"datacell/internal/core"
@@ -9,16 +8,11 @@ import (
 
 // TestMergeSweepChecksums runs a small merge sweep end to end: every
 // (shape, domain, workers) cell must produce the same number of windows
-// and an identical checksum within its shape and domain, every cell must
-// be tagged with the kernel that ran — delta for the invertible shape,
-// fused for the one with max, instruction for the baselines — the delta
-// cells must never shard, and the large-domain fused cells must actually
-// record partition-stage time (the sharded path engaged), so the sweep
-// keeps measuring scatter/stitch.
+// and an identical checksum within its shape and domain, and every cell
+// must be tagged with the kernel that ran — delta for both shapes (integer
+// sum, count and max are all delta-maintained) at every worker count,
+// instruction for the baselines.
 func TestMergeSweepChecksums(t *testing.T) {
-	// Raise GOMAXPROCS so the sharded path engages even on 1-CPU hosts
-	// (PartitionMS counts only genuinely sharded re-groups).
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	points, err := MeasureMergeSweep(8192, 512, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -30,19 +24,12 @@ func TestMergeSweepChecksums(t *testing.T) {
 	perDomain := map[cellKey][]MergePoint{}
 	for _, p := range points {
 		perDomain[cellKey{p.Aggs, p.Keys}] = append(perDomain[cellKey{p.Aggs, p.Keys}], p)
-		want := core.MergeInstruction
-		switch {
-		case p.Baseline:
-		case p.Aggs == "sum,count":
-			want = core.MergeDelta
-		default:
-			want = core.MergeFused
+		want := core.MergeDelta
+		if p.Baseline {
+			want = core.MergeInstruction
 		}
 		if p.Kernel != want {
 			t.Errorf("%s keys=%d workers=%d baseline=%v ran kernel %q, want %q", p.Aggs, p.Keys, p.Workers, p.Baseline, p.Kernel, want)
-		}
-		if p.Kernel == core.MergeDelta && (p.ScatterMS != 0 || p.PartitionMS != 0 || p.StitchMS != 0) {
-			t.Errorf("%s keys=%d workers=%d: delta cell recorded scatter/partition/stitch time: %+v", p.Aggs, p.Keys, p.Workers, p)
 		}
 	}
 	if len(perDomain) != 6 {
@@ -61,24 +48,13 @@ func TestMergeSweepChecksums(t *testing.T) {
 			}
 		}
 	}
-	large := MergeKeyDomains(8192)[2]
-	engaged := false
-	for _, p := range perDomain[cellKey{"sum,count,max", large}] {
-		if !p.Baseline && p.PartitionMS > 0 {
-			engaged = true
-		}
-	}
-	if !engaged {
-		t.Error("large-domain fused cells never recorded partition-stage time")
-	}
 }
 
-// BenchmarkMergePartitioned measures the backlog-drain wall time of a
-// large-key-domain grouped query at 1 and 4 workers — the acceptance
-// benchmark for the partitioned merge (the merge stage should shrink
-// toward 1/workers on a multicore host). It runs the shape with max: the
-// invertible shape is delta-maintained and has nothing to partition.
-func BenchmarkMergePartitioned(b *testing.B) {
+// BenchmarkMergeKernels measures the backlog-drain wall time of a
+// large-key-domain grouped query with a max — the shape whose extreme the
+// delta state rescans — through the seed-style serial merge and the
+// delta-maintained kernel at 1 and 4 workers.
+func BenchmarkMergeKernels(b *testing.B) {
 	const (
 		window = 1 << 16
 		slide  = 1 << 12

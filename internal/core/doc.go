@@ -39,20 +39,17 @@
 //   - Options.Parallelism bounds the worker pool; workers deposit slot
 //     files into indexed positions and the transition stage stays
 //     single-threaded, so results are bit-identical at every setting.
-//   - The merge stage is serial except for its single-integer-key
-//     grouped-aggregation blocks (IncPlan.GroupMerges): those re-group the
-//     concatenated partials via the fused kernel's hash-partitioned shards
-//     on the same worker pool (mergeGrouped), with reusable per-shard
-//     hashtables and a stitch that reproduces the exact serial group
-//     order — bit-identical results at any worker or shard count,
-//     including float accumulation order. Other grouped blocks run their
-//     instructions as written.
-//   - Blocks whose compensating aggregates are all invertible (integer
-//     Sum on one integer key, one windowed source, not landmark — see
-//     IncPlan.MergeKernel) are not re-grouped at all: their per-key
-//     totals (algebra.Delta) are kept across slides in a TailState, and
-//     the merge adds the new basic window's partial and subtracts the
-//     expired one. The TailState belongs to the merge tail — the engine
+//   - The merge stage is serial. Each grouped-aggregation block
+//     (IncPlan.GroupMerges) runs one of two kernels (IncPlan.MergeKernel):
+//     its own instructions, the code Baseline runs, or the delta state.
+//   - Blocks on one integer key from one windowed source, not landmark,
+//     whose compensating aggregates are all integer Sum, Min or Max, are
+//     not re-grouped at all: their per-key totals (algebra.Delta) are kept
+//     across slides in a TailState, and the merge adds the new basic
+//     window's partial and takes out the expired one (a Min/Max extreme
+//     the expired row set is rescanned along the group's live rows). Float
+//     sums, float extremes, multi-column keys, join-fed and landmark
+//     blocks run their instructions as written. The TailState belongs to the merge tail — the engine
 //     hands one per tail per slide phase to every member through
 //     TailExchange — or, without one, to the Runtime. Only a runtime that
 //     merges a window itself touches it (deltaMerge): it steps the totals

@@ -94,10 +94,8 @@ func (ip *IncPlan) explain(opts Options) string {
 			} else {
 				kernel += fmt.Sprintf("; fresh head every slide (%s)", why)
 			}
-		case MergeInstruction:
-			kernel += fmt.Sprintf(": block runs as written (not delta: %s)", why)
 		default:
-			kernel += fmt.Sprintf(": re-grouped every slide, across P shards when large (not delta: %s)", why)
+			kernel += fmt.Sprintf(": block runs as written (not delta: %s)", why)
 		}
 		fmt.Fprintf(&sb, "grouped merge block @%d [keys %s, aggs %s] kernel=%s\n",
 			gm.Start, strings.Join(keys, ","), strings.Join(aggs, ","), kernel)

@@ -95,8 +95,8 @@ const untyped = vector.Type(0xFF)
 // compensating grouped aggregates (Fig 3d). The block occupies Merge
 // instructions [Start, Start+Len); its intermediate group/representative
 // registers are synthesized and consumed nowhere else, so a runtime may
-// replace the whole block with a partition-parallel re-group that fills
-// exactly KeyOuts and the Aggs' Out registers.
+// replace the whole block with a kernel that fills exactly KeyOuts and the
+// Aggs' Out registers (the delta-maintained state, IncPlan.MergeKernel).
 type GroupMergeSpec struct {
 	Start, Len int
 	// CatKeys are the concatenated per-partial key columns (concat dsts).
@@ -137,8 +137,8 @@ type IncPlan struct {
 	Merge []plan.Instr
 	// Concats must be materialized (in order) before Merge runs.
 	Concats []ConcatSpec
-	// GroupMerges lists the grouped-aggregation blocks inside Merge that
-	// are eligible for partition-parallel execution, by ascending Start.
+	// GroupMerges lists the grouped-aggregation blocks inside Merge, by
+	// ascending Start; IncPlan.MergeKernel says which kernel runs each.
 	GroupMerges []GroupMergeSpec
 	// Panes lists the scalar aggregates over the join matrix, in merge
 	// order. IncPlan.Pane says which of them a runtime folds through

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -18,20 +17,12 @@ import (
 // engine adds the two fields only it can know (SharedNS, TotalNS), and the
 // same record — summed with Add — is the query's cumulative clock all the
 // way to /metrics. MainNS is the fragment cost (per-basic-window and
-// per-cell fragments of the original plan); the merge cost of a step is
-// ScatterNS + PartitionNS + StitchNS + MergeNS.
+// per-cell fragments of the original plan); MergeNS is the merge cost:
+// merge-state upkeep (delta blocks, matrix panes) and the serial
+// merge/compensation stage.
 type StepStats struct {
-	MainNS int64
-	// ScatterNS, PartitionNS and StitchNS are the sharded grouped re-group:
-	// the parallel scatter of rows into per-worker x per-shard cells, the
-	// per-shard re-group itself, and the pairwise tree stitch that restores
-	// global first-occurrence order. All zero for plans without grouped
-	// aggregation and for blocks that ran single-shard. MergeNS is the
-	// remaining serial merge/compensation work.
-	ScatterNS   int64
-	PartitionNS int64
-	StitchNS    int64
-	MergeNS     int64
+	MainNS  int64
+	MergeNS int64
 	// SharedNS is the time spent adopting work another query computed — a
 	// shared fragment partial or merge head (registry wait plus handoff).
 	// Filled by the engine; zero on slides this query led itself.
@@ -64,9 +55,6 @@ type StepStats struct {
 // Add accumulates o into s: clocks and counts sum, Emitted is sticky.
 func (s *StepStats) Add(o StepStats) {
 	s.MainNS += o.MainNS
-	s.ScatterNS += o.ScatterNS
-	s.PartitionNS += o.PartitionNS
-	s.StitchNS += o.StitchNS
 	s.MergeNS += o.MergeNS
 	s.SharedNS += o.SharedNS
 	s.TotalNS += o.TotalNS
@@ -240,24 +228,16 @@ type Runtime struct {
 	// fragments exist only for these.
 	srcIdx []int
 
-	// groupMergeAt indexes the plan's grouped merge blocks by their start
-	// instruction.
-	groupMergeAt map[int]*GroupMergeSpec
-
-	// fused is the scatter/shard/tree-stitch kernel state of the
-	// single-int64-key grouped merge fast path; the scratch below carries
-	// the per-part column layout into it. lazyConcat binds multi-part
-	// concatenations as views so the fused kernel reads slot partials in
-	// place instead of materializing a fresh concatenation every firing.
-	fused      *algebra.Fused
-	fusedAggs  []algebra.FusedAgg
-	fusedParts []fusedPart
+	// lazyConcat binds multi-part concatenations as views: a scalar
+	// aggregate reads the slot partials in place, and an instruction that
+	// needs a dense column materializes it once (exec caches it in the
+	// register).
 	lazyConcat bool
 
 	// deltas are the delta-maintained grouped merge blocks (MergeDelta), in
-	// plan order; deltaAt indexes them by their start instruction like
-	// groupMergeAt. Their totals live in a TailState: the slide's shared
-	// one, else own (allocated on the first merge that needs it).
+	// plan order; deltaAt indexes them by their start instruction. Their
+	// totals live in a TailState: the slide's shared one, else own
+	// (allocated on the first merge that needs it).
 	deltas  []*deltaBlock
 	deltaAt map[int]*deltaBlock
 	own     *TailState
@@ -363,11 +343,6 @@ func NewRuntimeOpts(ip *IncPlan, opts Options) *Runtime {
 		rt.par = 1
 	}
 	if len(ip.GroupMerges) > 0 && !opts.Baseline {
-		rt.groupMergeAt = make(map[int]*GroupMergeSpec, len(ip.GroupMerges))
-		for i := range ip.GroupMerges {
-			rt.groupMergeAt[ip.GroupMerges[i].Start] = &ip.GroupMerges[i]
-		}
-		rt.fused = algebra.NewFused()
 		rt.initDeltas()
 		// Landmark plans compact merge outputs back into slots, which must
 		// hold dense vectors; everything else can feed the merge stage
@@ -630,7 +605,7 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 		return nil, nil
 	}
 	t2 := time.Now()
-	tbl, env, err := rt.merge(inputs, tx, stats)
+	tbl, env, err := rt.merge(inputs, tx)
 	if err != nil {
 		return nil, err
 	}
@@ -640,7 +615,7 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 	// env is the reusable merge register file: clear it so it does not pin
 	// the slide's concatenations and result columns past this firing.
 	clear(env)
-	stats.MergeNS += time.Since(t2).Nanoseconds() - stats.ScatterNS - stats.PartitionNS - stats.StitchNS
+	stats.MergeNS += time.Since(t2).Nanoseconds()
 	stats.Emitted = true
 	stats.ResultRows = tbl.NumRows()
 	return tbl, nil
@@ -1014,28 +989,17 @@ func (rt *Runtime) execPlannedJoin(i, j int, decision joinDecision, env []exec.D
 	return nil
 }
 
-// fusedPart is one contiguous part of a grouped block's input columns,
-// aligned row-for-row: the key payload plus one AggCol per aggregate.
-type fusedPart struct {
-	base int32
-	keys []int64
-	aggs []algebra.AggCol
-}
-
 // merge binds the concatenations, runs the merge fragment and returns the
-// window result plus the merge environment (used for landmark compaction);
-// sharded grouped re-groups add their scatter / partition / stitch times to
-// stats.
-// Grouped-aggregation blocks of the delta and fused shapes execute through
-// mergeGrouped — the fused kernel partitioned across the worker pool when
-// the partials are large enough — instead of instruction-by-instruction;
-// results are bit-identical either way. Multi-part concatenations bind as views when the plan allows it, so
-// the grouped kernel reads slot partials in place and a fresh
-// concatenation is only materialized for consumers that need one (vec()
-// caches it in the register on first use). A scalar aggregate over the
-// join matrix that has panes neither gathers nor concatenates its cells:
-// its register is the fold of the live panes (panes.go).
-func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, []exec.Datum, error) {
+// window result plus the merge environment (used for landmark compaction).
+// A delta-maintained grouped block emits from its state (mergeDelta)
+// instead of running its instructions; every other block runs as written.
+// Results are bit-identical either way. Multi-part concatenations bind as
+// views when the plan allows it, so a fresh concatenation is only
+// materialized for consumers that need one (vec() caches it in the
+// register on first use). A scalar aggregate over the join matrix that has
+// panes neither gathers nor concatenates its cells: its register is the
+// fold of the live panes (panes.go).
+func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []exec.Datum, error) {
 	env := rt.mergeEnv
 	clear(env) // stale entries from an errored firing must not leak in
 	rt.copyStatic(env)
@@ -1121,15 +1085,10 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 		if adopt != nil && idx >= tailSpec.Start && idx < tailSpec.Start+tailSpec.Len {
 			continue // the adopted head already filled the block's outputs
 		}
-		if spec, ok := rt.groupMergeAt[idx]; ok {
-			handled, err := rt.mergeGrouped(spec, env, tx, stats)
-			if err != nil {
-				return nil, nil, err
-			}
-			if handled {
-				idx += spec.Len - 1
-				continue
-			}
+		if b := rt.deltaAt[idx]; b != nil && !b.off {
+			rt.mergeDelta(b, env, tx)
+			idx += b.spec.Len - 1
+			continue
 		}
 		in := rt.ip.Merge[idx]
 		if in.Op == plan.OpAgg && len(in.In) == 1 {
@@ -1165,109 +1124,59 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange, stats *StepStats
 	return result, env, nil
 }
 
-// partitionMinRows is the concatenated-partial size below which sharding
-// overhead (the partition scan plus worker handoff) outweighs the parallel
-// re-group; smaller blocks run single-shard on the reusable hashtable.
-const partitionMinRows = 256
-
-// mergeShards picks the shard count for a grouped merge block of the given
-// size: the worker bound, capped by the schedulable CPUs — sharding beyond
-// them cannot overlap and only adds partition/stitch overhead — and by the
-// minimum block size. Results are bit-identical at every shard count, so
-// the cap trades speed only.
-func (rt *Runtime) mergeShards(rows int) int {
-	if rt.par <= 1 || rows < partitionMinRows {
-		return 1
+// mergeDelta runs delta-maintained grouped block b: it brings the
+// block's totals to this window (deltaMerge) and binds the merged head to
+// the block's outputs. The head goes to the block's scratch, holding only
+// the groups the residual's filter keeps, when nothing can read it after
+// this slide: the residual copies what it keeps (a select/take chain,
+// checked statically) and no other query can adopt it (no tail, a
+// follower merging privately, or a solo leader, whose Publish the engine
+// leaves nil).
+func (rt *Runtime) mergeDelta(b *deltaBlock, env []exec.Datum, tx *TailExchange) {
+	var buf *algebra.EmitBuf
+	if b.filter != nil && (tx == nil || tx.Publish == nil) {
+		buf = &b.head
 	}
-	p := rt.par
-	if g := runtime.GOMAXPROCS(0); p > g {
-		p = g
+	keyVec, aggVecs := rt.deltaMerge(b, tx, buf)
+	env[b.spec.KeyOuts[0]] = exec.VecDatum(keyVec)
+	for i, ag := range b.spec.Aggs {
+		env[ag.Out] = exec.VecDatum(aggVecs[i])
 	}
-	return p
-}
-
-// mergeGrouped executes one grouped-aggregation compensation block,
-// bit-identical to the plain instruction path at any configuration. Two
-// kernels take a block over (MergeKernel says which a block gets):
-//
-//   - the delta-maintained kernel (single int64/timestamp key, integer
-//     Sum partials from one windowed source): the block's totals are kept
-//     across slides (deltaMerge), so merging is one expire, one add and one
-//     sequential emission — no re-group, no scatter, at any Parallelism;
-//   - the fused scatter/shard/tree-stitch kernel (single int64/timestamp
-//     key, Sum/Min/Max over int64/float64 partials): grouping and
-//     aggregation run in one pass per shard over scattered row payloads,
-//     and shards stitch back pairwise up a binary tree. P degrades to 1
-//     (reusing the hashtable, skipping scatter and stitch) when parallelism
-//     is off or the block is too small to shard profitably.
-//
-// Every other shape (multi-column or non-integer keys, aggregates the
-// fused kernel does not support) reports handled == false and runs the
-// block's instructions as written — the same code the Baseline oracle runs.
-func (rt *Runtime) mergeGrouped(spec *GroupMergeSpec, env []exec.Datum, tx *TailExchange, stats *StepStats) (handled bool, err error) {
-	if b := rt.deltaAt[spec.Start]; b != nil && !b.off {
-		// The head goes to the block's scratch, holding only the groups
-		// the residual's filter keeps, when nothing can read it after this
-		// slide: the residual copies what it keeps (a select/take chain,
-		// checked statically) and no other query can adopt it (no tail,
-		// a follower merging privately, or a solo leader, whose Publish
-		// the engine leaves nil).
-		var buf *algebra.EmitBuf
-		if b.filter != nil && (tx == nil || tx.Publish == nil) {
-			buf = &b.head
-		}
-		keyVec, aggVecs := rt.deltaMerge(b, tx, buf)
-		env[spec.KeyOuts[0]] = exec.VecDatum(keyVec)
-		for i, ag := range spec.Aggs {
-			env[ag.Out] = exec.VecDatum(aggVecs[i])
-		}
-		return true, nil
-	}
-	return rt.mergeFused(spec, env, stats)
 }
 
 // Merge kernel names, as MergeKernel and Explain report them.
 const (
 	MergeDelta       = "delta"
-	MergeFused       = "fused"
 	MergeInstruction = "instruction"
 )
 
 // MergeKernel names the kernel a runtime built with opts runs grouped
-// merge block i through and, unless that is the delta-maintained kernel,
-// the first reason the block does not qualify for it. The choice follows
-// from the plan's shape alone; Baseline is the only switch.
+// merge block i through — the delta-maintained state, or the block's own
+// instructions (the code Baseline runs) — and, unless it is delta, the
+// first reason the block does not qualify. The choice follows from the
+// plan's shape alone; Baseline is the only switch.
 func (ip *IncPlan) MergeKernel(i int, opts Options) (kernel, reason string) {
 	spec := &ip.GroupMerges[i]
-	if opts.Baseline {
-		return MergeInstruction, "baseline"
-	}
-	singleIntKey := len(spec.KeyTypes) == 1 && vector.IntKind(spec.KeyTypes[0])
-	kernel = MergeInstruction
-	if singleIntKey {
-		kernel = MergeFused
-		for _, ag := range spec.Aggs {
-			if !(algebra.FusedAgg{Kind: ag.Kind, Typ: ag.Typ}).Fusible() {
-				kernel = MergeInstruction
-			}
-		}
-	}
 	switch {
+	case opts.Baseline:
+		return MergeInstruction, "baseline"
 	case ip.Landmark:
-		return kernel, "landmark"
+		return MergeInstruction, "landmark"
 	case ip.HasJoin || spec.Source < 0:
-		return kernel, "join-fed"
-	case !singleIntKey:
-		return kernel, "generic key"
+		return MergeInstruction, "join-fed"
+	case len(spec.KeyTypes) != 1 || !vector.IntKind(spec.KeyTypes[0]):
+		return MergeInstruction, "generic key"
 	}
 	for _, ag := range spec.Aggs {
+		extreme := ag.Kind == algebra.AggMin || ag.Kind == algebra.AggMax
 		switch {
-		case ag.Kind == algebra.AggMin || ag.Kind == algebra.AggMax:
-			return kernel, "min/max"
-		case ag.Kind == algebra.AggSum && ag.Typ == vector.Float64:
-			return kernel, "float sum"
-		case !(algebra.FusedAgg{Kind: ag.Kind, Typ: ag.Typ}).Invertible():
-			return kernel, "non-invertible aggregate"
+		case ag.Typ == vector.Float64 && extreme:
+			// NaN and -0 make a float extreme depend on the fold order.
+			return MergeInstruction, "float min/max"
+		case ag.Typ == vector.Float64 && ag.Kind == algebra.AggSum:
+			return MergeInstruction, "float sum" // order-sensitive
+		case !vector.IntKind(ag.Typ) || (!extreme && ag.Kind != algebra.AggSum):
+			return MergeInstruction, "unsupported aggregate"
 		}
 	}
 	return MergeDelta, ""
@@ -1378,7 +1287,7 @@ func (rt *Runtime) MergeKernels() []string {
 	for i := range out {
 		out[i], _ = rt.ip.MergeKernel(i, rt.opts)
 		if b := rt.deltaAt[rt.ip.GroupMerges[i].Start]; out[i] == MergeDelta && (b == nil || b.off) {
-			out[i] = MergeFused // retired by a slot file of unexpected shape
+			out[i] = MergeInstruction // retired by a slot file of unexpected shape
 		}
 	}
 	return out
@@ -1390,21 +1299,23 @@ func (rt *Runtime) MergeKernels() []string {
 // shared with other queries through the fragment catalog and are only ever
 // read here — every per-row side array lives in the TailState's Delta.
 type deltaBlock struct {
-	idx    int
-	src    int
-	keyPos int
-	aggPos []int
-	keyTyp vector.Type
-	aggTyp []vector.Type
-	vals   [][]int64 // scratch: one slot file's aggregate columns
+	spec    *GroupMergeSpec
+	idx     int
+	src     int
+	keyPos  int
+	aggPos  []int
+	keyTyp  vector.Type
+	aggTyp  []vector.Type
+	aggKind []algebra.AggKind
+	vals    [][]int64 // scratch: one slot file's aggregate columns
 	// filter is the residual's HAVING filter on the block's head
 	// (IncPlan.HeadFilter), nil when the residual is no select/take chain.
 	// With one, head — the runtime's reusable key and aggregate columns —
 	// may hold a head nobody adopts, and then holds only the kept groups.
 	filter []algebra.Conjunct
 	head   algebra.EmitBuf
-	// off retires the block to the re-grouping kernels for good: a slot
-	// file did not have the statically derived shape.
+	// off retires the block to its instructions for good: a slot file did
+	// not have the statically derived shape.
 	off bool
 }
 
@@ -1421,7 +1332,7 @@ func (rt *Runtime) initDeltas() {
 			continue
 		}
 		spec := &ip.GroupMerges[i]
-		b := &deltaBlock{src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs))}
+		b := &deltaBlock{spec: spec, src: spec.Source, keyTyp: spec.KeyTypes[0], vals: make([][]int64, len(spec.Aggs))}
 		b.filter, _, _ = ip.HeadFilter(i)
 		pos, ok := rt.slotPos[b.src][catSrc[spec.CatKeys[0]]]
 		b.keyPos = pos
@@ -1430,6 +1341,7 @@ func (rt *Runtime) initDeltas() {
 			ok = ok && found
 			b.aggPos = append(b.aggPos, p)
 			b.aggTyp = append(b.aggTyp, ag.Typ)
+			b.aggKind = append(b.aggKind, ag.Kind)
 		}
 		if !ok {
 			continue
@@ -1482,7 +1394,7 @@ func (b *deltaBlock) columns(file regFile) (keys []int64, vals [][]int64, ok boo
 // against every delta block it feeds, and retires a block for good when
 // the file lacks the statically derived shape. It runs at rotation, before
 // merge decides which concatenations the delta blocks let it skip, so a
-// retired block's fused fallback finds its inputs bound. Every file in the
+// retired block's instructions find their inputs bound. Every file in the
 // ring of a live block has therefore passed it.
 func (rt *Runtime) admitDeltas(s int, file regFile) {
 	for _, b := range rt.deltas {
@@ -1519,7 +1431,7 @@ func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange, buf *algebra.Emit
 	}
 	tb := &ts.blocks[b.idx]
 	if tb.d == nil {
-		tb.d = algebra.NewDelta(b.keyTyp, b.aggTyp)
+		tb.d = algebra.NewDelta(b.keyTyp, b.aggTyp, b.aggKind)
 	}
 	defer clear(b.vals) // don't pin slot vectors
 	// admitDeltas vetted every file in the ring, so columns cannot fail.
@@ -1547,168 +1459,6 @@ func (rt *Runtime) deltaMerge(b *deltaBlock, tx *TailExchange, buf *algebra.Emit
 		return tb.d.EmitFiltered(b.filter, buf)
 	}
 	return tb.d.Emit(buf)
-}
-
-// datumCol reports the column type and row count of a merge input that is
-// either a dense vector or a multi-part view.
-func datumCol(d exec.Datum) (vector.Type, int, bool) {
-	switch d.Kind {
-	case exec.KindVec:
-		return d.Vec.Type(), d.Vec.Len(), true
-	case exec.KindView:
-		return d.View.Type(), d.View.Len(), true
-	}
-	return 0, 0, false
-}
-
-// datumParts lists a merge input's contiguous parts (a dense vector is
-// one part).
-func datumParts(d exec.Datum) []*vector.Vector {
-	if d.Kind == exec.KindVec {
-		return []*vector.Vector{d.Vec}
-	}
-	return d.View.Parts()
-}
-
-// mergeFused runs the grouped block through the fused kernel when its
-// shape allows, reading the (possibly multi-part) inputs in place.
-func (rt *Runtime) mergeFused(spec *GroupMergeSpec, env []exec.Datum, stats *StepStats) (bool, error) {
-	if len(spec.CatKeys) != 1 {
-		return false, nil
-	}
-	keyD := env[spec.CatKeys[0]]
-	keyTyp, rows, ok := datumCol(keyD)
-	if !ok || !vector.IntKind(keyTyp) {
-		return false, nil
-	}
-	aggs := rt.fusedAggs[:0]
-	for _, ag := range spec.Aggs {
-		d := env[ag.Cat]
-		typ, n, ok := datumCol(d)
-		if !ok || n != rows {
-			return false, nil
-		}
-		fa := algebra.FusedAgg{Kind: ag.Kind, Typ: typ}
-		if !fa.Fusible() {
-			return false, nil
-		}
-		aggs = append(aggs, fa)
-	}
-	rt.fusedAggs = aggs
-
-	// Align the key and aggregate columns part-for-part. All columns of
-	// one block concatenate the same slot ring, so their part layouts
-	// coincide; any mismatch (impossible today, cheap to verify) falls
-	// back to the block's instructions.
-	keyParts := datumParts(keyD)
-	parts := rt.fusedParts[:0]
-	base := int32(0)
-	for _, kp := range keyParts {
-		parts = append(parts, fusedPart{base: base, keys: kp.Int64s()})
-		base += int32(kp.Len())
-	}
-	for _, ag := range spec.Aggs {
-		aps := datumParts(env[ag.Cat])
-		if len(aps) != len(parts) {
-			rt.fusedParts = parts
-			return false, nil
-		}
-		for j, ap := range aps {
-			if ap.Len() != len(parts[j].keys) {
-				rt.fusedParts = parts
-				return false, nil
-			}
-			var col algebra.AggCol
-			if ap.Type() == vector.Float64 {
-				col.F = ap.Float64s()
-			} else {
-				col.I = ap.Int64s()
-			}
-			parts[j].aggs = append(parts[j].aggs, col)
-		}
-	}
-	rt.fusedParts = parts
-	defer func() {
-		// Release the part references so they do not pin slot vectors.
-		for j := range rt.fusedParts {
-			rt.fusedParts[j] = fusedPart{}
-		}
-	}()
-
-	f := rt.fused
-	p := rt.mergeShards(rows)
-	if p == 1 {
-		f.Begin(1, 1, rows, keyTyp, aggs)
-		for _, pt := range parts {
-			f.GroupRangeDirect(pt.keys, pt.aggs, 0, len(pt.keys))
-		}
-	} else {
-		workers := rt.scatterWorkers(rows)
-		f.Begin(p, workers, rows, keyTyp, aggs)
-		t0 := time.Now()
-		err := rt.forEach(workers, func(w int, _ *workerEnv) error {
-			lo, hi := w*rows/workers, (w+1)*rows/workers
-			for _, pt := range parts {
-				plo, phi := int(pt.base), int(pt.base)+len(pt.keys)
-				a, b := lo, hi
-				if a < plo {
-					a = plo
-				}
-				if b > phi {
-					b = phi
-				}
-				if a < b {
-					f.ScatterRange(w, pt.base, pt.keys, pt.aggs, a-plo, b-plo)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-		t1 := time.Now()
-		stats.ScatterNS += t1.Sub(t0).Nanoseconds()
-		err = rt.forEach(p, func(s int, _ *workerEnv) error {
-			f.GroupShard(s)
-			return nil
-		})
-		if err != nil {
-			return false, err
-		}
-		t2 := time.Now()
-		stats.PartitionNS += t2.Sub(t1).Nanoseconds()
-		for pairs := f.BeginStitch(); pairs > 0; pairs = f.CommitLevel() {
-			if err := rt.forEach(pairs, func(i int, _ *workerEnv) error {
-				f.StitchPair(i)
-				return nil
-			}); err != nil {
-				return false, err
-			}
-		}
-		defer func() {
-			stats.StitchNS += time.Since(t2).Nanoseconds()
-		}()
-	}
-	keyVec, aggVecs := f.Finish()
-	env[spec.KeyOuts[0]] = exec.VecDatum(keyVec)
-	for i, ag := range spec.Aggs {
-		env[ag.Out] = exec.VecDatum(aggVecs[i])
-	}
-	return true, nil
-}
-
-// scatterWorkers bounds the scatter fan-out so each worker covers a
-// meaningful range (a worker per few thousand rows saturates memory
-// bandwidth; more just adds handoff).
-func (rt *Runtime) scatterWorkers(rows int) int {
-	w := rows / 4096
-	if w > rt.par {
-		w = rt.par
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 func (rt *Runtime) gather(spec ConcatSpec) ([]*vector.Vector, error) {

@@ -34,9 +34,9 @@ import (
 // merge-tail leadership provably flips between them on every slide — which
 // a delta-maintained merge state only survives if it advances on adopted
 // slides too. Every grouped shape also asserts the merge kernel it ran: the
-// invertible single-key blocks took the delta path in the default arms and
-// only there; float sums, min/max and join-fed blocks never did; the
-// multi-column-key block ran its instructions as written (kernel
+// single-key blocks of integer sums, counts and maxes took the delta path
+// in the default arms and only there; the float-sum, multi-column-key,
+// join-fed and landmark blocks ran their instructions as written (kernel
 // instruction). Every join shape asserts its path too: the join index in
 // the default arms exactly where the plan qualifies, cells elsewhere and
 // under Baseline. It
@@ -77,13 +77,13 @@ func TestOneFiringPathDifferential(t *testing.T) {
 			sql: `SELECT x1, sum(x2) FROM s [RANGE 32 SLIDE 8] GROUP BY x1 HAVING sum(x2) > 300 OR x1 = 2`},
 		{name: "grouped-one-bw", shares: true, delta: true,
 			sql: `SELECT x1, count(*) FROM s [RANGE 8 SLIDE 8] WHERE x2 > 20 GROUP BY x1`},
-		{name: "grouped-float-sum", shares: true,
+		{name: "grouped-float-sum", shares: true, kernel: core.MergeInstruction,
 			sql: `SELECT x1, sum(x2 * 0.5), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1`},
-		{name: "grouped-max", shares: true,
+		{name: "grouped-max", shares: true, delta: true,
 			sql: `SELECT x1, max(x2), count(*) FROM s [RANGE 32 SLIDE 8] GROUP BY x1`},
 		{name: "grouped-multi-key", shares: true, kernel: core.MergeInstruction,
 			sql: `SELECT x1, x2, count(*), sum(x1) FROM s [RANGE 32 SLIDE 8] WHERE x2 < 30 GROUP BY x1, x2`},
-		{name: "grouped-join-fed", sorted: true, index: "cells", // groups follow matrix-cell order
+		{name: "grouped-join-fed", sorted: true, index: "cells", kernel: core.MergeInstruction, // groups follow matrix-cell order
 			sql: `SELECT s.x1, count(*), sum(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2 GROUP BY s.x1`},
 		{name: "stream-stream-join", index: "index",
 			sql: `SELECT count(*), sum(s.x1), max(s2.x1) FROM s [RANGE 32 SLIDE 8], s2 [RANGE 32 SLIDE 8] WHERE s.x2 = s2.x2`},
@@ -97,7 +97,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 			sql: `SELECT s.x1, s2.x1 FROM s [RANGE 16 SLIDE 8], s2 [RANGE 16 SLIDE 8] WHERE s.x2 = s2.x2 AND s.x1 < 4`},
 		{name: "stream-table-join",
 			sql: `SELECT sum(tab.val), count(*) FROM s [RANGE 32 SLIDE 8], tab WHERE s.x1 = tab.key`},
-		{name: "landmark",
+		{name: "landmark", kernel: core.MergeInstruction,
 			sql: `SELECT x1, sum(x2) FROM s [LANDMARK SLIDE 8] GROUP BY x1`},
 		{name: "time-window", timed: true, shares: true, delta: true,
 			sql: `SELECT x1, sum(x2), count(*) FROM s [RANGE 4 SECONDS SLIDE 1 SECONDS] GROUP BY x1`},

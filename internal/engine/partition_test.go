@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync"
 	"testing"
 
@@ -16,15 +15,6 @@ import (
 // re-evaluation float-parity test.
 func catalogSchemaFloat() catalog.Schema {
 	return catalog.NewSchema(catalog.Column{Name: "f", Type: vector.Float64})
-}
-
-// forceShards raises GOMAXPROCS so the partitioned merge actually shards
-// (the runtime caps the shard count at schedulable CPUs — on a single-core
-// host the multi-shard path would otherwise never run).
-func forceShards(t *testing.T, n int) {
-	t.Helper()
-	old := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
 // feedSkewed appends n tuples whose x1 keys come from a skewed domain
@@ -54,15 +44,13 @@ func feedSkewed(t *testing.T, e *Engine, stream string, seed int64, n, batch int
 	}
 }
 
-// TestGroupedMergeParityAcrossModes pins the tentpole parity contract:
-// grouped aggregations over multi-segment windows must emit bit-identical
-// windows whether the merge runs serially (Parallelism 1), partitioned
-// across randomized worker counts (which is also the shard count), or the
-// query re-evaluates — monolithically and segment-parallel. Key domains
-// span tiny (heavy groups) to larger than the window (mostly singleton
-// groups, the partitioned merge's target shape), always skewed.
+// TestGroupedMergeParityAcrossModes pins the parity contract: grouped
+// aggregations over multi-segment windows must emit bit-identical windows
+// whether the query runs incrementally at Parallelism 1, at a randomized
+// worker count, or re-evaluates — monolithically and segment-parallel. Key
+// domains span tiny (heavy groups) to larger than the window (mostly
+// singleton groups), always skewed.
 func TestGroupedMergeParityAcrossModes(t *testing.T) {
-	forceShards(t, 8)
 	rng := rand.New(rand.NewSource(99))
 	queries := []string{
 		`SELECT x1, sum(x2), count(*) FROM s [RANGE 256 SLIDE 32] GROUP BY x1`,
@@ -83,7 +71,7 @@ func TestGroupedMergeParityAcrossModes(t *testing.T) {
 					{"reeval-serial", Options{Mode: Reevaluation, Parallelism: 1}},
 					{"reeval-par4", Options{Mode: Reevaluation, Parallelism: 4}},
 				}
-				variants[1].opts.Parallelism = 2 + rng.Intn(7) // randomized shard count
+				variants[1].opts.Parallelism = 2 + rng.Intn(7) // randomized worker count
 				var results [][]*Result
 				for _, v := range variants {
 					e := newTestEngine(t)
@@ -122,13 +110,11 @@ func TestGroupedMergeParityAcrossModes(t *testing.T) {
 }
 
 // TestPartitionStatsSurfaced checks that a parallel grouped query reports
-// the fragment / partition / merge breakdown: the partitioned re-group
-// must be visible in the cumulative Stats (which must equal the sum of the
-// per-result stage clocks) once the concatenated partials are large enough
-// to shard. (max keeps the block re-grouped; an invertible block is
-// delta-maintained and never shards.)
+// the fragment / merge breakdown: the merge must be visible in the
+// cumulative Stats, and the per-result stage clocks of the emitted windows
+// must add up to no more than it (the cumulative clock also covers the
+// preface slides that emitted nothing).
 func TestPartitionStatsSurfaced(t *testing.T) {
-	forceShards(t, 4)
 	e := newTestEngine(t)
 	var c collector
 	q, err := e.Register(
@@ -145,7 +131,7 @@ func TestPartitionStatsSurfaced(t *testing.T) {
 		t.Fatal("no windows")
 	}
 	st := q.Stats()
-	if st.MainNS <= 0 || st.PartitionNS <= 0 || st.MergeNS <= 0 || st.TotalNS < st.MainNS {
+	if st.MainNS <= 0 || st.MergeNS <= 0 || st.TotalNS < st.MainNS {
 		t.Fatalf("stage clock: %+v", st.StepStats)
 	}
 	// Every emitted window's clock is part of the cumulative one (which also
@@ -154,7 +140,7 @@ func TestPartitionStatsSurfaced(t *testing.T) {
 	for _, r := range c.results {
 		emitted.Add(r.Stats)
 	}
-	if emitted.PartitionNS <= 0 || emitted.PartitionNS > st.PartitionNS || emitted.TotalNS > st.TotalNS {
+	if emitted.MergeNS <= 0 || emitted.MergeNS > st.MergeNS || emitted.TotalNS > st.TotalNS {
 		t.Fatalf("per-result clocks %+v inconsistent with cumulative %+v", emitted, st.StepStats)
 	}
 	if st.BatchedSlides == 0 {
@@ -226,12 +212,11 @@ func TestTimeWindowBatchParity(t *testing.T) {
 	}
 }
 
-// TestPartitionedMergeRaceStress hammers the partitioned merge under the
-// live scheduler: a wide-key grouped aggregation at Parallelism 8 while
-// four producers append across segment boundaries. Meaningful under -race
-// — shard workers re-group concurrently while receptors keep appending.
+// TestPartitionedMergeRaceStress hammers the grouped merge under the live
+// scheduler: a wide-key grouped aggregation at Parallelism 8 while four
+// producers append across segment boundaries. Meaningful under -race —
+// fragment workers run concurrently while receptors keep appending.
 func TestPartitionedMergeRaceStress(t *testing.T) {
-	forceShards(t, 8)
 	e := newTestEngine(t)
 	e.streamLog("s").SetSealRows(128)
 	var mu sync.Mutex

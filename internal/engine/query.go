@@ -1079,7 +1079,7 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 		}
 		q.account(*st)
 		if q.chunker != nil {
-			q.chunker.Observe(st.MainNS + st.PartitionNS + st.MergeNS)
+			q.chunker.Observe(st.MainNS + st.MergeNS)
 		}
 		if results[sl].Table != nil {
 			q.emit(&Result{Window: q.bumpWindows(), Table: results[sl].Table, Stats: *st})

@@ -13,7 +13,7 @@ import (
 // at least n entries and receives each task's error by index, so the
 // returned error is the lowest-index one — matching sequential error
 // behavior regardless of scheduling. It is the one bounded task pool
-// behind core.Runtime's fragment/shard fan-out and PartialProgram.Run.
+// behind core.Runtime's fragment fan-out and PartialProgram.Run.
 func ForEachWorker(n, par int, errs []error, fn func(task, worker int) error) error {
 	if n <= 1 || par <= 1 {
 		for i := 0; i < n; i++ {

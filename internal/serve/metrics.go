@@ -125,9 +125,6 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 		}{
 			{"fragment", qs.Fragment.Seconds()},
 			{"shared", qs.Shared.Seconds()},
-			{"scatter", qs.Scatter.Seconds()},
-			{"partition", qs.Partition.Seconds()},
-			{"stitch", qs.Stitch.Seconds()},
 			{"merge", qs.Merge.Seconds()},
 			{"join", qs.Join.Seconds()},
 			{"total", qs.Total.Seconds()},
