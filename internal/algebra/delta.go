@@ -36,9 +36,9 @@ import (
 //     otherwise), and the head keeps the extreme. An expiring head whose
 //     own value (the caller passes it back) differs from the extreme hands
 //     the extreme on unchanged; one whose value is the extreme has its
-//     successor rescan the chain to the tail — at most one record per
-//     live partial the key occurs in. Integer comparisons are order-free,
-//     so the result is exact.
+//     successor rescan the chain to the tail: the key's live rows, one per
+//     live partial it occurs in unless a basic window was combined from
+//     chunks. Integer comparisons are order-free, so the result is exact.
 //
 // Emit therefore walks the arena once, front to back, and copies out the
 // flagged rows: first-occurrence order falls out of the arena order.

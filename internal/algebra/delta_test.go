@@ -52,30 +52,10 @@ func naiveFold(live []deltaPartial, kinds []AggKind) (keys []int64, aggs [][]int
 	return keys, aggs
 }
 
-// vecEqual is an exact (bit-level for floats) element-wise comparison;
+// vecEqual compares two integer columns exactly, type included;
 // Vector.String() truncates, so it cannot stand in for equality here.
 func vecEqual(a, b *vector.Vector) bool {
-	if a.Type() != b.Type() || a.Len() != b.Len() {
-		return false
-	}
-	switch a.Type() {
-	case vector.Int64, vector.Timestamp:
-		return slices.Equal(a.Int64s(), b.Int64s())
-	case vector.Float64:
-		x, y := a.Float64s(), b.Float64s()
-		for i := range x {
-			if math.Float64bits(x[i]) != math.Float64bits(y[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < a.Len(); i++ {
-		if a.Get(i) != b.Get(i) {
-			return false
-		}
-	}
-	return true
+	return a.Type() == b.Type() && slices.Equal(a.Int64s(), b.Int64s())
 }
 
 // slide advances a Delta and its mirror of live partials by one basic
@@ -136,10 +116,9 @@ func adversarialKeys(rows int, rng *rand.Rand) map[string][]int64 {
 }
 
 // TestDeltaMatchesFused is the randomized differential of the
-// delta-maintained merge against naiveFold over the concatenated live
-// partials: values, keys and row order, on every slide, including while
-// the window is still filling. (The name is kept from when the reference
-// was the re-grouping kernel this fold reproduces.) Min and Max shapes
+// delta-maintained merge against a re-grouping of the concatenated live
+// partials (naiveFold): values, keys and row order, on every slide,
+// including while the window is still filling. Min and Max shapes
 // cover ascending and descending values, under which every expiry of a
 // group's head rescans its chain, extremes tied across partials, and the
 // int64 limits; the adversarial key sets run sum, min and max together.

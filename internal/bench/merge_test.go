@@ -6,14 +6,16 @@ import (
 	"datacell/internal/core"
 )
 
-// TestMergeSweepChecksums runs a small merge sweep end to end: every
-// (shape, domain, workers) cell must produce the same number of windows
+// TestMergeSweepChecksums runs a small merge sweep end to end — 32 slides
+// over a 16-basic-window range, so 16 of its 17 windows expire a basic
+// window from the merge state: every (shape, domain, workers) cell must
+// produce the same number of windows
 // and an identical checksum within its shape and domain, and every cell
 // must be tagged with the kernel that ran — delta for both shapes (integer
 // sum, count and max are all delta-maintained) at every worker count,
 // instruction for the baselines.
 func TestMergeSweepChecksums(t *testing.T) {
-	points, err := MeasureMergeSweep(8192, 512, 16)
+	points, err := MeasureMergeSweep(8192, 512, 32)
 	if err != nil {
 		t.Fatal(err)
 	}

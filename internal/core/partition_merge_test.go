@@ -26,11 +26,10 @@ func genGroupedBW(rng *rand.Rand, rows int, domain int64) [][]vector.View {
 }
 
 // TestPartitionedMergeMatchesSerialRuntime drives the same grouped
-// incremental plan through runtimes at Parallelism 1 and several higher
-// settings over many slides with an identical feed, requiring
-// bit-identical window results. (The name is kept from when higher
-// settings sharded the merge; now they parallelize the fragments, and the
-// delta-maintained block, max included, merges serially.)
+// incremental plan — a delta-maintained block with a max — through
+// runtimes at Parallelism 1 and several higher settings, where the
+// fragments fan out across the worker pool, over many slides with an
+// identical feed, requiring bit-identical window results.
 func TestPartitionedMergeMatchesSerialRuntime(t *testing.T) {
 	prog := compile(t, `SELECT x1, sum(x2), count(*), max(x2) FROM s [RANGE 2048 SLIDE 512] GROUP BY x1`)
 	ip, err := Rewrite(prog, 4, false)
