@@ -340,11 +340,13 @@ func ExampleDB() {
 	db := datacell.New()
 	db.MustRegisterStream("s", datacell.Col("k", datacell.Int64), datacell.Col("v", datacell.Int64))
 	q, _ := db.Register(`SELECT k, sum(v) FROM s [RANGE 4 SLIDE 4] GROUP BY k ORDER BY k`, datacell.Options{})
-	q.OnResult(func(r *datacell.Result) { fmt.Print(r.Table) })
 	_ = db.Append("s",
 		[]datacell.Value{datacell.Int(1), datacell.Int(10)}, []datacell.Value{datacell.Int(2), datacell.Int(20)},
 		[]datacell.Value{datacell.Int(1), datacell.Int(30)}, []datacell.Value{datacell.Int(2), datacell.Int(40)})
 	_, _ = db.Pump()
+	for _, r := range q.Results() {
+		fmt.Print(r.Table)
+	}
 	// Output:
 	// k	sum(v)
 	// 1	40

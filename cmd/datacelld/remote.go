@@ -69,7 +69,7 @@ func (sh *remoteShell) register(stmt string) {
 	id := fmt.Sprintf("q%d", sh.nextID)
 	sh.subs[id] = sub
 	// Window results arrive on the subscription's own frames; print them
-	// as they land, interleaved with the prompt like local OnResult output.
+	// as they land, interleaved with the prompt as the local shell does.
 	go func() {
 		for {
 			r, err := sub.Recv(context.Background())

@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"datacell"
 	"datacell/internal/serve"
@@ -21,8 +22,9 @@ func runLocalShell() error {
 	db := datacell.New()
 	sh := &localShell{db: db, queries: map[string]*datacell.Query{}}
 	fmt.Println("DataCell shell — HELP for commands")
-	defer db.Stop()
-	return replLoop(sh)
+	err := replLoop(sh)
+	sh.close()
+	return err
 }
 
 // shellHandler is the mode-independent REPL surface: the local and remote
@@ -79,9 +81,20 @@ func replLoop(sh shellHandler) error {
 }
 
 type localShell struct {
-	db      *datacell.DB
-	queries map[string]*datacell.Query
-	nextID  int
+	db       *datacell.DB
+	queries  map[string]*datacell.Query
+	nextID   int
+	printers sync.WaitGroup // one per query, printing its windows
+}
+
+// close stops the scheduler and closes every query, then waits for each
+// printer to print what its query has left, so no window is lost on exit.
+func (sh *localShell) close() {
+	sh.db.Stop()
+	for _, q := range sh.queries {
+		q.Close()
+	}
+	sh.printers.Wait()
 }
 
 func (sh *localShell) helpLine() string {
@@ -120,9 +133,19 @@ func (sh *localShell) register(stmt string) {
 	sh.nextID++
 	id := fmt.Sprintf("q%d", sh.nextID)
 	sh.queries[id] = q
-	q.OnResult(func(r *datacell.Result) {
-		fmt.Printf("[%s window %d, %v]\n%s", id, r.Window, r.Latency.Round(0), r.Table)
-	})
+	results, err := q.Subscribe(context.Background(), datacell.SubOptions{Buffer: 64})
+	if err != nil {
+		fmt.Println("error:", err)
+		return
+	}
+	// Windows print as they land, interleaved with the prompt.
+	sh.printers.Add(1)
+	go func() {
+		defer sh.printers.Done()
+		for r := range results {
+			fmt.Printf("[%s window %d, %v]\n%s", id, r.Window, r.Latency.Round(0), r.Table)
+		}
+	}()
 	fmt.Printf("registered %s (%s)\n", id, q.Mode())
 }
 

@@ -36,9 +36,9 @@
 //	dc.AppendBatch("sensors", b)
 //	dc.Pump() // or dc.Run() for a background scheduler
 //
-// The row-oriented Append and callback-style OnResult remain as
-// compatibility wrappers over the same core: every sink reads the query's
-// result log through a cursor.
+// The row-oriented Append remains as a compatibility wrapper over the same
+// core. Every reader of results — Subscribe, Query.Tap, Results — is a
+// cursor on the query's result log.
 //
 // Queries run in one of two modes: Incremental (the paper's contribution,
 // default) or Reevaluation (the DataCellR baseline that recomputes every
@@ -364,32 +364,29 @@ func rowsToCols(rows [][]Value) ([]*vector.Vector, error) {
 
 // Query is a registered continuous query.
 //
-// Its windows go into a result log — the paper's output basket — read
-// through cursors. One in-process cursor serves, one at a time, an OnResult
-// callback, a Subscribe channel, a Results2 iterator, or — when none is
-// installed — Results, and what it has not read waits for the next of
-// them. Query.Tap opens further cursors, as the serving tier does.
+// Its windows go into a result log — the paper's output basket — and every
+// reader is a cursor of its own on that log: each Subscribe channel and
+// each Query.Tap cursor, any number of them at once. Until the first
+// reader opens, the query's in-process cursor holds the windows — a
+// recovered query's replay among them — and Results drains it. The first
+// Tap or Subscribe takes over what it has not read; every later reader
+// starts at the newest window. When a reader's cursor closes, by cancel
+// or Close, its unread windows go with it.
 type Query struct {
 	db *DB
 	cq *engine.ContinuousQuery
 
 	log *resultLog
-	own *Cursor // the in-process cursor
+	own *Cursor // the in-process cursor, until the first reader opens
 
-	mu         sync.Mutex
-	handler    func(*Result)
-	delivering bool // a step is running the handler; guarded by mu
-	sub        *subscription
-
-	// delivered and dropped accumulate across subscriptions, so Stats
-	// survives resubscribes.
+	// delivered and dropped accumulate across subscriptions.
 	delivered, dropped atomic.Int64
 }
 
 // newQuery returns a query with its result log and in-process cursor; the
 // caller sets cq.
 func newQuery(db *DB) *Query {
-	q := &Query{db: db, log: &resultLog{}, own: &Cursor{opts: unbounded}}
+	q := &Query{db: db, log: &resultLog{end: make(chan struct{})}, own: &Cursor{opts: unbounded}}
 	q.log.moved.L = &q.log.mu
 	q.log.open(q.own, nil)
 	return q
@@ -427,77 +424,24 @@ func (q *Query) deliver(er *engine.Result) {
 	})
 }
 
-// OnResult installs the result handler; results produced before it was
-// installed and not read yet are replayed first, in order. The handler is
-// the in-process cursor's wake hook, so it then runs on the step that
-// appended each window. Called while a delivery is running — from inside
-// the handler, say — OnResult swaps the handler and returns; that delivery
-// hands every later window to the new one. OnResult panics if the query
-// has an active Subscribe channel — a query has one delivery mechanism at
-// a time.
-func (q *Query) OnResult(h func(*Result)) {
-	q.mu.Lock()
-	q.settleLocked()
-	if q.sub != nil {
-		q.mu.Unlock()
-		panic("datacell: OnResult on a query with an active subscription")
-	}
-	q.handler = h
-	q.mu.Unlock()
-	q.own.configure(CursorOptions{Limit: unbounded.Limit, Wake: q.runHandler})
-	q.runHandler()
-}
-
-// runHandler hands the in-process cursor's unread windows to the current
-// handler, in order. One delivery runs at a time: a wake that finds one
-// running leaves its window to it. Checking the cursor and ending the
-// delivery happen under one hold of q.mu, so no window is left behind.
-func (q *Query) runHandler() {
-	q.mu.Lock()
-	if q.delivering {
-		q.mu.Unlock()
-		return
-	}
-	q.delivering = true
-	for r, ok := q.own.next(); ok; r, ok = q.own.next() {
-		h := q.handler
-		q.mu.Unlock()
-		h(r)
-		q.mu.Lock()
-	}
-	q.delivering = false
-	q.mu.Unlock()
-}
-
-// Results drains and returns the results buffered so far (only meaningful
-// when no OnResult handler or subscription is installed).
+// Results drains and returns the windows the in-process cursor holds:
+// everything produced so far until the first Subscribe or Tap, nothing
+// after it.
 func (q *Query) Results() []*Result {
-	q.mu.Lock()
-	defer q.mu.Unlock()
 	var out []*Result
-	if q.handler != nil || q.sub != nil {
-		return out
-	}
 	for r, ok := q.own.next(); ok; r, ok = q.own.next() {
 		out = append(out, r)
 	}
 	return out
 }
 
-// Tap opens a cursor on the query's result log. The first Tap of a query
-// with no in-process sink takes over the in-process cursor's unread
-// results — a recovered query's replay among them — and from then on the
-// in-process sinks see nothing; any other Tap starts at the newest window.
-// Close the cursor when done: an open cursor pins the log.
+// Tap opens a cursor on the query's result log. The first Tap or Subscribe
+// of a query takes over the in-process cursor's unread results — a
+// recovered query's replay among them; any later one starts at the newest
+// window. Close the cursor when done: an open cursor pins the log.
 func (q *Query) Tap(opts CursorOptions) *Cursor {
 	c := &Cursor{opts: opts}
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	from := q.own
-	if q.handler != nil || q.sub != nil {
-		from = nil
-	}
-	q.log.open(c, from)
+	q.log.open(c, q.own)
 	return c
 }
 
@@ -604,17 +548,12 @@ func (db *DB) IngestDuration() time.Duration { return time.Duration(db.eng.LoadN
 
 // Close deregisters the query. If the scheduler is running, the query's
 // worker is stopped first (blocking until any in-flight step finishes).
-// Close may be called from inside the query's own OnResult callback —
-// e.g. to stop after the first result — in which case the in-flight step
-// finishes just after Close returns. An active Subscribe channel closes
-// once its consumer has read what is left (ending a Results2 iterator).
+// Close may be called from a Subscribe consumer, even while a step is
+// blocked on that consumer. Each Subscribe channel closes once its
+// consumer has read what is left; Tap cursors read what is left, then
+// report no more.
 func (q *Query) Close() {
 	q.log.close()
-	q.mu.Lock()
-	if q.sub != nil {
-		q.sub.poke()
-	}
-	q.mu.Unlock()
 	q.db.eng.Deregister(q.cq)
 }
 
@@ -655,8 +594,7 @@ func (db *DB) Run() { db.eng.Start() }
 // (no-op when not running). Buffered data stays in the baskets: a later
 // Run or Pump resumes exactly where the workers left off. Per-query
 // worker errors survive Stop and stay available via Err until the next
-// Run. Stop may be called from inside an OnResult callback; the calling
-// query's in-flight step then finishes just after Stop returns.
+// Run.
 func (db *DB) Stop() { db.eng.Stop() }
 
 // Running reports whether the background scheduler is active.

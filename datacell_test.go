@@ -1,6 +1,7 @@
 package datacell
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -42,9 +43,6 @@ func TestEndToEndIncremental(t *testing.T) {
 	if q.Mode() != Incremental {
 		t.Error("default mode should be incremental")
 	}
-	var results []*Result
-	q.OnResult(func(r *Result) { results = append(results, r) })
-
 	for i := 0; i < 10; i++ {
 		if err := db.Append("s", []Value{Int(int64(i%3 + 1)), Int(10)}); err != nil {
 			t.Fatal(err)
@@ -53,6 +51,7 @@ func TestEndToEndIncremental(t *testing.T) {
 	if _, err := db.Pump(); err != nil {
 		t.Fatal(err)
 	}
+	results := q.Results()
 	if len(results) != 3 {
 		t.Fatalf("windows: %d", len(results))
 	}
@@ -81,14 +80,19 @@ func TestResultsBufferAndReplay(t *testing.T) {
 		db.Append("s", []Value{Int(1), Int(1)})
 	}
 	db.Pump()
-	// No handler installed yet: results buffered.
-	var replayed []*Result
-	q.OnResult(func(r *Result) { replayed = append(replayed, r) })
-	if len(replayed) != 3 {
-		t.Fatalf("replayed: %d", len(replayed))
+	// No reader yet: results buffered, and the first subscription takes
+	// them over in order.
+	ch, err := q.Subscribe(context.Background(), SubOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if replayed[0].Window != 1 || replayed[2].Window != 3 {
-		t.Error("replay order wrong")
+	for want := 1; want <= 3; want++ {
+		if r := recv(t, ch); r.Window != want {
+			t.Fatalf("replayed window %d, want %d", r.Window, want)
+		}
+	}
+	if rs := q.Results(); len(rs) != 0 {
+		t.Fatalf("Results after the first reader took over: %d windows", len(rs))
 	}
 }
 
@@ -172,13 +176,10 @@ func TestBackgroundScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var mu sync.Mutex
-	got := 0
-	q.OnResult(func(r *Result) {
-		mu.Lock()
-		got++
-		mu.Unlock()
-	})
+	ch, err := q.Subscribe(context.Background(), SubOptions{Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
 	db.Run()
 	defer db.Stop()
 	db.Run() // idempotent
@@ -187,18 +188,15 @@ func TestBackgroundScheduler(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		mu.Lock()
-		n := got
-		mu.Unlock()
-		if n >= 3 {
-			break
+	for want := 1; want <= 3; want++ {
+		select {
+		case r := <-ch:
+			if r.Window != want {
+				t.Fatalf("window %d, want %d", r.Window, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("scheduler produced %d windows, want 3", want-1)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduler produced %d windows, want 3", n)
-		}
-		time.Sleep(time.Millisecond)
 	}
 	db.Stop()
 	db.Stop() // idempotent
@@ -419,8 +417,6 @@ func TestJoinIndexStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var counts []int64
-	q.OnResult(func(r *Result) { counts = append(counts, r.Table.Cols[0].Get(0).I) })
 	// Four slides of two rows per stream, every row on key 1; the left
 	// filter drops one row of the third slide.
 	for i := 0; i < 8; i++ {
@@ -437,6 +433,10 @@ func TestJoinIndexStats(t *testing.T) {
 	}
 	if _, err := db.Pump(); err != nil {
 		t.Fatal(err)
+	}
+	var counts []int64
+	for _, r := range q.Results() {
+		counts = append(counts, r.Table.Cols[0].Get(0).I)
 	}
 	// Left basic windows keep 2, 2, 1, 2 rows, right ones 2 each; a window
 	// holds two of each, so pairs join across basic windows at most one

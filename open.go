@@ -32,9 +32,9 @@ type StorageStats = basket.StorageStats
 // replays any previous run: stream and table definitions, stream data up
 // to the last durable record, and standing queries. Recovered queries are
 // listed by RecoveredQueries and re-emit every window of the crashed run
-// before continuing — the replay waits in each query's result log for the
-// first sink, attached via AdoptRecovered (or Query.Subscribe / OnResult /
-// Tap), which decides what to do with windows already seen.
+// before continuing — the replay waits in each query's in-process cursor
+// for Results or the first reader (Query.Subscribe or Tap, typically after
+// AdoptRecovered), which decides what to do with windows already seen.
 func Open(dir string) (*DB, error) {
 	return OpenConfig(dir, StoreConfig{})
 }

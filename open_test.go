@@ -1,6 +1,7 @@
 package datacell
 
 import (
+	"context"
 	"testing"
 )
 
@@ -133,12 +134,22 @@ func TestAdoptRecovered(t *testing.T) {
 	if q2 := db2.AdoptRecovered(sql, Incremental); q2 != nil {
 		t.Fatal("double adoption")
 	}
-	// The adopted query is live: replay lands in its buffer.
+	// The adopted query is live: replay waits in its log, and the first
+	// reader — a subscription opened after the replay — takes it over.
 	if _, err := db2.Pump(); err != nil {
 		t.Fatal(err)
 	}
-	if rs := q.Results(); len(rs) == 0 {
-		t.Fatal("adopted query replayed no windows")
+	ch, err := q.Subscribe(context.Background(), SubOptions{Buffer: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q.Close()
+	var got []int
+	for r := range ch {
+		got = append(got, r.Window)
+	}
+	if len(got) != 3 || got[0] != 1 || got[2] != 3 {
+		t.Fatalf("adopted query replayed windows %v to its first reader, want [1 2 3]", got)
 	}
 }
 

@@ -18,6 +18,7 @@ type resultLog struct {
 	base    int64
 	cursors []*Cursor
 	closed  bool
+	end     chan struct{} // closed with the log, for readers waiting on a channel
 }
 
 // entry is one window in the log. Its wire frame is encoded at most once,
@@ -36,7 +37,8 @@ type Cursor struct {
 	done bool // detached from the log; guarded by log.mu like pos and opts
 }
 
-// CursorOptions configure a cursor opened by Query.Tap.
+// CursorOptions configure a cursor opened by Query.Tap; they are fixed
+// when it opens.
 type CursorOptions struct {
 	// Policy applies once the cursor lags more than Limit windows.
 	Limit  int
@@ -138,12 +140,15 @@ func (l *resultLog) detachLocked(c *Cursor) {
 }
 
 // close ends the log: appends are ignored from here and Block waits
-// return; cursors still read what is left.
+// return; cursors still read what is left. Idempotent.
 func (l *resultLog) close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.closed = true
-	l.moved.Broadcast()
+	if !l.closed {
+		l.closed = true
+		close(l.end)
+		l.moved.Broadcast()
+	}
 }
 
 // backlog is the number of entries between the slowest cursor and the head.
@@ -151,15 +156,6 @@ func (l *resultLog) backlog() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.entries)
-}
-
-// configure replaces c's options (the in-process cursor changes hands
-// between sinks); a stalled append re-checks against the new limit.
-func (c *Cursor) configure(o CursorOptions) {
-	c.log.mu.Lock()
-	defer c.log.mu.Unlock()
-	c.opts = o
-	c.log.moved.Broadcast()
 }
 
 // peek returns the entry at c's position, or nil with end set when none
@@ -188,14 +184,20 @@ func (c *Cursor) advance(at int64) (more bool) {
 	return !c.done && c.pos < l.head()
 }
 
-// next takes the entry at c's position, if any.
+// next takes the entry at c's position, if any, in one hold of the lock,
+// so concurrent callers never take the same entry twice.
 func (c *Cursor) next() (*Result, bool) {
-	e, at, _ := c.peek()
-	if e == nil {
+	l := c.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if c.done || c.pos >= l.head() {
 		return nil, false
 	}
-	c.advance(at)
-	return e.r, true
+	r := l.entries[c.pos-l.base].r
+	c.pos++
+	l.trimLocked()
+	l.moved.Broadcast()
+	return r, true
 }
 
 // Next takes the window at the cursor and returns its frame, which encode

@@ -208,9 +208,8 @@ func TestResultLogContract(t *testing.T) {
 	}
 }
 
-// TestSubscribeGoroutines is the accounting for in-process sinks: a
-// subscription costs one emitter goroutine, and cancel, break or Close
-// gives it back.
+// TestSubscribeGoroutines is the accounting for subscriptions: each costs
+// one emitter goroutine, and cancel or Close gives it back.
 func TestSubscribeGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -238,32 +237,21 @@ func TestSubscribeGoroutines(t *testing.T) {
 			for range ch {
 			}
 		}},
-		{"Results2 then break", func(t *testing.T, db *DB, q *Query) {
+		{"two Subscribes then Close", func(t *testing.T, db *DB, q *Query) {
+			chs := make([]<-chan *Result, 2)
+			for i := range chs {
+				ch, err := q.Subscribe(context.Background(), SubOptions{Buffer: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				chs[i] = ch
+			}
 			produce(t, db, 2)
-			for range q.Results2() {
-				break
+			q.Close()
+			for _, ch := range chs {
+				for range ch {
+				}
 			}
-		}},
-		{"Results2 then Close", func(t *testing.T, db *DB, q *Query) {
-			produce(t, db, 1)
-			for range q.Results2() {
-				q.Close()
-			}
-		}},
-		{"Drain then cancel", func(t *testing.T, db *DB, q *Query) {
-			produce(t, db, 1)
-			ctx, cancel := context.WithCancel(context.Background())
-			_ = q.Drain(ctx, SinkFunc(func(context.Context, *Result) error {
-				cancel()
-				return nil
-			}))
-		}},
-		{"Drain then Close", func(t *testing.T, db *DB, q *Query) {
-			produce(t, db, 1)
-			_ = q.Drain(context.Background(), SinkFunc(func(context.Context, *Result) error {
-				q.Close()
-				return nil
-			}))
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -6,12 +6,12 @@ import (
 	"io"
 )
 
-// Source produces stream tuples in columnar form — the receptor-side half
-// of the unified Source/Sink I/O surface. Implementations fill the batch
-// they are handed (via its typed appenders), so every producer — csv
-// files, synthetic generators, network feeds — funnels into the same
-// zero-boxing ingest path. See internal/workload for the csv and generator
-// sources.
+// Source produces stream tuples in columnar form — the receptor side of
+// the I/O surface, as Subscribe and Query.Tap are the emitter side.
+// Implementations fill the batch they are handed (via its typed
+// appenders), so every producer — csv files, synthetic generators, network
+// feeds — funnels into the same zero-boxing ingest path. See
+// internal/workload for the csv and generator sources.
 type Source interface {
 	// ReadBatch appends up to max rows to b and reports how many rows it
 	// added. It returns io.EOF — possibly alongside a final non-empty

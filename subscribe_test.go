@@ -2,8 +2,6 @@ package datacell
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +16,21 @@ func subDB(t *testing.T) (*DB, *Query) {
 		t.Fatal(err)
 	}
 	return db, q
+}
+
+// recv takes one result from ch, failing if none comes within 5s.
+func recv(t *testing.T, ch <-chan *Result) *Result {
+	t.Helper()
+	select {
+	case r, ok := <-ch:
+		if !ok {
+			t.Fatal("channel closed, want a result")
+		}
+		return r
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for a result")
+		return nil
+	}
 }
 
 // produce appends enough tuples for n windows and pumps synchronously.
@@ -41,7 +54,7 @@ func TestSubscribeCancelClosesChannel(t *testing.T) {
 		t.Fatal(err)
 	}
 	produce(t, db, 1)
-	if r := <-ch; r.Window != 1 {
+	if r := recv(t, ch); r.Window != 1 {
 		t.Fatalf("window %d", r.Window)
 	}
 	cancel()
@@ -53,10 +66,19 @@ func TestSubscribeCancelClosesChannel(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("channel not closed after cancel")
 	}
-	// Results produced after cancellation buffer for the next sink.
+	// The cancelled reader's cursor is gone: a window produced now has no
+	// reader, and a new subscription starts at the newest window.
 	produce(t, db, 1)
-	if rs := q.Results(); len(rs) != 1 || rs[0].Window != 2 {
-		t.Fatalf("post-cancel results: %v", rs)
+	if rs := q.Results(); len(rs) != 0 {
+		t.Fatalf("post-cancel Results: %d windows, want none", len(rs))
+	}
+	ch, err = q.Subscribe(context.Background(), SubOptions{Buffer: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	produce(t, db, 1)
+	if r := recv(t, ch); r.Window != 3 {
+		t.Fatalf("resubscribed reader got window %d, want 3", r.Window)
 	}
 }
 
@@ -159,84 +181,102 @@ func TestSubscribeBlockBackpressure(t *testing.T) {
 	wg.Wait()
 }
 
+// TestDoubleSubscribeRules: a second subscription while the first is
+// active is its own reader — both see the next window — and cancelling
+// one leaves the other reading.
 func TestDoubleSubscribeRules(t *testing.T) {
-	_, q := subDB(t)
+	db, q := subDB(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	ch, err := q.Subscribe(ctx, SubOptions{})
+	first, err := q.Subscribe(ctx, SubOptions{Buffer: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.Subscribe(context.Background(), SubOptions{}); !errors.Is(err, ErrSubscribed) {
+	second, err := q.Subscribe(context.Background(), SubOptions{Buffer: 4})
+	if err != nil {
 		t.Fatalf("second subscribe: %v", err)
 	}
-	cancel()
-	<-ch // closed by cancellation
-	// After the old subscription dies, a new one is allowed.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if _, err := q.Subscribe(context.Background(), SubOptions{}); err == nil {
-			break
+	produce(t, db, 1)
+	for _, ch := range []<-chan *Result{first, second} {
+		if r := recv(t, ch); r.Window != 1 {
+			t.Fatalf("window %d, want 1", r.Window)
 		}
+	}
+	cancel()
+	for range first { // closed by cancellation
+	}
+	produce(t, db, 1)
+	if r := recv(t, second); r.Window != 2 {
+		t.Fatalf("window %d after the other reader left, want 2", r.Window)
+	}
+}
+
+// TestSubscribeConcurrentReaders reads one query through a Block and a
+// DropOldest subscription and a Tap cursor at once: none is refused, and
+// each sees its windows in order — every one for the two Block readers,
+// an increasing run ending at the newest for DropOldest.
+func TestSubscribeConcurrentReaders(t *testing.T) {
+	db, q := subDB(t)
+	const windows = 20
+	block, err := q.Subscribe(context.Background(), SubOptions{Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	drop, err := q.Subscribe(context.Background(), SubOptions{Buffer: 2, OnOverflow: DropOldest})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tap := q.Tap(CursorOptions{Limit: windows})
+	defer tap.Close()
+
+	read := func(ch <-chan *Result, got *[]int, wg *sync.WaitGroup) {
+		defer wg.Done()
+		for r := range ch {
+			*got = append(*got, r.Window)
+		}
+	}
+	var wg sync.WaitGroup
+	var blockGot, dropGot []int
+	wg.Add(2)
+	go read(block, &blockGot, &wg)
+	go read(drop, &dropGot, &wg)
+	db.Run()
+	for i := 0; i < 2*windows; i++ {
+		if err := db.Append("s", []Value{Int(1), Int(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for q.Windows() < windows {
 		if time.Now().After(deadline) {
-			t.Fatal("re-subscribe after cancel never succeeded")
+			t.Fatalf("scheduler produced %d windows, want %d", q.Windows(), windows)
 		}
 		time.Sleep(time.Millisecond)
 	}
-}
+	db.Stop()
+	q.Close()
+	wg.Wait()
 
-func TestSubscribeHandlerExclusion(t *testing.T) {
-	_, q := subDB(t)
-	q.OnResult(func(*Result) {})
-	if _, err := q.Subscribe(context.Background(), SubOptions{}); !errors.Is(err, ErrHasHandler) {
-		t.Fatalf("subscribe after OnResult: %v", err)
+	var tapGot []int
+	for r, ok := tap.next(); ok; r, ok = tap.next() {
+		tapGot = append(tapGot, r.Window)
 	}
-
-	_, q2 := subDB(t)
-	if _, err := q2.Subscribe(context.Background(), SubOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("OnResult with active subscription should panic")
-			}
-		}()
-		q2.OnResult(func(*Result) {})
-	}()
-}
-
-// TestOnResultReentrant swaps the handler from inside the handler: the
-// nested OnResult returns at once, and the windows after the one being
-// handled go to the new handler, in order.
-func TestOnResultReentrant(t *testing.T) {
-	db, q := subDB(t)
-	var got []string
-	second := func(r *Result) { got = append(got, fmt.Sprintf("second:%d", r.Window)) }
-	q.OnResult(func(r *Result) {
-		got = append(got, fmt.Sprintf("first:%d", r.Window))
-		q.OnResult(second)
-	})
-	done := make(chan error, 1)
-	go func() {
-		for i := 0; i < 4; i++ {
-			if err := db.Append("s", []Value{Int(1), Int(1)}); err != nil {
-				done <- err
-				return
+	for name, got := range map[string][]int{"Block": blockGot, "Tap": tapGot} {
+		if len(got) != windows {
+			t.Fatalf("%s reader saw %d windows, want %d: %v", name, len(got), windows, got)
+		}
+		for i, w := range got {
+			if w != i+1 {
+				t.Fatalf("%s reader saw %v, want 1..%d in order", name, got, windows)
 			}
 		}
-		_, err := db.Pump()
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnResult called from inside the handler deadlocked")
 	}
-	if want := []string{"first:1", "second:2"}; fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("delivered %v, want %v", got, want)
+	if len(dropGot) == 0 || dropGot[len(dropGot)-1] != windows {
+		t.Fatalf("DropOldest reader saw %v, want a run ending at %d", dropGot, windows)
+	}
+	for i := 1; i < len(dropGot); i++ {
+		if dropGot[i] <= dropGot[i-1] {
+			t.Fatalf("DropOldest reader saw %v out of order", dropGot)
+		}
 	}
 }
 
@@ -268,96 +308,5 @@ func TestCloseClosesSubscription(t *testing.T) {
 	}
 	if seen != 1 {
 		t.Fatalf("saw %d results", seen)
-	}
-}
-
-func TestResults2Iterator(t *testing.T) {
-	db, q := subDB(t)
-	produce(t, db, 2)
-	// Early break stops the iteration and releases the subscription.
-	got := 0
-	for r, err := range q.Results2() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Window != got+1 {
-			t.Fatalf("window %d, want %d", r.Window, got+1)
-		}
-		got++
-		if got == 2 {
-			break
-		}
-	}
-	if got != 2 {
-		t.Fatalf("iterated %d", got)
-	}
-	// Wait for the broken iterator's subscription to detach, so the next
-	// result deterministically buffers instead of racing the teardown.
-	waitUnsubscribed(t, q)
-	// Results produced between iterations buffer; a second iteration
-	// replays them and ends when the query is closed.
-	produce(t, db, 1)
-	go func() {
-		time.Sleep(50 * time.Millisecond)
-		q.Close()
-	}()
-	rest := []int{}
-	for r, err := range q.Results2() {
-		if err != nil {
-			t.Fatal(err)
-		}
-		rest = append(rest, r.Window)
-	}
-	if len(rest) != 1 || rest[0] != 3 {
-		t.Fatalf("second pass got %v, want [3]", rest)
-	}
-}
-
-// waitUnsubscribed blocks until q has no attached subscription.
-func waitUnsubscribed(t *testing.T, q *Query) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		q.mu.Lock()
-		s := q.sub
-		q.mu.Unlock()
-		if s == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("subscription never detached")
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-func TestDrainChanSink(t *testing.T) {
-	db, q := subDB(t)
-	produce(t, db, 2)
-	out := make(chan *Result, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() { done <- q.Drain(ctx, ChanSink(out)) }()
-	for want := 1; want <= 2; want++ {
-		select {
-		case r := <-out:
-			if r.Window != want {
-				t.Fatalf("window %d, want %d", r.Window, want)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("timed out")
-		}
-	}
-	cancel()
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("drain returned %v", err)
-	}
-
-	// A sink error aborts the drain.
-	db2, q2 := subDB(t)
-	produce(t, db2, 1)
-	sinkErr := errors.New("sink broke")
-	if err := q2.Drain(context.Background(), SinkFunc(func(context.Context, *Result) error { return sinkErr })); !errors.Is(err, sinkErr) {
-		t.Fatalf("drain returned %v", err)
 	}
 }
