@@ -153,7 +153,7 @@ func (sh *localShell) command(line, upper string) bool {
 	switch {
 	case upper == "RUN":
 		sh.db.Run()
-		fmt.Println("scheduler running (one worker per query)")
+		fmt.Println("scheduler running (one worker per slide group)")
 	case upper == "STOP":
 		sh.db.Stop()
 		// Stop abandons the drain after at most one step per query; finish

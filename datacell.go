@@ -364,8 +364,10 @@ func rowsToCols(rows [][]Value) ([]*vector.Vector, error) {
 
 // Query is a registered continuous query.
 //
-// Its windows go into a result log — the paper's output basket — and every
-// reader is a cursor of its own on that log: each Subscribe channel and
+// It fires on the worker of its slide group (see DB.Run), together with
+// the look-alike queries that share its fragment. Its windows go into a
+// result log — the paper's output basket — and every reader is a cursor
+// of its own on that log: each Subscribe channel and
 // each Query.Tap cursor, any number of them at once. Until the first
 // reader opens, the query's in-process cursor holds the windows — a
 // recovered query's replay among them — and Results drains it. The first
@@ -479,21 +481,24 @@ func (q *Query) Fingerprint() string { return q.cq.Fingerprint() }
 type QueryStats struct {
 	// Windows is the number of window results emitted.
 	Windows int
-	// Fragment, Shared, Merge and Total are the engine's cumulative stage
-	// clock: fragment work the query evaluated itself, time spent adopting
-	// shared work (fragment partials and merge heads) computed by other
-	// queries, the merge, and total step wall time.
+	// Fragment, Merge and Total are the engine's cumulative stage clock:
+	// fragment work the query evaluated itself, the merge, and total step
+	// wall time. Shared is always zero: a query adopts what an earlier
+	// member of its slide group computed in the same step, without waiting.
+	// It is kept because the benchmark harness (benchmark/replay.go) reads
+	// it; the next change to the benchmark drops that read, and the field.
 	Fragment, Shared, Merge, Total time.Duration
 	// Scatter, Partition and Stitch are always zero: the merge has no
 	// sharded stages. They are kept for callers that add them into the
 	// merge time.
 	Scatter, Partition, Stitch time.Duration
-	// AdoptedSlides and LedSlides count slides the query adopted from the
-	// shared-plan catalog versus evaluated itself and published.
+	// AdoptedSlides and LedSlides count slides whose fragment partial the
+	// query adopted from an earlier member of its slide group versus
+	// evaluated itself.
 	AdoptedSlides, LedSlides int64
-	// AdoptedTails and LedTails count window merges whose shared merge
-	// head was adopted from the tail catalog versus computed and published
-	// by this query.
+	// AdoptedTails and LedTails count window merges whose merge head was
+	// adopted from an earlier member of the group versus merged by this
+	// query.
 	AdoptedTails, LedTails int64
 	// BatchedSlides counts slides drained more than one per firing (the
 	// intra-query parallel cadence: Parallelism > 1 with a backlog).
@@ -523,7 +528,6 @@ func (q *Query) Stats() QueryStats {
 	return QueryStats{
 		Windows:       st.Windows,
 		Fragment:      time.Duration(st.MainNS),
-		Shared:        time.Duration(st.SharedNS),
 		Merge:         time.Duration(st.MergeNS),
 		Total:         time.Duration(st.TotalNS),
 		AdoptedSlides: st.AdoptedSlides,
@@ -546,8 +550,8 @@ func (q *Query) Stats() QueryStats {
 // ingest half of the /metrics export.
 func (db *DB) IngestDuration() time.Duration { return time.Duration(db.eng.LoadNS()) }
 
-// Close deregisters the query. If the scheduler is running, the query's
-// worker is stopped first (blocking until any in-flight step finishes).
+// Close deregisters the query, blocking until the query's own in-flight
+// firing finishes (never another member's of its slide group).
 // Close may be called from a Subscribe consumer, even while a step is
 // blocked on that consumer. Each Subscribe channel closes once its
 // consumer has read what is left; Tap cursors read what is left, then
@@ -568,21 +572,26 @@ func (db *DB) SetParallelism(n int) { db.eng.SetDefaultParallelism(n) }
 func (db *DB) QueryOnce(query string) (*Table, error) { return db.eng.QueryOnce(query) }
 
 // Pump synchronously fires every query that has enough buffered data and
-// returns the number of steps executed, in registration order on the
-// calling goroutine. Use it for deterministic processing (tests,
-// benchmarks, batch drivers).
+// returns the number of window slides fired, on the calling goroutine:
+// slide groups (see Run) in order of their first query, the queries of a
+// group in registration order. Use it for deterministic processing
+// (tests, benchmarks, batch drivers).
 func (db *DB) Pump() (int, error) { return db.eng.Pump() }
 
-// PumpParallel is the concurrent form of Pump: queries fire in parallel
-// over a bounded pool of at most workers goroutines (workers <= 0 means
-// GOMAXPROCS). Each query's steps stay ordered; cross-query interleaving
-// does not. It returns once no query can fire anymore.
+// PumpParallel is the concurrent form of Pump: slide groups fire in
+// parallel over a bounded pool of at most workers goroutines (workers <= 0
+// means GOMAXPROCS). Each query's steps stay ordered; cross-group
+// interleaving does not. It returns once no query can fire anymore.
 func (db *DB) PumpParallel(workers int) (int, error) { return db.eng.PumpParallel(workers) }
 
-// Run starts the concurrent factory scheduler: every registered query gets
-// its own worker goroutine, woken by the receptor side only when one of
-// its input streams receives data, so independent queries process in
-// parallel. Queries registered while running get workers immediately.
+// Run starts the concurrent factory scheduler: every slide group — the
+// queries on one stream whose per-basic-window fragment has one canonical
+// key, or a query alone — gets its own worker goroutine, woken by the
+// receptor side only when one of its input streams receives data, so
+// independent groups process in parallel. A worker fires its group's
+// members in registration order, so a Block reader that stalls one query
+// also stalls the queries sharing its fragment, and no other. Groups
+// formed while running get workers immediately.
 //
 // Run is idempotent and restartable: after Stop, calling Run again clears
 // any stored error (see Err) and resumes all queries from their buffered

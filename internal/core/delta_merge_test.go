@@ -170,19 +170,19 @@ func fileSnapshot(f SlotFile) string {
 	return sb.String()
 }
 
-// TestDeltaMergeLeaderFollower models the engine's catalog: two look-alike
-// runtimes consume the SAME slot files (one EvalFragments, as the fragment
-// catalog hands them out), are handed one shared TailState, and exchange
+// TestDeltaMergeLeaderFollower models a slide group's step: two look-alike
+// runtimes consume the SAME slot files (one EvalFragments, as the step's
+// memo hands them out), are handed one shared TailState, and exchange
 // merge heads with leadership flipping between them per window. Only the
 // runtime that merges a window touches the state: an adopting follower
 // performs no add and no expire, and the next window's leader — whichever
 // runtime it is — advances the state from where the last one left it, so
-// there is exactly one rebuild besides those forced by an aborted leader
-// (then the follower merges the window again itself and, finding the state
-// already past it, rebuilds). Both runtimes must track a private Baseline
-// runtime bit for bit and never allocate a private state. Published heads
-// must be fresh and stay immutable, and the shared slot files must never
-// be written.
+// there is exactly one rebuild besides those forced by a failed leader
+// (then the follower has no head to adopt, merges the window again itself
+// and, finding the state already past it, rebuilds). Both runtimes must
+// track a private Baseline runtime bit for bit and never allocate a
+// private state. Captured heads must be fresh and stay immutable, and the
+// shared slot files must never be written.
 func TestDeltaMergeLeaderFollower(t *testing.T) {
 	const n, slides, rows = 5, 60, 96
 	ipA := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 480 SLIDE 96] GROUP BY x1 HAVING count(*) > 1`, n, false)
@@ -226,19 +226,17 @@ func TestDeltaMergeLeaderFollower(t *testing.T) {
 		for _, who := range order {
 			tx := &TailExchange{State: state, Prev: int64(sl), End: int64(sl + 1)}
 			if who == leader {
-				tx.Publish = func(h *MergeHead, err error) { head = h }
-			} else {
-				tx.Fetch = func() (*MergeHead, error) {
-					if aborted {
-						return nil, fmt.Errorf("leader aborted")
-					}
-					return head, nil
-				}
+				tx.Capture = true
+			} else if !aborted {
+				tx.Head = head
 			}
 			before := state.Stats()
 			res, err := rts[who].Apply(shared, []int64{0}, inputs, []*TailExchange{tx})
 			if err != nil {
 				t.Fatal(err)
+			}
+			if who == leader {
+				head = res[0].Head
 			}
 			after := state.Stats()
 			switch {
@@ -394,10 +392,10 @@ func TestDeltaMergeBoundedState(t *testing.T) {
 // plan whose residual is a HAVING select/take chain over the head emits
 // only the groups it keeps into the runtime's scratch — one storage,
 // reused by the next merge — when no other query can adopt it: no tail
-// exchange, a follower merging privately, or a solo leader, whose Publish
-// the engine leaves nil. A leader with co-subscribers publishes a fresh
-// full head, and a plan that binds the head into its result gets a fresh
-// one whatever the exchange.
+// exchange, a follower merging privately, or a solo leader, which the
+// engine does not ask to capture. A leader whose head a later member of
+// its group adopts captures a fresh full head, and a plan that binds the
+// head into its result gets a fresh one whatever the exchange.
 func TestDeltaHeadScratch(t *testing.T) {
 	const n, rows = 4, 128
 	having := deltaPlan(t, `SELECT x1, sum(x2), count(*) FROM s [RANGE 512 SLIDE 128] GROUP BY x1 HAVING count(*) > 1`, n, false)
@@ -420,18 +418,14 @@ func TestDeltaHeadScratch(t *testing.T) {
 			t.Errorf("%s: HeadFilter %v %q (%q), want %q (%q)", tc.sql, conj, pred, why, tc.pred, tc.why)
 		}
 	}
-	noTx := func(**MergeHead) *TailExchange { return nil }
-	follower := func(**MergeHead) *TailExchange {
-		return &TailExchange{Fetch: func() (*MergeHead, error) { return nil, fmt.Errorf("aborted") }}
-	}
-	solo := func(**MergeHead) *TailExchange { return &TailExchange{} }
-	leader := func(published **MergeHead) *TailExchange {
-		return &TailExchange{Publish: func(h *MergeHead, _ error) { *published = h }}
-	}
+	noTx := (*TailExchange)(nil)
+	follower := &TailExchange{End: 1} // no head to adopt: merges privately
+	solo := &TailExchange{}
+	leader := &TailExchange{Capture: true}
 	for _, tc := range []struct {
 		name    string
 		ip      *IncPlan
-		tx      func(published **MergeHead) *TailExchange
+		tx      *TailExchange
 		scratch bool
 	}{
 		{"no exchange", having, noTx, true},
@@ -452,14 +446,13 @@ func TestDeltaHeadScratch(t *testing.T) {
 			// headAt merges the full window again and returns where the
 			// head's key column lives.
 			headAt := func() *int64 {
-				var published *MergeHead
-				tx := tc.tx(&published)
-				_, env, err := rt.merge(inputs, tx)
+				tx := tc.tx
+				_, env, published, err := rt.merge(inputs, tx)
 				if err != nil {
 					t.Fatal(err)
 				}
 				defer clear(env)
-				if tx != nil && tx.Publish != nil && published == nil {
+				if tx != nil && tx.Capture && published == nil {
 					t.Fatal("shared leader published no head")
 				}
 				// A head in scratch holds only the groups HAVING keeps.

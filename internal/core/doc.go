@@ -49,19 +49,20 @@
 //     window's partial and takes out the expired one (a Min/Max extreme
 //     the expired row set is rescanned along the group's live rows). Float
 //     sums, float extremes, multi-column keys, join-fed and landmark
-//     blocks run their instructions as written. The TailState belongs to the merge tail — the engine
-//     hands one per tail per slide phase to every member through
-//     TailExchange — or, without one, to the Runtime. Only a runtime that
-//     merges a window itself touches it (deltaMerge): it steps the totals
+//     blocks run their instructions as written. The TailState belongs to
+//     the merge tail — the engine's slide group holds one per tail per
+//     slide phase and hands it to every member through TailExchange — or,
+//     without one, to the Runtime. Only a runtime that merges a window
+//     itself touches it (deltaMerge): it steps the totals
 //     when their tag is the previous window's end, rebuilds them from its
 //     own slot ring otherwise, tags them with this window's end and emits;
 //     a runtime that adopts a MergeHead never reads or allocates it. Slot
 //     files are only ever read — they may be shared with other queries —
 //     so every per-row side array (next-occurrence links, first-row flags,
 //     running totals) lives in the state's arena, never in a slot vector.
-//     A head that may be published is emitted into fresh columns, so
-//     published heads stay immutable; one nobody can adopt (no tail, a
-//     private follower, a solo leader — TailExchange.Publish nil) whose
+//     A head that is captured (TailExchange.Capture) is emitted into fresh
+//     columns, so captured heads stay immutable; one nobody adopts (no
+//     tail, or no later member of the step merging the same end) whose
 //     residual is a HAVING select/take chain over it (IncPlan.HeadFilter)
 //     is emitted into the block's reusable scratch, and holds only the
 //     groups the filter keeps: the state keeps the filter's verdict per
@@ -83,9 +84,10 @@
 //     its folds are integer, so results stay bit-identical to the cells.
 //
 // The Runtime takes one lock: a TailState's mutex, held inside the merge
-// while a delta block is stepped or rebuilt and emitted, because other
-// members of the merge tail may be merging neighbouring windows through
-// the same state. It never waits on anything while holding it. For the
+// while a delta block is stepped or rebuilt and emitted, so Stats reads
+// stay safe against it (the members of one tail merge one at a time, in
+// the steps of their slide group). It never waits on anything while
+// holding it. For the
 // rest it relies on its caller for step serialization and on the basket's
 // immutability rules for unlocked view reads.
 //

@@ -288,7 +288,7 @@ func BenchmarkMatrixMerge(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(mergeNS)/float64(b.N), "merge-ns/slide")
 			allocs[n] = testing.AllocsPerRun(10, func() {
-				_, env, err := rt.merge(in, nil)
+				_, env, _, err := rt.merge(in, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,19 +14,15 @@ import (
 
 // StepStats is the one stage clock: where a slide spent its time, refining
 // the paper's Fig 7 cost breakdown. The runtime fills it per slide, the
-// engine adds the two fields only it can know (SharedNS, TotalNS), and the
-// same record — summed with Add — is the query's cumulative clock all the
-// way to /metrics. MainNS is the fragment cost (per-basic-window and
-// per-cell fragments of the original plan); MergeNS is the merge cost:
-// merge-state upkeep (delta blocks, matrix panes) and the serial
-// merge/compensation stage.
+// engine adds the one field only it can know (TotalNS), and the same
+// record — summed with Add — is the query's cumulative clock all the way
+// to /metrics. MainNS is the fragment cost (per-basic-window and per-cell
+// fragments of the original plan); MergeNS is the merge cost: merge-state
+// upkeep (delta blocks, matrix panes) and the serial merge/compensation
+// stage.
 type StepStats struct {
 	MainNS  int64
 	MergeNS int64
-	// SharedNS is the time spent adopting work another query computed — a
-	// shared fragment partial or merge head (registry wait plus handoff).
-	// Filled by the engine; zero on slides this query led itself.
-	SharedNS int64
 	// TotalNS is the wall time of the step, filled by the engine (a firing
 	// that drains k slides charges each an equal share).
 	TotalNS int64
@@ -56,7 +52,6 @@ type StepStats struct {
 func (s *StepStats) Add(o StepStats) {
 	s.MainNS += o.MainNS
 	s.MergeNS += o.MergeNS
-	s.SharedNS += o.SharedNS
 	s.TotalNS += o.TotalNS
 	s.JoinNS += o.JoinNS
 	s.BuildsReused += o.BuildsReused
@@ -67,10 +62,12 @@ func (s *StepStats) Add(o StepStats) {
 }
 
 // StepResult is one window slide's outcome within an Apply: the result
-// table (nil while the first window is still filling) plus its stats.
+// table (nil while the first window is still filling), its stats, and the
+// slide's merge head when its TailExchange asked to capture it.
 type StepResult struct {
 	Table *exec.Table
 	Stats StepStats
+	Head  *MergeHead
 }
 
 // MergeHead is the output of a plan's grouped merge block — the merged key
@@ -84,35 +81,28 @@ type MergeHead struct {
 	Aggs []*vector.Vector
 }
 
-// TailExchange threads merge-tail sharing through one slide of Apply.
-// Exactly one of Fetch/Publish is set per slide:
+// TailExchange carries one slide's merge-tail sharing through Apply. It
+// is plain data, filled by the engine from the step of the slide group the
+// query belongs to:
 //
-//   - Fetch (follower): called once before the slide's merge. A non-nil
-//     head is adopted — the concatenations and the grouped re-group are
-//     skipped and the head's columns are installed directly, so the slide
-//     pays only its residual tail. A nil head or error falls back to the
-//     private merge (results identical either way).
-//   - Publish (leader): called exactly once per slide with the captured
-//     head, or nil when the slide did not merge (window still filling) or
-//     the block's outputs were not capturable. The engine maps a nil head
-//     to an abort for waiting followers.
-//
-// With neither set, nothing can adopt this slide's head (the engine
-// leaves a solo leader's Publish nil), so a delta block may emit it into
-// the runtime's reusable scratch.
+//   - Head, when set, is the merge head another member of the group
+//     already merged at this window end. The slide adopts it: the
+//     concatenations and the grouped re-group are skipped and the head's
+//     columns are installed directly, so the slide pays only its residual
+//     tail.
+//   - Otherwise the slide merges itself, and Capture asks it to return
+//     the head in StepResult.Head for a later member to adopt. A head
+//     nobody adopts is not captured, so a delta block may emit it into the
+//     runtime's reusable scratch.
 //
 // State is the tail's delta state for this slide's phase, and Prev and End
 // are the absolute ends of the previous and of this window: a runtime that
-// merges the window itself (the leader, or a follower whose leader aborted)
-// brings State from Prev to End; one that adopts a head never touches it.
-// A nil State merges through the runtime's own state.
-//
-// The engine guarantees deadlock freedom by acquiring leadership per
-// absolute window end and processing slides in ascending end order: a
-// leader waiting in Fetch can only wait on strictly smaller ends.
+// merges the window itself brings State from Prev to End; one that adopts
+// a head never touches it. A nil State merges through the runtime's own
+// state.
 type TailExchange struct {
-	Fetch     func() (*MergeHead, error)
-	Publish   func(*MergeHead, error)
+	Head      *MergeHead
+	Capture   bool
 	State     *TailState
 	Prev, End int64
 }
@@ -125,8 +115,9 @@ type TailExchange struct {
 // rebuild from its own ring from anywhere else — and the others adopt the
 // head. A runtime without a shared one owns a TailState tagged by its
 // slide count. The zero value is ready to use; storage is allocated on the
-// first merge. Safe for concurrent use: the runtime holds mu while it
-// advances and emits, and waits on nothing while holding it.
+// first merge. The members of one tail merge one at a time (the engine
+// steps a slide group serially); mu makes Stats safe against a running
+// merge, and the runtime waits on nothing while holding it.
 type TailState struct {
 	mu                      sync.Mutex
 	blocks                  []tailBlock // indexed like Runtime.deltas
@@ -533,9 +524,7 @@ func (rt *Runtime) EvalFragments(slides [][][]vector.View, inputs []exec.Input) 
 // privately). Per slide it performs the serial tail of a step — chunk
 // combination, slot rotation, join-matrix update (its new cells fan out
 // across the worker pool), merge — so results are bit-identical at any
-// parallelism and batch size. Slides are processed in order; the engine
-// relies on that to keep the tail exchange deadlock-free (ascending window
-// ends).
+// parallelism and batch size.
 func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input, tails []*TailExchange) ([]StepResult, error) {
 	rt.runStatic(inputs)
 	out := make([]StepResult, len(files))
@@ -546,17 +535,17 @@ func (rt *Runtime) Apply(files [][]SlotFile, fragNS []int64, inputs []exec.Input
 			tx = tails[sl]
 		}
 		out[sl].Stats.MainNS = fragNS[sl]
-		tbl, err := rt.applyOne(files[sl], inputs, tx, &out[sl].Stats)
-		if err != nil {
+		if err := rt.applyOne(files[sl], inputs, tx, &out[sl]); err != nil {
 			return nil, err
 		}
-		out[sl].Table = tbl
 	}
 	return out, nil
 }
 
-// applyOne is one slide of Apply; it adds its stage times to stats.
-func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, stats *StepStats) (*exec.Table, error) {
+// applyOne is one slide of Apply: it fills res's table and captured head
+// and adds its stage times to res.Stats.
+func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailExchange, res *StepResult) error {
+	stats := &res.Stats
 	t1 := time.Now()
 	var stateNS int64 // merge-state upkeep: delta blocks and matrix panes
 	evicted := false
@@ -588,7 +577,7 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 		tj := time.Now()
 		paneNS, err := rt.updateCells(evicted, inputs, stats)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		stats.JoinNS = time.Since(tj).Nanoseconds() - paneNS
 		stateNS += paneNS
@@ -598,16 +587,12 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 	stats.MergeNS += stateNS
 
 	if !rt.ready() {
-		if tx != nil && tx.Publish != nil {
-			// The window is still filling: nothing merged, nothing to adopt.
-			tx.Publish(nil, nil)
-		}
-		return nil, nil
+		return nil
 	}
 	t2 := time.Now()
-	tbl, env, err := rt.merge(inputs, tx)
+	tbl, env, head, err := rt.merge(inputs, tx)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if rt.ip.Landmark {
 		rt.compactLandmark(env)
@@ -618,7 +603,8 @@ func (rt *Runtime) applyOne(newFiles []SlotFile, inputs []exec.Input, tx *TailEx
 	stats.MergeNS += time.Since(t2).Nanoseconds()
 	stats.Emitted = true
 	stats.ResultRows = tbl.NumRows()
-	return tbl, nil
+	res.Table, res.Head = tbl, head
+	return nil
 }
 
 func (rt *Runtime) ready() bool {
@@ -990,61 +976,57 @@ func (rt *Runtime) execPlannedJoin(i, j int, decision joinDecision, env []exec.D
 }
 
 // merge binds the concatenations, runs the merge fragment and returns the
-// window result plus the merge environment (used for landmark compaction).
-// A delta-maintained grouped block emits from its state (mergeDelta)
-// instead of running its instructions; every other block runs as written.
-// Results are bit-identical either way. Multi-part concatenations bind as
-// views when the plan allows it, so a fresh concatenation is only
-// materialized for consumers that need one (vec() caches it in the
-// register on first use). A scalar aggregate over the join matrix that has
-// panes neither gathers nor concatenates its cells: its register is the
-// fold of the live panes (panes.go).
-func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []exec.Datum, error) {
+// window result, the merge environment (used for landmark compaction) and
+// the grouped merge head when tx asks to capture it. A delta-maintained
+// grouped block emits from its state (mergeDelta) instead of running its
+// instructions; every other block runs as written. Results are
+// bit-identical either way. Multi-part concatenations bind as views when
+// the plan allows it, so a fresh concatenation is only materialized for
+// consumers that need one (vec() caches it in the register on first use).
+// A scalar aggregate over the join matrix that has panes neither gathers
+// nor concatenates its cells: its register is the fold of the live panes
+// (panes.go).
+func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []exec.Datum, *MergeHead, error) {
 	env := rt.mergeEnv
 	clear(env) // stale entries from an errored firing must not leak in
 	rt.copyStatic(env)
 
 	// Merge-tail exchange: tailSpec is the single shareable grouped block
 	// (the engine only passes tx for plans whose MergeTailKey is non-empty,
-	// which requires exactly one block). A follower fetches the leader's
-	// head before any concat work; a leader captures and publishes its
-	// block outputs the moment the block completes.
+	// which requires exactly one block). An adopted head replaces the
+	// concat work and the block; a captured head is taken the moment the
+	// block completes.
 	var tailSpec *GroupMergeSpec
-	var adopt *MergeHead
-	published := false
+	var adopt, head *MergeHead
+	captured := false
 	if tx != nil && len(rt.ip.GroupMerges) == 1 {
 		tailSpec = &rt.ip.GroupMerges[0]
-		if tx.Fetch != nil {
-			if h, err := tx.Fetch(); err == nil && h != nil &&
-				len(h.Keys) == len(tailSpec.KeyOuts) && len(h.Aggs) == len(tailSpec.Aggs) {
-				adopt = h
-			}
+		if h := tx.Head; h != nil && len(h.Keys) == len(tailSpec.KeyOuts) && len(h.Aggs) == len(tailSpec.Aggs) {
+			adopt = h
 		}
 	}
-	publishHead := func() {
-		if tailSpec == nil || tx == nil || tx.Publish == nil || published {
+	captureHead := func() {
+		if tailSpec == nil || !tx.Capture || adopt != nil || captured {
 			return
 		}
-		published = true
-		head := &MergeHead{
+		captured = true
+		h := &MergeHead{
 			Keys: make([]*vector.Vector, len(tailSpec.KeyOuts)),
 			Aggs: make([]*vector.Vector, len(tailSpec.Aggs)),
 		}
 		for i, r := range tailSpec.KeyOuts {
 			if env[r].Kind != exec.KindVec {
-				tx.Publish(nil, nil)
 				return
 			}
-			head.Keys[i] = env[r].Vec
+			h.Keys[i] = env[r].Vec
 		}
 		for i, ag := range tailSpec.Aggs {
 			if env[ag.Out].Kind != exec.KindVec {
-				tx.Publish(nil, nil)
 				return
 			}
-			head.Aggs[i] = env[ag.Out].Vec
+			h.Aggs[i] = env[ag.Out].Vec
 		}
-		tx.Publish(head, nil)
+		head = h
 	}
 
 	if adopt == nil {
@@ -1057,7 +1039,7 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 			}
 			vecs, err := rt.gather(spec)
 			if err != nil {
-				return nil, nil, err
+				return nil, nil, nil, err
 			}
 			if rt.lazyConcat && len(vecs) > 1 {
 				view := vector.NewView(vecs[0].Type(), vecs...)
@@ -1080,7 +1062,7 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 	var result *exec.Table
 	for idx := 0; idx < len(rt.ip.Merge); idx++ {
 		if tailSpec != nil && idx == tailSpec.Start+tailSpec.Len {
-			publishHead() // block complete (kernel or instruction path)
+			captureHead() // block complete (kernel or instruction path)
 		}
 		if adopt != nil && idx >= tailSpec.Start && idx < tailSpec.Start+tailSpec.Len {
 			continue // the adopted head already filled the block's outputs
@@ -1100,7 +1082,7 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 		if in.Op == plan.OpResult {
 			tbl, err := exec.BuildResult(in, env)
 			if err != nil {
-				return nil, nil, fmt.Errorf("core: merge result: %w", err)
+				return nil, nil, nil, fmt.Errorf("core: merge result: %w", err)
 			}
 			result = tbl
 			continue
@@ -1114,14 +1096,14 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 			err = exec.ExecInstr(in, env, inputs)
 		}
 		if err != nil {
-			return nil, nil, fmt.Errorf("core: merge stage: %w", err)
+			return nil, nil, nil, fmt.Errorf("core: merge stage: %w", err)
 		}
 	}
-	publishHead() // block ends at the final instruction
+	captureHead() // block ends at the final instruction
 	if result == nil {
-		return nil, nil, fmt.Errorf("core: merge produced no result")
+		return nil, nil, nil, fmt.Errorf("core: merge produced no result")
 	}
-	return result, env, nil
+	return result, env, head, nil
 }
 
 // mergeDelta runs delta-maintained grouped block b: it brings the
@@ -1129,12 +1111,11 @@ func (rt *Runtime) merge(inputs []exec.Input, tx *TailExchange) (*exec.Table, []
 // the block's outputs. The head goes to the block's scratch, holding only
 // the groups the residual's filter keeps, when nothing can read it after
 // this slide: the residual copies what it keeps (a select/take chain,
-// checked statically) and no other query can adopt it (no tail, a
-// follower merging privately, or a solo leader, whose Publish the engine
-// leaves nil).
+// checked statically) and the slide does not capture it for another
+// member of its group (tx nil or not Capture).
 func (rt *Runtime) mergeDelta(b *deltaBlock, env []exec.Datum, tx *TailExchange) {
 	var buf *algebra.EmitBuf
-	if b.filter != nil && (tx == nil || tx.Publish == nil) {
+	if b.filter != nil && (tx == nil || !tx.Capture) {
 		buf = &b.head
 	}
 	keyVec, aggVecs := rt.deltaMerge(b, tx, buf)

@@ -10,20 +10,25 @@
 //
 // Three lock domains, with a strict order between the first two:
 //
-//   - e.mu guards engine metadata: the stream/table/query registries and
-//     each stream's subscriber snapshot. Subscriber lists are immutable
-//     copy-on-write slices — (de)registration publishes a fresh slice, so
-//     receptors iterate them without cloning per append.
+//   - e.mu guards engine metadata: the stream/table/query registries, the
+//     slide groups and each stream's subscriber and group snapshots. Those
+//     lists are immutable copy-on-write slices — (de)registration
+//     publishes a fresh slice, so receptors iterate them without cloning
+//     per append. A group's own mu (members, delta states, emitting
+//     member, wake channel) nests inside e.mu, and a query's statsMu
+//     inside that.
 //   - Each stream's log mutex (basket.Basket) guards that log's segments
 //     and cursors. e.mu may be held while acquiring a log lock
 //     (Register/Deregister wire cursors under both), never the reverse:
 //     receptor and factory paths release e.mu before touching a log and
 //     never call back into the engine while holding one.
-//   - Each query's stepMu serializes its window steps, whether fired by
-//     the query's own scheduler worker, a synchronous Pump, or
-//     PumpParallel; statsMu makes the cumulative counters readable while
-//     a worker runs. OnResult callbacks run under stepMu, so a query's
-//     results are totally ordered.
+//   - Each slide group's stepMu serializes its steps, whether run by the
+//     group's scheduler worker, a synchronous Pump, or PumpParallel; inside
+//     a step each member fires under its own stepMu, and OnResult callbacks
+//     run under it, so a query's results are totally ordered. Deregister
+//     waits on the query's own stepMu only — never on another member's
+//     firing — and not at all from inside the query's own callback.
+//     statsMu makes the cumulative counters readable while a worker runs.
 //
 // Factories take window views under the log lock and execute unlocked
 // (immutable sealed segments, append-only tail — see internal/basket), so
@@ -31,11 +36,11 @@
 //
 // # The one incremental firing path
 //
-// An incremental query fires through one pipeline (fireIncremental →
-// slidePlan → fireSlides in query.go), and fireSlides is the only function
-// that drives core.Runtime through slides:
+// An incremental query fires through one pipeline (planStep → slidePlan
+// → fireSlides in query.go), and fireSlides is the only function that
+// drives core.Runtime through slides:
 //
-//	plan slides → claim → eval → publish → adopt → apply → emit
+//	plan slides → adopt or eval fragments → adopt or merge heads → emit
 //
 // slidePlan always yields k >= 1 buffered slides: with Options.Parallelism
 // > 1 a backlog is taken in batches — pure count windows by fixed stride,
@@ -52,23 +57,30 @@
 //
 // # The one sharing mechanism
 //
-// Across queries, each stream carries a shareRegistry (the shared-plan
-// catalog) of partialCaches — one generic leader/follower cache with two
-// instantiations. Eligible incremental queries whose canonical pre-merge
-// fragment matches (core.IncPlan.FragmentKey) intern one sharedFragment:
-// each slide's slot file is evaluated once by whichever subscriber claims
-// its log position first and adopted by the rest. Queries whose merge head
-// also matches (core.IncPlan.MergeTailKey, count windows only) intern one
-// sharedTail the same way, keyed by window end, and followers run only
-// their residual instructions. The cache's locks nest strictly inside the
-// engine order above: e.mu → shareRegistry.mu → partialCache.mu. A query
-// fixes its leadership for a firing up front and publishes every fragment
-// partial it owes before waiting on any other, and merge heads are waited
-// for in ascending window-end order, so sharing introduces no cross-query
-// deadlock (see partialCache). Deregistration releases the refcount; the
-// last subscriber's detach deletes the cache.
+// The scheduler fires slide groups, not queries (group.go). Eligible
+// incremental queries on one stream whose canonical pre-merge fragment
+// matches (core.IncPlan.FragmentKey) form one group; every other query is
+// a group of one and runs the same code. One worker per group runs one
+// step at a time: it plans every live member's ready batch, then fires
+// the members in registration order, sharing through a memo that lives
+// for that step only. A slide whose absolute log range (start and end) an
+// earlier member evaluated adopts that slot file; the rest go to one
+// EvalFragments on the member's own runtime and into the memo. Members
+// whose merge head also matches (core.IncPlan.MergeTailKey, count windows
+// only) share it the same way, keyed by window end: the first member to
+// reach an end merges it — capturing the head only when a later member of
+// the step merges the same end, else emitting into scratch — and the
+// later ones adopt it and run only their residual instructions. The group
+// holds the tails' delta states, one per tail and slide phase. Nothing is
+// claimed, published, waited for or aborted: a member whose step errors
+// fails alone, and the next member needing the same range or head
+// computes it itself.
 //
-// Options.Baseline is the one switch off all of this: no catalog attach,
+// A query's OnResult runs on its group's worker, so a reader that stalls
+// one member stalls the members sharing its fragment — never a query with
+// another fragment, on another stream, or in another group.
+//
+// Options.Baseline is the one switch off all of this: no group,
 // written-order joins, instruction-path merges — how the seed evaluated.
 // Results are bit-identical either way; it exists because tests and
 // internal/bench use that path as the reference arm.

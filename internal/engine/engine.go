@@ -50,7 +50,10 @@ type Engine struct {
 	streams map[string]*streamInfo
 	tables  map[string]*tableStore
 	queries map[string]*ContinuousQuery
-	nextID  int
+	// groups holds the slide groups of canonical fragments, keyed by
+	// stream and fragment key (groups of one are not listed).
+	groups map[string]*group
+	nextID int
 	// defaultPar is the intra-query parallelism applied to queries
 	// registered without an explicit Options.Parallelism (<= 1 means
 	// sequential; see SetDefaultParallelism).
@@ -78,7 +81,7 @@ type Engine struct {
 	// acquired before mu when both are needed.
 	schedMu sync.Mutex
 	running bool
-	workers map[string]*workerHandle
+	workers map[*group]*worker
 	// deregErr preserves the first worker error of a query that was
 	// deregistered while failed, so Err() keeps reporting it until the
 	// next Start.
@@ -96,12 +99,11 @@ type streamInfo struct {
 	// replaces the whole slice under e.mu, so receptors may fan wake-ups
 	// out over it without cloning per append.
 	subscribers []*queryInput
-	watermark   int64
-	appended    int64
-	// shares is the stream's shared-plan catalog: canonical per-bw fragment
-	// (and merge head) -> the queries subscribed to it, so each is computed
-	// once per slide no matter how many queries stand on the stream.
-	shares *shareRegistry
+	// groups is the copy-on-write snapshot of the slide groups reading the
+	// stream: a receptor wakes each of them once.
+	groups    []*group
+	watermark int64
+	appended  int64
 }
 
 // Lock-ordering note: e.mu (engine metadata) may be held while acquiring a
@@ -123,7 +125,8 @@ func New() *Engine {
 		streams: map[string]*streamInfo{},
 		tables:  map[string]*tableStore{},
 		queries: map[string]*ContinuousQuery{},
-		workers: map[string]*workerHandle{},
+		groups:  map[string]*group{},
+		workers: map[*group]*worker{},
 	}
 }
 
@@ -184,7 +187,7 @@ func (e *Engine) RegisterStream(name string, schema catalog.Schema) error {
 		_ = e.cat.Drop(name)
 		return err
 	}
-	e.streams[name] = &streamInfo{schema: schema, log: log, shares: newShareRegistry()}
+	e.streams[name] = &streamInfo{schema: schema, log: log}
 	if err := e.persistSourceLocked(name, schema, true); err != nil {
 		return fmt.Errorf("engine: stream %s registered but not journaled: %w", name, err)
 	}
@@ -294,7 +297,7 @@ func (e *Engine) AppendColumns(stream string, cols []*vector.Vector, ts []int64)
 	}
 
 	e.mu.Lock()
-	subs := si.subscribers // immutable snapshot, no clone
+	subs, groups := si.subscribers, si.groups // immutable snapshots, no clone
 	si.appended += int64(n)
 	if len(ts) > 0 {
 		last := ts[len(ts)-1]
@@ -320,10 +323,10 @@ func (e *Engine) AppendColumns(stream string, cols []*vector.Vector, ts []int64)
 	if err != nil {
 		return err
 	}
-	// Wake only the factories subscribed to this stream; independent
-	// queries never share a wake-up (the Petri-net edge of the paper).
-	for _, qi := range subs {
-		qi.q.notifyData()
+	// Wake only the groups reading this stream, each once; independent
+	// groups never share a wake-up (the Petri-net edge of the paper).
+	for _, g := range groups {
+		g.notify()
 	}
 	e.mu.Lock()
 	e.loadNS += time.Since(t0).Nanoseconds()
@@ -387,7 +390,7 @@ func (e *Engine) SetWatermark(stream string, ts int64) error {
 	if ts > si.watermark {
 		si.watermark = ts
 	}
-	subs := si.subscribers // immutable snapshot, no clone
+	subs, groups := si.subscribers, si.groups // immutable snapshots, no clone
 	log := si.log
 	e.mu.Unlock()
 	log.Lock()
@@ -395,8 +398,8 @@ func (e *Engine) SetWatermark(stream string, ts int64) error {
 		qi.advanceWatermarkLocked(ts)
 	}
 	log.Unlock()
-	for _, qi := range subs {
-		qi.q.notifyData()
+	for _, g := range groups {
+		g.notify()
 	}
 	return nil
 }
@@ -460,20 +463,35 @@ func (e *Engine) sortedQueriesLocked() []*ContinuousQuery {
 	return qs
 }
 
-// Pump fires every continuous query as long as it has enough buffered data
-// for another step, and returns the number of steps executed. It is the
-// synchronous form of the scheduler: deterministic (queries fire in
-// registration order on the calling goroutine), ideal for tests and
+// sortedGroupsLocked snapshots the slide groups in order of each group's
+// first member. Caller must hold e.mu.
+func (e *Engine) sortedGroupsLocked() []*group {
+	var gs []*group
+	seen := map[*group]bool{}
+	for _, q := range e.sortedQueriesLocked() {
+		if !seen[q.grp] {
+			seen[q.grp] = true
+			gs = append(gs, q.grp)
+		}
+	}
+	return gs
+}
+
+// Pump steps every slide group as long as one of its queries has enough
+// buffered data for another step, and returns the number of slides
+// fired. It is the synchronous form of the scheduler: deterministic
+// (groups step in order of their first member, members fire in
+// registration order, all on the calling goroutine), ideal for tests and
 // benchmarks. See Start/PumpParallel for the concurrent forms.
 func (e *Engine) Pump() (int, error) {
 	e.mu.Lock()
-	qs := e.sortedQueriesLocked()
+	gs := e.sortedGroupsLocked()
 	e.mu.Unlock()
 	steps := 0
 	for {
 		fired := false
-		for _, q := range qs {
-			n, err := q.pump()
+		for _, g := range gs {
+			n, err := g.pump(nil, false)
 			if err != nil {
 				return steps, err
 			}

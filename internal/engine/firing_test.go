@@ -276,8 +276,8 @@ func TestOneFiringPathDifferential(t *testing.T) {
 					// Alone on its tail, the query keeps its HAVING filter
 					// in the delta state exactly when the shape allows it.
 					st := qs[0].rt.DeltaState()
-					if _, tail := qs[0].sharing(); tail != nil {
-						st = tail.deltaAt(qs[0].tailPhase).Stats()
+					if qs[0].tailState != nil {
+						st = qs[0].tailState.Stats()
 					}
 					if got := st.Filters == 1; sh.delta && got != sh.kept {
 						t.Fatalf("%s: %d filters in the delta state, want kept=%v\n%s", a.name, st.Filters, sh.kept, qs[0].Explain())
@@ -325,7 +325,7 @@ func TestOneFiringPathDifferential(t *testing.T) {
 						if st.LedSlides < slides/4 || st.AdoptedSlides < slides/4 {
 							t.Fatalf("%s: query %d led %d / adopted %d slides: leadership did not alternate", a.name, i, st.LedSlides, st.AdoptedSlides)
 						}
-						if _, tail := qs[i].sharing(); tail != nil && (st.LedTails < slides/4 || st.AdoptedTails < slides/4) {
+						if qs[i].tailKey != "" && (st.LedTails < slides/4 || st.AdoptedTails < slides/4) {
 							t.Fatalf("%s: query %d led %d / adopted %d merge tails: leadership did not alternate", a.name, i, st.LedTails, st.AdoptedTails)
 						}
 					}

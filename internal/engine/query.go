@@ -81,92 +81,43 @@ type ContinuousQuery struct {
 	onResult func(*Result)
 	chunker  *ChunkController
 
-	// stepMu serializes step execution: whether a step is fired by the
-	// query's own worker goroutine, by a synchronous Engine.Pump, or by
-	// Engine.PumpParallel, the query's steps stay totally ordered. The
-	// emitter callback runs under stepMu, so results are ordered too.
+	// grp is the query's slide group (group.go). stepMu is held while the
+	// query fires within a step of its group, whether the step runs on the
+	// group's worker, a synchronous Pump or PumpParallel; the emitter
+	// callback runs under it, so the query's results are ordered.
+	// Deregister waits on it, never on another member's firing.
+	grp    *group
 	stepMu sync.Mutex
 
-	// wake is the per-query wake channel. Receptors (Engine.Append,
-	// Engine.SetWatermark) post to it after delivering data to one of the
-	// query's baskets; the worker goroutine drains it. Capacity 1: a
-	// pending wake-up already covers any number of appends. Each worker
-	// generation gets a fresh channel (resetWake) so an exiting worker can
-	// never consume its successor's wake-ups; guarded by statsMu.
-	wake chan struct{}
+	// tailKey and tailFP name the query's merge tail ("" when it has none:
+	// not in a canonical group, not a count window, or no shareable grouped
+	// head); tailState is the group's delta state for the tail at tailPhase,
+	// the slide phase (absolute window end mod slide) of the query's
+	// windows. Fixed at Register.
+	tailKey, tailFP string
+	tailPhase       int64
+	tailState       *core.TailState
 
 	// statsMu guards the cumulative stats below and the worker's terminal
 	// error. Step execution is already serialized by stepMu; statsMu exists
 	// so readers (Stats, Err) are race-free against a running worker.
 	statsMu sync.Mutex
 	stats   Stats
-	// frag and tail are the query's interned shared fragment and merge tail
-	// (nil when the query is ineligible, runs as Baseline, or is already
-	// deregistered). Guarded by statsMu so Deregister clearing them never
-	// races a late synchronous pump.
-	frag *sharedFragment
-	tail *sharedTail
-	// tailPhase is the slide phase (absolute window end mod slide) of the
-	// query's windows: it picks the tail's delta state. Fixed at Register.
-	tailPhase int64
-	err       error
-	// emitting is true while the query's OnResult callback is running.
-	// Deregister/Stop consult it to avoid self-deadlock when the callback
-	// itself tears the scheduler down (see stopWorker).
-	emitting bool
-	// gone is set by Deregister: no step fires after it. closeOwed is set
-	// when Deregister ran while a step was emitting — possibly on another
-	// goroutine, still reading through the cursors — so that step's pump
-	// closes them as it ends.
+	err     error
+	// gone is set by Deregister: no step fires the query after it.
+	// closeOwed is set when Deregister ran while the query's OnResult
+	// callback was running — possibly from inside it — and its firing
+	// still reads through the cursors, so that firing closes them as it
+	// ends.
 	gone, closeOwed bool
 }
 
-// emit invokes the result callback with the emitting flag set.
+// emit invokes the result callback, recording it as the group's emitting
+// member while it runs.
 func (q *ContinuousQuery) emit(r *Result) {
-	q.statsMu.Lock()
-	q.emitting = true
-	q.statsMu.Unlock()
+	q.grp.setEmitting(q)
 	q.onResult(r)
-	q.statsMu.Lock()
-	q.emitting = false
-	q.statsMu.Unlock()
-}
-
-func (q *ContinuousQuery) isEmitting() bool {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.emitting
-}
-
-// sharing returns the query's shared fragment and merge tail; each is nil
-// when that layer is off for this query (ineligible, Baseline, or already
-// deregistered).
-func (q *ContinuousQuery) sharing() (*sharedFragment, *sharedTail) {
-	q.statsMu.Lock()
-	defer q.statsMu.Unlock()
-	return q.frag, q.tail
-}
-
-// notifyData posts a non-blocking wake-up for the query's worker.
-func (q *ContinuousQuery) notifyData() {
-	q.statsMu.Lock()
-	ch := q.wake
-	q.statsMu.Unlock()
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// resetWake installs and returns a fresh wake channel for a new worker
-// generation. The worker's initial drain covers anything appended before
-// the swap, so wake-ups posted to the previous channel are never lost.
-func (q *ContinuousQuery) resetWake() chan struct{} {
-	ch := make(chan struct{}, 1)
-	q.statsMu.Lock()
-	q.wake = ch
-	q.statsMu.Unlock()
-	return ch
+	q.grp.setEmitting(nil)
 }
 
 // Err returns the terminal error of the query's worker goroutine, or nil
@@ -262,7 +213,6 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 	q := &ContinuousQuery{
 		ID: id, SQL: query, Mode: mode, seq: seq,
 		eng: e, prog: prog, onResult: opts.OnResult,
-		wake: make(chan struct{}, 1),
 	}
 	if q.onResult == nil {
 		q.onResult = func(*Result) {}
@@ -313,16 +263,15 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 		fragFP = q.inc.FragmentFingerprint(0)
 	}
 	// Merge-tail sharing rides on fragment sharing (adopted heads re-group
-	// interned, bit-identical slot files) and is limited to count windows:
-	// only there does the absolute window END determine the window's exact
-	// row range (end - N*slide rows), which is what keys the head cache.
+	// bit-identical slot files) and is limited to count windows: only there
+	// does the absolute window END determine the window's exact row range
+	// (end - N*slide rows), which is what keys a head in a step's memo.
 	// Time windows anchor their slide grids at registration time, so two
 	// queries can close windows at the same position with different spans.
-	var tailCanon, tailFP string
 	if fragCanon != "" {
 		if w := prog.Sources[0].Window; w.Kind == sql.CountWindow && w.SlideDur == 0 {
-			tailCanon = q.inc.MergeTailKey(0)
-			tailFP = q.inc.MergeTailFingerprint(0)
+			q.tailKey = q.inc.MergeTailKey(0)
+			q.tailFP = q.inc.MergeTailFingerprint(0)
 		}
 	}
 
@@ -358,19 +307,6 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 			pos := qi.cur.PosLocked()
 			qi.cur.Unlock()
 			starts[src.Name] = pos
-			if fragCanon != "" {
-				// Intern the query's fragment (and merge tail) in the stream's
-				// shared-plan catalog, anchored at the cursor's absolute
-				// position — a lower bound on every slide start and window
-				// end this query will claim.
-				q.frag = attach[core.SlotFile](si.shares, fragKey(fragCanon), fragFP, q, pos)
-				if tailCanon != "" {
-					q.tail = attach[*core.MergeHead](si.shares, tailKey(tailCanon), tailFP, q, pos)
-					// A count window's ends sit whole slides past the cursor.
-					q.tailPhase = pos % src.Window.SlideRows
-					q.tail.holdDelta(q.tailPhase)
-				}
-			}
 			// Publish a fresh subscriber snapshot (copy-on-write) so
 			// receptors can iterate the slice without cloning per append.
 			subs := make([]*queryInput, len(si.subscribers)+1)
@@ -379,6 +315,29 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 			si.subscribers = subs
 		}
 		q.inputs = append(q.inputs, qi)
+	}
+	// Join the slide group of the query's canonical fragment, or form a
+	// group of one. A count window's ends sit whole slides past the cursor,
+	// so the cursor's position fixes the query's slide phase.
+	g := &group{}
+	var phase int64
+	if fragCanon != "" {
+		key := prog.Sources[0].Name + "\x00" + fragCanon
+		if g = e.groups[key]; g == nil {
+			g = &group{key: key, fp: fragFP}
+			e.groups[key] = g
+		}
+		if q.tailKey != "" {
+			phase = starts[prog.Sources[0].Name] % prog.Sources[0].Window.SlideRows
+		}
+	}
+	g.join(q, phase)
+	if len(g.members) == 1 {
+		for _, qi := range q.inputs {
+			if si := e.streams[qi.stream]; qi.cur != nil && !slices.Contains(si.groups, g) {
+				si.groups = append(si.groups[:len(si.groups):len(si.groups)], g)
+			}
+		}
 	}
 	e.queries[id] = q
 	e.mu.Unlock()
@@ -398,49 +357,51 @@ func (e *Engine) register(query string, opts Options, startAt map[string]int64, 
 		e.Deregister(q)
 		return nil, fmt.Errorf("engine: journal query %s: %w", id, err)
 	}
-	// If the scheduler is live, give the new factory its worker right away.
-	e.maybeStartWorker(q)
+	// If the scheduler is live, give a new group its worker right away.
+	e.maybeStartWorker(g)
 	return q, nil
 }
 
-// Deregister removes a continuous query: it stops the query's worker (if
-// the scheduler is running), waits for any in-flight step to finish, and
-// only then closes the query's cursors. The order matters — closing a
-// cursor drops its reclamation pin, so a step still reading through it
-// could otherwise observe segments reclaimed underneath the view.
+// Deregister removes a continuous query: it marks the query gone, waits
+// for its in-flight firing to finish, and only then closes the query's
+// cursors. The order matters — closing a cursor drops its reclamation pin,
+// so a firing still reading through it could otherwise observe segments
+// reclaimed underneath the view. It waits on the query's own firing only,
+// never on another member of its group; the group's worker stops when its
+// last member leaves.
 func (e *Engine) Deregister(q *ContinuousQuery) {
 	e.mu.Lock()
 	delete(e.queries, q.ID) // no new Pump/Start picks the query up
 	e.mu.Unlock()
-	e.stopWorker(q)
+	g := q.grp
+	// Decided under g.mu, which emit needs to clear the emitting member: a
+	// firing seen emitting here has not yet reached closeOwedCursors.
+	g.mu.Lock()
+	owed := g.emitting == q
 	q.statsMu.Lock()
-	q.gone, q.closeOwed = true, q.emitting
-	owed := q.closeOwed
+	q.gone, q.closeOwed = true, owed
 	q.statsMu.Unlock()
+	g.mu.Unlock()
 	if !owed {
-		// Barrier against a concurrent synchronous Pump mid-step (a worker
-		// is already joined by stopWorker); no step starts after it. Skipped
-		// while a step is emitting — the call may come from inside the
-		// query's own OnResult callback, which holds stepMu — and that
-		// step closes the cursors when its pump ends.
+		// Barrier against the query's in-flight firing; every later step
+		// skips it. Skipped while the query is emitting — the call may come
+		// from inside its own OnResult callback, which holds stepMu — and
+		// that firing closes the cursors when it ends.
 		q.stepMu.Lock()
 		//lint:ignore SA2001 empty critical section is the join barrier
 		q.stepMu.Unlock()
 	}
 	e.mu.Lock()
-	// Release the query's shared-plan subscriptions (refcounted): the
-	// caches stop holding partials for q, and disappear entirely when q was
-	// their last subscriber.
-	q.statsMu.Lock()
-	frag, tail := q.frag, q.tail
-	q.frag, q.tail = nil, nil
-	q.statsMu.Unlock()
-	if tail != nil {
-		tail.dropDelta(q.tailPhase)
-		tail.detach(q)
-	}
-	if frag != nil {
-		frag.detach(q)
+	empty := g.leave(q)
+	if empty {
+		if g.key != "" {
+			delete(e.groups, g.key)
+		}
+		for _, qi := range q.inputs {
+			if si := e.streams[qi.stream]; qi.cur != nil {
+				si.groups = slices.DeleteFunc(slices.Clone(si.groups), func(o *group) bool { return o == g })
+			}
+		}
 	}
 	if !owed {
 		for _, qi := range q.inputs {
@@ -448,6 +409,18 @@ func (e *Engine) Deregister(q *ContinuousQuery) {
 		}
 	}
 	e.mu.Unlock()
+	if empty {
+		e.stopWorker(g)
+	}
+	// Preserve a failed query's terminal error for Err() until the next
+	// Start.
+	if err := q.Err(); err != nil {
+		e.schedMu.Lock()
+		if e.deregErr == nil {
+			e.deregErr = err
+		}
+		e.schedMu.Unlock()
+	}
 	// Drop the registration from the manifest so a restart does not
 	// resurrect the query. Best-effort: a failed journal write leaves a
 	// stale entry whose replay the owner can Deregister again.
@@ -481,9 +454,9 @@ type Stats struct {
 	// Windows is the number of window results emitted.
 	Windows int
 	// AdoptedSlides and LedSlides count slides whose fragment partial the
-	// query adopted from the shared-plan catalog versus evaluated itself and
-	// published; AdoptedTails and LedTails count window merges whose head
-	// was adopted versus computed and published. All zero for a query that
+	// query adopted from an earlier member of its slide group's step versus
+	// evaluated itself; AdoptedTails and LedTails count window merges whose
+	// head was adopted versus merged itself. All zero for a query that
 	// shares nothing.
 	AdoptedSlides, LedSlides int64
 	AdoptedTails, LedTails   int64
@@ -525,8 +498,8 @@ func (q *ContinuousQuery) Fingerprint() string {
 }
 
 // Explain renders the query's rewritten plan plus its sharing decision:
-// the canonical fragment fingerprint and how many queries currently
-// subscribe to it, so sharing is observable without reading stats.
+// the canonical fragment fingerprint and the size of the query's slide
+// group, so sharing is observable without reading stats.
 func (q *ContinuousQuery) Explain() string {
 	s := fmt.Sprintf("query %s [%s]: %s\n", q.ID, q.Mode, q.SQL)
 	if q.rt != nil {
@@ -543,25 +516,26 @@ func (q *ContinuousQuery) Explain() string {
 			s += fmt.Sprintf("join: build=right|left per cell (greedy, exact cardinalities), tables reused×%d\n", q.Stats().BuildsReused)
 		}
 	}
-	frag, tail := q.sharing()
-	// Who owns the delta state of a delta-maintained block: the merge tail
-	// (one per phase, advanced by whichever member merges), or the runtime.
+	g := q.grp
+	// Who owns the delta state of a delta-maintained block: the group (one
+	// per merge tail and phase, advanced by whichever member merges), or
+	// the runtime.
 	delta := ""
 	if slices.Contains(q.MergeKernels(), core.MergeDelta) {
 		delta = ", delta state private"
-		if tail != nil {
+		if q.tailKey != "" {
 			delta = ", delta state shared"
 		}
 	}
-	if frag != nil {
-		s += fmt.Sprintf("fragment sharing: fingerprint %s shared×%d\n", frag.fp, frag.subscribers())
+	if g.key != "" {
+		s += fmt.Sprintf("fragment sharing: fingerprint %s shared×%d\n", g.fp, len(g.snapshot()))
 	} else if q.Mode == Incremental {
 		s += "fragment sharing: off (private evaluation)\n"
 	}
 	switch {
-	case tail != nil:
-		s += fmt.Sprintf("merge tail: fingerprint %s merge shared×%d%s\n", tail.fp, tail.subscribers(), delta)
-	case frag != nil || delta != "":
+	case q.tailKey != "":
+		s += fmt.Sprintf("merge tail: fingerprint %s merge shared×%d%s\n", q.tailFP, g.tailMembers(q.tailKey), delta)
+	case g.key != "" || delta != "":
 		s += "merge tail: private" + delta + "\n"
 	}
 	return s
@@ -580,48 +554,8 @@ func (q *ContinuousQuery) MergeKernels() []string {
 // Chunker exposes the adaptive chunk controller (nil when disabled).
 func (q *ContinuousQuery) Chunker() *ChunkController { return q.chunker }
 
-// pump fires the query as many times as buffered data allows and returns
-// the number of window slides executed. Safe to call from any goroutine:
-// stepMu keeps the query's steps totally ordered.
-func (q *ContinuousQuery) pump() (int, error) { return q.pumpUntil(nil) }
-
-// pumpUntil is pump with an optional cancellation channel, checked between
-// firings so a worker being stopped abandons its drain after at most one
-// more firing (remaining data stays buffered for the next scheduler). One
-// firing covers one window slide, or a whole batch of buffered slides when
-// the query has parallel workers; the returned count is always slides.
-func (q *ContinuousQuery) pumpUntil(stop <-chan struct{}) (int, error) {
-	q.stepMu.Lock()
-	defer q.stepMu.Unlock()
-	defer q.closeOwedCursors()
-	steps := 0
-	for {
-		q.statsMu.Lock()
-		gone := q.gone
-		q.statsMu.Unlock()
-		if gone {
-			return steps, nil
-		}
-		if stop != nil {
-			select {
-			case <-stop:
-				return steps, nil
-			default:
-			}
-		}
-		n, err := q.fireOnce()
-		if err != nil {
-			return steps, err
-		}
-		if n == 0 {
-			return steps, nil
-		}
-		steps += n
-	}
-}
-
-// closeOwedCursors closes the cursors a Deregister that ran mid-step left
-// to this step. Caller holds stepMu.
+// closeOwedCursors closes the cursors a Deregister during the query's
+// callback left to its firing. Caller holds stepMu.
 func (q *ContinuousQuery) closeOwedCursors() {
 	q.statsMu.Lock()
 	owed := q.closeOwed
@@ -634,6 +568,15 @@ func (q *ContinuousQuery) closeOwedCursors() {
 		}
 		q.eng.mu.Unlock()
 	}
+}
+
+// sitsOut reports whether a step skips the query: it is gone, or (with
+// park) its worker error parks it until the scheduler restarts. Caller
+// holds stepMu.
+func (q *ContinuousQuery) sitsOut(park bool) bool {
+	q.statsMu.Lock()
+	defer q.statsMu.Unlock()
+	return q.gone || (park && q.err != nil)
 }
 
 // resolveAutoMode implements the paper's hybrid suggestion: below the
@@ -666,16 +609,24 @@ func resolveAutoMode(prog *plan.Program, threshold int64) Mode {
 	return Reevaluation
 }
 
-// fireOnce checks readiness and, if possible, executes one firing (one or
-// more buffered slides). It returns the number of window slides executed —
-// 0 when the query cannot fire.
-func (q *ContinuousQuery) fireOnce() (int, error) {
-	switch q.Mode {
-	case Incremental:
-		return q.fireIncremental()
-	default:
+// fireStep fires the query once within a step of its group: one
+// re-evaluation slide, or the incremental batch b planned for it (nil when
+// it has none), sharing through memo (nil in a group of one) as member idx
+// of the step. It returns the number of window slides executed.
+func (q *ContinuousQuery) fireStep(b *slideBatch, memo *stepMemo, idx int, park bool) (int, error) {
+	q.stepMu.Lock()
+	defer q.stepMu.Unlock()
+	defer q.closeOwedCursors()
+	if q.sitsOut(park) {
+		return 0, nil
+	}
+	if q.Mode != Incremental {
 		return q.fireReevaluation()
 	}
+	if b == nil {
+		return 0, nil
+	}
+	return q.fireSlides(b, memo, idx)
 }
 
 // consumable computes how many tuples source qi's next slide would consume
@@ -713,15 +664,25 @@ func (qi *queryInput) slideMicros() int64 {
 	return 0
 }
 
-// fireIncremental is the one incremental firing path: plan the buffered
-// slides, then fire them as one batch. A single slide, private evaluation,
+// planStep is the first half of the one incremental firing path: it
+// plans the query's buffered slides for this step of its group, and
+// fireSlides fires them as one batch. A single slide, private evaluation,
 // multi-source joins, landmark and chunked queries are its degenerate
-// cases.
-func (q *ContinuousQuery) fireIncremental() (int, error) {
+// cases. It returns nil when the query cannot fire (or is not
+// incremental).
+func (q *ContinuousQuery) planStep(park bool) (*slideBatch, error) {
+	if q.Mode != Incremental {
+		return nil, nil
+	}
+	q.stepMu.Lock()
+	defer q.stepMu.Unlock()
+	if q.sitsOut(park) {
+		return nil, nil
+	}
 	// Chunked processing consumes fractions of the basic window early.
 	if q.chunker != nil {
 		if err := q.pumpChunks(); err != nil {
-			return 0, err
+			return nil, err
 		}
 	}
 	// Determine per-source consumption of the next slide.
@@ -732,7 +693,7 @@ func (q *ContinuousQuery) fireIncremental() (int, error) {
 		}
 		c, ok := q.consumable(qi, int(qi.spec.SlideRows)-qi.chunkBuffer)
 		if !ok {
-			return 0, nil
+			return nil, nil
 		}
 		counts[qi.srcIdx] = c
 	}
@@ -745,16 +706,28 @@ func (q *ContinuousQuery) fireIncremental() (int, error) {
 	if q.rt.Parallelism() > 1 && q.chunker == nil {
 		kMax = q.rt.Parallelism() * 4
 	}
-	return q.fireSlides(q.slidePlan(counts, kMax))
+	b := q.slidePlan(counts, kMax)
+	if q.grp.key != "" {
+		// A canonical group's members read one stream: key the memo by
+		// absolute log position.
+		qi := q.inputs[0]
+		qi.cur.Lock()
+		b.base = qi.cur.PosLocked()
+		qi.cur.Unlock()
+	}
+	return b, nil
 }
 
 // slideBatch describes k >= 1 buffered slides ready to fire together: for
 // every stream source, ends[srcIdx] holds the cumulative tuple count
 // consumed from that source after each slide (ascending, len k) — slide
 // sl's basic window is the cursor-relative range [start(sl), ends[sl]).
+// base is the absolute log position of the cursor of a single-source
+// query in a canonical group.
 type slideBatch struct {
 	k    int
 	ends [][]int
+	base int64
 }
 
 // start is the cursor-relative offset where slide sl of source src begins.
@@ -764,6 +737,14 @@ func (b *slideBatch) start(src, sl int) int {
 	}
 	return b.ends[src][sl-1]
 }
+
+// logRange and end are slide sl's absolute log range and end, for a
+// single-source batch.
+func (b *slideBatch) logRange(sl int) logRange {
+	return logRange{b.base + int64(b.start(0, sl)), b.end(sl)}
+}
+
+func (b *slideBatch) end(sl int) int64 { return b.base + int64(b.ends[0][sl]) }
 
 // slidePlan computes the batch of up to kMax complete, watermark-closed
 // slides available right now; counts is the next slide's consumption per
@@ -856,176 +837,88 @@ func (q *ContinuousQuery) slideViews(b *slideBatch, which []int) [][][]vector.Vi
 // fireSlides fires the buffered slides of a slideBatch — the one function
 // that drives core.Runtime through incremental slides:
 //
-//	plan slides → claim → eval → publish → adopt → apply → emit
+//	adopt or eval fragments → adopt or merge heads (apply) → emit
 //
-// With a shared fragment (q.frag) the query claims each slide's absolute
-// log range in the stream's catalog: the first claimant (leader) evaluates
-// the fragment and publishes the slot file, every other subscriber adopts
-// it without re-evaluating. Without one, every slide is led privately and
-// nothing is published. Merge tails (q.tail) exchange each closed window's
-// grouped head the same way, from inside the apply stage. Results are
-// bit-identical whichever query computed a partial, including float
-// accumulation order. See partialCache for why the waits cannot deadlock.
-func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
+// Within a step of a canonical group (memo non-nil) a slide whose absolute
+// log range an earlier member evaluated adopts that slot file, and the
+// query's other slides go to one EvalFragments on its own runtime, their
+// slot files into the memo. Likewise a window whose merge head an earlier
+// member captured adopts it; otherwise the query merges the window itself
+// and captures the head when a later member of the step merges the same
+// end (memo.last). idx is the query's position in the step. Results are
+// bit-identical whichever member computed a partial, including float
+// accumulation order.
+func (q *ContinuousQuery) fireSlides(b *slideBatch, memo *stepMemo, idx int) (int, error) {
 	k := b.k
 	t0 := time.Now()
 	inputs, err := q.eng.tableInputs(q.prog)
 	if err != nil {
 		return 0, err
 	}
-	frag, tail := q.sharing()
 
-	// Claim every slide's range up front so our leadership set is fixed
-	// before any evaluation or waiting happens. claims[sl] is nil for a
-	// slide led privately; lead[sl] is false for a slide to adopt.
-	claims := make([]*partial[core.SlotFile], k)
-	lead := make([]bool, k)
-	var base int64 // absolute log position of the shared source's cursor
-	var ends []int
-	if frag != nil {
-		qi := q.inputs[0] // sharing eligibility requires a single stream source
-		ends = b.ends[qi.srcIdx]
-		qi.cur.Lock()
-		base = qi.cur.PosLocked()
-		qi.cur.Unlock()
-		for sl := range claims {
-			claims[sl], lead[sl] = frag.acquire(base+int64(b.start(qi.srcIdx, sl)), base+int64(ends[sl]))
-		}
-		// Whatever happens below, owed partials must be released: followers
-		// of an aborted leader recompute privately instead of hanging.
-		defer func() {
-			for sl, p := range claims {
-				if lead[sl] && p != nil {
-					p.publish(nil, errPartialAborted)
-				}
-			}
-		}()
-	} else {
-		for sl := range lead {
-			lead[sl] = true
-		}
-	}
-
-	// Merge-tail sharing: claim the head of every window this batch closes.
-	// Leaders publish from inside the merge (the Publish hook) the moment
-	// the grouped block completes; followers block in Fetch. Whoever merges
-	// a window itself advances the tail's delta state for our phase from
-	// the previous window's end (where this slide starts) to this one's.
-	var tails []*core.TailExchange
-	var tailWait []int64           // per-slide adoption wait (ns), written in Fetch
-	var tailAdopted, tailLed int64 // window merges adopted vs led
-	if tail != nil {
-		tails = make([]*core.TailExchange, k)
-		tailWait = make([]int64, k)
-		owed := make([]*partial[*core.MergeHead], 0, k)
-		state := tail.deltaAt(q.tailPhase)
-		solo := tail.subscribers() == 1
-		for sl := range tails {
-			end := base + int64(ends[sl])
-			tx := &core.TailExchange{State: state, Prev: base + int64(b.start(q.inputs[0].srcIdx, sl)), End: end}
-			tails[sl] = tx
-			p, led := tail.acquire(end, 0)
-			if led {
-				owed = append(owed, p)
-				if solo {
-					// Alone on the tail, this query's heads have no
-					// reader: release the window now (a query that
-					// subscribes meanwhile merges privately) and leave
-					// Publish nil, so delta blocks may emit into scratch.
-					p.publish(nil, errPartialAborted)
-					continue
-				}
-				tx.Publish = func(h *core.MergeHead, err error) {
-					if h == nil && err == nil {
-						// Nothing merged (window still filling) or the head
-						// was not capturable: followers merge privately.
-						err = errPartialAborted
-					}
-					p.publish(h, err)
-				}
-			} else {
-				tx.Fetch = func() (*core.MergeHead, error) {
-					tw := time.Now()
-					p.wait()
-					tailWait[sl] = time.Since(tw).Nanoseconds()
-					if p.err == nil {
-						tailAdopted++
-					}
-					return p.val, p.err
-				}
-			}
-		}
-		tailLed = int64(len(owed))
-		// Owed heads must be released even if the step errors out mid-batch.
-		defer func() {
-			for _, p := range owed {
-				p.publish(nil, errPartialAborted)
-			}
-		}()
-	}
-
-	// Evaluate the slides this query leads (including extent-mismatch slides
-	// it computes privately) in one fan-out, and publish them.
+	// Fragments: adopt what an earlier member evaluated, evaluate the rest.
 	files := make([][]core.SlotFile, k)
-	var evalNS int64
-	led := make([]int, 0, k)
-	for sl := range lead {
-		if lead[sl] {
-			led = append(led, sl)
+	own := make([]int, 0, k)
+	for sl := range files {
+		if memo != nil {
+			if f, ok := memo.files[b.logRange(sl)]; ok {
+				files[sl] = []core.SlotFile{f}
+				continue
+			}
 		}
+		own = append(own, sl)
 	}
-	if len(led) > 0 {
-		out, ns, err := q.rt.EvalFragments(q.slideViews(b, led), inputs)
+	var evalNS int64
+	if len(own) > 0 {
+		out, ns, err := q.rt.EvalFragments(q.slideViews(b, own), inputs)
 		if err != nil {
 			return 0, err
 		}
 		evalNS = ns
-		for i, sl := range led {
+		for i, sl := range own {
 			files[sl] = out[i]
-			if claims[sl] != nil {
-				claims[sl].publish(out[i][0], nil)
+			if memo != nil {
+				memo.files[b.logRange(sl)] = out[i][0]
 			}
 		}
 	}
 
-	// Adopt the slides another query leads. All our own partials are
-	// published by now, so blocking here cannot deadlock the catalog.
-	var waitNS int64
-	adopted := make([]bool, k)
-	nAdopted := 0
-	for sl, p := range claims {
-		if lead[sl] {
-			continue
-		}
-		tw := time.Now()
-		p.wait()
-		waitNS += time.Since(tw).Nanoseconds()
-		if p.err != nil {
-			// The leader aborted; fall back to evaluating privately.
-			own, ns, err := q.rt.EvalFragments(q.slideViews(b, []int{sl}), inputs)
-			if err != nil {
-				return 0, err
+	// Merge heads: adopt what an earlier member captured; whoever merges a
+	// window itself advances the group's delta state for the query's phase
+	// from the previous window's end (where this slide starts) to this one's.
+	var tails []*core.TailExchange
+	var tailAdopted int64
+	if q.tailKey != "" {
+		tails = make([]*core.TailExchange, k)
+		for sl := range tails {
+			r := b.logRange(sl)
+			tx := &core.TailExchange{State: q.tailState, Prev: r.start, End: r.end}
+			if memo != nil {
+				at := headAt{q.tailKey, r.end}
+				if tx.Head = memo.heads[at]; tx.Head != nil {
+					tailAdopted++
+				} else {
+					tx.Capture = memo.last[at] > idx
+				}
 			}
-			evalNS += ns
-			files[sl] = own[0]
-			continue
+			tails[sl] = tx
 		}
-		files[sl] = []core.SlotFile{p.val}
-		adopted[sl] = true
-		nAdopted++
 	}
 
 	// Apply: the serial tail of every slide, in order. The fragment cost is
 	// spread evenly over the slides this query evaluated itself.
 	fragNS := make([]int64, k)
-	for sl := range fragNS {
-		if !adopted[sl] {
-			fragNS[sl] = evalNS / int64(k-nAdopted)
-		}
+	for _, sl := range own {
+		fragNS[sl] = evalNS / int64(len(own))
 	}
 	results, err := q.rt.Apply(files, fragNS, inputs, tails)
 	if err != nil {
 		return 0, err
+	}
+	for sl, r := range results {
+		if r.Head != nil {
+			memo.heads[headAt{q.tailKey, b.end(sl)}] = r.Head
+		}
 	}
 
 	// Incremental plans retain state in slots, so processed tuples expire
@@ -1044,39 +937,24 @@ func (q *ContinuousQuery) fireSlides(b *slideBatch) (int, error) {
 		qi.chunkBuffer = 0
 		qi.cur.Unlock()
 	}
-	if frag != nil {
-		frag.consumedTo(q, base+int64(ends[k-1]))
-	}
-	if tail != nil {
-		tail.consumedTo(q, base+int64(ends[k-1])+1)
-	}
 
 	q.statsMu.Lock()
 	if k > 1 {
 		q.stats.BatchedSlides += int64(k)
 	}
-	if frag != nil {
-		q.stats.AdoptedSlides += int64(nAdopted)
-		q.stats.LedSlides += int64(k - nAdopted)
+	if q.grp.key != "" {
+		q.stats.AdoptedSlides += int64(k - len(own))
+		q.stats.LedSlides += int64(len(own))
 	}
-	q.stats.AdoptedTails += tailAdopted
-	q.stats.LedTails += tailLed
+	if tails != nil {
+		q.stats.AdoptedTails += tailAdopted
+		q.stats.LedTails += int64(k) - tailAdopted
+	}
 	q.statsMu.Unlock()
 	stepNS := time.Since(t0).Nanoseconds() / int64(k)
 	for sl := range results {
 		st := &results[sl].Stats
 		st.TotalNS = stepNS
-		if adopted[sl] {
-			st.SharedNS = waitNS / int64(nAdopted)
-		}
-		if tailWait != nil && tailWait[sl] > 0 {
-			// The adoption wait ran inside the merge; reattribute it from
-			// the merge lump to shared time so stage sums stay meaningful.
-			if st.MergeNS > tailWait[sl] {
-				st.MergeNS -= tailWait[sl]
-			}
-			st.SharedNS += tailWait[sl]
-		}
 		q.account(*st)
 		if q.chunker != nil {
 			q.chunker.Observe(st.MainNS + st.MergeNS)

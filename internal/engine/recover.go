@@ -157,7 +157,6 @@ func (e *Engine) recoverStream(name string, schema catalog.Schema) error {
 	e.streams[name] = &streamInfo{
 		schema:    schema,
 		log:       log,
-		shares:    newShareRegistry(),
 		watermark: wm,
 		appended:  log.Appended(),
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -207,38 +208,56 @@ func TestDeregisterPreservesWorkerError(t *testing.T) {
 
 // TestCloseFromResultCallback deregisters a query from inside its own
 // OnResult callback while the concurrent scheduler runs — the "stop after
-// first result" pattern — which must not self-deadlock the worker.
+// first result" pattern — which must not self-deadlock the worker. In the
+// multi-member arm a look-alike in the same slide group keeps firing after
+// the query closed itself.
 func TestCloseFromResultCallback(t *testing.T) {
-	e := schedEngine(t)
-	var q *ContinuousQuery
-	fired := make(chan struct{}, 1)
-	var err error
-	q, err = e.Register(`SELECT count(*) FROM s [RANGE 2 SLIDE 2]`, Options{
-		OnResult: func(*Result) {
-			e.Deregister(q)
-			fired <- struct{}{}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.Start()
-	appendN(t, e, 6, 1, 1)
-	select {
-	case <-fired:
-	case <-time.After(5 * time.Second):
-		t.Fatal("callback never ran")
-	}
-	// The worker must actually exit so Stop does not hang.
-	stopped := make(chan struct{})
-	go func() { e.Stop(); close(stopped) }()
-	select {
-	case <-stopped:
-	case <-time.After(5 * time.Second):
-		t.Fatal("Stop hung after Close-from-callback")
-	}
-	if got := q.Windows(); got != 1 {
-		t.Errorf("query fired %d windows after closing itself on the first", got)
+	for _, lookAlike := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lookAlike=%v", lookAlike), func(t *testing.T) {
+			e := schedEngine(t)
+			var q, twin *ContinuousQuery
+			fired := make(chan struct{}, 1)
+			var err error
+			q, err = e.Register(`SELECT count(*) FROM s [RANGE 2 SLIDE 2]`, Options{
+				OnResult: func(*Result) {
+					e.Deregister(q)
+					fired <- struct{}{}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if lookAlike {
+				if twin, err = e.Register(`SELECT count(*) FROM s [RANGE 2 SLIDE 2]`, Options{}); err != nil {
+					t.Fatal(err)
+				}
+				if twin.grp != q.grp {
+					t.Fatal("the look-alikes must form one slide group")
+				}
+			}
+			e.Start()
+			appendN(t, e, 6, 1, 1)
+			select {
+			case <-fired:
+			case <-time.After(5 * time.Second):
+				t.Fatal("callback never ran")
+			}
+			if lookAlike {
+				appendN(t, e, 4, 1, 1)
+				waitWindows(t, twin, 5)
+			}
+			// The worker must actually exit so Stop does not hang.
+			stopped := make(chan struct{})
+			go func() { e.Stop(); close(stopped) }()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Fatal("Stop hung after Close-from-callback")
+			}
+			if got := q.Windows(); got != 1 {
+				t.Errorf("query fired %d windows after closing itself on the first", got)
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,9 +150,9 @@ func TestSharedParityMixedWorkload(t *testing.T) {
 }
 
 // TestSharedParityConcurrentPump drives the same workload through
-// PumpParallel so leaders and followers race across worker goroutines
-// (exercised under -race in CI); results must still match the private
-// sequential baseline exactly.
+// PumpParallel so slide groups race across worker goroutines (exercised
+// under -race in CI); results must still match the private sequential
+// baseline exactly.
 func TestSharedParityConcurrentPump(t *testing.T) {
 	baseline, _, _ := runSharedMix(t, 1, true, 1)
 	shared, slides, tails := runSharedMix(t, 2, false, 4)
@@ -165,10 +166,10 @@ func TestSharedParityConcurrentPump(t *testing.T) {
 	}
 }
 
-// TestSharedFragmentLifecycle covers the subscribe/unsubscribe refcount:
-// fragments appear on registration, queries with identical fragments
-// intern to one entry, unsubscribing mid-stream releases the refcount, and
-// the last unsubscribe deletes the fragment and its cached partials.
+// TestSharedFragmentLifecycle covers slide-group membership: groups
+// appear on registration, queries with identical fragments join one
+// group, deregistering mid-stream leaves it, and the last member's
+// departure deletes the group.
 func TestSharedFragmentLifecycle(t *testing.T) {
 	e := sharedTestEngine(t)
 	const sql1 = `SELECT x1, sum(x2) FROM f [RANGE 128 SLIDE 64] GROUP BY x1 HAVING sum(x2) > 100`
@@ -187,22 +188,20 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg := e.sharesOf("f")
 	// Two fragments (the q1+q2 clique, the scalar) and two merge tails: the
 	// clique's window lengths differ, the scalar has no grouped head.
-	if got := reg.size(); got != 4 {
-		t.Fatalf("registry holds %d caches, want 4 (2 fragments + 2 tails)", got)
+	gs := e.groupsOf("f")
+	if _, states := tailDeltas(gs); len(gs)+states != 4 {
+		t.Fatalf("registry holds %d caches, want 4 (2 fragments + 2 tails)", len(gs)+states)
 	}
-	sf, _ := q1.sharing()
-	sf2, _ := q2.sharing()
-	sf3, _ := q3.sharing()
-	if sf == nil || sf != sf2 {
+	sf := q1.grp
+	if sf.key == "" || sf != q2.grp {
 		t.Fatal("q1 and q2 must intern the same fragment")
 	}
-	if sf == sf3 {
+	if sf == q3.grp {
 		t.Fatal("different slide must not share a fragment")
 	}
-	if got := sf.subscribers(); got != 2 {
+	if got := len(sf.snapshot()); got != 2 {
 		t.Fatalf("fragment has %d subscribers, want 2", got)
 	}
 	if !strings.Contains(q1.Explain(), "shared×2") {
@@ -217,14 +216,11 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	if q2.Stats().AdoptedSlides == 0 {
 		t.Fatal("q2 never adopted a shared slide")
 	}
-	if got := sf.cached(); got != 0 {
-		t.Fatalf("%d partials cached after full drain (prune failed)", got)
-	}
 	e.Deregister(q2)
-	if got := sf.subscribers(); got != 1 {
+	if got := len(sf.snapshot()); got != 1 {
 		t.Fatalf("fragment has %d subscribers after deregister, want 1", got)
 	}
-	if f, tl := q2.sharing(); f != nil || tl != nil {
+	if slices.Contains(sf.snapshot(), q2) {
 		t.Fatal("deregistered query still holds its fragment")
 	}
 
@@ -260,7 +256,7 @@ func TestSharedFragmentLifecycle(t *testing.T) {
 	// Baseline twin never attached, so nothing is left behind).
 	e.Deregister(q1)
 	e.Deregister(q3)
-	if got := reg.size(); got != 0 {
+	if got := len(e.groupsOf("f")); got != 0 {
 		t.Fatalf("registry holds %d caches after deregistering every subscriber, want 0", got)
 	}
 }

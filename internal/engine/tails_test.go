@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -12,11 +13,11 @@ import (
 	"datacell/internal/vector"
 )
 
-// TestSharedTailLifecycle covers the merge-tail catalog: queries with the
+// TestSharedTailLifecycle covers merge-tail sharing: queries with the
 // same fragment, window length and head shape but different HAVING
-// thresholds intern one sharedTail; different window lengths do not; heads
-// are adopted during pumping, pruned after, and the tail disappears when
-// its last subscriber deregisters.
+// thresholds share one merge tail in their slide group; different window
+// lengths do not; heads are adopted during pumping, and the group
+// disappears when its last member deregisters.
 func TestSharedTailLifecycle(t *testing.T) {
 	e := sharedTestEngine(t)
 	const sqlA = `SELECT x1, sum(x2) FROM f [RANGE 128 SLIDE 64] GROUP BY x1 HAVING sum(x2) > 100`
@@ -45,22 +46,19 @@ func TestSharedTailLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, st := qA.sharing()
-	_, stB := qB.sharing()
-	_, stN := qN.sharing()
-	if st == nil || st != stB {
+	if qA.tailKey == "" || qA.tailKey != qB.tailKey || qA.grp != qB.grp {
 		t.Fatal("qA and qB must intern the same merge tail")
 	}
-	if stN == st {
+	if qN.tailKey == qA.tailKey {
 		t.Fatal("different window length must not share a merge tail")
 	}
-	if stN == nil {
+	if qN.tailKey == "" {
 		t.Fatal("qN should intern its own merge tail")
 	}
-	if f, tl := qBase.sharing(); f != nil || tl != nil {
+	if qBase.grp.key != "" || qBase.tailKey != "" {
 		t.Fatal("Baseline query must attach neither a fragment nor a tail")
 	}
-	if got := st.subscribers(); got != 2 {
+	if got := qA.grp.tailMembers(qA.tailKey); got != 2 {
 		t.Fatalf("tail has %d subscribers, want 2", got)
 	}
 	if ex := qA.Explain(); !strings.Contains(ex, "merge shared×2, delta state shared\n") {
@@ -88,9 +86,6 @@ func TestSharedTailLifecycle(t *testing.T) {
 	if s := qBase.Stats(); s.AdoptedTails != 0 || s.LedTails != 0 || s.AdoptedSlides != 0 || s.LedSlides != 0 {
 		t.Fatalf("Baseline query touched the catalog: %+v", s)
 	}
-	if got := st.cached(); got != 0 {
-		t.Fatalf("%d heads cached after full drain (prune failed)", got)
-	}
 
 	// Residual tails must differ: same head, different HAVING thresholds.
 	if len(cA.results) == 0 || len(cB.results) == 0 {
@@ -110,39 +105,33 @@ func TestSharedTailLifecycle(t *testing.T) {
 	}
 
 	e.Deregister(qB)
-	if got := st.subscribers(); got != 1 {
+	if got := qA.grp.tailMembers(qA.tailKey); got != 1 {
 		t.Fatalf("tail has %d subscribers after deregister, want 1", got)
 	}
-	if _, tl := qB.sharing(); tl != nil {
+	if slices.Contains(qA.grp.snapshot(), qB) {
 		t.Fatal("deregistered query still holds its tail")
 	}
 	e.Deregister(qA)
 	e.Deregister(qN)
 	e.Deregister(qBase)
 	e.Deregister(qChunked)
-	if n := e.sharesOf("f").size(); n != 0 {
+	if n := len(e.groupsOf("f")); n != 0 {
 		t.Fatalf("registry holds %d caches after deregistering every subscriber, want 0", n)
 	}
 }
 
 // tailDeltas sums the adds and rebuilds of every delta state held by the
-// stream's merge tails and counts the states.
-func tailDeltas(reg *shareRegistry) (sum core.DeltaState, states int) {
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
-	for _, c := range reg.caches {
-		tail, ok := c.(*sharedTail)
-		if !ok {
-			continue
-		}
-		tail.mu.Lock()
-		for _, pd := range tail.deltas {
-			st := pd.state.Stats()
+// groups and counts the states.
+func tailDeltas(gs []*group) (sum core.DeltaState, states int) {
+	for _, g := range gs {
+		g.mu.Lock()
+		for _, hs := range g.states {
+			st := hs.state.Stats()
 			sum.Adds += st.Adds
 			sum.Rebuilds += st.Rebuilds
 			states++
 		}
-		tail.mu.Unlock()
+		g.mu.Unlock()
 	}
 	return sum, states
 }
@@ -226,22 +215,21 @@ func TestTailDeltaPerPhase(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	_, tA := qs[0].sharing()
-	_, tB := qs[1].sharing()
-	if tA == nil || tA != tB {
+	g := qs[0].grp
+	if qs[0].tailKey == "" || qs[0].tailKey != qs[1].tailKey || g != qs[1].grp {
 		t.Fatal("the two queries must share one merge tail")
 	}
 	if qs[0].tailPhase == qs[1].tailPhase {
 		t.Fatalf("both queries at phase %d", qs[0].tailPhase)
 	}
-	tA.mu.Lock()
-	defer tA.mu.Unlock()
-	if len(tA.deltas) != 2 {
-		t.Fatalf("tail holds %d delta states, want one per phase (2)", len(tA.deltas))
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.states) != 2 {
+		t.Fatalf("tail holds %d delta states, want one per phase (2)", len(g.states))
 	}
-	for phase, pd := range tA.deltas {
+	for phase, pd := range g.states {
 		if st := pd.state.Stats(); st.Rebuilds != 1 || st.Adds == 0 {
-			t.Fatalf("phase %d: %+v, want exactly one rebuild", phase, st)
+			t.Fatalf("phase %d: %+v, want exactly one rebuild", phase.phase, st)
 		}
 	}
 }
@@ -276,7 +264,7 @@ func TestTailDeltaLateLeader(t *testing.T) {
 			t.Fatalf("query %d led %d windows of %d", i, st.LedTails, st.Windows)
 		}
 	}
-	if sum, states := tailDeltas(e.sharesOf("f")); states != 1 || sum.Adds == 0 {
+	if sum, states := tailDeltas(e.groupsOf("f")); states != 1 || sum.Adds == 0 {
 		t.Fatalf("%d delta states, %+v", states, sum)
 	}
 }
@@ -284,8 +272,9 @@ func TestTailDeltaLateLeader(t *testing.T) {
 // TestSoloTailHeadInScratch registers one grouped query whose HAVING keeps
 // a few of ~14 000 live groups. Alone on its merge tail it has nobody to
 // hand a head to, so its delta block emits into the runtime's scratch and
-// a slide allocates well under one head. Once a look-alike subscribes the
-// leader publishes fresh heads again, and the follower adopts them.
+// a slide allocates well under one head. Once a look-alike joins its slide
+// group the first member captures fresh heads again, and the look-alike
+// adopts them.
 func TestSoloTailHeadInScratch(t *testing.T) {
 	e := New()
 	col := func(n string) catalog.Column { return catalog.Column{Name: n, Type: vector.Int64} }
@@ -297,8 +286,7 @@ func TestSoloTailHeadInScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, tail := q1.sharing()
-	if tail == nil {
+	if q1.tailState == nil {
 		t.Fatal("the query must subscribe to a merge tail")
 	}
 	rng := rand.New(rand.NewSource(2))
@@ -326,7 +314,7 @@ func TestSoloTailHeadInScratch(t *testing.T) {
 	}
 	pumpBytes(64) // fill the window, let the state and scratch settle
 	// One head is the key column and two totals per live group.
-	head := float64(24 * tail.deltaAt(q1.tailPhase).Stats().Groups)
+	head := float64(24 * q1.tailState.Stats().Groups)
 	solo := pumpBytes(8)
 	t.Logf("solo: %.0f B per slide, one head %.0f B", solo, head)
 	if 2*solo > head {
@@ -337,7 +325,7 @@ func TestSoloTailHeadInScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, t2 := q2.sharing(); t2 != tail || q2.tailPhase != q1.tailPhase {
+	if q2.tailKey != q1.tailKey || q2.tailPhase != q1.tailPhase {
 		t.Fatal("the look-alike must share the tail and its phase")
 	}
 	pumpBytes(40)
@@ -353,8 +341,8 @@ func TestSoloTailHeadInScratch(t *testing.T) {
 
 // TestTailDeltaFilterLifecycle follows the HAVING filter a solo query
 // keeps in its merge tail's delta state. Alone, the query registers its
-// filter; once a look-alike with another HAVING subscribes, heads are
-// published whole and the filter is dropped; when the look-alike leaves,
+// filter; once a look-alike with another HAVING joins, heads are captured
+// whole and the filter is dropped; when the look-alike leaves,
 // the filter comes back. Then 50 look-alikes with distinct HAVING
 // constants take turns on the same state — each registered before its
 // predecessor leaves, so the state lives throughout — and the state
@@ -415,11 +403,10 @@ func TestTailDeltaFilterLifecycle(t *testing.T) {
 	}
 
 	p1 := register("count(*) > 5")
-	_, tail := p1.q.sharing()
-	if tail == nil {
+	if p1.q.tailState == nil {
 		t.Fatal("the query must subscribe to a merge tail")
 	}
-	state := tail.deltaAt(p1.q.tailPhase)
+	state := p1.q.tailState
 	filters := func(want int, when string) {
 		t.Helper()
 		if got := state.Stats().Filters; got != want {
@@ -429,7 +416,7 @@ func TestTailDeltaFilterLifecycle(t *testing.T) {
 	feed(8)
 	filters(1, "solo")
 	p2 := register("count(*) > 6")
-	if _, t2 := p2.q.sharing(); t2 != tail || p2.q.tailPhase != p1.q.tailPhase {
+	if p2.q.tailKey != p1.q.tailKey || p2.q.tailPhase != p1.q.tailPhase {
 		t.Fatal("the look-alike must share the tail and its phase")
 	}
 	feed(8)
@@ -449,30 +436,35 @@ func TestTailDeltaFilterLifecycle(t *testing.T) {
 		check(p)
 		prev = p
 	}
-	if tail.deltaAt(prev.q.tailPhase) != state {
+	if prev.q.tailState != state {
 		t.Fatal("the churn replaced the tail's delta state")
 	}
 	filters(1, "after 50 look-alikes took turns")
 }
 
 // BenchmarkTailFanout drives the 64-query fan-out shape — 4 filters x 4
-// ranges x 4 HAVINGs over SLIDE 256 and 64 keys, 16 merge tails — through
-// Pump one slide at a time and reports the partials added per slide,
-// summed over the distinct delta states. It fails unless that is exactly
-// 16: one add per tail, not one per query.
+// ranges x 4 HAVINGs over SLIDE 256 and 64 keys: 4 slide groups (one per
+// filter) holding 16 merge tails — through Pump one slide at a time. It
+// reports the partials added per slide, summed over the distinct delta
+// states, and the fragment evaluations per slide, summed over the
+// queries, and fails unless they are exactly 16 (one add per tail, not one
+// per query) and 4 (one evaluation per group, the other 60 queries adopt).
 func BenchmarkTailFanout(b *testing.B) {
 	e := New()
 	col := func(n string) catalog.Column { return catalog.Column{Name: n, Type: vector.Int64} }
 	if err := e.RegisterStream("s", catalog.NewSchema(col("k"), col("v"))); err != nil {
 		b.Fatal(err)
 	}
+	var qs []*ContinuousQuery
 	for _, a := range []int{0, 100, 200, 300} {
 		for _, r := range []int{1024, 2048, 4096, 8192} {
 			for _, h := range []int{0, 1, 2, 3} {
 				sql := fmt.Sprintf("SELECT k, sum(v), count(*) FROM s [RANGE %d SLIDE 256] WHERE v >= %d GROUP BY k HAVING count(*) > %d", r, a, h)
-				if _, err := e.Register(sql, Options{Mode: Incremental}); err != nil {
+				q, err := e.Register(sql, Options{Mode: Incremental})
+				if err != nil {
 					b.Fatal(err)
 				}
+				qs = append(qs, q)
 			}
 		}
 	}
@@ -489,20 +481,37 @@ func BenchmarkTailFanout(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	// evals sums the slides the queries evaluated and adopted.
+	evals := func() (led, adopted int64) {
+		for _, q := range qs {
+			st := q.Stats()
+			led += st.LedSlides
+			adopted += st.AdoptedSlides
+		}
+		return led, adopted
+	}
 	for i := 0; i < 8192/256; i++ {
 		slide() // fills every window: each state is built once
 	}
-	before, _ := tailDeltas(e.sharesOf("s"))
+	before, _ := tailDeltas(e.groupsOf("s"))
+	led0, adopted0 := evals()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		slide()
 	}
 	b.StopTimer()
-	after, states := tailDeltas(e.sharesOf("s"))
+	after, states := tailDeltas(e.groupsOf("s"))
+	led, adopted := evals()
 	adds := after.Adds - before.Adds
 	b.ReportMetric(float64(adds)/float64(b.N), "adds/slide")
+	b.ReportMetric(float64(led-led0)/float64(b.N), "evals/slide")
 	if adds != 16*b.N || after.Rebuilds != before.Rebuilds || states != 16 {
 		b.Fatalf("%d delta states added %d partials and rebuilt %d times over %d slides; want 16 states adding 16 per slide, no rebuild",
 			states, adds, after.Rebuilds-before.Rebuilds, b.N)
+	}
+	if led-led0 != 4*int64(b.N) || adopted-adopted0 != 60*int64(b.N) {
+		b.Fatalf("%d slides evaluated and %d adopted over %d slides; want 4 and 60 per slide",
+			led-led0, adopted-adopted0, b.N)
 	}
 }

@@ -124,7 +124,6 @@ func (s *Server) writeMetrics(sb *strings.Builder) {
 			sec  float64
 		}{
 			{"fragment", qs.Fragment.Seconds()},
-			{"shared", qs.Shared.Seconds()},
 			{"merge", qs.Merge.Seconds()},
 			{"join", qs.Join.Seconds()},
 			{"total", qs.Total.Seconds()},
